@@ -1,12 +1,10 @@
 """Ablation: the simulator's tiered trace JIT on the matmul hot loop.
 
 Measures throughput (simulated instructions per host second) across the
-four execution tiers — closure interpreter, superblock traces,
-megatraces, and megatraces revived from the persistent compiled-trace
-cache — and checks all tiers are architecturally indistinguishable
+three execution tiers — closure interpreter, superblock traces and
+megatraces — and checks all tiers are architecturally indistinguishable
 (registers, memory-visible output, exit code, instruction/cycle
-counts).  The warm tier must additionally report **zero** compile
-events: every trace it runs was materialized from the snapshot.
+counts).
 
 Writes ``benchmarks/results/ablation_trace.txt`` and a machine-readable
 ``BENCH_sim.json`` at the repository root (consumed by
@@ -21,7 +19,7 @@ from pathlib import Path
 
 from repro.minicc import compile_source
 from repro.minicc.workloads import matmul_source
-from repro.sim import Machine, P550, load_traces, save_traces
+from repro.sim import Machine, P550
 from repro.telemetry.events import EventStream
 
 from conftest import MATMUL_N, MATMUL_REPS, PAPER_SCALE
@@ -39,23 +37,21 @@ BENCH_REPS = MATMUL_REPS if PAPER_SCALE else 40
 REPEATS = 3
 
 
-def _machine(prog, tier: str, snapshot=None):
+def _machine(prog, tier: str):
     m = Machine(P550,
                 trace_compile=tier != "interpreter",
-                megatraces=tier in ("megatrace", "persist_warm"))
+                megatraces=tier == "megatrace")
     m.load_program(prog)
-    if tier == "persist_warm":
-        load_traces(m, snapshot)
     return m
 
 
-def _measure(prog, tier: str, snapshot=None):
+def _measure(prog, tier: str):
     """Best-of-REPEATS run of one tier: (machine, stop event, best
     seconds, run-to-run spread)."""
     best = None
     times = []
     for _ in range(REPEATS):
-        m = _machine(prog, tier, snapshot)
+        m = _machine(prog, tier)
         t0 = time.perf_counter()
         ev = m.run()
         elapsed = time.perf_counter() - t0
@@ -103,17 +99,10 @@ def _measure_observed(prog, granularity: str):
 def test_trace_compilation_throughput(record):
     prog = compile_source(matmul_source(BENCH_N, BENCH_REPS))
 
-    # one cold megatrace run feeds the persistent-cache tier
-    cold = Machine(P550, trace_compile=True, megatraces=True)
-    cold.load_program(prog)
-    cold.run()
-    snapshot = json.loads(json.dumps(save_traces(cold)))
-
     tiers = {}
     results = {}
-    for tier in ("interpreter", "superblock", "megatrace",
-                 "persist_warm"):
-        m, ev, dt, spread = _measure(prog, tier, snapshot)
+    for tier in ("interpreter", "superblock", "megatrace"):
+        m, ev, dt, spread = _measure(prog, tier)
         results[tier] = (m, ev)
         tiers[tier] = {
             "instr_per_sec": round(m.instret / dt),
@@ -124,18 +113,17 @@ def test_trace_compilation_throughput(record):
     # identical architectural results across every tier
     m0, ev0 = results["interpreter"]
     base_state = _arch_state(m0, ev0)
-    for tier in ("superblock", "megatrace", "persist_warm"):
+    for tier in ("superblock", "megatrace"):
         m, ev = results[tier]
         assert _arch_state(m, ev) == base_state, tier
     assert ev0.reason.value == "exited" and m0.exit_code == 0
 
     ips0 = tiers["interpreter"]["instr_per_sec"]
-    for tier in ("superblock", "megatrace", "persist_warm"):
+    for tier in ("superblock", "megatrace"):
         tiers[tier]["speedup"] = round(
             tiers[tier]["instr_per_sec"] / ips0, 3)
 
     mm = results["megatrace"][0]
-    mw = results["persist_warm"][0]
     tiers["megatrace"].update({
         "superblocks_compiled": mm.traces.compiles,
         "megatraces_compiled": mm.traces.mega_compiles,
@@ -143,23 +131,13 @@ def test_trace_compilation_throughput(record):
         "jalr_guard_misses": mm.traces.jalr_misses[0],
         "deopts": mm.traces.deopt_count[0],
     })
-    tiers["persist_warm"].update({
-        "superblocks_compiled": mw.traces.compiles,
-        "megatraces_compiled": mw.traces.mega_compiles,
-        "persist_loads": mw.traces.persist_loads,
-        "persist_stale": mw.traces.persist_stale,
-    })
-    # the warm tier must not compile anything: every trace it ran was
-    # revived from the snapshot
-    assert mw.traces.compiles == 0 and mw.traces.mega_compiles == 0
 
     ips_block, _ = _measure_observed(prog, "block")
     ips_instr, ips_detached = _measure_observed(prog, "instruction")
 
     fmt = [("interpreter", "interpreter (traces off)"),
            ("superblock", "superblocks (tier 1)"),
-           ("megatrace", "megatraces (tier 2)"),
-           ("persist_warm", "warm persistent cache")]
+           ("megatrace", "megatraces (tier 2)")]
     lines = [
         "Ablation: tiered trace JIT (matmul mutatee, "
         f"N={BENCH_N}, reps={BENCH_REPS})",
@@ -180,8 +158,6 @@ def test_trace_compilation_throughput(record):
         f"jalr guards: {mm.traces.jalr_hits[0]} hit / "
         f"{mm.traces.jalr_misses[0]} miss   "
         f"deopts: {mm.traces.deopt_count[0]}",
-        f"warm tier: {mw.traces.persist_loads} traces revived, "
-        f"0 compiles",
         "",
         "observer overhead (event streams):",
         f"{'block-granularity observed':<28}{ips_block / 1e6:>10.2f}"

@@ -113,13 +113,11 @@ class Analysis:
     """
 
     __slots__ = ("symtab", "options", "cfg", "key", "source_path",
-                 "revived", "_liveness", "_interproc", "_store",
-                 "_frozen")
+                 "revived", "_liveness", "_interproc", "_frozen")
 
     def __init__(self, symtab: Symtab, options: InstrumentOptions,
                  cfg: CodeObject, liveness: dict[int, LivenessResult],
                  *, interproc=None, key: str | None = None,
-                 store: ArtifactStore | None = None,
                  source_path: str | None = None, revived: bool = False):
         self.symtab = symtab
         self.options = options
@@ -130,7 +128,6 @@ class Analysis:
         self.revived = revived
         self._liveness = liveness
         self._interproc = interproc
-        self._store = store
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -171,38 +168,6 @@ class Analysis:
 
     liveness_for = result_for
 
-    # -- artifact-store integration --------------------------------------
-
-    @property
-    def store(self) -> ArtifactStore | None:
-        return self._store
-
-    def trace_store(self):
-        """A :class:`repro.sim.persist.TraceStore` rooted inside this
-        analysis's artifact directory (compiled-trace snapshots ride
-        with the analysis), or ``None`` when unkeyed/storeless."""
-        if self._store is None or self.key is None:
-            return None
-        from ..sim.persist import TraceStore
-
-        return TraceStore(self._store.dir_for(self.key))
-
-    def attach_traces(self, machine) -> int:
-        """Revive persisted compiled traces (PR 6 snapshots) for a
-        machine loaded with this binary.  Returns traces materialized
-        (0 without a store)."""
-        ts = self.trace_store()
-        return ts.load(machine) if ts is not None else 0
-
-    def save_traces(self, machine) -> bool:
-        """Persist the machine's compiled traces next to the analysis
-        artifact.  Returns False without a store."""
-        ts = self.trace_store()
-        if ts is None:
-            return False
-        ts.save(machine)
-        return True
-
     # -- (de)serialization ----------------------------------------------
 
     def to_payload(self) -> dict:
@@ -221,7 +186,6 @@ class Analysis:
     @classmethod
     def from_payload(cls, symtab: Symtab, options: InstrumentOptions,
                      payload: dict, *, key: str | None = None,
-                     store: ArtifactStore | None = None,
                      source_path: str | None = None) -> "Analysis":
         """Revive an analysis from a stored payload — no parse, no
         liveness solve.  Raises :class:`ReproError` subclasses on a
@@ -243,8 +207,7 @@ class Analysis:
                         f"{entry:#x}")
                 liveness[entry] = liveness_from_snapshot(fn, snap)
         return cls(symtab, options, cfg, liveness, interproc=interproc,
-                   key=key, store=store, source_path=source_path,
-                   revived=True)
+                   key=key, source_path=source_path, revived=True)
 
 
 def _compute_analysis(symtab: Symtab,
@@ -311,8 +274,7 @@ def analyze(source, options: InstrumentOptions | None = None, *,
             with telemetry.current().span("artifacts.revive"):
                 try:
                     return Analysis.from_payload(
-                        symtab, opts, payload, key=key, store=st,
-                        source_path=path)
+                        symtab, opts, payload, key=key, source_path=path)
                 except ReproError:
                     # stored artifact disagrees with the binary —
                     # treat as stale and recompute
@@ -320,8 +282,7 @@ def analyze(source, options: InstrumentOptions | None = None, *,
 
     cfg, liveness, interproc = _compute_analysis(symtab, opts)
     analysis = Analysis(symtab, opts, cfg, liveness,
-                        interproc=interproc, key=key, store=st,
-                        source_path=path)
+                        interproc=interproc, key=key, source_path=path)
     if st is not None and key is not None:
         meta = {"created_at": time.time(),
                 "options": opts.analysis_fields(),

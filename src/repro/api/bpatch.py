@@ -12,17 +12,14 @@ One import gives tools the whole stack with the paper's Figure 1 flows:
 Tools written against this layer contain no RISC-V specifics: points and
 snippets are the machine-independent abstractions of §2.2.
 
-The v2 session surface, completed by this PR's Analysis/BinaryEdit
-split:
+The v2 session surface:
 
 * **analysis is immutable and shared**: :func:`repro.api.analyze`
   produces a frozen :class:`~repro.api.analysis.Analysis` (symtab +
   CFG + liveness) that any number of concurrent :class:`BinaryEdit`
   sessions *borrow* — and that the content-addressed artifact store
   (:mod:`repro.artifacts`) caches across processes;
-* configuration travels in a frozen :class:`InstrumentOptions`; the
-  legacy boolean keywords finished their deprecation cycle and now
-  raise :class:`ApiError` with a migration hint;
+* configuration travels in a frozen :class:`InstrumentOptions`;
 * :func:`open_binary` returns a context-manager session —
   ``with open_binary(prog) as edit: ...`` — and accepts an ELF path
   alongside bytes/Program/Symtab/Analysis;
@@ -58,33 +55,11 @@ from .analysis import (
 from .errors import AlreadyCommittedError, ApiError, ClosedEditError
 from .options import InstrumentOptions
 
-#: sentinel distinguishing "not passed" from any real value
-_UNSET = object()
-
-#: the v1 boolean keywords, now two PRs past their deprecation cycle
-_LEGACY_KWARGS = ("gap_parsing", "use_dead_registers", "patch_base")
-
-
-def _reject_legacy_kwargs(legacy: dict) -> None:
-    """The v1 boolean keywords emitted ``DeprecationWarning`` for two
-    releases; the cycle is over and they now fail loudly with the
-    migration spelled out."""
-    passed = sorted(k for k, v in legacy.items() if v is not _UNSET)
-    if passed:
-        hints = ", ".join(f"{k}=..." for k in passed)
-        raise ApiError(
-            f"the legacy keyword argument(s) {', '.join(passed)} were "
-            f"removed after their deprecation cycle; pass "
-            f"options=InstrumentOptions({hints}) instead "
-            f"(see docs/TELEMETRY.md, 'v2 API surface')")
-
 
 def open_binary(source: bytes | Program | Symtab | Analysis | str
                 | os.PathLike,
                 options: InstrumentOptions | None = None, *,
-                store=None,
-                gap_parsing=_UNSET, use_dead_registers=_UNSET,
-                patch_base=_UNSET) -> "BinaryEdit":
+                store=None) -> "BinaryEdit":
     """Open a mutatee for analysis and instrumentation.
 
     Accepts raw ELF bytes, a filesystem path to an ELF (``str`` or
@@ -104,9 +79,6 @@ def open_binary(source: bytes | Program | Symtab | Analysis | str
     one binary, call :func:`analyze` once and hand each session the
     result (``BinaryEdit(analysis)``).
     """
-    _reject_legacy_kwargs(dict(
-        gap_parsing=gap_parsing, use_dead_registers=use_dead_registers,
-        patch_base=patch_base))
     if isinstance(source, Analysis):
         return BinaryEdit(source, options)
     analysis = analyze(source, options, store=store)
@@ -125,13 +97,7 @@ class BinaryEdit:
     exit; a closed session rejects further instrumentation)."""
 
     def __init__(self, source: Analysis | Symtab,
-                 options: InstrumentOptions | None = None, *,
-                 gap_parsing=_UNSET, use_dead_registers=_UNSET,
-                 patch_base=_UNSET):
-        _reject_legacy_kwargs(dict(
-            gap_parsing=gap_parsing,
-            use_dead_registers=use_dead_registers,
-            patch_base=patch_base))
+                 options: InstrumentOptions | None = None):
         if isinstance(source, Analysis):
             analysis = source
             opts = options if options is not None else analysis.options

@@ -14,9 +14,8 @@ Derive variants with :meth:`InstrumentOptions.replace`::
 
     far = opts.replace(patch_base=0x4000_0000)
 
-The legacy boolean keyword forms completed their deprecation cycle and
-now raise :class:`repro.api.ApiError` with a migration hint; see
-docs/TELEMETRY.md ("v2 API surface") for the migration table.
+The legacy boolean keyword forms are removed; see docs/TELEMETRY.md
+("v2 API surface") for the migration table.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ machines sharing a cache directory:
 Layout (one directory per key)::
 
     <root>/<key>/analysis.json      # CFG + liveness snapshot
-    <root>/<key>/traces-<img>.json  # compiled-trace snapshots (sim.persist)
 
 The store is a dumb, safe key/value layer: it knows nothing about CFGs
 or liveness (serialization lives with the analyses that own the data —
@@ -112,8 +111,7 @@ class ArtifactStore:
     # -- paths -----------------------------------------------------------
 
     def dir_for(self, key: str) -> Path:
-        """The per-key directory (also the root for that key's
-        compiled-trace snapshots, see :mod:`repro.sim.persist`)."""
+        """The per-key directory holding that key's analysis entry."""
         if not key or "/" in key or key.startswith("."):
             raise ArtifactError(f"malformed artifact key: {key!r}")
         return self.root / key

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .cfg import Block, Function
+from .cfg import Function
 
 
 @dataclass
@@ -108,10 +108,3 @@ def natural_loops(fn: Function) -> list[Loop]:
             inner.parent = parent
             parent.children.append(inner)
     return loops
-
-
-def loop_back_edge_blocks(fn: Function) -> list[Block]:
-    """Blocks that are tails of loop back edges (the paper's
-    'loop back edges' instrumentation points)."""
-    tails = {t for loop in natural_loops(fn) for t, _ in loop.back_edges}
-    return [fn.blocks[t] for t in sorted(tails) if t in fn.blocks]

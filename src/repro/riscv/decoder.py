@@ -90,12 +90,6 @@ _HALF_CACHE: dict[int, Instruction] = {}
 _CACHE_CAP = 1 << 16
 
 
-def clear_decode_cache() -> None:
-    """Drop the memoized decodes (test isolation hook)."""
-    _WORD_CACHE.clear()
-    _HALF_CACHE.clear()
-
-
 def decode_word(word: int) -> Instruction:
     """Decode a 32-bit standard instruction word."""
     word &= enc.MASK32

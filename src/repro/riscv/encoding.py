@@ -191,16 +191,8 @@ def field_rs3(word: int) -> int:
     return bits(word, 31, 27)
 
 
-def field_opcode(word: int) -> int:
-    return bits(word, 6, 0)
-
-
 def field_funct3(word: int) -> int:
     return bits(word, 14, 12)
-
-
-def field_funct7(word: int) -> int:
-    return bits(word, 31, 25)
 
 
 def field_csr(word: int) -> int:

@@ -145,9 +145,6 @@ class ISASubset:
         """True if this subset includes *ext_name* (case-insensitive)."""
         return ext_name.lower() in self.extensions
 
-    def supports_all(self, ext_names: tuple[str, ...]) -> bool:
-        return all(self.supports(e) for e in ext_names)
-
     def without(self, *ext_names: str) -> "ISASubset":
         """A copy with the given extensions removed (no implies re-closure:
         removing ``f`` from rv64gc intentionally leaves ``d`` unsupported

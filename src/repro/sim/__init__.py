@@ -7,7 +7,6 @@ DESIGN.md).  Also provides the debug port that ProcControlAPI drives.
 from .executor import BreakpointHit, ExitTrap, SimFault
 from .machine import Machine, STACK_TOP, StopEvent, StopReason, run_program
 from .memory import Memory, MemoryFault, PAGE_SIZE
-from .persist import TraceStore, image_key, load_traces, save_traces
 from .timing import MODELS, P550, TimingModel, UCYCLE, X86PROXY, category_of
 from .trace import TraceCache
 
@@ -15,7 +14,6 @@ __all__ = [
     "BreakpointHit", "ExitTrap", "SimFault",
     "Machine", "STACK_TOP", "StopEvent", "StopReason", "run_program",
     "Memory", "MemoryFault", "PAGE_SIZE",
-    "TraceStore", "image_key", "load_traces", "save_traces",
     "MODELS", "P550", "TimingModel", "UCYCLE", "X86PROXY", "category_of",
     "TraceCache",
 ]

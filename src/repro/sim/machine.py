@@ -98,10 +98,6 @@ def _traces_default() -> bool:
     return os.environ.get("REPRO_SIM_TRACES", "1") != "0"
 
 
-def _mega_default() -> bool:
-    return os.environ.get("REPRO_SIM_MEGATRACES", "1") != "0"
-
-
 class Machine:
     """One simulated RV64GC hart plus memory.
 
@@ -118,15 +114,14 @@ class Machine:
     megatraces:
         Enable tier-2 megatrace promotion (hot loops compiled into
         single looping functions with register caching — see
-        docs/INTERNALS.md, "JIT tiers").  Defaults to on when tracing
-        is on; set ``REPRO_SIM_MEGATRACES=0`` (or pass ``False``) to
-        cap the JIT at superblocks.  Architecturally identical either
-        way.
+        docs/INTERNALS.md, "JIT tiers").  On by default; pass
+        ``False`` to cap the JIT at superblocks.  Architecturally
+        identical either way.
     """
 
     def __init__(self, timing: TimingModel = P550,
                  trace_compile: bool | None = None,
-                 megatraces: bool | None = None):
+                 megatraces: bool = True):
         self.timing = timing
         self.mem = Memory()
         self.x: list[int] = [0] * 32
@@ -148,9 +143,8 @@ class Machine:
         self.trap_redirects: dict[int, int] = {}
         self.trace_compile = (_traces_default() if trace_compile is None
                               else trace_compile)
-        self.megatraces = (_mega_default() if megatraces is None
-                           else megatraces)
-        self.traces = TraceCache(self, mega=self.megatraces)
+        self.megatraces = megatraces
+        self.traces = TraceCache(self, mega=megatraces)
         #: armed only for telemetry-observed runs: the traced dispatch
         #: loop then counts cache hits (disabled runs skip the wrapper
         #: entirely, so the hot loop stays wrapper-free)
@@ -346,12 +340,6 @@ class Machine:
         if n != 0:
             self.x[n] = value & 0xFFFF_FFFF_FFFF_FFFF
 
-    def get_freg(self, n: int) -> int:
-        return self.f[n]
-
-    def set_freg(self, n: int, value: int) -> None:
-        self.f[n] = value & 0xFFFF_FFFF_FFFF_FFFF
-
     # -- CSRs ---------------------------------------------------------------
 
     def read_csr(self, csr: int) -> int:
@@ -532,9 +520,7 @@ class Machine:
         instret0, ucycles0 = self.instret, self.ucycles
         base = (traces.compiles, traces.invalidations, traces.links,
                 traces.hits, traces.mega_compiles, traces.jalr_hits[0],
-                traces.jalr_misses[0], traces.deopt_count[0],
-                traces.persist_loads, traces.persist_stores,
-                traces.persist_stale)
+                traces.jalr_misses[0], traces.deopt_count[0])
         self._count_hits = rec.enabled or bool(report)
         t0 = time.perf_counter()
         try:
@@ -553,9 +539,6 @@ class Machine:
             "jalr_guard_hits": traces.jalr_hits[0] - base[5],
             "jalr_guard_misses": traces.jalr_misses[0] - base[6],
             "deopts": traces.deopt_count[0] - base[7],
-            "persist.loads": traces.persist_loads - base[8],
-            "persist.stores": traces.persist_stores - base[9],
-            "persist.stale": traces.persist_stale - base[10],
         }
         if rec.enabled:
             rec.record_span("sim.run", elapsed)
@@ -747,9 +730,6 @@ class Machine:
 
     def read_freg(self, n: int) -> int:
         return self.f[n]
-
-    def read_mem_int(self, addr: int, size: int) -> int:
-        return self.mem.read_int(addr, size)
 
 
 def run_program(program: Program, timing: TimingModel = P550,

@@ -9,8 +9,6 @@ instrumentation correctness.
 
 from __future__ import annotations
 
-import hashlib
-
 from .. import faults
 from ..errors import ReproError
 
@@ -128,16 +126,6 @@ class Memory:
         read side of rollback verification."""
         page = self._pages.get(idx)
         return bytes(page) if page is not None else None
-
-    def page_hash(self, idx: int) -> str | None:
-        """sha256 hex digest of page *idx* (``None`` if unmapped) — the
-        content key for persistent compiled-trace metadata: a persisted
-        trace is only revived while every code page it spans still
-        hashes to the value recorded at save time."""
-        page = self._pages.get(idx)
-        if page is None:
-            return None
-        return hashlib.sha256(bytes(page)).hexdigest()
 
     # -- raw byte access -------------------------------------------------
 

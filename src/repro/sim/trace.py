@@ -34,16 +34,6 @@ straight to its compiled trace while the guard holds, deoptimising to
 the dispatch loop (and from there, if need be, the closure
 interpreter) on a miss.
 
-Tier 3 — persistence.  Compiled-trace *shapes* (generated source,
-chain-cell count, fault sync tables, body-closure sites, guard
-targets) can be serialized keyed by code-page content hashes and
-reloaded into a fresh machine running the same binary, skipping both
-the warmup profiling and the compile work (see
-:meth:`TraceCache.persist_save` / :meth:`TraceCache.persist_load` and
-:mod:`repro.sim.persist`).  A page whose content hash no longer
-matches rejects its traces, so patched or self-modified binaries fall
-back to demand compilation.
-
 Patch safety
 ------------
 Dynamic instrumentation rewrites code while it runs, so the trace cache
@@ -111,28 +101,15 @@ _MASK64 = (1 << 64) - 1
 
 PAGE_BITS = 12
 
-#: serialization format tag for persisted trace metadata
-PERSIST_FORMAT = "repro.trace-cache/1"
-
 #: spill placeholder in generated megatrace source, expanded at build
 #: time once the trace's full written-register set is known
 _SPILL = "\x00SPILL"
 
 
-def _timing_key(timing) -> str:
-    """Fingerprint of the ucycle constants baked into generated code."""
-    import hashlib
-    parts = [timing.name, repr(timing.frequency_hz),
-             repr(timing.default_cost)]
-    parts += [f"{k}={timing.costs[k]!r}" for k in sorted(timing.costs)]
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
-
-
 def _base_ns(cache: "TraceCache") -> dict:
     """The namespace every generated trace function closes over (via
-    default arguments).  Shared between demand compilation and
-    persistent-cache materialization so persisted sources always find
-    their names."""
+    default arguments).  Shared by the superblock and megatrace
+    emitters."""
     m = cache.m
     return {
         "m": m, "x": m.x, "fr": m.f, "W": m.mem,
@@ -151,10 +128,10 @@ class Trace:
     """One compiled trace: its covered instruction spans plus function."""
 
     __slots__ = ("entry", "end", "fn", "backrefs", "n_insns", "kind",
-                 "spans", "meta")
+                 "spans")
 
     def __init__(self, entry: int, end: int, fn, n_insns: int,
-                 kind: str = "super", spans=None, meta=None):
+                 kind: str = "super", spans=None):
         self.entry = entry
         self.end = end
         #: the compiled block function (``False`` marks a negative entry:
@@ -169,19 +146,14 @@ class Trace:
         #: merged [lo, hi) code intervals this trace compiled from; a
         #: superblock has one, a megatrace one per inlined stretch
         self.spans: list[tuple[int, int]] = spans or [(entry, end)]
-        #: persistence record (None for negative entries and traces
-        #: carrying compiled-in event emits)
-        self.meta = meta
 
 
 class TraceCache:
-    """Tiered compiled-trace cache with range invalidation, chaining,
-    megatrace promotion and persistent metadata."""
+    """Tiered compiled-trace cache with range invalidation, chaining
+    and megatrace promotion."""
 
-    def __init__(self, machine: "Machine", max_block: int = MAX_BLOCK,
-                 mega: bool = True):
+    def __init__(self, machine: "Machine", mega: bool = True):
         self.m = machine
-        self.max_block = max_block
         #: megatrace promotion enabled (tier 2)
         self.mega_enabled = mega
         #: back-edge executions before promotion (baked into generated
@@ -212,10 +184,6 @@ class TraceCache:
         #: early exits from compiled traces forced by invalidation
         #: (code_dirty after a store)
         self.deopt_count = [0]
-        # -- persistent-cache statistics
-        self.persist_loads = 0
-        self.persist_stores = 0
-        self.persist_stale = 0
 
     # -- management ------------------------------------------------------
 
@@ -319,13 +287,12 @@ class TraceCache:
         if built is None:
             self._no_mega.add(head)
             return self._link(cells, idx, head)
-        fn, spans, count, meta = built
+        fn, spans, count = built
         old = self._traces.get(head)
         if old is not None:
             self._drop(old)
         end = max(hi for _, hi in spans)
-        tr = Trace(head, end, fn, count, kind="mega", spans=spans,
-                   meta=meta)
+        tr = Trace(head, end, fn, count, kind="mega", spans=spans)
         self._register(tr)
         self.mega_compiles += 1
         cells[idx] = fn
@@ -361,12 +328,12 @@ class TraceCache:
         """
         faults.site("sim.trace.compile")
         try:
-            fn, end, count, meta = self._compile(pc)
+            fn, end, count = self._compile(pc)
         except (DecodeError, MemoryFault):
-            fn, end, count, meta = False, pc + 4, 0, None
+            fn, end, count = False, pc + 4, 0
         if fn is False:
             end = pc + 4
-        tr = Trace(pc, end, fn, count, meta=meta)
+        tr = Trace(pc, end, fn, count)
         self._register(tr)
         if fn is not False:
             self.compiles += 1
@@ -383,36 +350,33 @@ class TraceCache:
     def _compile(self, entry: int):
         emit = _Emitter(self, entry)
         pc = entry
-        for _ in range(self.max_block):
+        for _ in range(MAX_BLOCK):
             try:
                 instr = self._fetch(pc)
             except (DecodeError, MemoryFault):
                 if emit.count == 0:
-                    return False, pc, 0, None
+                    return False, pc, 0
                 emit.finish_cut(pc, chain=False)
-                return emit.build(), pc, emit.count, emit.meta
+                return emit.build(), pc, emit.count
             mn = instr.mnemonic
             if mn in BRANCH_OPS:
                 emit.emit_branch(pc, instr)
-                return (emit.build(), pc + instr.length, emit.count,
-                        emit.meta)
+                return emit.build(), pc + instr.length, emit.count
             if mn == "jal":
                 emit.emit_jal(pc, instr)
-                return (emit.build(), pc + instr.length, emit.count,
-                        emit.meta)
+                return emit.build(), pc + instr.length, emit.count
             if mn == "jalr":
                 emit.emit_jalr(pc, instr)
-                return (emit.build(), pc + instr.length, emit.count,
-                        emit.meta)
+                return emit.build(), pc + instr.length, emit.count
             if not emit.emit_straight(pc, instr):
                 # untraceable (ecall/ebreak/fence/csr/amo/unknown)
                 if emit.count == 0:
-                    return False, pc, 0, None
+                    return False, pc, 0
                 emit.finish_cut(pc, chain=False)
-                return emit.build(), pc, emit.count, emit.meta
+                return emit.build(), pc, emit.count
             pc += instr.length
         emit.finish_cut(pc, chain=True)
-        return emit.build(), pc, emit.count, emit.meta
+        return emit.build(), pc, emit.count
 
     def _walk(self, emit: "_MegaEmitter", head: int) -> None:
         """Drive one emission pass over the loop rooted at *head*:
@@ -466,7 +430,7 @@ class TraceCache:
         base-register writes) or that fails to re-establish itself by
         the back edge — either would be stale on the next iteration.
 
-        Returns ``(fn, spans, n_insns, meta)`` or ``None``."""
+        Returns ``(fn, spans, n_insns)`` or ``None``."""
         emit = _MegaEmitter(self, head)
         self._walk(emit, head)
         if emit.count == 0:
@@ -494,139 +458,6 @@ class TraceCache:
                                and r not in emit.killed_fp}
         return emit.build_result()
 
-    # -- persistence -----------------------------------------------------
-
-    def persist_save(self) -> dict:
-        """Serialize every persistable compiled trace (shape + generated
-        source + sync tables + guard state) keyed by the content hashes
-        of the code pages it spans.  The result round-trips through JSON
-        and feeds :meth:`persist_load` on a fresh machine running the
-        same binary."""
-        mem = self.m.mem
-        pages: dict[int, str] = {}
-        records = []
-        for tr in self._traces.values():
-            meta = tr.meta
-            if not tr.fn or meta is None:
-                continue  # negative entry, dropped, or emit-carrying
-            tpages = sorted(self._pages_of(tr))
-            ok = True
-            for p in tpages:
-                if p not in pages:
-                    h = mem.page_hash(p)
-                    if h is None:
-                        ok = False
-                        break
-                    pages[p] = h
-            if not ok:
-                continue
-            rec = {
-                "entry": tr.entry, "end": tr.end, "n": tr.n_insns,
-                "spans": [list(s) for s in tr.spans],
-                "pages": tpages,
-                "kind": meta["kind"], "src": meta["src"],
-                "cells": meta["cells"],
-                "P": meta["P"], "U": meta["U"], "N": meta["N"],
-                "CF": meta.get("CF"), "FPP": meta.get("FPP"),
-                "bodies": meta["bodies"],
-                "hot": meta["hot"], "guard": meta["guard"],
-            }
-            if meta["guard"] and meta.get("_G") is not None:
-                rec["guard_target"] = meta["_G"][0]
-            records.append(rec)
-        self.persist_stores += len(records)
-        return {
-            "format": PERSIST_FORMAT,
-            "timing": _timing_key(self.m.timing),
-            "max_block": self.max_block,
-            "pages": {str(p): h for p, h in pages.items()},
-            "traces": records,
-        }
-
-    def persist_load(self, data: dict) -> int:
-        """Materialize traces from a :meth:`persist_save` snapshot into
-        this cache.  Every trace whose code pages all hash-match the
-        current memory image is compiled from its saved source (no
-        decode, no emission, no warmup counting); any page that was
-        patched since the save rejects its traces
-        (``trace.persist.stale``) and demand compilation takes over.
-        Call after ``load_image``/``load_program``; refuses to load
-        while a block-granularity event stream is attached (those
-        traces need compiled-in emits)."""
-        if self.m._trace_events:
-            return 0
-        traces = data.get("traces", [])
-        if (data.get("format") != PERSIST_FORMAT
-                or data.get("timing") != _timing_key(self.m.timing)
-                or data.get("max_block") != self.max_block):
-            self.persist_stale += len(traces)
-            return 0
-        mem = self.m.mem
-        ok_pages = set()
-        for key, saved_hash in data.get("pages", {}).items():
-            idx = int(key)
-            if mem.page_hash(idx) == saved_hash:
-                ok_pages.add(idx)
-        loaded = 0
-        for rec in traces:
-            entry = rec["entry"]
-            if entry in self.fns:
-                continue
-            if not all(p in ok_pages for p in rec["pages"]):
-                self.persist_stale += 1
-                continue
-            try:
-                fn, meta = self._materialize(rec)
-            except Exception:
-                self.persist_stale += 1
-                continue
-            tr = Trace(entry, rec["end"], fn, rec["n"],
-                       kind=rec["kind"],
-                       spans=[tuple(s) for s in rec["spans"]],
-                       meta=meta)
-            self._register(tr)
-            self.persist_loads += 1
-            loaded += 1
-        return loaded
-
-    def _materialize(self, rec: dict):
-        """exec() one persisted trace source against a freshly built
-        namespace (chain cells empty, guard restored, body closures
-        rebuilt by re-decoding their instructions)."""
-        ns = _base_ns(self)
-        ns["S"] = [None] * rec["cells"]
-        ns["P"] = tuple(rec["P"])
-        ns["U"] = tuple(rec["U"])
-        ns["N"] = tuple(rec["N"])
-        if rec.get("CF") is not None:
-            ns["CF"] = tuple(tuple(map(tuple, t)) for t in rec["CF"])
-        if rec.get("FPP") is not None:
-            ns["FPP"] = tuple(
-                tuple((p[0], p[1]) for p in t) for t in rec["FPP"])
-        for name, pc in rec["bodies"].items():
-            instr = self._fetch(pc)
-            body = build_body(self.m, pc, instr)
-            if body is None:
-                raise ValueError(f"unreplayable body at {pc:#x}")
-            ns[name] = body
-        if rec["hot"]:
-            ns["C"] = [0]
-        guard = None
-        if rec["guard"]:
-            guard = [rec.get("guard_target"), 0]
-            ns["G"] = guard
-        fname = "__mega__" if rec["kind"] == "mega" else "__trace__"
-        code = compile(rec["src"], f"<persist@{rec['entry']:#x}>",
-                       "exec")
-        env = dict(ns)
-        exec(code, env)
-        meta = {k: rec[k] for k in ("kind", "src", "cells", "P", "U",
-                                    "N", "bodies", "hot", "guard")}
-        meta["CF"] = rec.get("CF")
-        meta["FPP"] = rec.get("FPP")
-        meta["_G"] = guard
-        return env[fname], meta
-
 
 class _Emitter:
     """Generates the Python source of one superblock function."""
@@ -642,10 +473,6 @@ class _Emitter:
         self.cost = 0
         self.cells = 0
         self.has_hot = False
-        self.has_guard = False
-        self.has_emits = False
-        self.bodies: dict[str, int] = {}
-        self.meta: dict | None = None
         # fault side table: ip -> (pc, ucycles-before, instret-before)
         self.sync_pc = [entry]
         self.sync_cost = [0]
@@ -658,16 +485,14 @@ class _Emitter:
         m = self.m
         if m._trace_events and m._emit is not None:
             self.ns["EV"] = m._emit
-            self.has_emits = True
             self.lines.append(
                 f"EV((5, {entry:#x}, 0, m.instret, m.ucycles))")
 
     # -- helpers ---------------------------------------------------------
 
-    def _bind_body(self, body, pc: int) -> str:
+    def _bind_body(self, body) -> str:
         name = f"b{self.count}"
         self.ns[name] = body
-        self.bodies[name] = pc
         return name
 
     def _mark(self, pc: int) -> None:
@@ -745,7 +570,7 @@ class _Emitter:
         if body is None:
             return False
         self._mark(pc)
-        self.lines.append(f"{self._bind_body(body, pc)}()")
+        self.lines.append(f"{self._bind_body(body)}()")
         self._charge(mn, instr)
         return True
 
@@ -963,7 +788,6 @@ class _Emitter:
         self.lines.append("m.pc = t")
         # guard-based target specialization: remember the observed
         # target and chain straight to its trace while the guard holds
-        self.has_guard = True
         self.ns["G"] = [None, 0]
         k = self._chain_cell()
         self.lines.append("if t == G[0]:")
@@ -1007,14 +831,6 @@ class _Emitter:
         code = compile(src, f"<trace@{self.entry:#x}>", "exec")
         env = dict(self.ns)
         exec(code, env)
-        if not self.has_emits:
-            self.meta = {
-                "kind": "super", "src": src, "cells": self.cells,
-                "P": list(self.sync_pc), "U": list(self.sync_cost),
-                "N": list(self.sync_count), "bodies": dict(self.bodies),
-                "hot": self.has_hot, "guard": self.has_guard,
-                "_G": self.ns.get("G"),
-            }
         return env["__trace__"]
 
 
@@ -1033,8 +849,6 @@ class _MegaEmitter:
         self.count = 0
         self.cost = 0
         self.cells = 0
-        self.guard_used = False
-        self.bodies: dict[str, int] = {}
         self.sync_pc = [entry]
         self.sync_cost = [0]
         self.sync_count = [0]
@@ -1405,8 +1219,7 @@ class _MegaEmitter:
         steady-state emission so a seed-kill can roll it back."""
         return {
             "cells": self.cells, "tmp": self._tmp,
-            "nc": self._next_const, "guard": self.guard_used,
-            "bodies": dict(self.bodies), "ns": set(self.ns),
+            "nc": self._next_const, "ns": set(self.ns),
             "localized": set(self.localized),
             "written": set(self.written),
             "sync": len(self.sync_pc),
@@ -1420,8 +1233,6 @@ class _MegaEmitter:
         self.cells = snap["cells"]
         self._tmp = snap["tmp"]
         self._next_const = snap["nc"]
-        self.guard_used = snap["guard"]
-        self.bodies = snap["bodies"]
         for k in set(self.ns) - snap["ns"]:
             del self.ns[k]
         self.localized = snap["localized"]
@@ -1526,7 +1337,6 @@ class _MegaEmitter:
         self.lines.append("m.pc = t")
         self.lines.append(f"m.ucycles += uc + {self.cost}")
         self.lines.append(f"m.instret += ir + {self.count}")
-        self.guard_used = True
         self.ns["G"] = [None, 0]
         k = self._chain_cell()
         self.lines.append("if t == G[0]:")
@@ -1561,7 +1371,7 @@ class _MegaEmitter:
         self._fp_flush()  # the body may read or write any fr slot
         self._mark(pc)
         self._spill_marker("")
-        self.lines.append(f"{self._bind_body(body, pc)}()")
+        self.lines.append(f"{self._bind_body(body)}()")
         rd = f.get("rd")
         if rd:
             self._clobber(rd)
@@ -1570,10 +1380,9 @@ class _MegaEmitter:
         self.mem_known.clear()  # the body may store anywhere
         return True
 
-    def _bind_body(self, body, pc: int) -> str:
+    def _bind_body(self, body) -> str:
         name = f"b{self.count}"
         self.ns[name] = body
-        self.bodies[name] = pc
         return name
 
     def _inline(self, pc: int, mn: str, f: dict, instr) -> bool:
@@ -2106,10 +1915,9 @@ class _MegaEmitter:
             # body whose every path returns
             body_lines = self._expand(self.lines, True, written)
             count = self.count
-        fpp = [[list(p) for p in t] for t in self.sync_fp] \
-            if any(self.sync_fp) else None
-        if fpp is not None:
-            ns["FPP"] = tuple(tuple(map(tuple, t)) for t in fpp)
+        has_fpp = any(self.sync_fp)
+        if has_fpp:
+            ns["FPP"] = tuple(self.sync_fp)
         loads = [f"r{r} = x[{r}]"
                  for r in sorted((self.localized | self.written) - {0})]
         spill = [f"x[{r}] = r{r}" for r in written]
@@ -2121,7 +1929,7 @@ class _MegaEmitter:
             "        for _fd, _fn in FPP[ip]:\n"
             "            fr[_fd] = _lv[_fn] if _fn else "
             "B64(_lv['g%d' % _fd])\n"
-        ) if fpp is not None else ""
+        ) if has_fpp else ""
         src = (
             f"def __mega__({', '.join(f'{k}={k}' for k in ns)}):\n"
             f"    ip = 0\n"
@@ -2143,14 +1951,4 @@ class _MegaEmitter:
         code = compile(src, f"<mega@{self.entry:#x}>", "exec")
         env = dict(ns)
         exec(code, env)
-        meta = {
-            "kind": "mega", "src": src, "cells": self.cells,
-            "P": list(self.sync_pc), "U": list(self.sync_cost),
-            "N": list(self.sync_count),
-            "CF": [list(map(list, t)) for t in self.sync_consts],
-            "FPP": fpp,
-            "bodies": dict(self.bodies),
-            "hot": False, "guard": self.guard_used,
-            "_G": ns.get("G"),
-        }
-        return (env["__mega__"], self._merge_spans(), count, meta)
+        return env["__mega__"], self._merge_spans(), count

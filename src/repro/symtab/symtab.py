@@ -126,9 +126,6 @@ class Symtab:
     def code_regions(self) -> list[Region]:
         return [r for r in self.regions if r.executable]
 
-    def data_regions(self) -> list[Region]:
-        return [r for r in self.regions if not r.executable]
-
     def region_at(self, addr: int) -> Region | None:
         for r in self.regions:
             if r.contains(addr):

@@ -101,9 +101,7 @@ def render(resp: dict, prev: dict | None = None,
         f"{art_hits} hits / {art_miss} misses / "
         f"{counters.get('artifacts.stale', 0)} stale "
         f"({_hit_rate(art_hits, art_miss)} hit)   "
-        f"analyses materialized: {counters.get('service.analyses', 0)}"
-        f"   trace persist: {counters.get('sim.trace.persist.loads', 0)}"
-        f" loads / {counters.get('sim.trace.persist.stale', 0)} stale")
+        f"analyses materialized: {counters.get('service.analyses', 0)}")
     if "service.sessions.live" in gauges:
         out.append(f"fleet gauge service.sessions.live = "
                    f"{gauges['service.sessions.live']:.0f}   flushes: "

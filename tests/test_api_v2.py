@@ -1,6 +1,5 @@
 """The v2 BPatch session API: InstrumentOptions, the ReproError
-hierarchy, batch commits, session lifetime, and the deprecation shims
-that keep the v1 call forms working."""
+hierarchy, batch commits and session lifetime."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ import dataclasses
 import pytest
 
 from repro.api import (
-    AlreadyCommittedError, ApiError, BinaryEdit, ClosedEditError,
+    AlreadyCommittedError, ApiError, ClosedEditError,
     DEFAULT_OPTIONS, InstrumentOptions, ReproError, open_binary,
 )
 from repro.codegen.snippets import IncrementVar
@@ -17,7 +16,6 @@ from repro.minicc import compile_source
 from repro.minicc.workloads import fib_source
 from repro.patch.points import PointType
 from repro.sim.machine import StopReason
-from repro.symtab.symtab import Symtab
 
 
 @pytest.fixture(scope="module")
@@ -59,28 +57,8 @@ class TestInstrumentOptions:
 
 
 class TestLegacyKwargRemoval:
-    """The v1 boolean keywords finished their deprecation cycle: they
-    now raise ApiError with a migration hint instead of warning."""
-
-    def test_legacy_open_binary_kwarg_raises(self, fib_prog):
-        with pytest.raises(ApiError, match="gap_parsing"):
-            open_binary(fib_prog, gap_parsing=False)
-
-    def test_legacy_binary_edit_kwargs_raise(self, fib_prog):
-        st = Symtab.from_program(fib_prog)
-        with pytest.raises(ApiError, match="use_dead_registers"):
-            BinaryEdit(st, use_dead_registers=False,
-                       patch_base=0x4000_0000)
-
-    def test_error_carries_the_migration_hint(self, fib_prog):
-        with pytest.raises(ApiError,
-                           match=r"InstrumentOptions\(gap_parsing=") :
-            open_binary(fib_prog, gap_parsing=True)
-
-    def test_options_plus_legacy_kwarg_still_rejected(self, fib_prog):
-        with pytest.raises(ApiError, match="legacy keyword"):
-            open_binary(fib_prog, InstrumentOptions(),
-                        gap_parsing=False)
+    """The v1 boolean keywords are gone; the options form is the only
+    spelling and emits no warning."""
 
     def test_new_form_does_not_warn(self, fib_prog, recwarn):
         open_binary(fib_prog, InstrumentOptions(gap_parsing=False))

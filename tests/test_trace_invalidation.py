@@ -202,6 +202,66 @@ cont:
         assert ev.type is EventType.EXITED
         assert ev.exit_code == 6
 
+    @pytest.mark.parametrize("trace_compile", MODES)
+    def test_breakpoint_inserted_into_resident_megatrace(self,
+                                                         trace_compile):
+        """The loop runs past HOT_THRESHOLD, so it is a resident
+        megatrace when the run stops outside it; planting a breakpoint
+        on the loop body must drop the megatrace and fire on the first
+        iteration of the next pass.  The ``j loop`` makes each pass
+        enter through the loop head, where the megatrace is bound."""
+        src = """
+_start:
+  li a0, 0
+  li s1, 0
+outer:
+  li t0, 0
+  j loop
+loop:
+  addi t0, t0, 1
+body:
+  addi a0, a0, 1
+  li t4, 64
+  blt t0, t4, loop
+  call between
+  addi s1, s1, 1
+  li t5, 2
+  blt s1, t5, outer
+  li a7, 93
+  ecall
+between:
+  nop
+  ret
+"""
+        prog = assemble(src)
+        ref = _machine(prog, False).run()
+        m = _machine(prog, trace_compile)
+        proc = Process.attach(m)
+        between = prog.symbol("between").address
+        proc.insert_breakpoint(between)
+        ev = proc.continue_to_event()
+        assert ev.type is EventType.STOPPED_BREAKPOINT
+        assert ev.pc == between
+        if trace_compile:
+            assert m.traces.mega_compiles > 0
+
+        invalidations = m.traces.invalidations
+        body = prog.symbol("body").address
+        proc.insert_breakpoint(body)
+        if trace_compile:
+            assert m.traces.invalidations > invalidations
+        proc.remove_breakpoint(between)
+        ev = proc.continue_to_event()
+        assert ev.type is EventType.STOPPED_BREAKPOINT
+        assert ev.pc == body
+        assert m.x[9] == 1  # s1: second pass
+        assert m.x[5] == 1  # t0: its first iteration, before the addi
+
+        proc.remove_breakpoint(body)
+        ev = proc.continue_to_event()
+        assert ev.type is EventType.EXITED
+        assert ev.exit_code == ref.exit_code == 128
+
 
 class TestRuntimeInstrumentation:
     def _attach_run(self, trace_compile):
