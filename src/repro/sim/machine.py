@@ -5,15 +5,18 @@ Linux-ish syscall layer, and exposes the debug port ProcControlAPI talks
 to (read/write registers and memory, step, run-until-event).
 
 Performance notes (per the HPC guides): the run loop binds hot
-attributes to locals, and instructions are compiled at two tiers —
+attributes to locals, and instructions are compiled at two levels —
 
 * a per-pc closure cache (``_icache``) used for single-stepping, bounded
-  ``run(max_steps=...)``, and instructions the trace compiler rejects;
-* a superblock trace cache (:class:`repro.sim.trace.TraceCache`) used by
-  unbounded ``run()``: straight-line blocks execute as one Python
-  function with batched timing and direct chaining to successor blocks.
+  ``run(max_steps=...)``, instructions the trace compiler rejects, and
+  cold code: an unbounded ``run()`` steps a pc through its closure until
+  the pc has been dispatched ``traces.hot_threshold`` times;
+* a trace cache (:class:`repro.sim.trace.TraceCache`) used by unbounded
+  ``run()`` once code is warm: straight-line blocks execute as one
+  Python function with batched timing and direct chaining to successor
+  blocks, and hot loops are promoted to megatraces.
 
-Both tiers are **patch-safe**: every write overlapping a registered
+Both levels are **patch-safe**: every write overlapping a registered
 executable range — self-modifying stores, ``write_mem`` from the
 patcher/ProcControl, breakpoint insertion — flows through the
 :class:`Memory` write watch into :meth:`_code_written`, which drops the
@@ -107,10 +110,13 @@ class Machine:
         The :class:`TimingModel` charged per instruction; determines
         what ``clock_gettime``/``rdcycle`` report.
     trace_compile:
-        Enable the superblock trace compiler for unbounded ``run()``.
-        Defaults to on; set ``REPRO_SIM_TRACES=0`` (or pass ``False``)
-        to force the per-pc closure interpreter everywhere — results are
-        architecturally identical either way.
+        Enable the trace compiler for unbounded ``run()``: a pc is
+        compiled into a superblock once it has been dispatched
+        ``traces.hot_threshold`` times, and runs on the per-pc closure
+        interpreter until then.  Defaults to on; set
+        ``REPRO_SIM_TRACES=0`` (or pass ``False``) to force the closure
+        interpreter everywhere — results are architecturally identical
+        either way.
     megatraces:
         Enable tier-2 megatrace promotion (hot loops compiled into
         single looping functions with register caching — see
@@ -143,7 +149,6 @@ class Machine:
         self.trap_redirects: dict[int, int] = {}
         self.trace_compile = (_traces_default() if trace_compile is None
                               else trace_compile)
-        self.megatraces = megatraces
         self.traces = TraceCache(self, mega=megatraces)
         #: armed only for telemetry-observed runs: the traced dispatch
         #: loop then counts cache hits (disabled runs skip the wrapper
@@ -581,9 +586,13 @@ class Machine:
         return "\n".join(lines) + "\n"
 
     def _run_traced(self) -> StopEvent:
-        """Trace-mode hot loop: execute compiled superblocks, following
-        chained successors without re-entering this loop; fall back to
-        one closure step for pcs the trace compiler rejects."""
+        """Trace-mode hot loop: execute compiled traces, following
+        chained successors without re-entering this loop.  A pc with no
+        cache entry runs one closure step and counts one dispatch; it
+        compiles once the count reaches ``traces.hot_threshold``, or at
+        once while a block-granularity observer is attached (block-enter
+        events come from compiled trace prologues).  Pcs the trace
+        compiler rejects also step through their closure."""
         if self._count_hits:
             traces = self.traces
             raw_get = traces.fns.get
@@ -596,23 +605,32 @@ class Machine:
         else:
             fns_get = self.traces.fns.get
         compile_at = self.traces.compile_at
+        dispatches = self.traces.dispatches
+        seen = dispatches.get
+        threshold = 1 if self._trace_events else self.traces.hot_threshold
         icache = self._icache
         closure_at = self._closure_at
         self.code_dirty = False
         while True:
             try:
                 while True:
-                    fn = fns_get(self.pc)
+                    pc = self.pc
+                    fn = fns_get(pc)
                     if fn is None:
-                        fn = compile_at(self.pc)
+                        n = seen(pc, 0) + 1
+                        if n >= threshold:
+                            fn = compile_at(pc)
+                        else:
+                            dispatches[pc] = n
                     if fn:
                         while fn is not None:
                             fn = fn()
                     else:
-                        # negative cache entry: ecall/ebreak/csr/amo/...
-                        cl = icache.get(self.pc)
+                        # cold pc, or a negative cache entry
+                        # (ecall/ebreak/csr/amo/...)
+                        cl = icache.get(pc)
                         if cl is None:
-                            cl = closure_at(self.pc)
+                            cl = closure_at(pc)
                         cl()
             except ExitTrap as e:
                 self.exit_code = e.code

@@ -1,10 +1,12 @@
 """Sparse paged memory for the RV64GC simulator.
 
 4 KiB pages in a dict, with a one-entry page cache for the common case of
-consecutive accesses to the same page.  Accesses to unmapped addresses
-raise :class:`MemoryFault` — catching wild pointers early matters more
-here than graceful degradation, since the simulator is the testbed for
-instrumentation correctness.
+consecutive accesses to the same page.  Mapping a region only *reserves*
+its pages: a page's zero-filled ``bytearray`` is created on first access,
+so an 8 MiB stack costs nothing until the mutatee touches it.  Accesses
+to unmapped addresses raise :class:`MemoryFault` — catching wild pointers
+early matters more here than graceful degradation, since the simulator
+is the testbed for instrumentation correctness.
 """
 
 from __future__ import annotations
@@ -29,11 +31,14 @@ class MemoryFault(ReproError):
 class Memory:
     """Sparse byte-addressable memory."""
 
-    __slots__ = ("_pages", "_cache_idx", "_cache_page",
+    __slots__ = ("_pages", "_reserved", "_cache_idx", "_cache_page",
                  "_watch_lo", "_watch_hi", "_watch_ranges", "_watch_cb")
 
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
+        #: mapped pages not yet accessed: they read as zeros and get
+        #: their ``bytearray`` on first access (disjoint from _pages)
+        self._reserved: set[int] = set()
         self._cache_idx = -1
         self._cache_page: bytearray | None = None
         # write-range notification (code-write detection): callback fired
@@ -71,18 +76,20 @@ class Memory:
     # -- mapping --------------------------------------------------------
 
     def map_region(self, base: int, size: int) -> None:
-        """Ensure pages covering [base, base+size) exist (zero-filled)."""
+        """Map [base, base+size): pages not mapped yet are reserved and
+        read as zeros until first access creates them."""
         faults.site("sim.memory.map")
         first = base >> PAGE_BITS
         last = (base + size - 1) >> PAGE_BITS
-        for idx in range(first, last + 1):
-            self._pages.setdefault(idx, bytearray(PAGE_SIZE))
+        self._reserved.update(range(first, last + 1))
+        self._reserved.difference_update(self._pages)
 
     def is_mapped(self, addr: int) -> bool:
-        return (addr >> PAGE_BITS) in self._pages
+        idx = addr >> PAGE_BITS
+        return idx in self._pages or idx in self._reserved
 
     def mapped_pages(self) -> int:
-        return len(self._pages)
+        return len(self._pages) + len(self._reserved)
 
     # -- write-ahead journal support (repro.patch.transaction) ------------
 
@@ -91,10 +98,14 @@ class Memory:
         """Journal helper: ``(page index, content copy | None)`` for
         every page overlapping ``[base, base+size)`` — ``None`` marks a
         page that does not exist yet (so a rollback knows to unmap it
-        rather than zero it)."""
+        rather than zero it).  Reserved pages are created first, so a
+        rollback restores them as zeros."""
         first = base >> PAGE_BITS
         last = (base + size - 1) >> PAGE_BITS
         pages = self._pages
+        for idx in self._reserved.intersection(range(first, last + 1)):
+            self._reserved.discard(idx)
+            pages[idx] = bytearray(PAGE_SIZE)
         return [
             (idx, bytes(pages[idx]) if idx in pages else None)
             for idx in range(first, last + 1)
@@ -111,6 +122,7 @@ class Memory:
         for idx, content in captured:
             if content is None:
                 pages.pop(idx, None)
+                self._reserved.discard(idx)
             else:
                 page = pages.get(idx)
                 if page is None:
@@ -125,7 +137,9 @@ class Memory:
         """Current content of page *idx* (``None`` if unmapped) — the
         read side of rollback verification."""
         page = self._pages.get(idx)
-        return bytes(page) if page is not None else None
+        if page is not None:
+            return bytes(page)
+        return bytes(PAGE_SIZE) if idx in self._reserved else None
 
     # -- raw byte access -------------------------------------------------
 
@@ -134,7 +148,10 @@ class Memory:
             return self._cache_page  # type: ignore[return-value]
         page = self._pages.get(idx)
         if page is None:
-            raise MemoryFault(addr)
+            if idx not in self._reserved:
+                raise MemoryFault(addr)
+            self._reserved.discard(idx)
+            page = self._pages[idx] = bytearray(PAGE_SIZE)
         self._cache_idx = idx
         self._cache_page = page
         return page

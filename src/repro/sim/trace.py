@@ -1,9 +1,16 @@
 """Tiered trace JIT for the simulator hot loop.
 
-Tier 1 — superblocks.  Straight-line runs of instructions (ended by a
-branch/jump, or by anything that needs exact per-instruction machine
-state — ecall/ebreak/fences/CSR reads/atomics) are compiled **once**
-into a single Python function that
+Tier 0 — cold code.  A pc with no trace-cache entry runs one
+instruction on the machine's per-pc closure interpreter and adds one to
+its dispatch count.  Most of an instrumented whole binary executes only
+a few times, and building a closure is far cheaper than compiling a
+trace, so nothing is compiled until the code proves hot.
+
+Tier 1 — superblocks.  Once a pc has been dispatched
+:data:`HOT_THRESHOLD` times, the straight-line run of instructions
+starting there (ended by a branch/jump, or by anything that needs exact
+per-instruction machine state — ecall/ebreak/fences/CSR reads/atomics)
+is compiled into a single Python function that
 
 * executes the whole block with machine state bound to locals,
 * inlines the common ALU/load/store forms as plain expressions (no
@@ -15,9 +22,9 @@ into a single Python function that
   target has already been compiled, skipping even the per-block cache
   lookup.
 
-Tier 2 — megatraces.  Backward branch/jal exits carry a per-edge hot
-counter; when an edge fires :data:`HOT_THRESHOLD` times the cache
-promotes the loop head into a **megatrace**: the loop body (following
+Tier 2 — megatraces.  A superblock's backward branch/jal exits carry a
+per-edge hot counter; when an edge fires :data:`HOT_THRESHOLD` times the
+cache promotes the loop head into a **megatrace**: the loop body (following
 fallthrough past forward branches, through direct calls, and through
 returns whose target constant-folds) is compiled into one Python
 function whose iterations run inside a ``while True:`` loop — they
@@ -62,7 +69,10 @@ side table maps the fault site back to precise pc/ucycles/instret, and
 the generated exception handler spills register locals — which hold
 exactly the pre-fault architectural values — before re-raising).
 Single-stepping, watchpoint runs and bounded ``run(max_steps=...)``
-stay on the per-pc closure interpreter.
+stay on the per-pc closure interpreter.  One exception to the tier-1
+hotness gate: while a block-granularity event observer is attached,
+every pc compiles on its first dispatch, because block-enter events are
+emitted from compiled trace prologues.
 """
 
 from __future__ import annotations
@@ -89,7 +99,8 @@ MAX_BLOCK = 64
 #: maximum instructions inlined into one megatrace
 MAX_MEGA = 256
 
-#: back-edge executions before a loop head is promoted to a megatrace
+#: dispatches of an uncompiled pc before its superblock is compiled,
+#: and back-edge executions before a loop head becomes a megatrace
 HOT_THRESHOLD = 32
 
 #: jalr guard misses tolerated before the inline cache rebinds
@@ -127,25 +138,22 @@ def _base_ns(cache: "TraceCache") -> dict:
 class Trace:
     """One compiled trace: its covered instruction spans plus function."""
 
-    __slots__ = ("entry", "end", "fn", "backrefs", "n_insns", "kind",
-                 "spans")
+    __slots__ = ("entry", "fn", "backrefs", "kind", "spans")
 
-    def __init__(self, entry: int, end: int, fn, n_insns: int,
-                 kind: str = "super", spans=None):
+    def __init__(self, entry: int, fn, spans: list[tuple[int, int]],
+                 kind: str = "super"):
         self.entry = entry
-        self.end = end
         #: the compiled block function (``False`` marks a negative entry:
         #: the pc starts with an untraceable instruction)
         self.fn = fn
         #: chain cells (cells-list, index) that point at ``self.fn``;
         #: severed on invalidation
         self.backrefs: list[tuple[list, int]] = []
-        self.n_insns = n_insns
         #: "super" (tier-1 superblock) or "mega" (tier-2 loop trace)
         self.kind = kind
         #: merged [lo, hi) code intervals this trace compiled from; a
         #: superblock has one, a megatrace one per inlined stretch
-        self.spans: list[tuple[int, int]] = spans or [(entry, end)]
+        self.spans = spans
 
 
 class TraceCache:
@@ -156,9 +164,14 @@ class TraceCache:
         self.m = machine
         #: megatrace promotion enabled (tier 2)
         self.mega_enabled = mega
-        #: back-edge executions before promotion (baked into generated
-        #: superblocks at compile time; lower it before first run)
+        #: dispatches before a cold pc compiles (tier 1) and back-edge
+        #: executions before a loop head is promoted (tier 2).  Read
+        #: when a run starts and baked into generated superblocks at
+        #: compile time: set it before the first run.
         self.hot_threshold = HOT_THRESHOLD
+        #: uncompiled pc -> dispatches so far on the closure interpreter
+        #: (the run loop binds this dict; mutate in place only)
+        self.dispatches: dict[int, int] = {}
         #: entry pc -> block function (``False`` = negative entry).  The
         #: run loop binds ``fns.get``; mutate in place only.
         self.fns: dict[int, object] = {}
@@ -195,6 +208,7 @@ class TraceCache:
         self._traces.clear()
         self._pages.clear()
         self._no_mega.clear()
+        self.dispatches.clear()
 
     def invalidate_range(self, addr: int, size: int) -> None:
         """Drop every trace overlapping the written bytes
@@ -287,12 +301,11 @@ class TraceCache:
         if built is None:
             self._no_mega.add(head)
             return self._link(cells, idx, head)
-        fn, spans, count = built
+        fn, spans = built
         old = self._traces.get(head)
         if old is not None:
             self._drop(old)
-        end = max(hi for _, hi in spans)
-        tr = Trace(head, end, fn, count, kind="mega", spans=spans)
+        tr = Trace(head, fn, spans, kind="mega")
         self._register(tr)
         self.mega_compiles += 1
         cells[idx] = fn
@@ -320,7 +333,8 @@ class TraceCache:
     # -- compilation -----------------------------------------------------
 
     def compile_at(self, pc: int):
-        """Compile the superblock entered at *pc*.
+        """Compile the superblock entered at *pc* (called by the run loop
+        once *pc* is warm; see :attr:`hot_threshold`).
 
         Returns the block function, or ``False`` when *pc* starts with an
         instruction that must run through the closure interpreter (the
@@ -328,13 +342,12 @@ class TraceCache:
         """
         faults.site("sim.trace.compile")
         try:
-            fn, end, count = self._compile(pc)
+            fn, end = self._compile(pc)
         except (DecodeError, MemoryFault):
-            fn, end, count = False, pc + 4, 0
+            fn = False
         if fn is False:
             end = pc + 4
-        tr = Trace(pc, end, fn, count)
-        self._register(tr)
+        self._register(Trace(pc, fn, [(pc, end)]))
         if fn is not False:
             self.compiles += 1
         return fn
@@ -355,28 +368,28 @@ class TraceCache:
                 instr = self._fetch(pc)
             except (DecodeError, MemoryFault):
                 if emit.count == 0:
-                    return False, pc, 0
+                    return False, pc
                 emit.finish_cut(pc, chain=False)
-                return emit.build(), pc, emit.count
+                return emit.build(), pc
             mn = instr.mnemonic
             if mn in BRANCH_OPS:
                 emit.emit_branch(pc, instr)
-                return emit.build(), pc + instr.length, emit.count
+                return emit.build(), pc + instr.length
             if mn == "jal":
                 emit.emit_jal(pc, instr)
-                return emit.build(), pc + instr.length, emit.count
+                return emit.build(), pc + instr.length
             if mn == "jalr":
                 emit.emit_jalr(pc, instr)
-                return emit.build(), pc + instr.length, emit.count
+                return emit.build(), pc + instr.length
             if not emit.emit_straight(pc, instr):
                 # untraceable (ecall/ebreak/fence/csr/amo/unknown)
                 if emit.count == 0:
-                    return False, pc, 0
+                    return False, pc
                 emit.finish_cut(pc, chain=False)
-                return emit.build(), pc, emit.count
+                return emit.build(), pc
             pc += instr.length
         emit.finish_cut(pc, chain=True)
-        return emit.build(), pc, emit.count
+        return emit.build(), pc
 
     def _walk(self, emit: "_MegaEmitter", head: int) -> None:
         """Drive one emission pass over the loop rooted at *head*:
@@ -430,7 +443,7 @@ class TraceCache:
         base-register writes) or that fails to re-establish itself by
         the back edge — either would be stale on the next iteration.
 
-        Returns ``(fn, spans, n_insns)`` or ``None``."""
+        Returns ``(fn, spans)`` or ``None``."""
         emit = _MegaEmitter(self, head)
         self._walk(emit, head)
         if emit.count == 0:
@@ -892,7 +905,6 @@ class _MegaEmitter:
         #: warmup body lines once begin_fast moved emission over; the
         #: active ``self.lines`` then hold the steady-state body
         self.warm_lines: list[str] | None = None
-        self.warm_count = 0
         #: emission-state snapshots at each warmup close site — their
         #: agreement is what may be assumed at the loop top
         self.close_sites: list[tuple] = []
@@ -1192,7 +1204,6 @@ class _MegaEmitter:
         the warmup proved to hold at every loop-close site."""
         if not self.fast:
             self.warm_lines = self.lines
-            self.warm_count = self.count
             self.fast = True
         self.lines = []
         self.cost = 0
@@ -1909,12 +1920,10 @@ class _MegaEmitter:
                     body_lines += [f"{pad}    {fl}" for fl in fast]
                     continue
                 body_lines.append(line)
-            count = self.warm_count
         else:
             # the path never returned to the head: a straight-line
             # body whose every path returns
             body_lines = self._expand(self.lines, True, written)
-            count = self.count
         has_fpp = any(self.sync_fp)
         if has_fpp:
             ns["FPP"] = tuple(self.sync_fp)
@@ -1951,4 +1960,4 @@ class _MegaEmitter:
         code = compile(src, f"<mega@{self.entry:#x}>", "exec")
         env = dict(ns)
         exec(code, env)
-        return env["__mega__"], self._merge_spans(), count
+        return env["__mega__"], self._merge_spans()

@@ -42,10 +42,97 @@ class TestMemory:
         assert m.read_bytes(0xF80, len(blob)) == blob
 
 
+class TestLazyPages:
+    """``map_region`` reserves pages; the first access creates them."""
+
+    @staticmethod
+    def _mapped(mem):
+        """Every mapped page index with its content; reserved pages
+        read as zeros."""
+        return {idx: mem.page_content(idx)
+                for idx in mem._pages.keys() | mem._reserved}
+
+    def test_untouched_stack_page_reads_zero_and_is_mapped(self):
+        from repro.sim.machine import STACK_SIZE, STACK_TOP
+
+        m = Machine()
+        m.load_program(assemble("_start:\nnop\n"))
+        low = STACK_TOP - STACK_SIZE  # the stack's deepest page
+        assert m.mem.is_mapped(low)
+        assert (low >> 12) not in m.mem._pages  # reserved, not allocated
+        mapped = m.mem.mapped_pages()
+        assert mapped > STACK_SIZE // 4096
+        assert m.mem.page_content(low >> 12) == bytes(4096)
+        assert m.mem.read_bytes(low, 4096) == bytes(4096)
+        m.mem.write_int(low + 8, 8, 0x1234)
+        assert m.mem.read_int(low + 8, 8) == 0x1234
+        assert m.mem.mapped_pages() == mapped
+
+    def test_address_outside_every_region_faults(self):
+        m = Memory()
+        m.map_region(0x10000, 0x2000)
+        for addr in (0xFFFC, 0x12000):
+            assert not m.is_mapped(addr)
+            with pytest.raises(MemoryFault):
+                m.read_int(addr, 4)
+            with pytest.raises(MemoryFault):
+                m.write_int(addr, 4, 1)
+        assert m.mapped_pages() == 2
+
+    def test_remapping_keeps_content(self):
+        m = Memory()
+        m.map_region(0, 16)
+        m.write_int(0, 4, 7)
+        m.map_region(0, 0x2000)
+        assert m.read_int(0, 4) == 7
+        assert m.mapped_pages() == 2
+
+    @pytest.mark.parametrize("premap", [True, False],
+                             ids=["reserved", "unmapped"])
+    def test_rollback_of_commit_restores_mapped_pages(self, premap):
+        """A commit rolled back by a fault after its trampoline write
+        and data-area mapping: every mapped page, reserved ones
+        included, reads as before.  A reserved patch area makes the
+        trampoline write the first access to its pages; an unmapped
+        one makes the rollback drop the reservations the commit made."""
+        from repro import faults
+        from repro.api import open_binary
+        from repro.codegen import IncrementVar
+        from repro.faults import FaultPlan, InjectedFault
+        from repro.minicc import compile_source, fib_source
+        from repro.patch import PointType
+
+        edit = open_binary(compile_source(fib_source(5)))
+        calls = edit.allocate_variable("calls")
+        edit.insert(edit.points("fib", PointType.FUNC_ENTRY),
+                    IncrementVar(calls))
+        result = edit.commit()
+        m = Machine()
+        edit.symtab.load_into(m)
+        if premap:
+            end = result.trampoline_base + len(result.trampoline_code)
+            m.mem.map_region(result.data_base, end - result.data_base)
+        assert (result.trampoline_base >> 12) not in m.mem._pages
+        before = self._mapped(m.mem)
+        with faults.active(FaultPlan(site="patch.txn.traps")):
+            with pytest.raises(InjectedFault):
+                result.apply_to_machine(m)
+        assert self._mapped(m.mem) == before
+
+
 def _run(src, timing=P550, max_steps=1_000_000):
     p = assemble(src)
     m, ev = run_program(p, timing=timing, max_steps=max_steps)
     return m, ev
+
+
+def _traced_machine(prog):
+    """A trace-compiling machine that compiles on first dispatch, so
+    these few-instruction programs still run as superblocks."""
+    m = Machine(P550, trace_compile=True)
+    m.traces.hot_threshold = 1
+    m.load_program(prog)
+    return m
 
 
 class TestExecution:
@@ -236,12 +323,12 @@ _start:
 
     def test_ebreak_stops_with_pc_at_breakpoint(self):
         p = assemble("_start:\nnop\nebreak\nnop\n")
-        m = Machine()
-        m.load_program(p)
+        m = _traced_machine(p)
         ev = m.run()
         assert ev.reason is StopReason.BREAKPOINT
         assert ev.pc == p.entry + 4
         assert m.pc == p.entry + 4  # pc stays at the ebreak
+        assert m.traces.compiles > 0
 
     def test_zicond_executes(self):
         from repro.riscv.extensions import RVA23_SUBSET
@@ -256,8 +343,10 @@ _start:
   li a7, 93
   ecall
 """, arch=RVA23_SUBSET)
-        _, ev = run_program(p)
+        m = _traced_machine(p)
+        ev = m.run()
         assert ev.exit_code == 5
+        assert m.traces.compiles > 0
 
 
 class TestSyscalls:
@@ -308,12 +397,12 @@ _start:
 ts: .zero 16
 """
         p = assemble(src)
-        m = Machine(P550)
-        m.load_program(p)
+        m = _traced_machine(p)
         ev = m.run()
         # exit code is tv_nsec & 0xff; just confirm the full value in memory
         ns = m.mem.read_int(p.symbols["ts"].address + 8, 8)
         assert ns == pytest.approx(m.timing.nanoseconds(m.ucycles), abs=100)
+        assert m.traces.compiles > 0
 
     def test_unknown_syscall_faults(self):
         _, ev = _run("_start:\nli a7, 999\necall\n")
@@ -371,20 +460,19 @@ class TestDebugPort:
         # the machine must honour the new bytes (icache invalidation).
         from repro.riscv import encode
         p = assemble("_start:\nli a0, 1\nli a7, 93\necall\n")
-        m = Machine()
-        m.load_program(p)
+        m = _traced_machine(p)
         assert m.step() is None  # executes li a0, 1
         m.pc = p.entry           # rewind
         new = encode("addi", rd=10, rs1=0, imm=77).to_bytes(4, "little")
         m.write_mem(p.entry, new)
         ev = m.run()
         assert ev.exit_code == 77
+        assert m.traces.compiles > 0
 
     def test_breakpoint_insert_resume_cycle(self):
         from repro.riscv import encode
         p = assemble("_start:\nli a0, 5\naddi a0, a0, 1\nli a7, 93\necall\n")
-        m = Machine()
-        m.load_program(p)
+        m = _traced_machine(p)
         bp_addr = p.entry + 4
         orig = m.read_mem(bp_addr, 4)
         m.write_mem(bp_addr, encode("ebreak").to_bytes(4, "little"))
@@ -393,3 +481,4 @@ class TestDebugPort:
         m.write_mem(bp_addr, orig)  # restore and resume
         ev = m.run()
         assert ev.reason is StopReason.EXITED and ev.exit_code == 6
+        assert m.traces.compiles > 0

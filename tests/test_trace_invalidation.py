@@ -18,6 +18,7 @@ from repro.proccontrol import EventType, Process
 from repro.riscv import assemble
 from repro.riscv.encoder import encode
 from repro.sim import Machine, P550, StopReason
+from repro.sim.trace import HOT_THRESHOLD
 
 MODES = [pytest.param(True, id="traced"),
          pytest.param(False, id="interp")]
@@ -30,6 +31,10 @@ def _addi_a0(imm: int) -> int:
 
 def _machine(prog, trace_compile):
     m = Machine(P550, trace_compile=trace_compile)
+    if trace_compile:
+        # compile on first dispatch: these programs run far fewer than
+        # HOT_THRESHOLD iterations, and the tests are about compiled code
+        m.traces.hot_threshold = 1
     m.load_program(prog)
     return m
 
@@ -55,6 +60,8 @@ target:
         ev = m.run()
         assert ev.reason is StopReason.EXITED
         assert ev.exit_code == 100  # not 1: the patched addi ran
+        if trace_compile:
+            assert m.traces.compiles > 0
 
     @pytest.mark.parametrize("trace_compile", MODES)
     def test_store_patches_hot_loop_body(self, trace_compile):
@@ -86,6 +93,8 @@ skip:
         # iterations 1-3 add 1 each, the store fires at i==3,
         # iterations 4-6 add 10 each
         assert ev.exit_code == 3 + 30
+        if trace_compile:
+            assert m.traces.compiles > 0
 
     def test_modes_agree_on_counts(self):
         """Self-modifying run: identical instret/ucycles traced vs not."""
@@ -114,6 +123,8 @@ skip:
             m = _machine(prog, tc)
             ev = m.run()
             runs.append((ev.exit_code, m.instret, m.ucycles, m.x, m.pc))
+            if tc:
+                assert m.traces.compiles > 0
         assert runs[0] == runs[1]
 
 
@@ -158,6 +169,8 @@ cont:
         assert ev.type is EventType.EXITED
         # iterations 3-5 ran the patched body
         assert ev.exit_code == 2 + 3 * 10
+        if trace_compile:
+            assert m.traces.compiles > 0
 
     @pytest.mark.parametrize("trace_compile", MODES)
     def test_breakpoint_inserted_into_compiled_loop(self, trace_compile):
@@ -201,6 +214,8 @@ cont:
         ev = proc.continue_to_event()
         assert ev.type is EventType.EXITED
         assert ev.exit_code == 6
+        if trace_compile:
+            assert m.traces.compiles > 0
 
     @pytest.mark.parametrize("trace_compile", MODES)
     def test_breakpoint_inserted_into_resident_megatrace(self,
@@ -261,6 +276,8 @@ between:
         ev = proc.continue_to_event()
         assert ev.type is EventType.EXITED
         assert ev.exit_code == ref.exit_code == 128
+        if trace_compile:
+            assert m.traces.compiles > 0
 
 
 class TestRuntimeInstrumentation:
@@ -270,6 +287,8 @@ class TestRuntimeInstrumentation:
         The springboard install must invalidate the compiled blocks."""
         b = open_binary(compile_source(fib_source(9)))
         m = Machine(P550, trace_compile=trace_compile)
+        if trace_compile:
+            m.traces.hot_threshold = 1  # compile before the first call
         b.symtab.load_into(m)
         proc = Process.attach(m, b.symtab)
         fib_entry = b.function("fib").entry
@@ -285,6 +304,8 @@ class TestRuntimeInstrumentation:
         assert ev.type is EventType.EXITED
         count = b.read_variable(m, c)
         assert count > 0
+        if trace_compile:
+            assert m.traces.compiles > 0
         return count, m.exit_code, m.instret, m.ucycles
 
     @pytest.mark.parametrize("trace_compile", MODES)
@@ -321,6 +342,7 @@ cont:
         proc.insert_breakpoint(prog.symbol("mid").address)
         ev = proc.continue_to_event()
         assert ev.type is EventType.STOPPED_BREAKPOINT
+        assert m.traces.compiles > 0
         return m, prog, proc
 
     def test_write_mem_drops_overlapping_traces(self):
@@ -379,6 +401,7 @@ class TestObserverTraceCacheInteraction:
         m = _machine(prog, True)
         ev = m.run()
         assert ev.reason is StopReason.EXITED
+        assert m.traces.compiles > 0
         return prog, m
 
     def _state(self, m):
@@ -483,3 +506,128 @@ target:
         assert ev.reason is StopReason.EXITED
         assert ev.exit_code == 100
         assert len(es) > 0
+        assert m.traces.compiles > 0
+
+
+class TestTierPolicy:
+    """Cold code runs on the closure interpreter; a pc compiles once it
+    has been dispatched ``hot_threshold`` times, and a hot loop then
+    reaches a megatrace.  Every tier mix must match the interpreter
+    bit for bit."""
+
+    @staticmethod
+    def _loop_src(iterations: int) -> str:
+        return f"""
+_start:
+  li a0, 0
+  li t0, 0
+  addi sp, sp, -16
+loop:
+  addi t0, t0, 1
+  sd t0, 8(sp)
+  ld t1, 8(sp)
+  add a0, a0, t1
+  call bump
+  li t3, {iterations}
+  blt t0, t3, loop
+  li a7, 93
+  ecall
+bump:
+  addi a0, a0, 3
+  ret
+"""
+
+    @staticmethod
+    def _state(m):
+        return (list(m.x), list(m.f), m.pc, m.instret, m.ucycles,
+                bytes(m.stdout), m.mem.mapped_pages(),
+                {idx: bytes(pg) for idx, pg in m.mem._pages.items()})
+
+    def _run_both(self, prog):
+        """(traced machine at the default threshold, interpreter)."""
+        runs = []
+        for tc in (True, False):
+            m = Machine(P550, trace_compile=tc)
+            m.load_program(prog)
+            assert m.run().reason is StopReason.EXITED
+            runs.append(m)
+        return runs
+
+    def test_cold_program_never_compiles(self):
+        traced, interp = self._run_both(
+            assemble(self._loop_src(HOT_THRESHOLD - 1)))
+        assert traced.traces.hot_threshold == HOT_THRESHOLD
+        assert traced.traces.compiles == 0
+        assert traced.traces.mega_compiles == 0
+        assert self._state(traced) == self._state(interp)
+
+    def test_hot_loop_reaches_superblocks_then_megatrace(self):
+        traced, interp = self._run_both(
+            assemble(self._loop_src(3 * HOT_THRESHOLD)))
+        assert traced.traces.compiles > 0
+        assert traced.traces.mega_compiles > 0
+        assert self._state(traced) == self._state(interp)
+
+    @pytest.mark.parametrize("patch_at", [HOT_THRESHOLD - 1,
+                                          HOT_THRESHOLD,
+                                          HOT_THRESHOLD + 1])
+    def test_store_patches_loop_at_cold_to_warm_edge(self, patch_at):
+        """The loop head compiles on iteration ``HOT_THRESHOLD``; a
+        store rewriting the loop body just before, on, or just after
+        that iteration must take effect on the next iteration."""
+        n = 3 * HOT_THRESHOLD
+        src = f"""
+_start:
+  li a0, 0
+  li t2, 0
+  la t0, target
+  li t1, {_addi_a0(10):#x}
+loop:
+target:
+  addi a0, a0, 1
+  addi t2, t2, 1
+  li t4, {patch_at}
+  bne t2, t4, skip
+  sw t1, 0(t0)
+skip:
+  li t3, {n}
+  blt t2, t3, loop
+  li a7, 93
+  ecall
+"""
+        traced, interp = self._run_both(assemble(src))
+        assert traced.x[10] == patch_at + 10 * (n - patch_at)
+        assert traced.traces.compiles > 0
+        # the store drops a compiled loop trace only once the head is
+        # warm: on iteration HOT_THRESHOLD it compiled just before
+        assert (traced.traces.invalidations > 0) == \
+            (patch_at >= HOT_THRESHOLD)
+        assert self._state(traced) == self._state(interp)
+
+    def test_flush_resets_dispatch_counts(self):
+        m = Machine(P550, trace_compile=True)
+        m.load_program(assemble(self._loop_src(HOT_THRESHOLD - 1)))
+        m.run()
+        assert m.traces.dispatches
+        m.flush_icache()
+        assert not m.traces.dispatches
+
+    def test_block_observer_compiles_cold_code(self):
+        """Block-enter events come from compiled trace prologues, so a
+        block observer compiles every pc on first dispatch; the events
+        match the interpreter's block entries one for one."""
+        from repro.telemetry.events import BLOCK, EventStream
+
+        prog = assemble(self._loop_src(HOT_THRESHOLD - 1))
+        streams = []
+        for tc in (True, False):
+            m = Machine(P550, trace_compile=tc)
+            m.load_program(prog)
+            es = EventStream(granularity="block")
+            assert m.run(trace=es).reason is StopReason.EXITED
+            streams.append(es.events())
+            if tc:
+                assert m.traces.compiles > 0
+        traced, interp = streams
+        assert traced and {e[0] for e in traced} == {BLOCK}
+        assert traced == interp
