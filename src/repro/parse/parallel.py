@@ -61,4 +61,5 @@ def parse_binary_parallel(symtab: Symtab, workers: int = 4,
         from .gaps import parse_gaps
 
         parse_gaps(merged)
+    merged.finalize_in_edges()
     return merged

@@ -12,6 +12,7 @@ speculatively.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 
 from .. import telemetry
 from ..instruction.insn import Insn, decode_insn
@@ -32,6 +33,11 @@ class CodeObject:
         self._block_starts: list[int] = []
         self._names: dict[int, str] = {}
         self._insn_cache: dict[int, Insn] = {}
+        #: owner index (built by :meth:`finalize_in_edges`): the sorted
+        #: boundaries of every function's merged block ranges, and per
+        #: boundary the functions holding the bytes up to the next one
+        self._owner_bounds: list[int] = []
+        self._owners: list[tuple[Function, ...]] = []
 
     # -- public API -------------------------------------------------------
 
@@ -75,13 +81,36 @@ class CodeObject:
         self.finalize_in_edges()
 
     def finalize_in_edges(self) -> None:
-        """(Re)compute in_edges on every block from the out_edges."""
+        """(Re)compute in_edges on every block from the out_edges, and
+        the owner index :meth:`functions_containing` reads.  Called
+        after the last change to the CFG."""
         for b in self.blocks.values():
             b.in_edges = []
         for b in self.blocks.values():
             for e in b.out_edges:
                 if e.target is not None and e.target in self.blocks:
                     self.blocks[e.target].in_edges.append(e)
+        self._index_owners()
+
+    def _index_owners(self) -> None:
+        # Ranges, not block starts, carry the owners: a misaligned
+        # decode can leave two functions' blocks overlapping.
+        fns = list(self.functions.values())
+        steps: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for i, fn in enumerate(fns):
+            for lo, hi in _merge_ranges(
+                    (b.start, b.end) for b in fn.blocks.values()):
+                steps[lo].append((i, 1))
+                steps[hi].append((i, -1))
+        depth: dict[int, int] = defaultdict(int)
+        self._owner_bounds = sorted(steps)
+        self._owners = []
+        for addr in self._owner_bounds:
+            for i, d in steps[addr]:
+                depth[i] += d
+                if not depth[i]:
+                    del depth[i]
+            self._owners.append(tuple(fns[i] for i in sorted(depth)))
 
     def function_at(self, addr: int) -> Function | None:
         return self.functions.get(addr)
@@ -93,10 +122,14 @@ class CodeObject:
         return None
 
     def function_containing(self, addr: int) -> Function | None:
-        for fn in self.functions.values():
-            if fn.block_at(addr) is not None:
-                return fn
-        return None
+        owners = self.functions_containing(addr)
+        return owners[0] if owners else None
+
+    def functions_containing(self, addr: int) -> list[Function]:
+        """Every function with a block containing *addr*, in
+        ``functions`` order: one bisect into the owner index."""
+        i = bisect_right(self._owner_bounds, addr) - 1
+        return list(self._owners[i]) if i >= 0 else []
 
     def block_containing(self, addr: int) -> Block | None:
         i = bisect_right(self._block_starts, addr) - 1
@@ -111,14 +144,7 @@ class CodeObject:
 
     def covered_ranges(self) -> list[tuple[int, int]]:
         """Sorted, merged [lo, hi) address ranges claimed by blocks."""
-        spans = sorted((b.start, b.end) for b in self.blocks.values())
-        merged: list[tuple[int, int]] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return merged
+        return _merge_ranges((b.start, b.end) for b in self.blocks.values())
 
     # -- function-level parse ------------------------------------------------
 
@@ -326,6 +352,17 @@ class CodeObject:
         else:
             block.out_edges.append(
                 Edge(block, c.kind, c.target, c.resolved))
+
+
+def _merge_ranges(spans) -> list[tuple[int, int]]:
+    """Sorted [lo, hi) ranges with overlapping or touching ones merged."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def _classification_outcome(c: Classification) -> str:

@@ -476,10 +476,8 @@ class Patcher:
         """Liveness view for a patch site: when the address belongs to
         several functions' CFGs, a register is only dead if dead in
         every view (shared-code safety)."""
-        owners = [fn for fn in self.code_object.functions.values()
-                  if fn.block_at(site) is not None]
-        if not owners:
-            owners = [primary_fn]
+        owners = (self.code_object.functions_containing(site)
+                  or [primary_fn])
         results = [self._liveness_for(fn) for fn in owners]
         if len(results) == 1:
             return results[0]

@@ -5,13 +5,15 @@ feature set of the planned 4Q2025 release).
 The rewritten executable carries three extra sections:
 
 * ``.dyninst.text`` — the trampolines (ALLOC+EXECINSTR);
-* ``.dyninst.data`` — the instrumentation data area (counters...);
+* ``.dyninst.data`` — the instrumentation data area (counters...), a
+  zero-initialised ``SHT_NOBITS`` section like ``.bss``: it has a memory
+  size but no file bytes;
 * ``.dyninst.traps`` — the trap-redirect map as (site, target) u64
   pairs, consumed by the loader so worst-case trap springboards work
   (in real Dyninst this role is played by the runtime library).
 
 :func:`load_instrumented` maps a rewritten ELF into a simulator machine
-and installs the trap map.
+(every NOBITS section as zero-filled memory) and installs the trap map.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ def rewrite(symtab: Symtab, result: PatchResult) -> bytes:
             TEXT_SECTION, result.trampoline_code, result.trampoline_base,
             sh_flags=es.SHF_ALLOC | es.SHF_EXECINSTR, align=16))
     sections.append(SectionImage(
-        DATA_SECTION, b"\x00" * result.data_size, result.data_base,
-        sh_flags=es.SHF_ALLOC | es.SHF_WRITE, align=8))
+        DATA_SECTION, b"", result.data_base, sh_type=es.SHT_NOBITS,
+        sh_flags=es.SHF_ALLOC | es.SHF_WRITE, mem_size=result.data_size,
+        align=8))
     if result.trap_map:
         sections.append(SectionImage(
             TRAP_SECTION, _trap_blob(result.trap_map),

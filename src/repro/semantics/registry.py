@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from ..riscv.instr import Instruction
 from ..riscv.opcodes import (
-    InstrSpec, OP_BRANCH, OP_JAL, OP_JALR, all_specs,
+    InstrSpec, OP_BRANCH, OP_JAL, OP_JALR, all_specs, by_mnemonic,
 )
 from .ir import Semantics
 
@@ -78,23 +78,39 @@ def _fallback_defs(spec: InstrSpec) -> set[tuple[str, str]]:
     return defs
 
 
-def register_uses(instr: Instruction) -> set[tuple[str, int]]:
-    """Registers read by *instr* as (regfile, regnum) pairs.
+@lru_cache(maxsize=None)
+def _operand_pairs(mnemonic: str) -> tuple[tuple[tuple[str, str], ...],
+                                           tuple[tuple[str, str], ...]]:
+    """(uses, defs) of one mnemonic as (regfile, operand) pairs, from its
+    SAIL semantics or the operand fallback.  The IR walk runs once per
+    mnemonic; every def/use query binds these pairs to its fields."""
+    sem = semantics_for(mnemonic)
+    if sem is not None:
+        return tuple(sem.register_uses()), tuple(sem.register_defs())
+    spec = by_mnemonic(mnemonic)
+    return tuple(_fallback_uses(spec)), tuple(_fallback_defs(spec))
 
-    Reads of x0 are dropped (it is constant).
-    """
-    sem = semantics_for(instr)
-    pairs = (sem.register_uses() if sem is not None
-             else _fallback_uses(instr.spec))
+
+def _bind(instr: Instruction,
+          pairs: tuple[tuple[str, str], ...]) -> set[tuple[str, int]]:
+    fields = instr.fields
     out = set()
     for rf, opname in pairs:
-        n = instr.fields.get(opname)
+        n = fields.get(opname)
         if n is None:
             continue
         if rf == "x" and n == 0:
             continue
         out.add((rf, n))
     return out
+
+
+def register_uses(instr: Instruction) -> set[tuple[str, int]]:
+    """Registers read by *instr* as (regfile, regnum) pairs.
+
+    Reads of x0 are dropped (it is constant).
+    """
+    return _bind(instr, _operand_pairs(instr.mnemonic)[0])
 
 
 def register_defs(instr: Instruction) -> set[tuple[str, int]]:
@@ -102,18 +118,7 @@ def register_defs(instr: Instruction) -> set[tuple[str, int]]:
 
     Writes to x0 are dropped (they vanish architecturally).
     """
-    sem = semantics_for(instr)
-    pairs = (sem.register_defs() if sem is not None
-             else _fallback_defs(instr.spec))
-    out = set()
-    for rf, opname in pairs:
-        n = instr.fields.get(opname)
-        if n is None:
-            continue
-        if rf == "x" and n == 0:
-            continue
-        out.add((rf, n))
-    return out
+    return _bind(instr, _operand_pairs(instr.mnemonic)[1])
 
 
 def reads_memory(instr: Instruction) -> bool:

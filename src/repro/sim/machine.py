@@ -183,22 +183,25 @@ class Machine:
                 (program.text_base, program.text),
                 (program.data_base, program.data),
             ],
-            bss=(program.bss_base, program.bss_size),
+            zero_fill=[(program.bss_base, program.bss_size)],
             entry=program.entry,
             exec_range=(program.text_base,
                         program.text_base + len(program.text)),
         )
 
     def load_image(self, segments: list[tuple[int, bytes]],
-                   entry: int, bss: tuple[int, int] | None = None,
+                   entry: int,
+                   zero_fill: list[tuple[int, int]] | None = None,
                    exec_range: tuple[int, int] | None = None) -> None:
-        """Map raw (vaddr, bytes) segments and reset the hart."""
+        """Map raw (vaddr, bytes) segments and the (vaddr, size)
+        *zero_fill* ranges, and reset the hart."""
         for base, blob in segments:
             if blob:
                 self.mem.map_region(base, len(blob))
                 self.mem.write_bytes(base, bytes(blob))
-        if bss is not None and bss[1] > 0:
-            self.mem.map_region(bss[0], bss[1])
+        for base, size in zero_fill or ():
+            if size > 0:
+                self.mem.map_region(base, size)
         self.mem.map_region(STACK_TOP - STACK_SIZE, STACK_SIZE)
         self.x = [0] * 32
         self.f = [0] * 32

@@ -153,19 +153,21 @@ class Symtab:
     # -- simulator interface ---------------------------------------------------
 
     def to_image(self):
-        """(segments, bss, entry, exec_ranges) for Machine.load_image."""
+        """(segments, zero_fill, entry, exec_ranges) for
+        Machine.load_image.  *zero_fill* lists the (addr, size) tail of
+        every region whose memory size exceeds its file bytes (each
+        ``.sbss``/``.bss``-style NOBITS section)."""
         segments = [(r.addr, r.data) for r in self.regions if r.data]
-        bss = None
-        for r in self.regions:
-            if r.mem_size is not None and r.mem_size > len(r.data):
-                bss = (r.addr + len(r.data), r.mem_size - len(r.data))
+        zero_fill = [(r.addr + len(r.data), r.mem_size - len(r.data))
+                     for r in self.regions
+                     if r.mem_size is not None and r.mem_size > len(r.data)]
         exec_ranges = [(r.addr, r.end) for r in self.regions if r.executable]
-        return segments, bss, self.entry, exec_ranges
+        return segments, zero_fill, self.entry, exec_ranges
 
     def load_into(self, machine) -> None:
         """Map this binary into a simulator Machine and reset to entry."""
-        segments, bss, entry, exec_ranges = self.to_image()
-        machine.load_image(segments, entry, bss=bss,
+        segments, zero_fill, entry, exec_ranges = self.to_image()
+        machine.load_image(segments, entry, zero_fill=zero_fill,
                            exec_range=exec_ranges[0] if exec_ranges else None)
         for lo, hi in exec_ranges[1:]:
             machine.add_exec_range(lo, hi)

@@ -410,6 +410,22 @@ class TestParallelParse:
             p_cov = {i.address for b in p.blocks.values() for i in b.insns}
             assert s_cov == p_cov, s.name
             assert s.callees == p.callees
+        # in-edges are built after the merge: every block's list is the
+        # merged CFG's edges into it ...
+        for b in par.blocks.values():
+            assert b.in_edges == [e for x in par.blocks.values()
+                                  for e in x.out_edges
+                                  if e.target == b.start]
+
+        # ... and, fall-throughs from differently split blocks aside,
+        # the serial parse's
+        def in_edges(co):
+            return {(e.src.last.address, e.kind, e.target)
+                    for b in co.blocks.values() for e in b.in_edges
+                    if e.kind is not EdgeType.FALLTHROUGH}
+
+        assert in_edges(serial)
+        assert in_edges(par) == in_edges(serial)
 
 
 class TestWholeProgramProperties:

@@ -377,18 +377,67 @@ class TestStaticRewriting:
 
     def test_rewritten_elf_has_dyninst_sections(self):
         from repro.elf import read_elf
+        from repro.elf import structs as es
         st, co = setup_c(fib_source(5))
         patcher = Patcher(st, co)
         c = patcher.allocate_var("calls")
         patcher.insert(function_entry(co.function_by_name("fib")),
                        IncrementVar(c))
-        blob = rewrite(st, patcher.commit())
+        res = patcher.commit()
+        blob = rewrite(st, res)
         elf = read_elf(blob)
         names = {s.name for s in elf.sections}
         assert ".dyninst.text" in names
         assert ".dyninst.data" in names
         syms = elf.symbols_by_name()
         assert "dyninst$calls" in syms
+        # the data area is zero-fill: a memory size, no file bytes
+        data = elf.section(".dyninst.data").header
+        assert data.sh_type == es.SHT_NOBITS
+        assert data.sh_size == res.data_size
+        load = next(sg.header for sg in elf.segments
+                    if sg.header.p_vaddr == res.data_base)
+        assert (load.p_filesz, load.p_memsz) == (0, res.data_size)
+        assert len(blob) < res.data_size
+
+    def _matmul_with_block_counter(self):
+        st, co = setup_c(matmul_source(5, 2))
+        patcher = Patcher(st, co)
+        blocks = patcher.allocate_var("blocks")
+        patcher.insert(block_entries(co.function_by_name("multiply")),
+                       IncrementVar(blocks))
+        res = patcher.commit()
+        dynamic = run_instrumented(st, res)
+        return st, rewrite(st, res), dynamic.mem.read_int(blocks.address, 8)
+
+    @staticmethod
+    def _run_rewritten(blob):
+        m = Machine()
+        st = load_instrumented(m, blob)
+        ev = m.run(max_steps=5_000_000)
+        assert ev.reason is StopReason.EXITED, ev
+        return m, st.symbols
+
+    def test_rewritten_matmul_keeps_bss(self):
+        """The matrices live in .bss, which is no longer the image's
+        last zero-fill section: the loader must map both."""
+        st, blob, want = self._matmul_with_block_counter()
+        base = run_baseline(st)
+        m, syms = self._run_rewritten(blob)
+        assert bytes(m.stdout).split()[1] == bytes(base.stdout).split()[1]
+        assert m.mem.read_int(syms["dyninst$blocks"].address, 8) == want
+
+    def test_rewritten_image_rewrites_again(self):
+        st, blob, want = self._matmul_with_block_counter()
+        st2 = Symtab.from_bytes(blob)
+        co2 = parse_binary(st2)
+        patcher = Patcher(st2, co2)
+        calls = patcher.allocate_var("calls")
+        patcher.insert(function_entry(co2.function_by_name("multiply")),
+                       IncrementVar(calls))
+        m, syms = self._run_rewritten(rewrite(st2, patcher.commit()))
+        assert m.mem.read_int(syms["dyninst$blocks"].address, 8) == want
+        assert m.mem.read_int(syms["dyninst$calls"].address, 8) == 2
 
     def test_rewritten_binary_reanalyzable(self):
         """Dyninst can parse its own output: the instrumented binary's

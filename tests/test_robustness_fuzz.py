@@ -2,7 +2,7 @@
 or hang — the posture a toolkit consuming arbitrary binaries needs."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.elf import ElfFormatError, read_elf, write_program
 from repro.minicc import compile_source, fib_source
@@ -64,9 +64,14 @@ def test_arbitrary_bytes_never_crash_reader(blob):
 
 @settings(max_examples=100, deadline=None)
 @given(blob=st.binary(min_size=64, max_size=256))
+# a gap function's trailing auipc overlaps the entry function's block at
+# 0x10050: both functions own that address
+@example(blob=bytes.fromhex("004500cd31c5") + bytes(62)
+         + bytes.fromhex("2d1100a2000e000a00b09700001c"))
 def test_arbitrary_code_region_parses_cleanly(blob):
     """PROPERTY: ParseAPI over arbitrary bytes terminates without
-    exceptions (gaps + decode errors are normal outcomes)."""
+    exceptions (gaps + decode errors are normal outcomes), and the owner
+    index agrees with a scan of every function at every byte."""
     from repro.parse import parse_binary
     from repro.riscv.assembler import Program, Symbol
     from repro.riscv.extensions import RV64GC
@@ -85,6 +90,10 @@ def test_arbitrary_code_region_parses_cleanly(blob):
             for insn in b.insns:
                 assert insn.address == pc
                 pc += insn.length
+    for addr in range(0x1_0000 - 2, 0x1_0000 + len(blob) + 2):
+        assert co.functions_containing(addr) == [
+            fn for fn in co.functions.values()
+            if fn.block_at(addr) is not None], hex(addr)
 
 
 class TestHardenedReader:

@@ -146,6 +146,41 @@ class TestRegistry:
         assert register_uses(i) == set()
         assert register_defs(i) == set()
 
+    def test_def_use_pairs_match_a_fresh_walk(self):
+        """register_uses/register_defs bind pairs computed once per
+        mnemonic; for every spec they equal a walk of its SAIL IR, or
+        its operand fallback, bound to the instruction's fields (x0
+        operands included)."""
+        from repro.riscv.instr import Instruction
+
+        def bind(instr, pairs):
+            return {(rf, instr.fields[op]) for rf, op in pairs
+                    if op in instr.fields
+                    and not (rf == "x" and instr.fields[op] == 0)}
+
+        def fallback(spec, names):
+            return {("f", op[1:]) if op.startswith("f") else ("x", op)
+                    for op in spec.operands if op.lstrip("f") in names}
+
+        numbers = {"rd": 5, "rs1": 6, "rs2": 7, "rs3": 8}
+        variants = [numbers, dict.fromkeys(numbers, 0),
+                    {**numbers, "rd": 0}, {**numbers, "rs1": 0}]
+        for spec in all_specs():
+            sem = semantics_for(spec.mnemonic)
+            if sem is not None:
+                uses, defs = sem.register_uses(), sem.register_defs()
+            else:
+                uses = fallback(spec, ("rs1", "rs2", "rs3"))
+                defs = fallback(spec, ("rd",))
+            for regs in variants:
+                instr = Instruction(spec=spec, fields={
+                    op.lstrip("f"): regs.get(op.lstrip("f"), 0)
+                    for op in spec.operands})
+                assert register_uses(instr) == bind(instr, uses), \
+                    (spec.mnemonic, regs)
+                assert register_defs(instr) == bind(instr, defs), \
+                    (spec.mnemonic, regs)
+
     def test_store_memory_flags(self):
         i = make("sd", rs2=1, rs1=2, imm=0)
         assert writes_memory(i) and not reads_memory(i)

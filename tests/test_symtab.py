@@ -99,6 +99,46 @@ class TestRegionsAndSymbols:
                {s.name for s in via_elf.function_symbols()}
         assert direct.code_regions()[0].data == via_elf.code_regions()[0].data
 
+    def test_every_nobits_section_is_mapped(self):
+        """An ELF with both .sbss and .bss: each zero-fill section is
+        mapped at load, reads as zeros and takes stores."""
+        from repro.elf import structs as es
+        from repro.sim import Machine, StopReason
+
+        sbss, bss, bss_size = 0x3_0000, 0x4_0000, 0x2000
+        text = assemble(f"""
+.globl _start
+_start:
+  li t0, {sbss}
+  li t1, {bss + bss_size - 8}
+  ld a0, 0(t0)
+  ld a1, 0(t1)
+  add a0, a0, a1
+  li t2, 7
+  sd t2, 8(t0)
+  sd t2, -8(t1)
+  li a7, 93
+  ecall
+""")
+        zero_fill = es.SHF_ALLOC | es.SHF_WRITE
+        image = image_from_program(text)
+        image.sections += [
+            SectionImage(".sbss", b"", sbss, sh_type=es.SHT_NOBITS,
+                         sh_flags=zero_fill, mem_size=16),
+            SectionImage(".bss", b"", bss, sh_type=es.SHT_NOBITS,
+                         sh_flags=zero_fill, mem_size=bss_size),
+        ]
+        st = Symtab.from_bytes(write_elf(image))
+        m = Machine()
+        st.load_into(m)
+        ev = m.run(max_steps=1000)
+        assert ev.reason is StopReason.EXITED, ev
+        assert ev.exit_code == 0
+        assert m.mem.read_int(sbss, 8) == 0
+        assert m.mem.read_int(sbss + 8, 8) == 7
+        assert m.mem.read_int(bss, 8) == 0
+        assert m.mem.read_int(bss + bss_size - 16, 8) == 7
+
 
 class TestStrippedBinaries:
     def test_stripped_still_has_regions(self, program):
