@@ -26,8 +26,8 @@ from ..semantics.ir import (
     BinOp, Const, Expr, Extend, ILen, ITE, MemRead, OperandRef, PC, RegRef,
     RegWrite, UnOp,
 )
-from ..semantics.evaluate import _binop, _unop  # evaluation kernel (shared)
-from ..riscv.encoding import sign_extend, to_unsigned
+from ..semantics.evaluate import _binop, _extend, _unop  # shared kernel
+from ..riscv.encoding import to_unsigned
 
 #: Optional oracle: read n bytes of initialised memory at vaddr
 #: (e.g. Symtab.read); returns None when unavailable.
@@ -118,10 +118,8 @@ def _eval(e: Expr, window: Sequence[Insn], at: int, insn: Insn,
         return _unop(e.op, _eval(e.operand, window, at, insn, mem_reader,
                                  depth))
     if isinstance(e, Extend):
-        v = _eval(e.operand, window, at, insn, mem_reader, depth)
-        if e.kind == "sext":
-            return to_unsigned(sign_extend(v, e.width), 64)
-        return v & ((1 << e.width) - 1)
+        return _extend(e.kind, _eval(e.operand, window, at, insn, mem_reader,
+                                     depth), e.width)
     if isinstance(e, MemRead):
         if mem_reader is None:
             raise _Unresolved

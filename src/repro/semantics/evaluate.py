@@ -2,11 +2,11 @@
 
 Executes an instruction's :class:`~repro.semantics.ir.Semantics` against
 an abstract machine-state interface and returns the concrete writes.
-Two uses:
-
-* cross-checking the SAIL-derived semantics against the hand-written
-  fast simulator (a pipeline-correctness property test), and
-* constant evaluation inside backward slicing (DataflowAPI).
+Its operator kernel (``_binop``/``_unop``/``_extend``) is the one
+definition of each operator: backward slicing (DataflowAPI) evaluates
+with it, and :mod:`repro.semantics.lower` folds constants with it and
+calls it from the simulator's generated code.  The evaluator itself is
+the reference the simulator tiers are cross-checked against.
 
 All values are 64-bit unsigned integers; signed interpretations happen
 at operator granularity, exactly as in the IR definition.
@@ -123,6 +123,12 @@ def _binop(op: str, a: int, b: int) -> int:
     raise ValueError(f"unknown binary op {op!r}")
 
 
+def _extend(kind: str, v: int, width: int) -> int:
+    if kind == "sext":
+        return to_unsigned(sign_extend(v, width), 64)
+    return v & ((1 << width) - 1)
+
+
 def eval_expr(e: Expr, instr: Instruction, state: EvalState) -> int:
     """Evaluate one IR expression to a 64-bit unsigned value."""
     if isinstance(e, Const):
@@ -153,10 +159,7 @@ def eval_expr(e: Expr, instr: Instruction, state: EvalState) -> int:
     if isinstance(e, UnOp):
         return _unop(e.op, eval_expr(e.operand, instr, state))
     if isinstance(e, Extend):
-        v = eval_expr(e.operand, instr, state)
-        if e.kind == "sext":
-            return to_unsigned(sign_extend(v, e.width), 64)
-        return v & ((1 << e.width) - 1)
+        return _extend(e.kind, eval_expr(e.operand, instr, state), e.width)
     if isinstance(e, MemRead):
         addr = eval_expr(e.addr, instr, state)
         return to_unsigned(state.read_mem(addr, e.size), 64)

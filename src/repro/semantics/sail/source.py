@@ -10,7 +10,8 @@ pipeline is::
       --[sail.gen]------>  Python semantic classes (paper: JSON -> C++)
 
 Adding a new extension = appending clauses here and re-running the
-pipeline; nothing else in the toolkit changes.
+pipeline; nothing else in the toolkit changes (the simulator executes
+these clauses through :mod:`repro.semantics.lower`).
 
 DSL cheat sheet
 ---------------
@@ -25,10 +26,11 @@ DSL cheat sheet
 * ``if cond { ... } else { ... }``; statements separated by ``;``.
 * An instruction without a ``pc = ...`` assignment falls through.
 
-Coverage: the I and M extensions (everything integer dataflow analysis
-slices over).  A/F/D/Zicsr instructions use the conservative
-operand-derived def/use fallback (the paper's "hand-crafted semantic
-descriptions" third source) — see :mod:`repro.semantics.registry`.
+Coverage: the I and M extensions plus the RVA23 samples Zicond, Zba and
+Zbb (everything integer dataflow analysis slices over).  A/F/D/Zicsr
+instructions use the conservative operand-derived def/use fallback (the
+paper's "hand-crafted semantic descriptions" third source) — see
+:mod:`repro.semantics.registry`.
 """
 
 SAIL_SOURCE = r"""

@@ -3,7 +3,10 @@
 The hot path of the simulator.  Each instruction at a given pc is decoded
 once and compiled into a small closure that mutates the machine state;
 closures are cached per-pc (the machine invalidates entries when code is
-patched — which is precisely what dynamic instrumentation does).
+patched — which is precisely what dynamic instrumentation does).  An
+instruction with SAIL semantics gets its closure from a per-mnemonic
+factory compiled from the lowered IR (:mod:`repro.semantics.lower`);
+F/D, A, Zicsr, ``ecall``/``ebreak`` and ``fence.i`` are hand-written.
 
 Per the HPC guides: the interpreter optimises the *hot loop* only —
 closure dispatch, locals-bound state, no per-step allocation.  Everything
@@ -13,11 +16,14 @@ else favours clarity.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, TYPE_CHECKING
 
 from ..errors import ReproError
 from ..riscv.encoding import sign_extend, to_unsigned
 from ..riscv.instr import Instruction
+from ..semantics.lower import ATOM, HELPERS, Lowering, Val, sx
+from ..semantics.registry import semantics_for
 from . import fp
 from .timing import category_of
 
@@ -54,156 +60,10 @@ class ExitTrap(Exception):
         self.code = code
 
 
-def _sx(v: int) -> int:
-    return v - (1 << 64) if v >> 63 else v
-
-
 def _sx32(v: int) -> int:
     v &= M32
     return v - (1 << 32) if v >> 31 else v
 
-
-# -- integer op lambdas (unsigned-64 in, unsigned-64 out) ----------------
-
-def _div_s(a, b):
-    if b == 0:
-        return M64
-    sa, sb = _sx(a), _sx(b)
-    if sa == -(1 << 63) and sb == -1:
-        return a
-    q = abs(sa) // abs(sb)
-    return to_unsigned(-q if (sa < 0) != (sb < 0) else q, 64)
-
-
-def _rem_s(a, b):
-    if b == 0:
-        return a
-    sa, sb = _sx(a), _sx(b)
-    if sa == -(1 << 63) and sb == -1:
-        return 0
-    r = abs(sa) % abs(sb)
-    return to_unsigned(-r if sa < 0 else r, 64)
-
-
-def _div_s32(a, b):
-    sa, sb = _sx32(a), _sx32(b)
-    if sb == 0:
-        return M64
-    if sa == -(1 << 31) and sb == -1:
-        return to_unsigned(sa, 64)
-    q = abs(sa) // abs(sb)
-    return to_unsigned(sign_extend(to_unsigned(
-        -q if (sa < 0) != (sb < 0) else q, 32), 32), 64)
-
-
-def _rem_s32(a, b):
-    sa, sb = _sx32(a), _sx32(b)
-    if sb == 0:
-        return to_unsigned(sa, 64)
-    if sa == -(1 << 31) and sb == -1:
-        return 0
-    r = abs(sa) % abs(sb)
-    return to_unsigned(-r if sa < 0 else r, 64)
-
-
-RR_OPS = {
-    "add": lambda a, b: (a + b) & M64,
-    "sub": lambda a, b: (a - b) & M64,
-    "sll": lambda a, b: (a << (b & 63)) & M64,
-    "slt": lambda a, b: int(_sx(a) < _sx(b)),
-    "sltu": lambda a, b: int(a < b),
-    "xor": lambda a, b: a ^ b,
-    "srl": lambda a, b: a >> (b & 63),
-    "sra": lambda a, b: to_unsigned(_sx(a) >> (b & 63), 64),
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "addw": lambda a, b: to_unsigned(sign_extend((a + b) & M32, 32), 64),
-    "subw": lambda a, b: to_unsigned(sign_extend((a - b) & M32, 32), 64),
-    "sllw": lambda a, b: to_unsigned(
-        sign_extend((a << (b & 31)) & M32, 32), 64),
-    "srlw": lambda a, b: to_unsigned(
-        sign_extend((a & M32) >> (b & 31), 32), 64),
-    "sraw": lambda a, b: to_unsigned(_sx32(a) >> (b & 31), 64),
-    "mul": lambda a, b: (a * b) & M64,
-    "mulh": lambda a, b: to_unsigned((_sx(a) * _sx(b)) >> 64, 64),
-    "mulhu": lambda a, b: (a * b) >> 64,
-    "mulhsu": lambda a, b: to_unsigned((_sx(a) * b) >> 64, 64),
-    "div": _div_s,
-    "divu": lambda a, b: M64 if b == 0 else a // b,
-    "rem": _rem_s,
-    "remu": lambda a, b: a if b == 0 else a % b,
-    "mulw": lambda a, b: to_unsigned(sign_extend((a * b) & M32, 32), 64),
-    "divw": _div_s32,
-    "divuw": lambda a, b: M64 if (b & M32) == 0 else to_unsigned(
-        sign_extend(((a & M32) // (b & M32)) & M32, 32), 64),
-    "remw": _rem_s32,
-    "remuw": lambda a, b: to_unsigned(sign_extend(
-        (a & M32) if (b & M32) == 0 else (a & M32) % (b & M32), 32), 64),
-    "czero.eqz": lambda a, b: 0 if b == 0 else a,
-    "czero.nez": lambda a, b: 0 if b != 0 else a,
-    "add.uw": lambda a, b: (b + (a & M32)) & M64,
-    "sh1add": lambda a, b: (b + (a << 1)) & M64,
-    "sh2add": lambda a, b: (b + (a << 2)) & M64,
-    "sh3add": lambda a, b: (b + (a << 3)) & M64,
-    # Zbb (RVA23 sample)
-    "andn": lambda a, b: a & (b ^ M64),
-    "orn": lambda a, b: a | (b ^ M64),
-    "xnor": lambda a, b: (a ^ b) ^ M64,
-    "min": lambda a, b: a if _sx(a) <= _sx(b) else b,
-    "minu": lambda a, b: min(a, b),
-    "max": lambda a, b: a if _sx(a) >= _sx(b) else b,
-    "maxu": lambda a, b: max(a, b),
-    "rol": lambda a, b: ((a << (b & 63)) | (a >> ((-b) & 63))) & M64,
-    "ror": lambda a, b: ((a >> (b & 63)) | (a << ((-b) & 63))) & M64,
-}
-
-#: Zbb unary ops (rd, rs1 only).
-UNARY_OPS = {
-    "clz": lambda a: 64 - a.bit_length(),
-    "ctz": lambda a: 64 if a == 0 else (a & -a).bit_length() - 1,
-    "cpop": lambda a: a.bit_count(),
-    "sext.b": lambda a: to_unsigned(sign_extend(a, 8), 64),
-    "sext.h": lambda a: to_unsigned(sign_extend(a, 16), 64),
-    "zext.h": lambda a: a & 0xFFFF,
-}
-
-RI_OPS = {
-    "addi": lambda a, i: (a + i) & M64,
-    "slti": lambda a, i: int(_sx(a) < i),
-    "sltiu": lambda a, i: int(a < to_unsigned(i, 64)),
-    "xori": lambda a, i: a ^ to_unsigned(i, 64),
-    "ori": lambda a, i: a | to_unsigned(i, 64),
-    "andi": lambda a, i: a & to_unsigned(i, 64),
-    "addiw": lambda a, i: to_unsigned(sign_extend((a + i) & M32, 32), 64),
-}
-
-SHIFT_OPS = {
-    "slli": lambda a, s: (a << s) & M64,
-    "srli": lambda a, s: a >> s,
-    "srai": lambda a, s: to_unsigned(_sx(a) >> s, 64),
-    "slliw": lambda a, s: to_unsigned(
-        sign_extend((a << s) & M32, 32), 64),
-    "srliw": lambda a, s: to_unsigned(
-        sign_extend((a & M32) >> s, 32), 64),
-    "sraiw": lambda a, s: to_unsigned(_sx32(a) >> s, 64),
-    "rori": lambda a, s: ((a >> s) | (a << ((-s) & 63))) & M64,
-}
-
-BRANCH_OPS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: _sx(a) < _sx(b),
-    "bge": lambda a, b: _sx(a) >= _sx(b),
-    "bltu": lambda a, b: a < b,
-    "bgeu": lambda a, b: a >= b,
-}
-
-LOADS = {  # mnemonic -> (size, signed)
-    "lb": (1, True), "lh": (2, True), "lw": (4, True), "ld": (8, True),
-    "lbu": (1, False), "lhu": (2, False), "lwu": (4, False),
-}
-
-STORES = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 
 AMO_OPS = {
     "amoswap": lambda old, src, sx: src,
@@ -237,123 +97,91 @@ FMA_SIGNS = {  # mnemonic root -> (product sign, addend sign)
 }
 
 
-def build_body(m: "Machine", pc: int, instr: Instruction
-               ) -> Closure | None:
-    """Compile the *state update* of one straight-line instruction.
+class _ClosureTarget:
+    """Lowering target for the closure interpreter: registers are read
+    through the operand fields bound by the factory, static values are
+    computed once per pc in the factory prologue, and memory reads go
+    into closure-body temps."""
 
-    Returns a bookkeeping-free callable that mutates registers/memory
-    only (no pc/ucycles/instret updates) — the unit the superblock trace
-    compiler (:mod:`repro.sim.trace`) stitches into block functions.
+    def __init__(self):
+        self.prologue: list[str] = []
+        self.body: list[str] = []
 
-    Returns ``None`` for instructions that transfer control, trap, or
-    must observe exact per-instruction machine state (branches, jumps,
-    ecall/ebreak, fences, CSR accesses, atomics): those always run
-    through the full closure path.
-    """
-    mn = instr.mnemonic
-    f = instr.fields
-    x = m.x
-    mem = m.mem
+    def reg(self, name: str) -> Val:
+        return Val(f"x[{name}]")
 
-    # ---- Zbb unary -----------------------------------------------------
-    if mn in UNARY_OPS:
-        op = UNARY_OPS[mn]
-        rd, rs1 = f["rd"], f["rs1"]
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = op(x[rs1])
-        return body
+    def hoist(self, v: Val) -> Val:
+        k = v.src
+        if v.prec != ATOM:
+            k = f"k{len(self.prologue)}"
+            self.prologue.append(f"{k} = {v.src}")
+        return Val(k, canon=v.canon, signed=v.signed, bits=v.bits)
 
-    # ---- integer register-register -----------------------------------
-    if mn in RR_OPS:
-        op = RR_OPS[mn]
-        rd, rs1, rs2 = f["rd"], f["rs1"], f["rs2"]
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = op(x[rs1], x[rs2])
-        return body
+    def load(self, lw: Lowering, base: str, off: Val, size: int) -> Val:
+        addr = lw.value(lw.binop("add", self.reg(base), off))
+        v = f"v{len(self.body)}"
+        self.body.append(f"{v} = ri({addr.src}, {size})")
+        return Val(v, bits=8 * size)
 
-    # ---- integer register-immediate -----------------------------------
-    if mn in RI_OPS:
-        op = RI_OPS[mn]
-        rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = op(x[rs1], imm)
-        return body
 
-    if mn in SHIFT_OPS:
-        op = SHIFT_OPS[mn]
-        rd, rs1, sh = f["rd"], f["rs1"], f["shamt"]
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = op(x[rs1], sh)
-        return body
-
-    if mn == "lui":
-        rd = f["rd"]
-        val = to_unsigned(sign_extend(f["imm"], 20) << 12, 64)
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = val
-        return body
-
-    if mn == "auipc":
-        rd = f["rd"]
-        val = to_unsigned(pc + (sign_extend(f["imm"], 20) << 12), 64)
-        if rd == 0:
-            return lambda: None
-        def body():
-            x[rd] = val
-        return body
-
-    # ---- loads / stores -------------------------------------------------
-    if mn in LOADS:
-        size, signed = LOADS[mn]
-        rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-        read_int = mem.read_int
-        if signed:
-            bitw = size * 8
-            def body():
-                v = read_int((x[rs1] + imm) & M64, size)
-                x[rd] = to_unsigned(sign_extend(v, bitw), 64)
-        else:
-            def body():
-                x[rd] = read_int((x[rs1] + imm) & M64, size)
-        if rd == 0:
-            def body():  # noqa: F811 - load to x0 still accesses memory
-                read_int((x[rs1] + imm) & M64, size)
-        return body
-
-    if mn in STORES:
-        size = STORES[mn]
-        rs1, rs2, imm = f["rs1"], f["rs2"], f["imm"]
-        write_int = mem.write_int
-        def body():
-            # code-range invalidation rides on Memory's write watch
-            write_int((x[rs1] + imm) & M64, size, x[rs2])
-        return body
-
-    # ---- F/D (loads, stores, arithmetic, moves, conversions) ----------
-    return _build_fp(m, mn, f, pc)
+@lru_cache(maxsize=None)
+def _factory(mnemonic: str, rd_zero: bool):
+    """Compile the closure factory of one IR-covered mnemonic (with the
+    write to ``rd`` dropped when *rd_zero*).  The factory binds an
+    instruction's operand fields and returns its per-pc closure."""
+    t = _ClosureTarget()
+    lw = Lowering(semantics_for(mnemonic), t, zero=("rd",) if rd_zero
+                  else ())
+    body = t.body
+    for st in lw.stores:
+        addr, val = lw.value(lw.expr(st.addr)), lw.value(lw.expr(st.value))
+        body.append(f"si({addr.src}, {st.size}, {val.src})")
+    writes = [(r, lw.value(v)) for r, v in lw.writes]
+    pc = "next_pc"
+    if lw.target is not None:
+        pc = lw.value(lw.target).src
+        if lw.cond is not None:
+            cond = t.hoist(lw.cond) if lw.cond.static else lw.cond
+            pc = f"{pc} if {cond.src} else next_pc"
+        if writes and not lw.target.static:
+            body.append(f"t = {pc}")  # read before the writes land
+            pc = "t"
+    body += [f"x[{r}] = {v.src}" for r, v in writes]
+    src = "\n".join([
+        "def __make__(m, pc, F, ilen, cost):",
+        "    x = m.x",
+        "    ri = m.mem.read_int",
+        "    si = m.mem.write_int",
+        "    next_pc = pc + ilen",
+        *[f"    {n} = F[{n!r}]" for n in lw.operands],
+        *[f"    {ln}" for ln in t.prologue],
+        "    def run():",
+        *[f"        {ln}" for ln in body],
+        f"        m.pc = {pc}",
+        "        m.ucycles += cost",
+        "        m.instret += 1",
+        "    return run",
+    ])
+    env = dict(HELPERS)
+    exec(compile(src, f"<closure:{mnemonic}>", "exec"), env)
+    return env["__make__"]
 
 
 def build_closure(m: "Machine", pc: int, instr: Instruction) -> Closure:
     """Compile one decoded instruction into an executable closure.
 
     The closure updates registers/memory/pc and charges cycle cost.
+    Instructions with SAIL semantics run the closure their lowered IR
+    builds; the rest are hand-written below.
     """
     mn = instr.mnemonic
     f = instr.fields
     length = instr.length
     next_pc = pc + length
     cost = m.timing.ucycles(category_of(mn, instr.spec.match & 0x7F))
-    x = m.x
+
+    if mn != "fence.i" and semantics_for(mn) is not None:
+        return _factory(mn, f.get("rd") == 0)(m, pc, f, length, cost)
 
     def _finish_simple(body: Callable[[], None]) -> Closure:
         def run() -> None:
@@ -363,43 +191,10 @@ def build_closure(m: "Machine", pc: int, instr: Instruction) -> Closure:
             m.instret += 1
         return run
 
-    # ---- straight-line instructions (shared with the trace compiler) --
+    # ---- F/D (shared with the trace compiler) ---------------------------
     simple = build_body(m, pc, instr)
     if simple is not None:
         return _finish_simple(simple)
-
-    # ---- control transfer ----------------------------------------------
-    if mn in BRANCH_OPS:
-        cond = BRANCH_OPS[mn]
-        rs1, rs2 = f["rs1"], f["rs2"]
-        target = pc + f["imm"]
-        def run() -> None:
-            m.pc = target if cond(x[rs1], x[rs2]) else next_pc
-            m.ucycles += cost
-            m.instret += 1
-        return run
-
-    if mn == "jal":
-        rd = f["rd"]
-        target = to_unsigned(pc + f["imm"], 64)
-        def run() -> None:
-            if rd:
-                x[rd] = next_pc
-            m.pc = target
-            m.ucycles += cost
-            m.instret += 1
-        return run
-
-    if mn == "jalr":
-        rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-        def run() -> None:
-            target = (x[rs1] + imm) & ~1 & M64
-            if rd:
-                x[rd] = next_pc
-            m.pc = target
-            m.ucycles += cost
-            m.instret += 1
-        return run
 
     # ---- environment ----------------------------------------------------
     if mn == "ecall":
@@ -415,14 +210,9 @@ def build_closure(m: "Machine", pc: int, instr: Instruction) -> Closure:
             raise BreakpointHit(pc)
         return run
 
-    if mn in ("fence", "fence.i"):
-        if mn == "fence.i":
-            def body():
-                m.flush_icache()
-        else:
-            def body():
-                pass
-        return _finish_simple(body)
+    if mn == "fence.i":
+        # the IR has no icache to flush: its semantics are ``skip``
+        return _finish_simple(m.flush_icache)
 
     # ---- Zicsr -----------------------------------------------------------
     if mn.startswith("csrr"):
@@ -500,19 +290,29 @@ def _build_amo(m, mn, f, finish):
     root = mn.split(".")[0]
     op = AMO_OPS[root]
     mask = (1 << bitw) - 1
-    sx = _sx32 if size == 4 else _sx
+    sx_ = _sx32 if size == 4 else sx
 
     def body():
         addr = x[rs1]
         old = mem.read_int(addr, size)
-        new = op(old, x[rs2] & mask, sx) & mask
+        new = op(old, x[rs2] & mask, sx_) & mask
         m.store_int(addr, size, new)
         if rd:
             x[rd] = to_unsigned(sign_extend(old, bitw), 64)
     return finish(body)
 
 
-def _build_fp(m, mn, f, pc):
+def build_body(m: "Machine", pc: int, instr: Instruction
+               ) -> Closure | None:
+    """Compile the *state update* of one F/D instruction.
+
+    Returns a bookkeeping-free callable that mutates registers/memory
+    only (no pc/ucycles/instret updates) -- the unit the trace compiler
+    (:mod:`repro.sim.trace`) calls for the F/D forms it does not inline
+    -- or ``None`` for anything else.
+    """
+    mn = instr.mnemonic
+    f = instr.fields
     x = m.x
     fr = m.f
     mem = m.mem

@@ -744,14 +744,6 @@ class Machine:
             except (SimFault, MemoryFault, DecodeError) as e:
                 return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
 
-    # -- EvalState protocol (semantics cross-check) --------------------------
-
-    def read_xreg(self, n: int) -> int:
-        return self.x[n]
-
-    def read_freg(self, n: int) -> int:
-        return self.f[n]
-
 
 def run_program(program: Program, timing: TimingModel = P550,
                 max_steps: int | None = None) -> tuple[Machine, StopEvent]:

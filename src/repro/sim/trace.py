@@ -13,9 +13,10 @@ per-instruction machine state — ecall/ebreak/fences/CSR reads/atomics)
 is compiled into a single Python function that
 
 * executes the whole block with machine state bound to locals,
-* inlines the common ALU/load/store forms as plain expressions (no
-  per-instruction call at all) and falls back to the executor's
-  bookkeeping-free bodies for the rest,
+* inlines each instruction the SAIL IR covers as the source
+  :mod:`repro.semantics.lower` renders, plus the hot F/D forms (no
+  per-instruction call at all), calling the executor's F/D bodies for
+  the rest,
 * charges timing as **one batched ucycle charge** per block
   (:meth:`TimingModel.block_ucycles`) and bumps ``instret`` once,
 * **chains** directly to the successor trace when the (static) branch
@@ -30,10 +31,11 @@ returns whose target constant-folds) is compiled into one Python
 function whose iterations run inside a ``while True:`` loop — they
 never return to the dispatch loop.  Within a megatrace the hot integer
 registers live in Python **locals**, spilled to the architectural
-``x`` list only at side exits, guards, deopts and faults; immediates
-are constant-folded while emitting source (``li``/``lui``/``auipc``
-chains become literals, ``jal`` makes the link register a known
-constant so the matching ``jalr`` return is followed statically).
+``x`` list only at side exits, guards, deopts and faults; the lowering
+folds immediates and known-constant registers while emitting source
+(``li``/``lui``/``auipc`` chains become literals, ``jal`` makes the link
+register a known constant so the matching ``jalr`` return is followed
+statically).
 
 Indirect jumps (``jalr``) that end a trace are **guard-specialised**:
 the generated code remembers the first observed target and chains
@@ -81,12 +83,10 @@ from typing import TYPE_CHECKING
 
 from .. import faults
 from ..riscv.decoder import DecodeError, decode
-from ..riscv.encoding import sign_extend, to_unsigned
+from ..semantics.lower import HELPERS, Lowering, Val, const, sx
+from ..semantics.registry import semantics_for
 from . import fp
-from .executor import (
-    BRANCH_OPS, FMA_SIGNS, LOADS, RI_OPS, RR_OPS, SHIFT_OPS, STORES,
-    UNARY_OPS, SimFault, _sx, build_body,
-)
+from .executor import FMA_SIGNS, SimFault, build_body
 from .memory import MemoryFault
 from .timing import category_of
 
@@ -110,11 +110,27 @@ GUARD_REBIND = 64
 _M64 = "0xFFFFFFFFFFFFFFFF"
 _MASK64 = (1 << 64) - 1
 
+#: a read of x0
+_ZERO = const(0, "0")
+
 PAGE_BITS = 12
 
 #: spill placeholder in generated megatrace source, expanded at build
 #: time once the trace's full written-register set is known
 _SPILL = "\x00SPILL"
+
+
+def _lower(emit, pc: int, instr):
+    """*instr*'s semantics lowered for emitter *emit*, or ``None`` when
+    the IR does not cover it or it ends a trace (fences)."""
+    mn = instr.mnemonic
+    sem = semantics_for(mn)
+    if sem is None or mn in ("fence", "fence.i"):
+        return None
+    lw = Lowering(sem, emit, instr.fields, pc, instr.length)
+    for name in lw.helpers:
+        emit.ns.setdefault(name, HELPERS[name])
+    return lw
 
 
 def _base_ns(cache: "TraceCache") -> dict:
@@ -126,7 +142,7 @@ def _base_ns(cache: "TraceCache") -> dict:
         "m": m, "x": m.x, "fr": m.f, "W": m.mem,
         "ri": m.mem.read_int, "si": m.mem.write_int,
         "PG": m.mem._pages.get, "FB": int.from_bytes,
-        "sx": _sx, "L": cache._link, "MT": cache._promote,
+        "sx": sx, "L": cache._link, "MT": cache._promote,
         "JM": cache._jalr_miss, "GH": cache.jalr_hits,
         "D": cache.deopt_count,
         "F64": fp.f64_from_bits, "B64": fp.bits_from_f64,
@@ -371,17 +387,11 @@ class TraceCache:
                     return False, pc
                 emit.finish_cut(pc, chain=False)
                 return emit.build(), pc
-            mn = instr.mnemonic
-            if mn in BRANCH_OPS:
-                emit.emit_branch(pc, instr)
+            lw = _lower(emit, pc, instr)
+            if lw is not None and lw.target is not None:
+                emit.emit_transfer(pc, instr, lw)
                 return emit.build(), pc + instr.length
-            if mn == "jal":
-                emit.emit_jal(pc, instr)
-                return emit.build(), pc + instr.length
-            if mn == "jalr":
-                emit.emit_jalr(pc, instr)
-                return emit.build(), pc + instr.length
-            if not emit.emit_straight(pc, instr):
+            if not emit.emit_straight(pc, instr, lw):
                 # untraceable (ecall/ebreak/fence/csr/amo/unknown)
                 if emit.count == 0:
                     return False, pc
@@ -413,14 +423,10 @@ class TraceCache:
                 emit.exit_plain(pc)
                 return
             visited.add(pc)
-            mn = instr.mnemonic
-            if mn in BRANCH_OPS:
-                pc = emit.emit_branch(pc, instr)
-            elif mn == "jal":
-                pc = emit.emit_jal(pc, instr)
-            elif mn == "jalr":
-                pc = emit.emit_jalr(pc, instr)
-            elif emit.emit_straight(pc, instr):
+            lw = _lower(emit, pc, instr)
+            if lw is not None and lw.target is not None:
+                pc = emit.emit_transfer(pc, instr, lw)
+            elif emit.emit_straight(pc, instr, lw):
                 pc += instr.length
             else:
                 emit.exit_plain(pc)
@@ -561,24 +567,41 @@ class _Emitter:
         self.lines.append(f"{indent}    t = L(S, {k}, {target:#x})")
         self.lines.append(f"{indent}return t")
 
+    # -- lowering target --------------------------------------------------
+
+    def reg(self, n: int) -> Val:
+        return _ZERO if n == 0 else Val(f"x[{n}]")
+
+    def load(self, lw: Lowering, base: int, off: Val, size: int) -> Val:
+        addr = lw.value(lw.binop("add", self.reg(base), off))
+        v = self._temp()
+        self._mark(lw.pc)
+        self.lines += self._load_lines(v, addr.src, size)
+        return Val(v, bits=8 * size)
+
     # -- straight-line instructions --------------------------------------
 
-    def emit_straight(self, pc: int, instr) -> bool:
-        """Emit one non-control instruction; False if untraceable."""
+    def emit_straight(self, pc: int, instr, lw) -> bool:
+        """Emit one non-control instruction (lowered as *lw* when the IR
+        covers it); False if untraceable."""
         mn = instr.mnemonic
         f = instr.fields
-        line = self._inline(pc, mn, f)
-        if line is not None:
-            for ln in (line if isinstance(line, list) else [line]):
-                self.lines.append(ln)
+        if lw is not None and lw.stores:
+            self._emit_store(pc, lw.stores[0].size, f, instr)
+            return True
+        if lw is not None:
+            self.lines += [f"x[{r}] = {lw.value(v).src}"
+                           for r, v in lw.writes]
             self._charge(mn, instr)
             return True
-        if mn in STORES or mn in ("fsw", "fsd"):
-            self._emit_store(pc, mn, f, instr)
+        line = self._inline(pc, mn, f)
+        if line is not None:
+            self.lines += line if isinstance(line, list) else [line]
+            self._charge(mn, instr)
             return True
-        if mn in ("ecall", "ebreak", "fence", "fence.i") or \
-                mn.startswith(("csr", "lr.", "sc.", "amo")):
-            return False
+        if mn in ("fsw", "fsd"):
+            self._emit_store(pc, 4 if mn == "fsw" else 8, f, instr)
+            return True
         body = build_body(self.m, pc, instr)
         if body is None:
             return False
@@ -587,13 +610,12 @@ class _Emitter:
         self._charge(mn, instr)
         return True
 
-    def _emit_store(self, pc: int, mn: str, f: dict, instr) -> None:
-        size = STORES.get(mn) or (4 if mn == "fsw" else 8)
-        src = "fr" if mn in ("fsw", "fsd") else "x"
+    def _emit_store(self, pc: int, size: int, f: dict, instr) -> None:
+        src = "fr" if instr.mnemonic in ("fsw", "fsd") else "x"
         addr = f"(x[{f['rs1']}] + {f['imm']}) & {_M64}"
         self._mark(pc)
         self.lines.append(f"si({addr}, {size}, {src}[{f['rs2']}])")
-        self._charge(mn, instr)
+        self._charge(instr.mnemonic, instr)
         # patch safety: if this store invalidated any trace, sync state
         # and leave the block — the tail is re-fetched through the cache.
         self.lines.append("if m.code_dirty:")
@@ -605,96 +627,7 @@ class _Emitter:
         self.lines.append("    return None")
 
     def _inline(self, pc: int, mn: str, f: dict):
-        """Source line(s) for the hot straight-line forms, else None."""
-        if mn in RI_OPS:
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            if rd == 0:
-                return "pass"
-            if mn == "addi":
-                if imm == 0:
-                    return f"x[{rd}] = x[{rs1}]"
-                return f"x[{rd}] = (x[{rs1}] + {imm}) & {_M64}"
-            u = imm & ((1 << 64) - 1)
-            if mn == "andi":
-                return f"x[{rd}] = x[{rs1}] & {u:#x}"
-            if mn == "ori":
-                return f"x[{rd}] = x[{rs1}] | {u:#x}"
-            if mn == "xori":
-                return f"x[{rd}] = x[{rs1}] ^ {u:#x}"
-            if mn == "slti":
-                return f"x[{rd}] = 1 if sx(x[{rs1}]) < {imm} else 0"
-            if mn == "sltiu":
-                return f"x[{rd}] = 1 if x[{rs1}] < {u:#x} else 0"
-            if mn == "addiw":
-                v = self._temp()
-                return [f"{v} = (x[{rs1}] + {imm}) & 0xFFFFFFFF",
-                        f"x[{rd}] = {v} | 0xFFFFFFFF00000000 "
-                        f"if {v} & 0x80000000 else {v}"]
-            return None
-        if mn in SHIFT_OPS:
-            rd, rs1, sh = f["rd"], f["rs1"], f["shamt"]
-            if rd == 0:
-                return "pass"
-            if mn == "slli":
-                return f"x[{rd}] = (x[{rs1}] << {sh}) & {_M64}"
-            if mn == "srli":
-                return f"x[{rd}] = x[{rs1}] >> {sh}"
-            if mn == "srai":
-                return f"x[{rd}] = (sx(x[{rs1}]) >> {sh}) & {_M64}"
-            return None
-        if mn in RR_OPS:
-            rd, a, b = f["rd"], f["rs1"], f["rs2"]
-            if rd == 0:
-                return "pass"
-            if mn == "add":
-                return f"x[{rd}] = (x[{a}] + x[{b}]) & {_M64}"
-            if mn == "sub":
-                return f"x[{rd}] = (x[{a}] - x[{b}]) & {_M64}"
-            if mn == "mul":
-                return f"x[{rd}] = (x[{a}] * x[{b}]) & {_M64}"
-            if mn == "and":
-                return f"x[{rd}] = x[{a}] & x[{b}]"
-            if mn == "or":
-                return f"x[{rd}] = x[{a}] | x[{b}]"
-            if mn == "xor":
-                return f"x[{rd}] = x[{a}] ^ x[{b}]"
-            if mn == "sltu":
-                return f"x[{rd}] = 1 if x[{a}] < x[{b}] else 0"
-            if mn == "slt":
-                return f"x[{rd}] = 1 if sx(x[{a}]) < sx(x[{b}]) else 0"
-            if mn in ("addw", "subw", "mulw"):
-                op = {"addw": "+", "subw": "-", "mulw": "*"}[mn]
-                v = self._temp()
-                return [f"{v} = (x[{a}] {op} x[{b}]) & 0xFFFFFFFF",
-                        f"x[{rd}] = {v} | 0xFFFFFFFF00000000 "
-                        f"if {v} & 0x80000000 else {v}"]
-            return None
-        if mn == "lui" or mn == "auipc":
-            rd = f["rd"]
-            if rd == 0:
-                return "pass"
-            val = sign_extend(f["imm"], 20) << 12
-            if mn == "auipc":
-                val += pc
-            return f"x[{rd}] = {to_unsigned(val, 64):#x}"
-        if mn in LOADS:
-            size, signed = LOADS[mn]
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            addr = f"(x[{rs1}] + {imm}) & {_M64}"
-            if rd == 0:
-                self._mark(pc)
-                return [f"ri({addr}, {size})"]
-            v = self._temp()
-            self._mark(pc)
-            lines = self._load_lines(v, addr, size)
-            if not signed or size == 8:
-                lines.append(f"x[{rd}] = {v}")
-            else:
-                sbit = 1 << (size * 8 - 1)
-                ext = ((1 << 64) - 1) ^ ((1 << (size * 8)) - 1)
-                lines.append(f"x[{rd}] = {v} | {ext:#x} "
-                             f"if {v} & {sbit:#x} else {v}")
-            return lines
+        """Source line(s) for the hot F/D forms, else None."""
         if mn in ("flw", "fld"):
             rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
             addr = f"(x[{rs1}] + {imm}) & {_M64}"
@@ -745,59 +678,44 @@ class _Emitter:
 
     # -- terminators -----------------------------------------------------
 
-    def emit_branch(self, pc: int, instr) -> None:
-        f = instr.fields
-        a, b = f["rs1"], f["rs2"]
-        taken = pc + f["imm"]
+    def emit_transfer(self, pc: int, instr, lw: Lowering) -> None:
+        """End the block at a branch, or at a jump whose target is a
+        constant (chained) or computed (guarded)."""
         fall = pc + instr.length
-        cond = {
-            "beq": f"x[{a}] == x[{b}]",
-            "bne": f"x[{a}] != x[{b}]",
-            "bltu": f"x[{a}] < x[{b}]",
-            "bgeu": f"x[{a}] >= x[{b}]",
-            "blt": f"sx(x[{a}]) < sx(x[{b}])",
-            "bge": f"sx(x[{a}]) >= sx(x[{b}])",
-        }[instr.mnemonic]
         self._charge(instr.mnemonic, instr)
+        cond = lw.cond
+        target = lw.target
+        if cond is not None and cond.const is None:
+            taken = target.const
+            self._bookkeep()
+            self.lines.append(f"if {cond.src}:")
+            self.lines.append(f"    m.pc = {taken:#x}")
+            if taken <= pc:
+                # backward edge: candidate loop head, count towards
+                # megatrace promotion
+                self._hot_chain_return(taken, indent="    ")
+            else:
+                k = self._chain_cell()
+                self.lines.append(f"    t = S[{k}]")
+                self.lines.append("    if t is None:")
+                self.lines.append(f"        t = L(S, {k}, {taken:#x})")
+                self.lines.append("    return t")
+            self.lines.append(f"m.pc = {fall:#x}")
+            self._chain_return(fall)
+            return
+        if cond is not None and not cond.const:
+            target = const(fall)
+        if target.const is None:
+            self.lines.append(f"t = {lw.value(target).src}")
+        self.lines += [f"x[{r}] = {lw.value(v).src}" for r, v in lw.writes]
         self._bookkeep()
-        self.lines.append(f"if {cond}:")
-        self.lines.append(f"    m.pc = {taken:#x}")
-        if taken <= pc:
-            # backward edge: candidate loop head, count towards
-            # megatrace promotion
-            self._hot_chain_return(taken, indent="    ")
-        else:
-            k = self._chain_cell()
-            self.lines.append(f"    t = S[{k}]")
-            self.lines.append("    if t is None:")
-            self.lines.append(f"        t = L(S, {k}, {taken:#x})")
-            self.lines.append("    return t")
-        self.lines.append(f"m.pc = {fall:#x}")
-        self._chain_return(fall)
-
-    def emit_jal(self, pc: int, instr) -> None:
-        f = instr.fields
-        rd = f["rd"]
-        target = (pc + f["imm"]) & ((1 << 64) - 1)
-        self._charge("jal", instr)
-        if rd:
-            self.lines.append(f"x[{rd}] = {pc + instr.length:#x}")
-        self._bookkeep()
-        self.lines.append(f"m.pc = {target:#x}")
-        if target <= pc:
-            self._hot_chain_return(target)
-        else:
-            self._chain_return(target)
-
-    def emit_jalr(self, pc: int, instr) -> None:
-        f = instr.fields
-        rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-        self._charge("jalr", instr)
-        self.lines.append(
-            f"t = (x[{rs1}] + {imm}) & 0xFFFFFFFFFFFFFFFE")
-        if rd:
-            self.lines.append(f"x[{rd}] = {pc + instr.length:#x}")
-        self._bookkeep()
+        if target.const is not None:
+            self.lines.append(f"m.pc = {target.const:#x}")
+            if target.const <= pc:
+                self._hot_chain_return(target.const)
+            else:
+                self._chain_return(target.const)
+            return
         self.lines.append("m.pc = t")
         # guard-based target specialization: remember the observed
         # target and chain straight to its trace while the guard holds
@@ -865,7 +783,6 @@ class _MegaEmitter:
         self.sync_pc = [entry]
         self.sync_cost = [0]
         self.sync_count = [0]
-        self._tmp = 0
         #: emission-time constant values per register (linear
         #: const-prop; x0 is always 0).  An entry here means "the
         #: emission-order-last write to this register was the literal" —
@@ -951,14 +868,6 @@ class _MegaEmitter:
             return f"{c:#x}" if c else "0"
         self.localized.add(r)
         return f"r{r}"
-
-    def use_sx(self, r: int) -> str:
-        """Signed read expression for register *r*."""
-        c = self.consts.get(r)
-        if c is not None:
-            return str(_sx(c))
-        self.localized.add(r)
-        return f"sx(r{r})"
 
     def const_of(self, r: int):
         return self.consts.get(r)
@@ -1111,10 +1020,6 @@ class _MegaEmitter:
         self.cells += 1
         return k
 
-    def _temp(self) -> str:
-        self._tmp += 1
-        return f"v{self._tmp}"
-
     def _flush(self, indent: str) -> None:
         self.lines.append(f"{indent}uc += {self.cost}")
         self.lines.append(f"{indent}ir += {self.count}")
@@ -1229,7 +1134,7 @@ class _MegaEmitter:
         """Emitter state shared across passes, captured before a
         steady-state emission so a seed-kill can roll it back."""
         return {
-            "cells": self.cells, "tmp": self._tmp,
+            "cells": self.cells,
             "nc": self._next_const, "ns": set(self.ns),
             "localized": set(self.localized),
             "written": set(self.written),
@@ -1242,7 +1147,6 @@ class _MegaEmitter:
     def restore(self, snap: dict) -> None:
         """Undo one steady-state emission pass (see :meth:`snapshot`)."""
         self.cells = snap["cells"]
-        self._tmp = snap["tmp"]
         self._next_const = snap["nc"]
         for k in set(self.ns) - snap["ns"]:
             del self.ns[k]
@@ -1275,72 +1179,57 @@ class _MegaEmitter:
         self._sync_exit(f"{target:#x}", indent)
         self.lines.append(f"{indent}return None")
 
+    # -- lowering target --------------------------------------------------
+
+    def reg(self, n: int) -> Val:
+        c = self.consts.get(n)
+        return Val(self.use(n)) if c is None else const(c, self.use(n))
+
+    def load(self, lw: Lowering, base: int, off: Val, size: int) -> Val:
+        return Val(self._load_value(lw.pc, base, sx(off.const), size),
+                   bits=8 * size)
+
+    def _write(self, lw: Lowering, r: int, v: Val) -> None:
+        if v.const is not None:
+            self.set_const(r, v.const)
+            return
+        src = lw.value(v).src
+        if src != f"r{r}":
+            self.set_expr(r, src)
+
     # -- control transfer -------------------------------------------------
 
-    def emit_branch(self, pc: int, instr):
-        """Emit a conditional branch.  Returns the pc to keep building
-        at, or None if the emitter closed the trace."""
-        mn = instr.mnemonic
-        f = instr.fields
-        a, b = f["rs1"], f["rs2"]
-        taken = pc + f["imm"]
+    def emit_transfer(self, pc: int, instr, lw: Lowering):
+        """Emit a branch or jump.  Returns the pc to keep building at,
+        or None if the emitter closed the trace."""
+        self._cover(pc, instr.length)
+        self._charge(instr.mnemonic, instr)
         fall = pc + instr.length
-        self._cover(pc, instr.length)
-        self._charge(mn, instr)
-        ca, cb = self.const_of(a), self.const_of(b)
-        if ca is not None and cb is not None:
-            # both operands known: the branch folds to a direct jump
-            return taken if BRANCH_OPS[mn](ca, cb) else fall
-        cond = {
-            "beq": f"{self.use(a)} == {self.use(b)}",
-            "bne": f"{self.use(a)} != {self.use(b)}",
-            "bltu": f"{self.use(a)} < {self.use(b)}",
-            "bgeu": f"{self.use(a)} >= {self.use(b)}",
-            "blt": f"{self.use_sx(a)} < {self.use_sx(b)}",
-            "bge": f"{self.use_sx(a)} >= {self.use_sx(b)}",
-        }[mn]
-        self.lines.append(f"if {cond}:")
-        if taken == self.entry:
-            # the loop's own back-edge: guard and start the next
-            # iteration without leaving compiled code
-            self.close_loop(indent="    ")
-        else:
-            self.exit_chain(taken, indent="    ")
-        return fall
-
-    def emit_jal(self, pc: int, instr):
-        f = instr.fields
-        rd = f["rd"]
-        target = (pc + f["imm"]) & _MASK64
-        self._cover(pc, instr.length)
-        self._charge("jal", instr)
-        if rd:
-            # the link register becomes a known constant — the callee's
-            # return jalr folds and the call inlines into the trace
-            self.set_const(rd, pc + instr.length)
-        return target
-
-    def emit_jalr(self, pc: int, instr):
-        f = instr.fields
-        rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-        ret = pc + instr.length
-        self._cover(pc, instr.length)
-        c = self.const_of(rs1)
-        self._charge("jalr", instr)
-        if c is not None:
-            # constant-folded indirect target (typically a return whose
-            # link register the trace itself set): follow statically
-            target = (c + imm) & 0xFFFFFFFFFFFFFFFE
-            if rd:
-                self.set_const(rd, ret)
-            return target
-        # dynamic target: end the trace through a guarded exit
-        expr = f"({self.use(rs1)} + {imm}) & 0xFFFFFFFFFFFFFFFE" \
-            if imm else f"{self.use(rs1)} & 0xFFFFFFFFFFFFFFFE"
-        self.lines.append(f"t = {expr}")
-        if rd:
-            self.set_const(rd, ret)
-        # indirect loop closure: a jalr landing back on the head
+        cond = lw.cond
+        target = lw.target
+        if cond is not None:
+            taken = target.const
+            if cond.const is not None:
+                # both operands known: the branch folds to a direct jump
+                return taken if cond.const else fall
+            self.lines.append(f"if {cond.src}:")
+            if taken == self.entry:
+                # the loop's own back-edge: guard and start the next
+                # iteration without leaving compiled code
+                self.close_loop(indent="    ")
+            else:
+                self.exit_chain(taken, indent="    ")
+            return fall
+        if target.const is None:
+            self.lines.append(f"t = {lw.value(target).src}")
+        # a link register becomes a known constant, so a jalr through a
+        # register the trace set (a return) folds and the call inlines
+        for r, v in lw.writes:
+            self._write(lw, r, v)
+        if target.const is not None:
+            return target.const
+        # dynamic target: end the trace through a guarded exit.  An
+        # indirect loop closure (a jalr landing back on the head)
         # continues iterating without leaving the trace
         self.lines.append(f"if t == {self.entry:#x}:")
         self.close_loop(indent="    ")
@@ -1361,17 +1250,23 @@ class _MegaEmitter:
 
     # -- straight-line instructions ---------------------------------------
 
-    def emit_straight(self, pc: int, instr) -> bool:
+    def emit_straight(self, pc: int, instr, lw) -> bool:
         mn = instr.mnemonic
         f = instr.fields
+        if lw is not None and lw.stores:
+            self._emit_store(pc, lw.stores[0].size, f, instr)
+            return True
+        if lw is not None:
+            self._cover(pc, instr.length)
+            for r, v in lw.writes:
+                self._write(lw, r, v)
+            self._charge(mn, instr)
+            return True
         if self._inline(pc, mn, f, instr):
             return True
-        if mn in STORES or mn in ("fsw", "fsd"):
-            self._emit_store(pc, mn, f, instr)
+        if mn in ("fsw", "fsd"):
+            self._emit_store(pc, 4 if mn == "fsw" else 8, f, instr)
             return True
-        if mn in ("ecall", "ebreak", "fence", "fence.i") or \
-                mn.startswith(("csr", "lr.", "sc.", "amo")):
-            return False
         body = build_body(self.m, pc, instr)
         if body is None:
             return False
@@ -1397,167 +1292,8 @@ class _MegaEmitter:
         return name
 
     def _inline(self, pc: int, mn: str, f: dict, instr) -> bool:
-        """Emit the hot straight-line forms against register locals
-        (with constant folding); False if the form is not inlined."""
-        if mn in RI_OPS:
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            c = self.const_of(rs1)
-            if rd == 0:
-                pass
-            elif c is not None:
-                self.set_const(rd, RI_OPS[mn](c, imm))
-            elif mn == "addi":
-                if imm == 0:
-                    if rd != rs1:
-                        self.set_expr(rd, self.use(rs1))
-                else:
-                    self.set_expr(
-                        rd, f"({self.use(rs1)} + {imm}) & {_M64}")
-            elif mn == "andi":
-                self.set_expr(
-                    rd, f"{self.use(rs1)} & {imm & _MASK64:#x}")
-            elif mn == "ori":
-                self.set_expr(
-                    rd, f"{self.use(rs1)} | {imm & _MASK64:#x}")
-            elif mn == "xori":
-                self.set_expr(
-                    rd, f"{self.use(rs1)} ^ {imm & _MASK64:#x}")
-            elif mn == "slti":
-                self.set_expr(
-                    rd, f"1 if {self.use_sx(rs1)} < {imm} else 0")
-            elif mn == "sltiu":
-                self.set_expr(
-                    rd, f"1 if {self.use(rs1)} < {imm & _MASK64:#x} "
-                        f"else 0")
-            elif mn == "addiw":
-                v = self._temp()
-                self.lines.append(
-                    f"{v} = ({self.use(rs1)} + {imm}) & 0xFFFFFFFF")
-                self.set_expr(
-                    rd, f"{v} | 0xFFFFFFFF00000000 "
-                        f"if {v} & 0x80000000 else {v}")
-            else:
-                return False
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn in SHIFT_OPS:
-            rd, rs1, sh = f["rd"], f["rs1"], f["shamt"]
-            c = self.const_of(rs1)
-            if rd == 0:
-                pass
-            elif c is not None:
-                self.set_const(rd, SHIFT_OPS[mn](c, sh))
-            elif mn == "slli":
-                self.set_expr(rd, f"({self.use(rs1)} << {sh}) & {_M64}")
-            elif mn == "srli":
-                self.set_expr(rd, f"{self.use(rs1)} >> {sh}")
-            elif mn == "srai":
-                self.set_expr(
-                    rd, f"(sx({self.use(rs1)}) >> {sh}) & {_M64}")
-            else:
-                return False
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn in RR_OPS:
-            rd, a, b = f["rd"], f["rs1"], f["rs2"]
-            ca, cb = self.const_of(a), self.const_of(b)
-            if rd == 0:
-                pass
-            elif ca is not None and cb is not None:
-                self.set_const(rd, RR_OPS[mn](ca, cb))
-            elif mn == "add":
-                self.set_expr(
-                    rd, f"({self.use(a)} + {self.use(b)}) & {_M64}")
-            elif mn == "sub":
-                self.set_expr(
-                    rd, f"({self.use(a)} - {self.use(b)}) & {_M64}")
-            elif mn == "mul":
-                self.set_expr(
-                    rd, f"({self.use(a)} * {self.use(b)}) & {_M64}")
-            elif mn == "and":
-                self.set_expr(rd, f"{self.use(a)} & {self.use(b)}")
-            elif mn == "or":
-                self.set_expr(rd, f"{self.use(a)} | {self.use(b)}")
-            elif mn == "xor":
-                self.set_expr(rd, f"{self.use(a)} ^ {self.use(b)}")
-            elif mn == "sltu":
-                self.set_expr(
-                    rd, f"1 if {self.use(a)} < {self.use(b)} else 0")
-            elif mn == "slt":
-                self.set_expr(
-                    rd, f"1 if {self.use_sx(a)} < {self.use_sx(b)} "
-                        f"else 0")
-            elif mn == "sll":
-                self.set_expr(
-                    rd,
-                    f"({self.use(a)} << ({self.use(b)} & 63)) & {_M64}")
-            elif mn == "srl":
-                self.set_expr(
-                    rd, f"{self.use(a)} >> ({self.use(b)} & 63)")
-            elif mn == "sra":
-                self.set_expr(
-                    rd, f"(sx({self.use(a)}) >> ({self.use(b)} & 63))"
-                        f" & {_M64}")
-            elif mn in ("addw", "subw", "mulw"):
-                op = {"addw": "+", "subw": "-", "mulw": "*"}[mn]
-                v = self._temp()
-                self.lines.append(
-                    f"{v} = ({self.use(a)} {op} {self.use(b)})"
-                    f" & 0xFFFFFFFF")
-                self.set_expr(
-                    rd, f"{v} | 0xFFFFFFFF00000000 "
-                        f"if {v} & 0x80000000 else {v}")
-            else:
-                return False
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn in UNARY_OPS:
-            rd, rs1 = f["rd"], f["rs1"]
-            c = self.const_of(rs1)
-            if rd == 0:
-                pass
-            elif c is not None:
-                self.set_const(rd, UNARY_OPS[mn](c))
-            else:
-                return False  # rare; body fallback
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn == "lui" or mn == "auipc":
-            rd = f["rd"]
-            if rd:
-                val = sign_extend(f["imm"], 20) << 12
-                if mn == "auipc":
-                    val += pc
-                self.set_const(rd, to_unsigned(val, 64))
-            self._cover(pc, instr.length)
-            self._charge(mn, instr)
-            return True
-        if mn in LOADS:
-            size, signed = LOADS[mn]
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            self._cover(pc, instr.length)
-            if rd == 0:
-                if self.mem_known.get(
-                        self._mem_key(rs1, imm, size)) is None:
-                    self._mark(pc)
-                    self.lines.append(
-                        f"ri({self._addr_expr(rs1, imm)}, {size})")
-                self._charge(mn, instr)
-                return True
-            v = self._load_value(pc, rs1, imm, size)
-            if not signed or size == 8:
-                self.set_expr(rd, v)
-            else:
-                sbit = 1 << (size * 8 - 1)
-                ext = _MASK64 ^ ((1 << (size * 8)) - 1)
-                self.set_expr(
-                    rd, f"{v} | {ext:#x} if {v} & {sbit:#x} else {v}")
-            self._charge(mn, instr)
-            return True
+        """Emit the hot F/D forms (double precision through float
+        locals); False if the form is not inlined."""
         if mn in ("flw", "fld"):
             rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
             self._cover(pc, instr.length)
@@ -1723,8 +1459,8 @@ class _MegaEmitter:
             if k[0] != base or (k[1] < off + size and off < k[1] + k[2]):
                 del self.fp_mem[k]
 
-    def _emit_store(self, pc: int, mn: str, f: dict, instr) -> None:
-        size = STORES.get(mn) or (4 if mn == "fsw" else 8)
+    def _emit_store(self, pc: int, size: int, f: dict, instr) -> None:
+        mn = instr.mnemonic
         rs2 = f["rs2"]
         imm = f["imm"]
         skey = self._mem_key(f["rs1"], imm, size)

@@ -31,18 +31,26 @@ ALLOWED = {
 }
 
 
+def _import_target(py: Path, node: ast.ImportFrom) -> str | None:
+    """The top-level ``repro`` subpackage *node* imports from, resolving
+    relative imports against *py*'s own package (``..ir`` inside
+    ``semantics/sail`` is ``semantics.ir``)."""
+    if node.level:
+        pkg = py.parent.relative_to(SRC).parts
+        return (pkg[:len(pkg) + 1 - node.level]
+                + tuple(node.module.split(".")))[0]
+    if node.module.startswith("repro."):
+        return node.module.split(".")[1]
+    return None
+
+
 def _imports_of(component: str) -> set[str]:
     found: set[str] = set()
     for py in (SRC / component).rglob("*.py"):
         tree = ast.parse(py.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module:
-                if node.level >= 2:
-                    target = node.module.split(".")[0]
-                elif node.module.startswith("repro."):
-                    target = node.module.split(".")[1]
-                else:
-                    continue
+                target = _import_target(py, node)
                 if target in COMPONENTS and target != component:
                     found.add(target)
     return found
@@ -74,22 +82,19 @@ CROSS_CUTTING = {"errors", "telemetry", "faults"}
 
 
 def test_substrates_do_not_import_toolkits():
-    """riscv/elf/sim are substrates: no upward dependencies except the
-    documented ones (sim decodes instructions; elf knows nothing) and
-    the cross-cutting leaves (errors, telemetry)."""
+    """riscv/elf/semantics/sim are substrates: no upward dependencies
+    except the documented ones (sim decodes instructions and lowers
+    their semantics IR; semantics reads the opcode table; elf knows
+    nothing) and the cross-cutting leaves (errors, telemetry)."""
     for comp, allowed in (("riscv", set()), ("elf", {"riscv"}),
-                          ("sim", {"riscv"})):
+                          ("semantics", {"riscv"}),
+                          ("sim", {"riscv", "semantics"})):
         for py in (SRC / comp).rglob("*.py"):
             tree = ast.parse(py.read_text())
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom) and node.module:
-                    if node.level >= 2:
-                        target = node.module.split(".")[0]
-                    elif node.module.startswith("repro."):
-                        target = node.module.split(".")[1]
-                    else:
-                        continue
-                    if target == comp or target in CROSS_CUTTING:
+                    target = _import_target(py, node)
+                    if target in (None, comp) or target in CROSS_CUTTING:
                         continue
                     assert target in allowed, (
                         f"substrate {comp} imports {target} ({py})")

@@ -2,9 +2,10 @@
 
 The paper claims new-extension support reduces to: Capstone adds the
 encodings, the SAIL pipeline regenerates semantic classes.  In this
-toolkit: rows in the opcode table + clauses in the mini-SAIL DSL +
-simulator lambdas.  These tests verify the whole stack picked the new
-extension up — decode, assemble, execute, analyze, and gate codegen.
+toolkit: rows in the opcode table + clauses in the mini-SAIL DSL, which
+the simulator executes through the IR lowering.  These tests verify the
+whole stack picked the new extension up — decode, assemble, execute,
+analyze, and gate codegen.
 
 (The encode/decode roundtrip and the semantics-vs-simulator cross-check
 property tests cover Zbb automatically because they are table-driven —
