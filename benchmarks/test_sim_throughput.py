@@ -4,7 +4,12 @@ Measures throughput (simulated instructions per host second) across the
 three execution tiers — closure interpreter, superblock traces and
 megatraces — and checks all tiers are architecturally indistinguishable
 (registers, memory-visible output, exit code, instruction/cycle
-counts).
+counts).  An instrumented row repeats the interpreter and megatrace
+tiers on the same matmul with a counter at every block of ``multiply``
+(the paper's §4.3 cell).  Its megatrace runs take turns with plain
+megatrace runs, and the median over those rounds of the
+instrumented-over-plain throughput ratio is the number the CI guard
+checks: host drift between rounds cancels out of it.
 
 Writes ``benchmarks/results/ablation_trace.txt`` and a machine-readable
 ``BENCH_sim.json`` at the repository root (consumed by
@@ -14,13 +19,16 @@ Writes ``benchmarks/results/ablation_trace.txt`` and a machine-readable
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
+from repro.api import open_binary
 from repro.minicc import compile_source
 from repro.minicc.workloads import matmul_source
 from repro.sim import Machine, P550
 from repro.telemetry.events import EventStream
+from repro.tools import count_basic_blocks
 
 from conftest import MATMUL_N, MATMUL_REPS, PAPER_SCALE
 
@@ -36,30 +44,55 @@ BENCH_REPS = MATMUL_REPS if PAPER_SCALE else 40
 #: run-to-run spread ((max-min)/min) is recorded alongside
 REPEATS = 3
 
-
-def _machine(prog, tier: str):
-    m = Machine(P550,
-                trace_compile=tier != "interpreter",
-                megatraces=tier == "megatrace")
-    m.load_program(prog)
-    return m
+#: rounds of plain and instrumented megatrace runs taking turns
+PAIR_ROUNDS = 5
 
 
-def _measure(prog, tier: str):
-    """Best-of-REPEATS run of one tier: (machine, stop event, best
-    seconds, run-to-run spread)."""
-    best = None
-    times = []
-    for _ in range(REPEATS):
-        m = _machine(prog, tier)
-        t0 = time.perf_counter()
-        ev = m.run()
-        elapsed = time.perf_counter() - t0
-        times.append(elapsed)
-        if best is None or elapsed < best[2]:
-            best = (m, ev, elapsed)
-    spread = (max(times) - min(times)) / min(times)
-    return best[0], best[1], best[2], spread
+def _machine(tier: str) -> Machine:
+    return Machine(P550,
+                   trace_compile=tier != "interpreter",
+                   megatraces=tier == "megatrace")
+
+
+def _plain(prog, tier: str):
+    """Factory of *tier* machines loaded with *prog*."""
+    def make():
+        m = _machine(tier)
+        m.load_program(prog)
+        return m
+    return make
+
+
+def _patched(edit, result, tier: str):
+    """Factory of *tier* machines loaded with *edit*'s image and
+    *result*'s instrumentation applied."""
+    def make():
+        m = _machine(tier)
+        edit.symtab.load_into(m)
+        result.apply_to_machine(m)
+        return m
+    return make
+
+
+def _measure(*makes, repeats: int = REPEATS):
+    """Run the machine each factory in *makes* builds *repeats* times,
+    the factories taking turns so that host drift hits them alike.  Per
+    factory, the list of (machine, stop event, seconds)."""
+    runs = [[] for _ in makes]
+    for _ in range(repeats):
+        for make, acc in zip(makes, runs):
+            m = make()
+            t0 = time.perf_counter()
+            ev = m.run()
+            acc.append((m, ev, time.perf_counter() - t0))
+    return runs
+
+
+def _best(runs):
+    """(machine, stop event, best seconds, run-to-run spread)."""
+    times = [dt for _, _, dt in runs]
+    m, ev, best = min(runs, key=lambda run: run[2])
+    return m, ev, best, (max(times) - min(times)) / min(times)
 
 
 def _arch_state(m, ev):
@@ -96,19 +129,27 @@ def _measure_observed(prog, granularity: str):
     return instret_obs / dt_obs, m2.instret / dt_after
 
 
+def _row(m, dt: float, spread: float) -> dict:
+    return {
+        "instr_per_sec": round(m.instret / dt),
+        "seconds_best": round(dt, 4),
+        "run_to_run_spread": round(spread, 3),
+    }
+
+
 def test_trace_compilation_throughput(record):
     prog = compile_source(matmul_source(BENCH_N, BENCH_REPS))
+    edit = open_binary(prog)
+    counter = count_basic_blocks(edit, "multiply")
+    patch = edit.commit()
 
     tiers = {}
     results = {}
     for tier in ("interpreter", "superblock", "megatrace"):
-        m, ev, dt, spread = _measure(prog, tier)
+        [runs] = _measure(_plain(prog, tier))
+        m, ev, dt, spread = _best(runs)
         results[tier] = (m, ev)
-        tiers[tier] = {
-            "instr_per_sec": round(m.instret / dt),
-            "seconds_best": round(dt, 4),
-            "run_to_run_spread": round(spread, 3),
-        }
+        tiers[tier] = _row(m, dt, spread)
 
     # identical architectural results across every tier
     m0, ev0 = results["interpreter"]
@@ -132,6 +173,32 @@ def test_trace_compilation_throughput(record):
         "deopts": mm.traces.deopt_count[0],
     })
 
+    # the instrumented row: one interpreter run as the reference
+    [[(mi, evi, dti)]] = _measure(_patched(edit, patch, "interpreter"),
+                                  repeats=1)
+    plain_runs, inst_runs = _measure(_plain(prog, "megatrace"),
+                                     _patched(edit, patch, "megatrace"),
+                                     repeats=PAIR_ROUNDS)
+    mc, evc, dtc, spread = _best(inst_runs)
+    assert _arch_state(mc, evc) == _arch_state(mi, evi)
+    assert counter.read(mc) == counter.read(mi) > 0
+    instrumented = {
+        "points": counter.n_points,
+        "instructions": mi.instret,
+        "interpreter": _row(mi, dti, 0.0),
+        "megatrace": _row(mc, dtc, spread),
+    }
+    instrumented["megatrace"].update({
+        "speedup": round(mc.instret / dtc / (mi.instret / dti), 3),
+        "megatraces_compiled": mc.traces.mega_compiles,
+        "alias_guard_misses": mc.traces.alias_guard_misses,
+    })
+    # instrumented over plain megatrace throughput: the median of the
+    # rounds' ratios, each from two runs back to back
+    ratio = round(statistics.median(
+        (mc.instret / di) / (mp.instret / dp)
+        for (mp, _, dp), (_, _, di) in zip(plain_runs, inst_runs)), 3)
+
     ips_block, _ = _measure_observed(prog, "block")
     ips_instr, ips_detached = _measure_observed(prog, "instruction")
 
@@ -153,6 +220,20 @@ def test_trace_compilation_throughput(record):
             f"{t['seconds_best']:>9.3f}{speedup:>9}"
             f"{t['run_to_run_spread']:>7.1%}")
     lines += [
+        "",
+        f"instrumented (a counter at each of multiply's "
+        f"{counter.n_points} blocks):",
+    ]
+    for key, label in (fmt[0], fmt[2]):
+        t = instrumented[key]
+        speedup = f"{t.get('speedup', 1.0):.2f}x"
+        lines.append(
+            f"{label:<26}{t['instr_per_sec'] / 1e6:>10.2f}"
+            f"{t['seconds_best']:>9.3f}{speedup:>9}"
+            f"{t['run_to_run_spread']:>7.1%}")
+    lines += [
+        f"megatrace throughput, instrumented / plain: {ratio:.2f} "
+        f"(median of {PAIR_ROUNDS} rounds)",
         "",
         f"megatraces compiled: {mm.traces.mega_compiles}   "
         f"jalr guards: {mm.traces.jalr_hits[0]} hit / "
@@ -179,6 +260,10 @@ def test_trace_compilation_throughput(record):
         # throughput over the closure interpreter
         "speedup": tiers["megatrace"]["speedup"],
         "speedup_superblock": tiers["superblock"]["speedup"],
+        "instrumented": instrumented,
+        # the CI guard's floor: megatraces on instrumented code against
+        # megatraces on the plain code
+        "instrumented_over_plain": ratio,
         "instr_per_sec_observed_block": round(ips_block),
         "instr_per_sec_observed_instruction": round(ips_instr),
         "instr_per_sec_after_detach": round(ips_detached),

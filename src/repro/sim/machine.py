@@ -528,7 +528,8 @@ class Machine:
         instret0, ucycles0 = self.instret, self.ucycles
         base = (traces.compiles, traces.invalidations, traces.links,
                 traces.hits, traces.mega_compiles, traces.jalr_hits[0],
-                traces.jalr_misses[0], traces.deopt_count[0])
+                traces.jalr_misses[0], traces.deopt_count[0],
+                traces.alias_guard_misses)
         self._count_hits = rec.enabled or bool(report)
         t0 = time.perf_counter()
         try:
@@ -547,6 +548,7 @@ class Machine:
             "jalr_guard_hits": traces.jalr_hits[0] - base[5],
             "jalr_guard_misses": traces.jalr_misses[0] - base[6],
             "deopts": traces.deopt_count[0] - base[7],
+            "alias_guard_misses": traces.alias_guard_misses - base[8],
         }
         if rec.enabled:
             rec.record_span("sim.run", elapsed)
@@ -584,7 +586,8 @@ class Machine:
             f"megatraces={deltas['megatraces_compiled']} "
             f"jalr_guard_hits={deltas['jalr_guard_hits']} "
             f"jalr_guard_misses={deltas['jalr_guard_misses']} "
-            f"deopts={deltas['deopts']}",
+            f"deopts={deltas['deopts']} "
+            f"alias_guard_misses={deltas['alias_guard_misses']}",
         ]
         return "\n".join(lines) + "\n"
 

@@ -32,7 +32,7 @@ class Memory:
     """Sparse byte-addressable memory."""
 
     __slots__ = ("_pages", "_reserved", "_cache_idx", "_cache_page",
-                 "_watch_lo", "_watch_hi", "_watch_ranges", "_watch_cb")
+                 "_watch_pages", "_watch_ranges", "_watch_cb")
 
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
@@ -42,11 +42,12 @@ class Memory:
         self._cache_idx = -1
         self._cache_page: bytearray | None = None
         # write-range notification (code-write detection): callback fired
-        # after any write overlapping a watched range.  [_watch_lo,
-        # _watch_hi) is the bounding box of all ranges — the hot-path
-        # store check is two comparisons for the common data write.
-        self._watch_lo = 0
-        self._watch_hi = 0
+        # after any write overlapping a watched range.  _watch_pages
+        # holds the index of every page a range touches, so the hot-path
+        # store check is one set lookup, and a data page lying between
+        # two code ranges is not watched.  The set is updated in place:
+        # compiled traces bind it once and test literal page numbers.
+        self._watch_pages: set[int] = set()
         self._watch_ranges: list[tuple[int, int]] = []
         self._watch_cb = None
 
@@ -60,13 +61,16 @@ class Memory:
         instructions and traces.  Pass ``callback=None`` to clear."""
         self._watch_ranges = [(lo, hi) for lo, hi in ranges]
         self._watch_cb = callback if self._watch_ranges else None
+        pages = self._watch_pages
+        pages.clear()
         if self._watch_cb is not None:
-            self._watch_lo = min(lo for lo, _ in self._watch_ranges)
-            self._watch_hi = max(hi for _, hi in self._watch_ranges)
-        else:
-            self._watch_lo = self._watch_hi = 0
+            for lo, hi in self._watch_ranges:
+                pages.update(range(lo >> PAGE_BITS,
+                                   ((hi - 1) >> PAGE_BITS) + 1))
 
     def _notify_write(self, addr: int, n: int) -> None:
+        """A write touched a watched page: fire the callback if it
+        overlaps a watched range (the page may hold data too)."""
         end = addr + n
         for lo, hi in self._watch_ranges:
             if addr < hi and end > lo:
@@ -176,14 +180,16 @@ class Memory:
         n = len(data)
         base = addr
         pos = 0
+        watched = False
         while pos < n:
             idx = addr >> PAGE_BITS
             off = addr & PAGE_MASK
             chunk = min(n - pos, PAGE_SIZE - off)
             self._page(idx, addr)[off:off + chunk] = data[pos:pos + chunk]
+            watched = watched or idx in self._watch_pages
             addr += chunk
             pos += chunk
-        if base < self._watch_hi and base + n > self._watch_lo:
+        if watched:
             self._notify_write(base, n)
 
     # -- integer access (little-endian) ----------------------------------
@@ -206,7 +212,7 @@ class Memory:
             page = self._cache_page if idx == self._cache_idx \
                 else self._page(idx, addr)
             page[off:off + size] = value.to_bytes(size, "little")
-            if addr < self._watch_hi and addr + size > self._watch_lo:
+            if idx in self._watch_pages:
                 self._notify_write(addr, size)
             return
         self.write_bytes(addr, value.to_bytes(size, "little"))

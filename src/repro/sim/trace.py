@@ -35,7 +35,14 @@ registers live in Python **locals**, spilled to the architectural
 folds immediates and known-constant registers while emitting source
 (``li``/``lui``/``auipc`` chains become literals, ``jal`` makes the link
 register a known constant so the matching ``jalr`` return is followed
-statically).
+statically).  Loaded and stored values are forwarded to later loads of
+the same address.  Stores kill forwarded values by alias class: a
+constant-address store (an instrumentation counter) keeps the values
+addressed through a base register the loop never writes, such as the
+stack slots under ``sp``, and a store through such a register keeps the
+constant-address ones.  An entry guard checks, once per entry, that
+those registers' accesses miss the constant addresses; when it fails,
+the head is recompiled with no such assumption.
 
 Indirect jumps (``jalr``) that end a trace are **guard-specialised**:
 the generated code remembers the first observed target and chains
@@ -51,7 +58,9 @@ must never execute stale bytes:
 * every write overlapping an executable range (self-modifying stores,
   ``Machine.write_mem`` from the patcher/ProcControl, breakpoint
   insertion) reaches :meth:`TraceCache.invalidate_range` through the
-  :class:`~repro.sim.memory.Memory` write watch;
+  :class:`~repro.sim.memory.Memory` write watch; generated stores test
+  the watch's page set, which ``add_exec_range`` updates in place, so a
+  resident trace sees code ranges added after it compiled;
 * invalidation drops every trace any of whose instruction **spans**
   overlap the written bytes (with the same 3-byte pre-slack as the
   per-pc icache: a patched instruction may start up to 3 bytes before
@@ -139,7 +148,7 @@ def _base_ns(cache: "TraceCache") -> dict:
     emitters."""
     m = cache.m
     return {
-        "m": m, "x": m.x, "fr": m.f, "W": m.mem,
+        "m": m, "x": m.x, "fr": m.f, "WP": m.mem._watch_pages,
         "ri": m.mem.read_int, "si": m.mem.write_int,
         "PG": m.mem._pages.get, "FB": int.from_bytes,
         "sx": sx, "L": cache._link, "MT": cache._promote,
@@ -213,6 +222,9 @@ class TraceCache:
         #: early exits from compiled traces forced by invalidation
         #: (code_dirty after a store)
         self.deopt_count = [0]
+        #: megatrace entries whose alias guard failed (each one replaced
+        #: the trace with a conservative recompile of its head)
+        self.alias_guard_misses = 0
 
     # -- management ------------------------------------------------------
 
@@ -317,6 +329,15 @@ class TraceCache:
         if built is None:
             self._no_mega.add(head)
             return self._link(cells, idx, head)
+        tr = self._install_mega(head, built)
+        cells[idx] = tr.fn
+        tr.backrefs.append((cells, idx))
+        self.links += 1
+        return tr.fn
+
+    def _install_mega(self, head: int, built) -> Trace:
+        """Register the megatrace ``(fn, spans)`` at *head*, replacing
+        whatever trace is bound there."""
         fn, spans = built
         old = self._traces.get(head)
         if old is not None:
@@ -324,10 +345,26 @@ class TraceCache:
         tr = Trace(head, fn, spans, kind="mega")
         self._register(tr)
         self.mega_compiles += 1
-        cells[idx] = fn
-        tr.backrefs.append((cells, idx))
-        self.links += 1
-        return fn
+        return tr
+
+    def _alias_miss(self, head: int):
+        """Entry guard of the megatrace at *head* failed: a base
+        register it assumed disjoint addresses one of its constant
+        addresses.  Called from the megatrace prologue with ``m.pc ==
+        head`` and no state touched.  Replaces the trace with one
+        compiled under no assumption and returns it to run instead.
+        When that compile fails the head is unbound and marked
+        ``_no_mega``, and ``None`` hands it back to the dispatch loop
+        (never the failing trace, which would re-enter forever)."""
+        self.alias_guard_misses += 1
+        built = self._compile_mega(head, assume=False)
+        if built is None:
+            old = self._traces.get(head)
+            if old is not None:
+                self._drop(old)
+            self._no_mega.add(head)
+            return None
+        return self._install_mega(head, built).fn
 
     def _jalr_miss(self, G: list, cells: list, idx: int, t: int):
         """Inline-cache miss on a guarded jalr exit.  First observation
@@ -435,22 +472,41 @@ class TraceCache:
                 return
         emit.exit_chain(pc)
 
-    def _compile_mega(self, head: int):
+    def _compile_mega(self, head: int, assume: bool = True):
         """Build the megatrace rooted at loop head *head*.
 
-        The loop is compiled as two stitched bodies: a straight-line
-        **warmup** pass for the first iteration, then a steady-state
-        ``while True:`` body spliced in at every point the warmup
-        returns to the head.  The steady-state body is emitted with the
-        warmup's surviving constants and forwarded memory values as
-        seeds, so loop-invariant stack slots load once per loop *entry*
-        instead of once per iteration; a fixpoint drops any seed that
-        is invalidated inside the steady-state body (stores,
-        base-register writes) or that fails to re-establish itself by
-        the back edge — either would be stale on the next iteration.
+        With *assume*, every base register starts out assumed to
+        address memory disjoint from the trace's constant addresses
+        (see :meth:`_MegaEmitter._store_invalidate`).  A base the
+        finished trace writes cannot be checked once at entry, so the
+        trace is re-emitted without the registers it writes whenever
+        it relied on one of them.
 
         Returns ``(fn, spans)`` or ``None``."""
-        emit = _MegaEmitter(self, head)
+        assumed = frozenset(range(1, 32)) if assume else frozenset()
+        while True:
+            emit = self._emit_mega(head, assumed)
+            if emit is None:
+                return None
+            if not emit.relied & emit.written:
+                return emit.build_result()
+            assumed -= emit.written
+
+    def _emit_mega(self, head: int, assumed: frozenset):
+        """Emit the loop rooted at *head* as two stitched bodies: a
+        straight-line **warmup** pass for the first iteration, then a
+        steady-state ``while True:`` body spliced in at every point the
+        warmup returns to the head.  The steady-state body is emitted
+        with the warmup's surviving constants and forwarded memory
+        values as seeds, so loop-invariant stack slots load once per
+        loop *entry* instead of once per iteration; a fixpoint drops
+        any seed that is invalidated inside the steady-state body
+        (stores, base-register writes) or that fails to re-establish
+        itself by the back edge — either would be stale on the next
+        iteration.
+
+        Returns the finished emitter, or ``None`` for an empty trace."""
+        emit = _MegaEmitter(self, head, assumed)
         self._walk(emit, head)
         if emit.count == 0:
             return None
@@ -475,7 +531,7 @@ class TraceCache:
                 seed_fp_mem = {k: r for k, r in seed_fp_mem.items()
                                if k not in emit.killed_fp_mem
                                and r not in emit.killed_fp}
-        return emit.build_result()
+        return emit
 
 
 class _Emitter:
@@ -771,7 +827,8 @@ class _MegaEmitter:
     integer registers cached in Python locals and immediates
     constant-folded at emission time."""
 
-    def __init__(self, cache: TraceCache, entry: int):
+    def __init__(self, cache: TraceCache, entry: int,
+                 assumed: frozenset = frozenset()):
         self.cache = cache
         self.m = cache.m
         self.entry = entry
@@ -780,6 +837,20 @@ class _MegaEmitter:
         self.count = 0
         self.cost = 0
         self.cells = 0
+        #: base registers assumed to address memory disjoint from every
+        #: constant address the trace accesses (the alias classes of
+        #: :meth:`_store_invalidate`)
+        self.assumed = assumed
+        #: forwarding key -> assumed bases a store was let past its
+        #: entry under
+        self.kept: dict[tuple, set[int]] = {}
+        #: assumed bases whose kept entries were read or carried over a
+        #: back edge; the entry guard checks each one
+        self.relied: set[int] = set()
+        #: base register -> [lo, hi) offsets of its accesses
+        self.extents: dict[int, list[int]] = {}
+        #: [lo, hi) hull of the constant-address accesses
+        self.hull: list[int] | None = None
         self.sync_pc = [entry]
         self.sync_cost = [0]
         self.sync_count = [0]
@@ -1053,6 +1124,9 @@ class _MegaEmitter:
         be stale on the next iteration, so it is reported back to the
         driver's fixpoint and the body is re-emitted without it."""
         self.closed = True
+        # forwarded values surviving here may seed the next iteration
+        for k in (*self.mem_known, *self.fp_mem):
+            self._rely(k)
         fid = len(self.fpsync_sites)
         self.fpsync_sites[fid] = self._fp_dirty_snap()
         self.lines.append(f"{indent}\x00FPSYNC:{fid}")
@@ -1121,6 +1195,7 @@ class _MegaEmitter:
         self.fp_dirty = {r for r, d in seed_fp.items() if d}
         self.fp_bits = {}
         self.fp_mem = dict(seed_fp_mem)
+        self.kept = {}
         self.seed_consts = dict(seed_consts)
         self.seed_mem = dict(seed_mem)
         self.seed_fp = dict(seed_fp)
@@ -1312,6 +1387,7 @@ class _MegaEmitter:
             if fsrc is not None and fsrc in self.fp_float:
                 # the slot's float is already live in a local: the
                 # reload is at most a local-to-local copy
+                self._rely(key)
                 if fsrc != rd:
                     self._fp_kill_g(rd)
                     self.lines.append(f"g{rd} = g{fsrc}")
@@ -1389,11 +1465,20 @@ class _MegaEmitter:
     def _mem_key(self, rs1: int, imm: int, size: int) -> tuple:
         """Forwarding key for access (*rs1* + *imm*, *size*): absolute
         for constant bases, else relative to the (current value of the)
-        base register."""
+        base register.  Widens the constant hull or the base's offset
+        extent to cover the access (the entry guard's bounds)."""
         c = self.const_of(rs1)
         if c is not None:
-            return (None, (c + imm) & _MASK64, size)
-        return (rs1, imm, size)
+            base, lo = None, (c + imm) & _MASK64
+            ext = self.hull
+            if ext is None:
+                ext = self.hull = [lo, lo + size]
+        else:
+            base, lo = rs1, imm
+            ext = self.extents.setdefault(rs1, [lo, lo + size])
+        ext[0] = min(ext[0], lo)
+        ext[1] = max(ext[1], lo + size)
+        return (base, lo, size)
 
     def _stable(self, key: tuple) -> str:
         """Value-local name for access *key*, stable across emission
@@ -1416,6 +1501,7 @@ class _MegaEmitter:
         key = self._mem_key(rs1, imm, size)
         hit = self.mem_known.get(key)
         if hit is not None:
+            self._rely(key)
             return hit
         v = self._stable(key)
         self._fp_purge_name(v)
@@ -1448,16 +1534,40 @@ class _MegaEmitter:
         return v
 
     def _store_invalidate(self, key: tuple) -> None:
-        """A store to *key* kills forwarded values it may alias: every
-        entry with a different base (aliasing unprovable), and same-
-        base entries whose byte ranges overlap."""
+        """A store to *key* kills the forwarded values it may alias.
+
+        Keys fall into alias classes: one per base register, plus the
+        constant addresses.  Within a class the byte ranges decide.  A
+        constant-address store keeps the entries of an assumed base
+        (see :attr:`assumed`), and a store through an assumed base
+        keeps the constant entries; either notes the base in
+        :attr:`kept`.  Once such an entry is read, or crosses a back
+        edge, the base joins :attr:`relied`, and the entry guard checks
+        at run time that the base's accesses miss the constant hull.
+        Every other pair of classes may alias, so the entry dies."""
         base, off, size = key
-        for k in list(self.mem_known):
-            if k[0] != base or (k[1] < off + size and off < k[1] + k[2]):
-                del self.mem_known[k]
-        for k in list(self.fp_mem):
-            if k[0] != base or (k[1] < off + size and off < k[1] + k[2]):
-                del self.fp_mem[k]
+        assumed = self.assumed
+        for table in (self.mem_known, self.fp_mem):
+            for k in list(table):
+                kb = k[0]
+                if kb == base:
+                    if k[1] < off + size and off < k[1] + k[2]:
+                        del table[k]
+                    continue
+                # a constant key against a register key survives when
+                # that register is assumed (x0 never is)
+                r = base if kb is None else kb if base is None else 0
+                if r in assumed:
+                    self.kept.setdefault(k, set()).add(r)
+                else:
+                    del table[k]
+
+    def _rely(self, key: tuple) -> None:
+        """A forwarded value for *key* is used: the stores let past it
+        must miss it at run time."""
+        bases = self.kept.get(key)
+        if bases:
+            self.relied |= bases
 
     def _emit_store(self, pc: int, size: int, f: dict, instr) -> None:
         mn = instr.mnemonic
@@ -1507,34 +1617,33 @@ class _MegaEmitter:
                                  f".to_bytes({size}, 'little')")
         self._cover(pc, instr.length)
         self._mark(pc)
+        # fast path: a direct page write unless the page is watched
+        # (it holds code: the write watch must see the store) or the
+        # store leaves the page, which write_int handles
         c1 = self.const_of(f["rs1"])
         if c1 is not None:
             addr = (c1 + imm) & _MASK64
             off = addr & 4095
-            a, o = f"{addr:#x}", str(off)
-            cross = off > 4096 - size
-            if not cross:
-                self.lines.append(f"pg = PG({addr >> 12:#x})")
+            if off > 4096 - size:
+                self.lines.append(f"si({addr:#x}, {size}, {val_int})")
+            else:
+                page = f"{addr >> 12:#x}"
+                self.lines += [
+                    f"pg = PG({page})",
+                    f"if pg is None or {page} in WP:",
+                    f"    si({addr:#x}, {size}, {val_int})",
+                    "else:",
+                    f"    pg[{off}:{off + size}] = {val_bytes}",
+                ]
         else:
-            self.lines.append(f"a = {self._addr_expr(f['rs1'], imm)}")
-            self.lines.append("pg = PG(a >> 12)")
-            self.lines.append("o = a & 4095")
-            a, o = "a", "o"
-            cross = False
-        if cross:
-            self.lines.append(f"si({a}, {size}, {val_int})")
-        else:
-            # fast path: direct page write outside the watched code
-            # ranges; anything near code (or off-page) goes through
-            # write_int so the write watch can invalidate traces
             self.lines += [
-                f"if pg is None or {o} > {4096 - size} or "
-                f"({a} < W._watch_hi and {a} + {size} > W._watch_lo):",
-                f"    si({a}, {size}, {val_int})",
+                f"a = {self._addr_expr(f['rs1'], imm)}",
+                "pg = PG(a >> 12)",
+                "o = a & 4095",
+                f"if pg is None or o > {4096 - size} or a >> 12 in WP:",
+                f"    si(a, {size}, {val_int})",
                 "else:",
-                f"    pg[{o}:{o} + {size}] = {val_bytes}"
-                if c1 is None else
-                f"    pg[{off}:{off + size}] = {val_bytes}",
+                f"    pg[o:o + {size}] = {val_bytes}",
             ]
         self._charge(mn, instr)
         self._store_invalidate(skey)
@@ -1634,6 +1743,30 @@ class _MegaEmitter:
             out.append(line)
         return out
 
+    def _alias_guard(self) -> list[str]:
+        """Prologue lines that leave through ``AG`` unless every relied
+        base's accesses ``[r+lo, r+hi)`` neither wrap around the address
+        space nor meet the constant hull.  The trace never writes a
+        relied base, so checking its entry value covers every
+        iteration."""
+        if not self.relied:
+            return []
+        self.ns["AG"] = self.cache._alias_miss
+        clo, chi = self.hull
+        lines = []
+        for r in sorted(self.relied):
+            lo, hi = self.extents[r]
+            rlo = f"r{r} + {lo}" if lo >= 0 else f"r{r} - {-lo}"
+            rhi = f"r{r} + {hi}" if hi >= 0 else f"r{r} - {-hi}"
+            fail = [f"({rhi} > {clo:#x} and {rlo} < {chi:#x})"]
+            if lo < 0:
+                fail.insert(0, f"{rlo} < 0")
+            if hi > 0:
+                fail.insert(0, f"{rhi} > {_MASK64 + 1:#x}")
+            lines += [f"if {' or '.join(fail)}:",
+                      f"    return AG({self.entry:#x})"]
+        return lines
+
     def build_result(self):
         ns = self.ns
         ns["S"] = [None] * self.cells
@@ -1663,8 +1796,9 @@ class _MegaEmitter:
         has_fpp = any(self.sync_fp)
         if has_fpp:
             ns["FPP"] = tuple(self.sync_fp)
-        loads = [f"r{r} = x[{r}]"
-                 for r in sorted((self.localized | self.written) - {0})]
+        loads = [f"r{r} = x[{r}]" for r in sorted(
+            (self.localized | self.written | self.relied) - {0})]
+        loads += self._alias_guard()
         spill = [f"x[{r}] = r{r}" for r in written]
         body = "\n        ".join(body_lines) or "pass"
         prologue = "\n    ".join(loads)

@@ -12,7 +12,11 @@ Simulator checks, in order:
 
 * the headline ``speedup`` (megatrace tier over the closure
   interpreter) is at or above ``--floor``;
-* the superblock tier is at or above ``--superblock-floor``.
+* the superblock tier is at or above ``--superblock-floor``;
+* megatraces run the instrumented matmul (a counter at every block of
+  ``multiply``) at least :data:`INSTRUMENTED_FLOOR` times as fast as
+  the plain one (``instrumented_over_plain``; both rows run in one
+  process, taking turns, so host speed cancels out of the ratio).
 
 Artifact-store / service checks:
 
@@ -44,6 +48,10 @@ from pathlib import Path
 MEGATRACE_FLOOR = 3.0
 SUPERBLOCK_FLOOR = 1.6
 
+#: instrumented over plain megatrace throughput: instrumentation must
+#: not take the JIT's forwarding of stack slots away
+INSTRUMENTED_FLOOR = 0.9
+
 #: warm analyze() must beat cold by this much (ISSUE 7 acceptance bar;
 #: the revive path does no parsing, so this holds even on noisy hosts)
 WARM_ANALYZE_FLOOR = 3.0
@@ -66,6 +74,14 @@ def check(bench: dict, floor: float = MEGATRACE_FLOOR,
     if isinstance(sb, (int, float)) and sb < superblock_floor:
         bad.append(f"superblock speedup {sb:.2f}x below the "
                    f"{superblock_floor:.2f}x floor")
+    ratio = bench.get("instrumented_over_plain")
+    if not isinstance(ratio, (int, float)):
+        bad.append("no usable 'instrumented_over_plain' key in "
+                   f"snapshot: {ratio!r}")
+    elif ratio < INSTRUMENTED_FLOOR:
+        bad.append(f"megatraces run instrumented code at {ratio:.2f}x "
+                   f"the plain throughput, below the "
+                   f"{INSTRUMENTED_FLOOR:.2f}x floor")
     return bad
 
 
@@ -140,6 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name:<14} {t.get('instr_per_sec', 0) / 1e6:8.2f} "
               f"Minstr/s  {speed:5.2f}x  "
               f"(spread {t.get('run_to_run_spread', 0):.1%})")
+    print(f"  instrumented megatrace / plain: "
+          f"{bench.get('instrumented_over_plain', 0):.2f}")
 
     print(f"bench_guard: {service.get('benchmark', '?')} "
           f"(cold {service.get('analyze_cold_s', 0):.4f}s, warm "
@@ -154,7 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench_guard: FAIL: {msg}", file=sys.stderr)
     if not bad:
         print(f"bench_guard: OK (megatrace {bench['speedup']:.2f}x >= "
-              f"{args.floor:.2f}x floor; warm analyze "
+              f"{args.floor:.2f}x floor; instrumented/plain "
+              f"{bench['instrumented_over_plain']:.2f} >= "
+              f"{INSTRUMENTED_FLOOR:.2f}; warm analyze "
               f"{service['warm_speedup']:.2f}x >= "
               f"{args.warm_floor:.2f}x floor)")
     return 1 if bad else 0

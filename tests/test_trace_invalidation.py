@@ -18,6 +18,7 @@ from repro.proccontrol import EventType, Process
 from repro.riscv import assemble
 from repro.riscv.encoder import encode
 from repro.sim import Machine, P550, StopReason
+from repro.sim.memory import Memory
 from repro.sim.trace import HOT_THRESHOLD
 
 MODES = [pytest.param(True, id="traced"),
@@ -631,3 +632,211 @@ skip:
         traced, interp = streams
         assert traced and {e[0] for e in traced} == {BLOCK}
         assert traced == interp
+
+
+class TestPageWatch:
+    """The write watch is page-granular: a store reaches
+    ``Memory._notify_write`` only when it touches a page holding part
+    of an exec range, and ``_notify_write`` then checks the exact
+    ranges.  The watched-page set is updated in place, so traces that
+    bound it see ranges added after they compiled."""
+
+    @staticmethod
+    def _count_watch(monkeypatch, m):
+        """(``_notify_write`` calls, watch-callback calls) from now on."""
+        notified, fired = [], []
+        notify = Memory._notify_write
+
+        def counting_notify(self, addr, n):
+            notified.append(addr)
+            notify(self, addr, n)
+
+        def counting_cb(addr, n):
+            fired.append(addr)
+            m._code_written(addr, n)
+
+        monkeypatch.setattr(Memory, "_notify_write", counting_notify)
+        m.mem._watch_cb = counting_cb
+        return notified, fired
+
+    def test_pages_of_each_range(self):
+        mem = Memory()
+        pages = mem._watch_pages
+        mem.set_write_watch([(0x10ff8, 0x11008), (0x30000, 0x30001)],
+                            lambda a, n: None)
+        assert mem._watch_pages is pages
+        assert pages == {0x10, 0x11, 0x30}
+        mem.set_write_watch([], None)
+        assert mem._watch_pages is pages and not pages
+
+    def test_write_bytes_checks_every_page_it_touches(self):
+        mem = Memory()
+        mem.map_region(0x1000, 0x3000)
+        fired = []
+        mem.set_write_watch([(0x3000, 0x3010)],
+                            lambda a, n: fired.append((a, n)))
+        mem.write_bytes(0x2ffc, bytes(8))  # data page into the code page
+        mem.write_bytes(0x2000, bytes(8))  # data page only
+        mem.write_int(0x3ff8, 8, 1)  # code page, outside the range
+        assert fired == [(0x2ffc, 8)]
+
+    def _hot_store_prog(self, store_to: str):
+        return assemble(f"""
+_start:
+  li t0, 0
+  li a0, 0
+loop:
+  la t1, {store_to}
+  sd t0, 0(t1)
+  add a0, a0, t0
+  addi t0, t0, 1
+  li t2, {3 * HOT_THRESHOLD}
+  blt t0, t2, loop
+  li a7, 93
+  ecall
+.data
+slot:
+  .dword 0
+""")
+
+    def test_data_store_between_exec_ranges(self, monkeypatch):
+        """A hot loop stores into ``.data``, which lies between the
+        text and a patch area: no notification, no invalidation."""
+        prog = self._hot_store_prog("slot")
+        patch_area = (0x40000, 0x40100)
+        runs = []
+        for tc in (True, False):
+            m = _machine(prog, tc)
+            m.add_exec_range(*patch_area)
+            data_page = prog.symbol("slot").address >> 12
+            text_page = prog.symbol("_start").address >> 12
+            assert text_page < data_page < patch_area[0] >> 12
+            notified, fired = self._count_watch(monkeypatch, m)
+            assert m.run().reason is StopReason.EXITED
+            assert not notified and not fired
+            assert m.traces.invalidations == 0
+            if tc:
+                assert m.traces.mega_compiles > 0
+            runs.append(TestTierPolicy._state(m))
+        assert runs[0] == runs[1]
+
+    def test_store_to_code_page_outside_every_range(self, monkeypatch):
+        """The store lands on the text page, past the end of the text:
+        it reaches ``_notify_write``, which finds no range and
+        invalidates nothing."""
+        prog = self._hot_store_prog("_start + 0x800")
+        text_end = prog.text_base + len(prog.text)
+        assert text_end <= prog.text_base + 0x800
+        runs = []
+        for tc in (True, False):
+            m = _machine(prog, tc)
+            notified, fired = self._count_watch(monkeypatch, m)
+            assert m.run().reason is StopReason.EXITED
+            assert len(notified) == 3 * HOT_THRESHOLD
+            assert not fired
+            assert m.traces.invalidations == 0
+            if tc:
+                assert m.traces.mega_compiles > 0
+            runs.append(TestTierPolicy._state(m))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("trace_compile", MODES)
+    def test_exec_range_added_under_a_resident_megatrace(self,
+                                                         trace_compile):
+        """The loop stores an instruction word into ``dcode`` by
+        constant address and is a resident megatrace when the run
+        stops between passes; ``dcode`` then becomes code.  The next
+        pass's first store, made by that megatrace, must invalidate the
+        code compiled from ``dcode``, so the call after the loop runs
+        the new instruction.  At the default threshold the outer loop
+        (two passes) never compiles a megatrace of its own, which would
+        bind the watched pages after the range was added."""
+        add1 = _addi_a0(1)
+        add100 = _addi_a0(100)
+        ret = encode("jalr", rd=0, rs1=1, imm=0)
+        prog = assemble(f"""
+_start:
+  li a0, 0
+  li s1, 0
+outer:
+  li s2, {add1:#x}
+  beqz s1, go
+  li s2, {add100:#x}
+go:
+  li t0, 0
+  j loop
+loop:
+  la t3, dcode
+  sw s2, 0(t3)
+  addi t0, t0, 1
+  li t4, {3 * HOT_THRESHOLD}
+  blt t0, t4, loop
+  la t5, dcode
+  jalr ra, 0(t5)
+  call between
+  addi s1, s1, 1
+  li t5, 2
+  blt s1, t5, outer
+  li a7, 93
+  ecall
+between:
+  nop
+  ret
+.data
+dcode:
+  .word {add1:#x}
+  .word {ret:#x}
+""")
+        states = []
+        for tc in (trace_compile, False):
+            m = Machine(P550, trace_compile=tc)
+            m.load_program(prog)
+            proc = Process.attach(m)
+            between = prog.symbol("between").address
+            proc.insert_breakpoint(between)
+            ev = proc.continue_to_event()
+            assert ev.type is EventType.STOPPED_BREAKPOINT
+            assert m.x[10] == 1
+            loop = prog.symbol("loop").address
+            if tc:
+                assert m.traces._traces[loop].kind == "mega"
+            invalidations = m.traces.invalidations
+            dcode = prog.symbol("dcode").address
+            m.add_exec_range(dcode, dcode + 8)
+            proc.remove_breakpoint(between)
+            ev = proc.continue_to_event()
+            assert ev.type is EventType.EXITED
+            assert ev.exit_code == 101
+            if tc:
+                assert m.traces.invalidations > invalidations
+                assert m.traces.deopt_count[0] > 0
+                assert m.traces._traces.get(prog.symbol("outer")
+                                            .address) is None
+            states.append(TestTierPolicy._state(m))
+        assert states[0] == states[1]
+
+    def test_rollback_restores_watched_pages(self):
+        """A commit that fails after adding its trampoline range rolls
+        the watched-page set back with ``exec_ranges``, in place."""
+        from repro import faults
+        from repro.faults import FaultPlan, InjectedFault
+
+        b = open_binary(compile_source(fib_source(5)))
+        c = b.allocate_variable("calls")
+        b.insert(b.points("fib", PointType.FUNC_ENTRY), IncrementVar(c))
+        result = b.commit()
+        tramp = result.trampoline_base >> 12
+
+        m = Machine(P550)
+        b.symtab.load_into(m)
+        pages = m.mem._watch_pages
+        before = set(pages)
+        assert tramp not in before
+        with faults.active(FaultPlan(site="patch.txn.traps")):
+            with pytest.raises(InjectedFault):
+                result.apply_to_machine(m)
+        assert m.mem._watch_pages is pages
+        assert pages == before
+
+        result.apply_to_machine(m)
+        assert tramp in pages
