@@ -2,8 +2,9 @@
 
 The simulator's three execution tiers take an integer instruction's
 meaning from here instead of writing it by hand: the closure
-interpreter compiles one factory per mnemonic, and the superblock and
-megatrace emitters inline the lowered expressions into their traces.
+interpreter compiles one factory per mnemonic, and the trace emitter
+inlines the lowered expressions into both compiled tiers, superblocks
+and megatraces.
 
 :class:`Lowering` walks one instruction's :class:`~repro.semantics.ir.
 Semantics` and renders each expression as a :class:`Val`: Python source

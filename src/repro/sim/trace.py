@@ -6,37 +6,42 @@ its dispatch count.  Most of an instrumented whole binary executes only
 a few times, and building a closure is far cheaper than compiling a
 trace, so nothing is compiled until the code proves hot.
 
+One emitter, :class:`_TraceEmitter`, generates the code of both
+compiled tiers; :meth:`TraceCache._walk` drives it along the path.  It
+inlines each instruction the SAIL IR covers as the source
+:mod:`repro.semantics.lower` renders, plus the hot F/D forms (no
+per-instruction call at all), calling the executor's F/D bodies for the
+rest.  Integer registers live in Python **locals**, spilled to the
+architectural ``x`` list only at exits, body calls and faults; the
+lowering folds immediates and registers known constant while emitting
+source (``li``/``lui``/``auipc`` chains become literals).  Loaded and
+stored values are forwarded to later loads of the same address, and a
+store to an unwatched page writes the page directly.
+
 Tier 1 — superblocks.  Once a pc has been dispatched
 :data:`HOT_THRESHOLD` times, the straight-line run of instructions
-starting there (ended by a branch/jump, or by anything that needs exact
-per-instruction machine state — ecall/ebreak/fences/CSR reads/atomics)
-is compiled into a single Python function that
+starting there — ended just after a branch or jump, after
+:data:`MAX_BLOCK` instructions, or just before anything that needs
+exact per-instruction machine state (ecall/ebreak/fences/CSR
+reads/atomics) — is compiled by the emitter's non-looping mode into a
+single Python function that
 
 * executes the whole block with machine state bound to locals,
-* inlines each instruction the SAIL IR covers as the source
-  :mod:`repro.semantics.lower` renders, plus the hot F/D forms (no
-  per-instruction call at all), calling the executor's F/D bodies for
-  the rest,
-* charges timing as **one batched ucycle charge** per block
-  (:meth:`TimingModel.block_ucycles`) and bumps ``instret`` once,
+* charges timing as **one batched ucycle charge** per exit and bumps
+  ``instret`` once,
 * **chains** directly to the successor trace when the (static) branch
   target has already been compiled, skipping even the per-block cache
   lookup.
 
-Tier 2 — megatraces.  A superblock's backward branch/jal exits carry a
-per-edge hot counter; when an edge fires :data:`HOT_THRESHOLD` times the
-cache promotes the loop head into a **megatrace**: the loop body (following
-fallthrough past forward branches, through direct calls, and through
-returns whose target constant-folds) is compiled into one Python
-function whose iterations run inside a ``while True:`` loop — they
-never return to the dispatch loop.  Within a megatrace the hot integer
-registers live in Python **locals**, spilled to the architectural
-``x`` list only at side exits, guards, deopts and faults; the lowering
-folds immediates and known-constant registers while emitting source
-(``li``/``lui``/``auipc`` chains become literals, ``jal`` makes the link
-register a known constant so the matching ``jalr`` return is followed
-statically).  Loaded and stored values are forwarded to later loads of
-the same address.  Stores kill forwarded values by alias class: a
+Tier 2 — megatraces.  A superblock's backward exits carry a hot
+counter; when it fires :data:`HOT_THRESHOLD` times the cache promotes
+the loop head into a **megatrace**: the emitter's looping mode follows
+the loop body (fallthrough past forward branches, direct calls, and
+returns whose target constant-folds: ``jal`` makes the link register a
+known constant) into one Python function whose iterations run inside a
+``while True:`` loop — they never return to the dispatch loop — with
+registers and forwarded memory values kept in locals across the back
+edge.  Stores kill forwarded values by alias class: a
 constant-address store (an instrumentation counter) keeps the values
 addressed through a base register the loop never writes, such as the
 stack slots under ``sp``, and a store through such a register keeps the
@@ -45,10 +50,10 @@ those registers' accesses miss the constant addresses; when it fails,
 the head is recompiled with no such assumption.
 
 Indirect jumps (``jalr``) that end a trace are **guard-specialised**:
-the generated code remembers the first observed target and chains
-straight to its compiled trace while the guard holds, deoptimising to
-the dispatch loop (and from there, if need be, the closure
-interpreter) on a miss.
+each such exit keeps its own inline cache, which remembers the first
+observed target and chains straight to its compiled trace while the
+guard holds, deoptimising to the dispatch loop (and from there, if need
+be, the closure interpreter) on a miss.
 
 Patch safety
 ------------
@@ -75,10 +80,11 @@ must never execute stale bytes:
   rewritten) tail is re-fetched through the cache.
 
 Traces keep architectural state exact at every *observable* boundary:
-block entry/exit, any store, and any faulting load/store (a per-block
-side table maps the fault site back to precise pc/ucycles/instret, and
-the generated exception handler spills register locals — which hold
-exactly the pre-fault architectural values — before re-raising).
+trace entry/exit, a store that rewrites code, and any faulting
+load/store (a per-trace side table maps the fault site back to precise
+pc/ucycles/instret and constant registers, and the generated exception
+handler spills register locals — which hold exactly the pre-fault
+architectural values — before re-raising).
 Single-stepping, watchpoint runs and bounded ``run(max_steps=...)``
 stay on the per-pc closure interpreter.  One exception to the tier-1
 hotness gate: while a block-granularity event observer is attached,
@@ -119,12 +125,9 @@ GUARD_REBIND = 64
 _M64 = "0xFFFFFFFFFFFFFFFF"
 _MASK64 = (1 << 64) - 1
 
-#: a read of x0
-_ZERO = const(0, "0")
-
 PAGE_BITS = 12
 
-#: spill placeholder in generated megatrace source, expanded at build
+#: spill placeholder in generated trace source, expanded at build
 #: time once the trace's full written-register set is known
 _SPILL = "\x00SPILL"
 
@@ -140,24 +143,6 @@ def _lower(emit, pc: int, instr):
     for name in lw.helpers:
         emit.ns.setdefault(name, HELPERS[name])
     return lw
-
-
-def _base_ns(cache: "TraceCache") -> dict:
-    """The namespace every generated trace function closes over (via
-    default arguments).  Shared by the superblock and megatrace
-    emitters."""
-    m = cache.m
-    return {
-        "m": m, "x": m.x, "fr": m.f, "WP": m.mem._watch_pages,
-        "ri": m.mem.read_int, "si": m.mem.write_int,
-        "PG": m.mem._pages.get, "FB": int.from_bytes,
-        "sx": sx, "L": cache._link, "MT": cache._promote,
-        "JM": cache._jalr_miss, "GH": cache.jalr_hits,
-        "D": cache.deopt_count,
-        "F64": fp.f64_from_bits, "B64": fp.bits_from_f64,
-        "F32": fp.f32_from_bits, "B32": fp.bits_from_f32,
-        "MF": MemoryFault, "SF": SimFault,
-    }
 
 
 class Trace:
@@ -183,7 +168,9 @@ class Trace:
 
 class TraceCache:
     """Tiered compiled-trace cache with range invalidation, chaining
-    and megatrace promotion."""
+    and megatrace promotion.  One :class:`_TraceEmitter` compiles both
+    tiers: :meth:`compile_at` runs it without looping (superblocks),
+    :meth:`_compile_mega` with looping (megatraces)."""
 
     def __init__(self, machine: "Machine", mega: bool = True):
         self.m = machine
@@ -394,13 +381,15 @@ class TraceCache:
         negative result is cached and invalidated like a real trace).
         """
         faults.site("sim.trace.compile")
+        emit = _TraceEmitter(self, pc, loop=False)
+        fn, spans = False, [(pc, pc + 4)]
         try:
-            fn, end = self._compile(pc)
+            self._walk(emit, pc)
+            if emit.count:
+                fn, spans = emit.build_result()
         except (DecodeError, MemoryFault):
-            fn = False
-        if fn is False:
-            end = pc + 4
-        self._register(Trace(pc, fn, [(pc, end)]))
+            pass
+        self._register(Trace(pc, fn, spans))
         if fn is not False:
             self.compiles += 1
         return fn
@@ -413,40 +402,17 @@ class TraceCache:
             raw = mem.read_bytes(pc, 2)  # page-end compressed instr
         return decode(raw, 0, pc)
 
-    def _compile(self, entry: int):
-        emit = _Emitter(self, entry)
-        pc = entry
-        for _ in range(MAX_BLOCK):
-            try:
-                instr = self._fetch(pc)
-            except (DecodeError, MemoryFault):
-                if emit.count == 0:
-                    return False, pc
-                emit.finish_cut(pc, chain=False)
-                return emit.build(), pc
-            lw = _lower(emit, pc, instr)
-            if lw is not None and lw.target is not None:
-                emit.emit_transfer(pc, instr, lw)
-                return emit.build(), pc + instr.length
-            if not emit.emit_straight(pc, instr, lw):
-                # untraceable (ecall/ebreak/fence/csr/amo/unknown)
-                if emit.count == 0:
-                    return False, pc
-                emit.finish_cut(pc, chain=False)
-                return emit.build(), pc
-            pc += instr.length
-        emit.finish_cut(pc, chain=True)
-        return emit.build(), pc
-
-    def _walk(self, emit: "_MegaEmitter", head: int) -> None:
-        """Drive one emission pass over the loop rooted at *head*:
-        follow the straight-line path (guarding forward branches,
+    def _walk(self, emit: "_TraceEmitter", head: int) -> None:
+        """Drive one emission pass from *head*.  A looping emitter
+        follows the straight-line path (guarding forward branches,
         following direct calls and constant-folded returns) until the
-        path returns to *head*, leaves through an exit, or hits a
-        limit (chained exit)."""
+        path returns to *head*, leaves through an exit, or hits
+        :data:`MAX_MEGA` (chained exit).  A non-looping one ends at its
+        first control transfer or after :data:`MAX_BLOCK` instructions.
+        Either stops before an instruction it cannot trace."""
         pc = head
         visited: set[int] = set()
-        budget = MAX_MEGA - emit.count
+        budget = (MAX_MEGA if emit.loop else MAX_BLOCK) - emit.count
         for _ in range(max(budget, 1)):
             if pc == head and emit.count:
                 emit.close_loop()
@@ -477,7 +443,7 @@ class TraceCache:
 
         With *assume*, every base register starts out assumed to
         address memory disjoint from the trace's constant addresses
-        (see :meth:`_MegaEmitter._store_invalidate`).  A base the
+        (see :meth:`_TraceEmitter._store_invalidate`).  A base the
         finished trace writes cannot be checked once at entry, so the
         trace is re-emitted without the registers it writes whenever
         it relied on one of them.
@@ -506,7 +472,7 @@ class TraceCache:
         iteration.
 
         Returns the finished emitter, or ``None`` for an empty trace."""
-        emit = _MegaEmitter(self, head, assumed)
+        emit = _TraceEmitter(self, head, assumed)
         self._walk(emit, head)
         if emit.count == 0:
             return None
@@ -534,306 +500,49 @@ class TraceCache:
         return emit
 
 
-class _Emitter:
-    """Generates the Python source of one superblock function."""
+class _TraceEmitter:
+    """Generates the Python source of one compiled trace, with the
+    referenced integer registers cached in Python locals and immediates
+    constant-folded at emission time.
 
-    def __init__(self, cache: TraceCache, entry: int):
+    With *loop* (a megatrace) the path rooted at a loop head becomes a
+    ``while True:`` loop.  Without it (a superblock, see
+    :meth:`TraceCache.compile_at`) every control transfer ends the
+    trace, and a backward exit counts towards promoting its target to
+    a megatrace."""
+
+    def __init__(self, cache: TraceCache, entry: int,
+                 assumed: frozenset = frozenset(), loop: bool = True):
         self.cache = cache
-        self.m = cache.m
+        m = self.m = cache.m
         self.entry = entry
+        self.loop = loop
+        #: backward exits carry the hot counter (superblocks only, and
+        #: not under a block observer, which keeps megatraces off)
+        self.promote = not loop and cache.mega_enabled and \
+            not m._trace_events
         self.lines: list[str] = []
-        # namespace bound into the function via default arguments
-        self.ns = _base_ns(cache)
-        self.count = 0
-        self.cost = 0
-        self.cells = 0
-        self.has_hot = False
-        # fault side table: ip -> (pc, ucycles-before, instret-before)
-        self.sync_pc = [entry]
-        self.sync_cost = [0]
-        self.sync_count = [0]
-        self._tmp = 0
+        #: namespace the generated function closes over (via default
+        #: arguments)
+        self.ns = {
+            "m": m, "x": m.x, "fr": m.f, "WP": m.mem._watch_pages,
+            "ri": m.mem.read_int, "si": m.mem.write_int,
+            "PG": m.mem._pages.get, "FB": int.from_bytes,
+            "sx": sx, "L": cache._link, "MT": cache._promote,
+            "JM": cache._jalr_miss, "GH": cache.jalr_hits,
+            "D": cache.deopt_count,
+            "F64": fp.f64_from_bits, "B64": fp.bits_from_f64,
+            "F32": fp.f32_from_bits, "B32": fp.bits_from_f32,
+            "MF": MemoryFault, "SF": SimFault,
+        }
         # block-granularity observation: compile one block-enter emit
         # into the trace prologue.  _rebuild_emit flushes the cache
         # whenever this mode (or the emit fan-out) changes, so binding
         # the current emit callable at compile time is safe.
-        m = self.m
         if m._trace_events and m._emit is not None:
             self.ns["EV"] = m._emit
             self.lines.append(
                 f"EV((5, {entry:#x}, 0, m.instret, m.ucycles))")
-
-    # -- helpers ---------------------------------------------------------
-
-    def _bind_body(self, body) -> str:
-        name = f"b{self.count}"
-        self.ns[name] = body
-        return name
-
-    def _mark(self, pc: int) -> None:
-        """Record a sync point for a possibly-faulting statement."""
-        ip = len(self.sync_pc)
-        self.sync_pc.append(pc)
-        self.sync_cost.append(self.cost)
-        self.sync_count.append(self.count)
-        self.lines.append(f"ip = {ip}")
-
-    def _charge(self, mn: str, instr) -> None:
-        self.cost += self.m.timing.ucycles(
-            category_of(mn, instr.spec.match & 0x7F))
-        self.count += 1
-
-    def _bookkeep(self) -> None:
-        self.lines.append(f"m.ucycles += {self.cost}")
-        self.lines.append(f"m.instret += {self.count}")
-
-    def _chain_cell(self) -> int:
-        k = self.cells
-        self.cells += 1
-        return k
-
-    def _chain_return(self, target: int) -> None:
-        k = self._chain_cell()
-        self.lines.append(f"t = S[{k}]")
-        self.lines.append("if t is None:")
-        self.lines.append(f"    t = L(S, {k}, {target:#x})")
-        self.lines.append("return t")
-
-    def _hot_chain_return(self, target: int, indent: str = "") -> None:
-        """Chain return over a backward edge: count executions and
-        promote the target to a megatrace once hot."""
-        if (not self.cache.mega_enabled or self.m._trace_events):
-            k = self._chain_cell()
-            self.lines.append(f"{indent}t = S[{k}]")
-            self.lines.append(f"{indent}if t is None:")
-            self.lines.append(f"{indent}    t = L(S, {k}, {target:#x})")
-            self.lines.append(f"{indent}return t")
-            return
-        if not self.has_hot:
-            self.has_hot = True
-            self.ns["C"] = [0]
-        k = self._chain_cell()
-        self.lines.append(f"{indent}C[0] += 1")
-        self.lines.append(
-            f"{indent}if C[0] >= {self.cache.hot_threshold}:")
-        self.lines.append(f"{indent}    C[0] = 0")
-        self.lines.append(f"{indent}    return MT(S, {k}, {target:#x})")
-        self.lines.append(f"{indent}t = S[{k}]")
-        self.lines.append(f"{indent}if t is None:")
-        self.lines.append(f"{indent}    t = L(S, {k}, {target:#x})")
-        self.lines.append(f"{indent}return t")
-
-    # -- lowering target --------------------------------------------------
-
-    def reg(self, n: int) -> Val:
-        return _ZERO if n == 0 else Val(f"x[{n}]")
-
-    def load(self, lw: Lowering, base: int, off: Val, size: int) -> Val:
-        addr = lw.value(lw.binop("add", self.reg(base), off))
-        v = self._temp()
-        self._mark(lw.pc)
-        self.lines += self._load_lines(v, addr.src, size)
-        return Val(v, bits=8 * size)
-
-    # -- straight-line instructions --------------------------------------
-
-    def emit_straight(self, pc: int, instr, lw) -> bool:
-        """Emit one non-control instruction (lowered as *lw* when the IR
-        covers it); False if untraceable."""
-        mn = instr.mnemonic
-        f = instr.fields
-        if lw is not None and lw.stores:
-            self._emit_store(pc, lw.stores[0].size, f, instr)
-            return True
-        if lw is not None:
-            self.lines += [f"x[{r}] = {lw.value(v).src}"
-                           for r, v in lw.writes]
-            self._charge(mn, instr)
-            return True
-        line = self._inline(pc, mn, f)
-        if line is not None:
-            self.lines += line if isinstance(line, list) else [line]
-            self._charge(mn, instr)
-            return True
-        if mn in ("fsw", "fsd"):
-            self._emit_store(pc, 4 if mn == "fsw" else 8, f, instr)
-            return True
-        body = build_body(self.m, pc, instr)
-        if body is None:
-            return False
-        self._mark(pc)
-        self.lines.append(f"{self._bind_body(body)}()")
-        self._charge(mn, instr)
-        return True
-
-    def _emit_store(self, pc: int, size: int, f: dict, instr) -> None:
-        src = "fr" if instr.mnemonic in ("fsw", "fsd") else "x"
-        addr = f"(x[{f['rs1']}] + {f['imm']}) & {_M64}"
-        self._mark(pc)
-        self.lines.append(f"si({addr}, {size}, {src}[{f['rs2']}])")
-        self._charge(instr.mnemonic, instr)
-        # patch safety: if this store invalidated any trace, sync state
-        # and leave the block — the tail is re-fetched through the cache.
-        self.lines.append("if m.code_dirty:")
-        self.lines.append("    m.code_dirty = False")
-        self.lines.append("    D[0] += 1")
-        self.lines.append(f"    m.pc = {pc + instr.length:#x}")
-        self.lines.append(f"    m.ucycles += {self.cost}")
-        self.lines.append(f"    m.instret += {self.count}")
-        self.lines.append("    return None")
-
-    def _inline(self, pc: int, mn: str, f: dict):
-        """Source line(s) for the hot F/D forms, else None."""
-        if mn in ("flw", "fld"):
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            addr = f"(x[{rs1}] + {imm}) & {_M64}"
-            size = 4 if mn == "flw" else 8
-            v = self._temp()
-            self._mark(pc)
-            lines = self._load_lines(v, addr, size)
-            if mn == "flw":
-                lines.append(f"fr[{rd}] = 0xFFFFFFFF00000000 | {v}")
-            else:
-                lines.append(f"fr[{rd}] = {v}")
-            return lines
-        parts = mn.split(".")
-        if len(parts) == 2 and parts[1] in ("s", "d"):
-            root, fmt = parts
-            G = "F32" if fmt == "s" else "F64"
-            B = "B32" if fmt == "s" else "B64"
-            if root in ("fadd", "fsub", "fmul"):
-                op = {"fadd": "+", "fsub": "-", "fmul": "*"}[root]
-                rd, a, b = f["rd"], f["rs1"], f["rs2"]
-                return f"fr[{rd}] = {B}({G}(fr[{a}]) {op} {G}(fr[{b}]))"
-            if root in FMA_SIGNS:
-                ps, qs = FMA_SIGNS[root]
-                rd, a, b, c = f["rd"], f["rs1"], f["rs2"], f["rs3"]
-                return (f"fr[{rd}] = {B}({ps} * ({G}(fr[{a}]) * "
-                        f"{G}(fr[{b}])) + {qs} * {G}(fr[{c}]))")
-        return None
-
-    def _temp(self) -> str:
-        self._tmp += 1
-        return f"v{self._tmp}"
-
-    def _load_lines(self, v: str, addr: str, size: int) -> list[str]:
-        """Memory read with the page-dict access inlined; falls back to
-        ``read_int`` off-page-fastpath (cross-page or unmapped — the
-        latter raises MemoryFault with ``ip`` already synced).  Reads
-        never touch the write watch, so inlining is invalidation-safe;
-        stores always go through ``write_int``."""
-        return [
-            f"a = {addr}",
-            "pg = PG(a >> 12)",
-            "o = a & 4095",
-            f"if pg is None or o > {4096 - size}:",
-            f"    {v} = ri(a, {size})",
-            "else:",
-            f"    {v} = FB(pg[o:o + {size}], 'little')",
-        ]
-
-    # -- terminators -----------------------------------------------------
-
-    def emit_transfer(self, pc: int, instr, lw: Lowering) -> None:
-        """End the block at a branch, or at a jump whose target is a
-        constant (chained) or computed (guarded)."""
-        fall = pc + instr.length
-        self._charge(instr.mnemonic, instr)
-        cond = lw.cond
-        target = lw.target
-        if cond is not None and cond.const is None:
-            taken = target.const
-            self._bookkeep()
-            self.lines.append(f"if {cond.src}:")
-            self.lines.append(f"    m.pc = {taken:#x}")
-            if taken <= pc:
-                # backward edge: candidate loop head, count towards
-                # megatrace promotion
-                self._hot_chain_return(taken, indent="    ")
-            else:
-                k = self._chain_cell()
-                self.lines.append(f"    t = S[{k}]")
-                self.lines.append("    if t is None:")
-                self.lines.append(f"        t = L(S, {k}, {taken:#x})")
-                self.lines.append("    return t")
-            self.lines.append(f"m.pc = {fall:#x}")
-            self._chain_return(fall)
-            return
-        if cond is not None and not cond.const:
-            target = const(fall)
-        if target.const is None:
-            self.lines.append(f"t = {lw.value(target).src}")
-        self.lines += [f"x[{r}] = {lw.value(v).src}" for r, v in lw.writes]
-        self._bookkeep()
-        if target.const is not None:
-            self.lines.append(f"m.pc = {target.const:#x}")
-            if target.const <= pc:
-                self._hot_chain_return(target.const)
-            else:
-                self._chain_return(target.const)
-            return
-        self.lines.append("m.pc = t")
-        # guard-based target specialization: remember the observed
-        # target and chain straight to its trace while the guard holds
-        self.ns["G"] = [None, 0]
-        k = self._chain_cell()
-        self.lines.append("if t == G[0]:")
-        self.lines.append(f"    f = S[{k}]")
-        self.lines.append("    if f is not None:")
-        self.lines.append("        GH[0] += 1")
-        self.lines.append("        return f")
-        self.lines.append(f"    return L(S, {k}, t)")
-        self.lines.append(f"return JM(G, S, {k}, t)")
-
-    def finish_cut(self, next_pc: int, chain: bool) -> None:
-        """End a block without a control transfer (max length reached or
-        the next instruction is untraceable)."""
-        self._bookkeep()
-        self.lines.append(f"m.pc = {next_pc:#x}")
-        if chain:
-            self._chain_return(next_pc)
-        else:
-            self.lines.append("return None")
-
-    # -- assembly --------------------------------------------------------
-
-    def build(self):
-        self.ns["S"] = [None] * self.cells
-        self.ns["P"] = tuple(self.sync_pc)
-        self.ns["U"] = tuple(self.sync_cost)
-        self.ns["N"] = tuple(self.sync_count)
-        params = ", ".join(f"{k}={k}" for k in self.ns)
-        body = "\n        ".join(self.lines) or "pass"
-        src = (
-            f"def __trace__({params}):\n"
-            f"    ip = 0\n"
-            f"    try:\n"
-            f"        {body}\n"
-            f"    except (MF, SF):\n"
-            f"        m.pc = P[ip]\n"
-            f"        m.ucycles += U[ip]\n"
-            f"        m.instret += N[ip]\n"
-            f"        raise\n"
-        )
-        code = compile(src, f"<trace@{self.entry:#x}>", "exec")
-        env = dict(self.ns)
-        exec(code, env)
-        return env["__trace__"]
-
-
-class _MegaEmitter:
-    """Generates the Python source of one megatrace: a ``while True:``
-    loop over the hot path rooted at a loop head, with the referenced
-    integer registers cached in Python locals and immediates
-    constant-folded at emission time."""
-
-    def __init__(self, cache: TraceCache, entry: int,
-                 assumed: frozenset = frozenset()):
-        self.cache = cache
-        self.m = cache.m
-        self.entry = entry
-        self.lines: list[str] = []
-        self.ns = _base_ns(cache)
         self.count = 0
         self.cost = 0
         self.cells = 0
@@ -1239,10 +948,22 @@ class _MegaEmitter:
             del self.fpsync_sites[fid]
         del self._pcs[snap["pcs"]:]
 
-    def exit_chain(self, target: int, indent: str = "") -> None:
-        """Side exit to a known pc, chained to its compiled trace."""
+    def exit_chain(self, target: int, indent: str = "",
+                   hot: bool = False) -> None:
+        """Side exit to a known pc, chained to its compiled trace.  A
+        *hot* exit (a superblock's backward edge) counts its executions
+        and promotes *target* to a megatrace once the count reaches
+        the cache's threshold."""
         self._sync_exit(f"{target:#x}", indent)
         k = self._chain_cell()
+        if hot and self.promote:
+            self.ns.setdefault("C", [0])
+            self.lines += [
+                f"{indent}C[0] += 1",
+                f"{indent}if C[0] >= {self.cache.hot_threshold}:",
+                f"{indent}    C[0] = 0",
+                f"{indent}    return MT(S, {k}, {target:#x})",
+            ]
         self.lines.append(f"{indent}t = S[{k}]")
         self.lines.append(f"{indent}if t is None:")
         self.lines.append(f"{indent}    t = L(S, {k}, {target:#x})")
@@ -1274,6 +995,15 @@ class _MegaEmitter:
 
     # -- control transfer -------------------------------------------------
 
+    def _next(self, pc: int, target: int):
+        """Control reaches the known pc *target* from the transfer at
+        *pc*: a looping trace keeps building there, a superblock ends
+        with a chained exit."""
+        if self.loop:
+            return target
+        self.exit_chain(target, hot=target <= pc)
+        return None
+
     def emit_transfer(self, pc: int, instr, lw: Lowering):
         """Emit a branch or jump.  Returns the pc to keep building at,
         or None if the emitter closed the trace."""
@@ -1286,15 +1016,15 @@ class _MegaEmitter:
             taken = target.const
             if cond.const is not None:
                 # both operands known: the branch folds to a direct jump
-                return taken if cond.const else fall
+                return self._next(pc, taken if cond.const else fall)
             self.lines.append(f"if {cond.src}:")
-            if taken == self.entry:
+            if self.loop and taken == self.entry:
                 # the loop's own back-edge: guard and start the next
                 # iteration without leaving compiled code
                 self.close_loop(indent="    ")
             else:
-                self.exit_chain(taken, indent="    ")
-            return fall
+                self.exit_chain(taken, indent="    ", hot=taken <= pc)
+            return self._next(pc, fall)
         if target.const is None:
             self.lines.append(f"t = {lw.value(target).src}")
         # a link register becomes a known constant, so a jalr through a
@@ -1302,25 +1032,25 @@ class _MegaEmitter:
         for r, v in lw.writes:
             self._write(lw, r, v)
         if target.const is not None:
-            return target.const
-        # dynamic target: end the trace through a guarded exit.  An
-        # indirect loop closure (a jalr landing back on the head)
-        # continues iterating without leaving the trace
-        self.lines.append(f"if t == {self.entry:#x}:")
-        self.close_loop(indent="    ")
-        self._spill_marker("")
-        self.lines.append("m.pc = t")
-        self.lines.append(f"m.ucycles += uc + {self.cost}")
-        self.lines.append(f"m.instret += ir + {self.count}")
-        self.ns["G"] = [None, 0]
+            return self._next(pc, target.const)
+        # dynamic target: end the trace through a guarded exit with its
+        # own inline cache.  An indirect loop closure (a jalr landing
+        # back on the head) continues iterating without leaving the trace
+        if self.loop:
+            self.lines.append(f"if t == {self.entry:#x}:")
+            self.close_loop(indent="    ")
+        self._sync_exit("t", "")
         k = self._chain_cell()
-        self.lines.append("if t == G[0]:")
-        self.lines.append(f"    f = S[{k}]")
-        self.lines.append("    if f is not None:")
-        self.lines.append("        GH[0] += 1")
-        self.lines.append("        return f")
-        self.lines.append(f"    return L(S, {k}, t)")
-        self.lines.append(f"return JM(G, S, {k}, t)")
+        self.ns[f"G{k}"] = [None, 0]
+        self.lines += [
+            f"if t == G{k}[0]:",
+            f"    f = S[{k}]",
+            "    if f is not None:",
+            "        GH[0] += 1",
+            "        return f",
+            f"    return L(S, {k}, t)",
+            f"return JM(G{k}, S, {k}, t)",
+        ]
         return None
 
     # -- straight-line instructions ---------------------------------------
@@ -1346,25 +1076,23 @@ class _MegaEmitter:
         if body is None:
             return False
         # fallback body closures read/write the architectural x list:
-        # spill the cached registers around the call and reload the
-        # destination afterwards
+        # spill the cached registers around the call and reload an
+        # integer destination afterwards.  A body depends only on the
+        # machine, the pc and the instruction, so both bodies of a
+        # megatrace may share its name.
         self._cover(pc, instr.length)
         self._fp_flush()  # the body may read or write any fr slot
         self._mark(pc)
         self._spill_marker("")
-        self.lines.append(f"{self._bind_body(body)}()")
-        rd = f.get("rd")
+        self.ns[f"b{pc:x}"] = body
+        self.lines.append(f"b{pc:x}()")
+        rd = f["rd"] if "rd" in instr.spec.operands else 0
         if rd:
             self._clobber(rd)
             self.lines.append(f"r{rd} = x[{rd}]")
         self._charge(mn, instr)
         self.mem_known.clear()  # the body may store anywhere
         return True
-
-    def _bind_body(self, body) -> str:
-        name = f"b{self.count}"
-        self.ns[name] = body
-        return name
 
     def _inline(self, pc: int, mn: str, f: dict, instr) -> bool:
         """Emit the hot F/D forms (double precision through float
@@ -1790,9 +1518,12 @@ class _MegaEmitter:
                     continue
                 body_lines.append(line)
         else:
-            # the path never returned to the head: a straight-line
-            # body whose every path returns
-            body_lines = self._expand(self.lines, True, written)
+            # a superblock, or a loop path that never returned to the
+            # head: a straight-line body whose every path returns.  A
+            # superblock's exits and faults store its constants as
+            # literals, so like a steady-state body it materializes
+            # only each register's last constant write
+            body_lines = self._expand(self.lines, self.loop, written)
         has_fpp = any(self.sync_fp)
         if has_fpp:
             ns["FPP"] = tuple(self.sync_fp)
@@ -1809,8 +1540,10 @@ class _MegaEmitter:
             "            fr[_fd] = _lv[_fn] if _fn else "
             "B64(_lv['g%d' % _fd])\n"
         ) if has_fpp else ""
+        tag = "mega" if self.loop else "trace"
+        name = f"__{tag}__"
         src = (
-            f"def __mega__({', '.join(f'{k}={k}' for k in ns)}):\n"
+            f"def {name}({', '.join(f'{k}={k}' for k in ns)}):\n"
             f"    ip = 0\n"
             f"    uc = 0\n"
             f"    ir = 0\n"
@@ -1827,7 +1560,7 @@ class _MegaEmitter:
             f"        m.instret += ir + N[ip]\n"
             f"        raise\n"
         )
-        code = compile(src, f"<mega@{self.entry:#x}>", "exec")
+        code = compile(src, f"<{tag}@{self.entry:#x}>", "exec")
         env = dict(ns)
         exec(code, env)
-        return env["__mega__"], self._merge_spans()
+        return env[name], self._merge_spans()
