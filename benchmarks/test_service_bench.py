@@ -8,6 +8,10 @@ repository root (consumed by ``tools/bench_guard.py`` in CI):
   view of the same store (revive only).  The warm path must be >= 3x
   faster and, telemetry-verified, recompute *nothing*: no ``parse.*``
   spans, no ``liveness.*`` counters, exactly one ``artifacts.hits``.
+  Next to that best-of ratio, medians of :data:`MEDIAN_RUNS` warm
+  opens and of as many cold ``analyze(store=False)`` calls — the way
+  the store is used, with no recorder and no store write — give the
+  ratio that decides whether the store pays for itself.
 * **sessions/sec** — a 4-worker :class:`~repro.service.SessionServer`
   under 8 concurrent clients, each running the full open -> allocate ->
   insert -> run -> close cycle against one shared binary, with every
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import tempfile
 import threading
 import time
@@ -47,6 +52,9 @@ BENCH_JSON = Path(__file__).parent.parent / "BENCH_service.json"
 #: timing repetitions; latencies are best-of (spread recorded)
 REPEATS = 5
 
+#: runs behind each warm/cold median
+MEDIAN_RUNS = 9
+
 CLIENTS = 8
 WORKERS = 4
 
@@ -62,6 +70,15 @@ def _timed(fn):
             best = (out, dt)
     spread = (max(times) - min(times)) / min(times)
     return best[0], best[1], spread
+
+
+def _median_s(fn) -> float:
+    times = []
+    for _ in range(MEDIAN_RUNS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def test_service_benchmark(record):
@@ -103,6 +120,14 @@ def test_service_benchmark(record):
             "warm open must not re-parse"
 
         speedup = cold_s / warm_s
+
+        # -- medians, as the store is used: no recorder, no store write -
+        def warm_open():
+            assert analyze(elf, opts, store=ArtifactStore(store_dir)).revived
+
+        warm_median_s = _median_s(warm_open)
+        cold_median_s = _median_s(lambda: analyze(elf, opts, store=False))
+        speedup_median = cold_median_s / warm_median_s
 
         # -- in-process reference for bit-identity ----------------------
         edit = open_binary(elf, opts)
@@ -170,6 +195,9 @@ def test_service_benchmark(record):
             "",
             f"warm speedup: {speedup:.1f}x "
             "(zero parse spans, zero liveness counters)",
+            f"medians of {MEDIAN_RUNS}: cold (no store) "
+            f"{cold_median_s:.4f}s, warm {warm_median_s:.4f}s = "
+            f"{speedup_median:.2f}x",
             "",
             f"service: {CLIENTS} concurrent clients / {WORKERS} "
             f"workers: {sessions_per_sec:.1f} sessions/s "
@@ -192,6 +220,10 @@ def test_service_benchmark(record):
             # headline number (and the CI guard's key)
             "warm_speedup": round(speedup, 2),
             "warm_counters": counters,
+            "median_runs": MEDIAN_RUNS,
+            "analyze_cold_nostore_median_s": round(cold_median_s, 5),
+            "analyze_warm_median_s": round(warm_median_s, 5),
+            "warm_speedup_median": round(speedup_median, 2),
             "clients": CLIENTS,
             "workers": WORKERS,
             "sessions_per_sec": round(sessions_per_sec, 2),

@@ -63,7 +63,8 @@ def allocate_scratch(
     """
     if needed <= 0:
         raise AllocationError("needed must be positive")
-    pool = [r for r in candidates if r not in extra_avoid]
+    pool = ([r for r in candidates if r not in extra_avoid] if extra_avoid
+            else candidates)
     if needed > len(pool):
         raise AllocationError(
             f"requested {needed} scratch registers; only {len(pool)} "
@@ -71,7 +72,7 @@ def allocate_scratch(
 
     dead: list[Register] = []
     if use_dead_registers and liveness is not None and point is not None:
-        dead = [r for r in liveness.dead_before(point, tuple(pool))]
+        dead = liveness.dead_before(point, tuple(pool))
 
     chosen: list[Register] = dead[:needed]
     spilled: list[Register] = []

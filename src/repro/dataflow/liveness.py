@@ -13,20 +13,25 @@ per-instruction refinement.  Conservative boundary conditions:
 * call sites are assumed to read all argument registers and ra/sp, and
   to clobber the caller-saved set (callee-saved values flow through);
 * unresolved indirect flow makes everything live (fail-safe).
+
+The interprocedural analysis (:mod:`repro.dataflow.interproc`) runs the
+same solver with summary-derived call effects and exit seeds.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping
 
 from .. import telemetry
+from ..errors import ReproError
 from ..instruction.insn import Insn
 from ..parse.cfg import Block, EdgeType, Function
 from ..riscv.registers import (
     ARG_REGS, CALLEE_SAVED, CALLER_SAVED, FP_ARG_REGS, FP_REGS, GP,
-    INT_REGS, RA, Register, SP, TP,
+    INT_REGS, RA, RegClass, Register, SCRATCH_CANDIDATES, SP, TP,
 )
+from ..semantics import register_masks
 
 #: Registers assumed live at a function exit: returned values plus
 #: everything the caller expects preserved.
@@ -49,18 +54,21 @@ ALL_REGS: frozenset[Register] = frozenset(
 
 # -- int bitmask register sets -------------------------------------------
 #
-# The fixpoint (and the hot per-instruction refinement) runs on plain
-# ints: x0..x31 map to bits 0..31, f0..f31 to bits 32..63.  Set
-# union/difference become single-word |, &~ — the dead-register ablation
-# spends most of its time here.  The public API stays frozenset-based
-# (LivenessResult, insn_uses_defs); masks are an internal representation
-# attached to results built by :func:`analyze_liveness`.
+# Liveness computes, queries and stores register sets as plain ints:
+# x0..x31 map to bits 0..31, f0..f31 to bits 32..63, the layout of
+# :func:`repro.semantics.register_masks`.  Set union/difference become
+# single-word |, &~.  The frozenset surfaces (live_in/live_out,
+# live_before, insn_uses_defs) are views expanded only for what a
+# caller reads.
 
 REG_BIT: dict[Register, int] = {
     **{r: 1 << i for i, r in enumerate(INT_REGS)},
     **{r: 1 << (32 + i) for i, r in enumerate(FP_REGS)},
 }
 _BIT_REG: tuple[Register, ...] = tuple(INT_REGS) + tuple(FP_REGS)
+
+#: one past the largest register mask
+_MASK_END = 1 << 64
 
 
 def mask_of(regs) -> int:
@@ -81,197 +89,260 @@ def regs_of(mask: int) -> frozenset[Register]:
     return frozenset(out)
 
 
+def dead_regs(live: int, candidates: tuple[Register, ...] | None = None
+              ) -> list[Register]:
+    """The registers of *candidates* (default: caller-saved ints) whose
+    bit is clear in the *live* mask, in candidate order."""
+    pool = SCRATCH_CANDIDATES if candidates is None else candidates
+    return [r for r in pool
+            if not live >> (r.number + 32 * (r.regclass is RegClass.FP))
+            & 1]
+
+
 EXIT_LIVE_MASK = mask_of(EXIT_LIVE)
 CALL_USES_MASK = mask_of(CALL_USES)
 CALL_KILLS_MASK = mask_of(CALL_KILLS)
 ALL_REGS_MASK = mask_of(ALL_REGS)
 
+#: ``call_effects(block) -> (uses, kills)``: what the call or tail call
+#: ending *block* reads and clobbers, as masks
+CallEffects = Callable[[Block], tuple[int, int]]
 
-def _insn_masks(insn: Insn, block: Block | None = None) -> tuple[int, int]:
-    """Per-instruction (uses, defs) as masks, with call augmentation —
-    the bitmask twin of :func:`insn_uses_defs`."""
-    uses = mask_of(insn.read_set())
-    defs = mask_of(insn.write_set())
-    if block is not None and insn is block.last:
+
+def _intraproc_call_effects(block: Block) -> tuple[int, int]:
+    """Without summaries, every callee reads all argument registers and
+    clobbers the whole caller-saved set."""
+    return CALL_USES_MASK, CALL_KILLS_MASK
+
+
+def _block_masks(block: Block, call_effects: CallEffects
+                 ) -> list[tuple[int, int]]:
+    """(uses, defs) masks of each instruction of *block*.  The
+    instruction ending a call block also reads and clobbers what
+    *call_effects* says the callee does; one ending a tail call reads
+    it."""
+    masks = [register_masks(insn.raw) for insn in block.insns]
+    if masks:
         kinds = {e.kind for e in block.out_edges}
         if EdgeType.CALL in kinds:
-            uses |= CALL_USES_MASK
-            defs |= CALL_KILLS_MASK
-        if EdgeType.TAILCALL in kinds:
-            uses |= CALL_USES_MASK
-    return uses, defs
-
-
-def _block_flow(block: Block) -> tuple[int, int]:
-    """(use, def) mask summary of a block for backward liveness."""
-    use = 0
-    defs = 0
-    for insn in block.insns:
-        u, d = _insn_masks(insn, block)
-        use |= u & ~defs
-        defs |= d
-    return use, defs
+            uses, defs = masks[-1]
+            cu, ck = call_effects(block)
+            # the callee's read of the link register is satisfied by
+            # the call instruction's own write, not the caller
+            masks[-1] = (uses | (cu & ~defs), defs | ck)
+        elif EdgeType.TAILCALL in kinds:
+            uses, defs = masks[-1]
+            masks[-1] = (uses | call_effects(block)[0], defs)
+    return masks
 
 
 def insn_uses_defs(insn: Insn, block: Block | None = None
                    ) -> tuple[set[Register], set[Register]]:
     """Per-instruction (uses, defs), with call-site augmentation when the
     instruction terminates a call block."""
-    uses = insn.read_set()
-    defs = insn.write_set()
     if block is not None and insn is block.last:
-        kinds = {e.kind for e in block.out_edges}
-        if EdgeType.CALL in kinds:
-            uses |= CALL_USES
-            defs |= CALL_KILLS
-        if EdgeType.TAILCALL in kinds:
-            uses |= CALL_USES
-    return uses, defs
+        uses, defs = _block_masks(block, _intraproc_call_effects)[-1]
+    else:
+        uses, defs = register_masks(insn.raw)
+    return set(regs_of(uses)), set(regs_of(defs))
 
 
-@dataclass
+class RegisterSetView(Mapping):
+    """Read-only ``block start -> frozenset[Register]`` view of a mask
+    table.  Each set is expanded on first read and kept; the store is
+    idempotent, so threads sharing one result may race on it."""
+
+    __slots__ = ("_masks", "_sets")
+
+    def __init__(self, masks: dict[int, int]):
+        self._masks = masks
+        self._sets: dict[int, frozenset[Register]] = {}
+
+    def __getitem__(self, addr: int) -> frozenset[Register]:
+        regs = self._sets.get(addr)
+        if regs is None:
+            regs = self._sets[addr] = regs_of(self._masks[addr])
+        return regs
+
+    def __contains__(self, addr) -> bool:
+        return addr in self._masks
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._masks)
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+
 class LivenessResult:
-    """Fixpoint solution: live-in/live-out per block, with
-    per-instruction queries.
+    """Fixpoint solution of one function, with per-instruction queries.
 
-    The constructor keeps its frozenset-based signature (interprocedural
-    analysis and external callers build these directly); results from
-    :func:`analyze_liveness` additionally carry bitmask tables
-    (``_out_masks``) that the per-instruction queries prefer.
+    The solution is a live-in and a live-out mask per block, and
+    ``live_in``/``live_out`` are frozenset views of them.
+    :meth:`live_mask_before` answers on masks; :meth:`live_before` and
+    :meth:`dead_before` are views of it.
     """
 
-    function: Function
-    live_in: dict[int, frozenset[Register]]
-    live_out: dict[int, frozenset[Register]]
+    __slots__ = ("function", "live_in", "live_out", "_in", "_out",
+                 "_call_effects")
 
-    #: block start -> live-out mask (set by analyze_liveness; absent on
-    #: hand-built / interprocedural results, which use the set path)
-    _out_masks = None
+    def __init__(self, function: Function, in_masks: dict[int, int],
+                 out_masks: dict[int, int],
+                 call_effects: CallEffects = _intraproc_call_effects):
+        self.function = function
+        self._in = in_masks
+        self._out = out_masks
+        self._call_effects = call_effects
+        self.live_in = RegisterSetView(in_masks)
+        self.live_out = RegisterSetView(out_masks)
 
-    def live_before(self, addr: int) -> frozenset[Register]:
-        """Registers live immediately before the instruction at *addr*."""
+    def live_mask_before(self, addr: int) -> int:
+        """Mask of the registers live immediately before the
+        instruction at *addr*."""
         block = self.function.block_at(addr)
         if block is None:
             raise KeyError(f"{addr:#x} is not in function "
                            f"{self.function.name!r}")
-        masks = self._out_masks
-        if masks is not None:
-            live = masks.get(block.start, ALL_REGS_MASK)
-            for insn in reversed(block.insns):
-                u, d = _insn_masks(insn, block)
-                live = (live & ~d) | u
-                if insn.address == addr:
-                    return regs_of(live)
-            raise KeyError(f"{addr:#x} not at an instruction boundary")
-        live = set(self.live_out.get(block.start, ALL_REGS))
-        for insn in reversed(block.insns):
-            u, d = insn_uses_defs(insn, block)
-            live -= d
-            live |= u
+        live = self._out.get(block.start, ALL_REGS_MASK)
+        masks = _block_masks(block, self._call_effects)
+        for insn, (uses, defs) in zip(reversed(block.insns),
+                                      reversed(masks)):
+            live = (live & ~defs) | uses
             if insn.address == addr:
-                return frozenset(live)
+                return live
         raise KeyError(f"{addr:#x} not at an instruction boundary")
+
+    def live_before(self, addr: int) -> frozenset[Register]:
+        """Registers live immediately before the instruction at *addr*."""
+        return regs_of(self.live_mask_before(addr))
 
     def dead_before(self, addr: int,
                     candidates: tuple[Register, ...] | None = None
                     ) -> list[Register]:
         """Registers (from *candidates*, default: caller-saved ints) that
         are dead at *addr* — free scratch for instrumentation."""
-        from ..riscv.registers import SCRATCH_CANDIDATES
-
-        live = self.live_before(addr)
-        pool = candidates if candidates is not None else SCRATCH_CANDIDATES
-        return [r for r in pool if r not in live]
+        return dead_regs(self.live_mask_before(addr), candidates)
 
 
-# -- snapshots ------------------------------------------------------------
-#
-# Liveness results serialize as their bitmask tables — the exact
-# internal representation the fixpoint computes — so revival performs
-# zero dataflow work: masks are copied in and the frozenset views are
-# expanded once.  Consumed by the content-addressed artifact store.
+def solve_liveness(fn: Function, exit_seed: int = EXIT_LIVE_MASK,
+                   call_effects: CallEffects = _intraproc_call_effects
+                   ) -> tuple[LivenessResult, int]:
+    """Least fixpoint of backward may-liveness over *fn*'s blocks.
 
-def liveness_to_snapshot(result: LivenessResult) -> dict:
-    """Serialize one function's fixpoint solution (JSON-ready)."""
-    masks = result._out_masks
-    if masks is not None:
-        out = {a: masks[a] for a in result.live_out}
-    else:
-        out = {a: mask_of(s) for a, s in result.live_out.items()}
-    return {
-        "in": [[a, mask_of(s)] for a, s in sorted(result.live_in.items())],
-        "out": [[a, out[a]] for a in sorted(out)],
-    }
-
-
-def liveness_from_snapshot(fn: Function, data: dict) -> LivenessResult:
-    """Revive a :class:`LivenessResult` for *fn* without re-solving."""
-    in_masks = {a: m for a, m in data["in"]}
-    out_masks = {a: m for a, m in data["out"]}
-    result = LivenessResult(
-        fn,
-        {a: regs_of(m) for a, m in in_masks.items()},
-        {a: regs_of(m) for a, m in out_masks.items()},
-    )
-    result._out_masks = out_masks
-    return result
-
-
-def analyze_liveness(fn: Function) -> LivenessResult:
-    """Solve backward may-liveness over the function's blocks.
-
-    The fixpoint iterates on int bitmasks; the result exposes the usual
-    frozenset dicts (plus the mask tables for fast queries).
+    *exit_seed* is the mask live after a return or tail call;
+    *call_effects* gives each call's reads and clobbers.  Blocks are
+    swept in reverse address order, so a pass mostly sees successors
+    before predecessors.  Returns the result and the number of passes.
     """
-    rec = telemetry.current()
-    t0 = time.perf_counter() if rec.enabled else 0.0
     blocks = fn.blocks
-    summaries = {a: _block_flow(b) for a, b in blocks.items()}
-
-    # successor map (intraprocedural) + exit seeding
-    succs: dict[int, list[int]] = {}
-    seed: dict[int, int] = {}
-    for addr, block in blocks.items():
-        succs[addr] = fn.intraproc_successors(block)
-        s = 0
+    rows = []
+    for addr in sorted(blocks, reverse=True):
+        block = blocks[addr]
+        use = defs = 0
+        for u, d in _block_masks(block, call_effects):
+            use |= u & ~defs
+            defs |= d
+        seed = 0
         for e in block.out_edges:
             if e.kind in (EdgeType.RET, EdgeType.TAILCALL):
-                s |= EXIT_LIVE_MASK
+                seed |= exit_seed
             elif not e.resolved or (
                     e.kind is EdgeType.INDIRECT and e.target is None):
-                s |= ALL_REGS_MASK  # unresolved flow: fail safe
+                seed |= ALL_REGS_MASK  # unresolved flow: fail safe
             elif e.kind is EdgeType.CALL and e.target is None:
-                s |= ALL_REGS_MASK
+                seed |= ALL_REGS_MASK
         if not block.out_edges:
-            s |= EXIT_LIVE_MASK  # fell off the parse: conservative
-        seed[addr] = s
+            seed |= exit_seed  # fell off the parse: conservative
+        rows.append((addr, seed, fn.intraproc_successors(block), use,
+                     ~defs))
 
-    in_masks: dict[int, int] = {a: 0 for a in blocks}
-    out_masks: dict[int, int] = {a: 0 for a in blocks}
-
-    iterations = 0
+    in_masks = dict.fromkeys(blocks, 0)
+    out_masks = dict.fromkeys(blocks, 0)
+    passes = 0
     changed = True
     while changed:
         changed = False
-        iterations += 1
-        for addr in blocks:
-            out = seed[addr]
-            for s in succs[addr]:
+        passes += 1
+        for addr, out, succs, use, keep in rows:
+            for s in succs:
                 out |= in_masks[s]
-            use, defs = summaries[addr]
-            inn = use | (out & ~defs)
+            inn = use | (out & keep)
             if out != out_masks[addr] or inn != in_masks[addr]:
                 out_masks[addr] = out
                 in_masks[addr] = inn
                 changed = True
+    return LivenessResult(fn, in_masks, out_masks, call_effects), passes
 
-    live_in = {a: regs_of(v) for a, v in in_masks.items()}
-    live_out = {a: regs_of(v) for a, v in out_masks.items()}
-    result = LivenessResult(fn, live_in, live_out)
-    result._out_masks = out_masks
+
+def analyze_liveness(fn: Function) -> LivenessResult:
+    """Solve backward may-liveness over the function's blocks."""
+    rec = telemetry.current()
+    t0 = time.perf_counter() if rec.enabled else 0.0
+    result, passes = solve_liveness(fn)
     if rec.enabled:
         rec.record_span("liveness.analyze", time.perf_counter() - t0)
         rec.count("liveness.functions")
-        rec.count("liveness.fixpoint_iterations", iterations)
-        rec.observe("liveness.blocks_per_function", len(blocks))
+        rec.count("liveness.fixpoint_iterations", passes)
+        rec.observe("liveness.blocks_per_function", len(fn.blocks))
     return result
+
+
+# -- snapshots ------------------------------------------------------------
+#
+# Liveness results serialize as their mask tables — the exact
+# representation the fixpoint computes — so revival performs no
+# dataflow work and expands nothing: the tables are checked and
+# adopted as they are.  Consumed by the content-addressed artifact
+# store.
+
+class LivenessSnapshotError(ReproError, ValueError):
+    """A stored liveness snapshot is malformed or does not fit the CFG
+    it is revived against (the artifact store treats it as stale)."""
+
+
+def mask_from_snapshot(value) -> int:
+    """*value*, checked to be a register mask: an int in [0, 2**64)."""
+    if type(value) is not int or not 0 <= value < _MASK_END:
+        raise LivenessSnapshotError(
+            f"liveness snapshot holds {value!r}, not a register mask")
+    return value
+
+
+def _mask_table(fn: Function, pairs) -> dict[int, int]:
+    """The ``[[block start, mask], ...]`` table *pairs* as a dict,
+    checked to name exactly *fn*'s blocks and to hold only masks."""
+    try:
+        table = dict(pairs)
+    except (TypeError, ValueError):
+        raise LivenessSnapshotError(
+            f"malformed liveness table for {fn.name!r}") from None
+    if table.keys() != fn.blocks.keys():
+        raise LivenessSnapshotError(
+            f"liveness snapshot of {fn.name!r} does not name exactly "
+            f"its {len(fn.blocks)} blocks")
+    for mask in table.values():
+        mask_from_snapshot(mask)
+    return table
+
+
+def liveness_to_snapshot(result: LivenessResult) -> dict:
+    """Serialize one function's fixpoint solution (JSON-ready)."""
+    return {
+        "in": [[a, m] for a, m in sorted(result._in.items())],
+        "out": [[a, m] for a, m in sorted(result._out.items())],
+    }
+
+
+def liveness_from_snapshot(fn: Function, data: dict,
+                           call_effects: CallEffects =
+                           _intraproc_call_effects) -> LivenessResult:
+    """Revive a :class:`LivenessResult` for *fn* without re-solving.
+    Raises :class:`LivenessSnapshotError` when *data* is malformed or
+    does not cover exactly *fn*'s blocks."""
+    try:
+        in_pairs, out_pairs = data["in"], data["out"]
+    except (KeyError, TypeError):
+        raise LivenessSnapshotError(
+            f"malformed liveness snapshot for {fn.name!r}") from None
+    return LivenessResult(fn, _mask_table(fn, in_pairs),
+                          _mask_table(fn, out_pairs), call_effects)

@@ -29,7 +29,9 @@ from ..codegen.generator import (
 from ..errors import ReproError
 from ..codegen.regalloc import SpillArea, allocate_scratch
 from ..codegen.snippets import DataArea, Snippet
-from ..dataflow.liveness import LivenessResult, analyze_liveness
+from ..dataflow.liveness import (
+    LivenessResult, analyze_liveness, dead_regs, regs_of,
+)
 from ..parse.parser import CodeObject, parse_binary
 from ..riscv.compressed import CJ_RANGE
 from ..riscv.encoding import fits_signed
@@ -138,21 +140,20 @@ class _IntersectedLiveness:
         self.function = primary_fn
         self._results = results
 
-    def live_before(self, addr: int):
-        live = set()
+    def live_mask_before(self, addr: int) -> int:
+        live = 0
         for res in self._results:
             try:
-                live |= res.live_before(addr)
+                live |= res.live_mask_before(addr)
             except KeyError:
                 continue
-        return frozenset(live)
+        return live
+
+    def live_before(self, addr: int):
+        return regs_of(self.live_mask_before(addr))
 
     def dead_before(self, addr: int, candidates=None):
-        from ..riscv.registers import SCRATCH_CANDIDATES
-
-        pool = candidates if candidates is not None else SCRATCH_CANDIDATES
-        live = self.live_before(addr)
-        return [r for r in pool if r not in live]
+        return dead_regs(self.live_mask_before(addr), candidates)
 
 
 @dataclass

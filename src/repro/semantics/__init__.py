@@ -2,7 +2,8 @@
 
 Semantics are produced by the SAIL-substitute pipeline in
 :mod:`repro.semantics.sail` and consumed through the registry
-(:func:`semantics_for`, :func:`register_uses`, :func:`register_defs`).
+(:func:`semantics_for`, :func:`register_uses`, :func:`register_defs`,
+:func:`register_masks`).
 """
 
 from .evaluate import evaluate, eval_expr
@@ -12,7 +13,8 @@ from .ir import (
 )
 from .registry import (
     coverage_report, has_precise_semantics, reads_memory, register_defs,
-    register_uses, sail_semantics, semantics_for, writes_memory, writes_pc,
+    register_masks, register_uses, sail_semantics, semantics_for,
+    writes_memory, writes_pc,
 )
 
 __all__ = [
@@ -21,6 +23,6 @@ __all__ = [
     "RegWrite", "Semantics", "UnOp",
     "evaluate", "eval_expr",
     "coverage_report", "has_precise_semantics", "reads_memory",
-    "register_defs", "register_uses", "sail_semantics", "semantics_for",
-    "writes_memory", "writes_pc",
+    "register_defs", "register_masks", "register_uses", "sail_semantics",
+    "semantics_for", "writes_memory", "writes_pc",
 ]

@@ -121,6 +121,35 @@ def register_defs(instr: Instruction) -> set[tuple[str, int]]:
     return _bind(instr, _operand_pairs(instr.mnemonic)[1])
 
 
+@lru_cache(maxsize=None)
+def _mask_operands(mnemonic: str) -> tuple[tuple[tuple[str, int], ...],
+                                           tuple[tuple[str, int], ...]]:
+    """(uses, defs) of one mnemonic as (operand, bit offset) pairs: the
+    cached (regfile, operand) pairs with x mapped to bit 0 and f to 32."""
+    return tuple(tuple((op, 0 if rf == "x" else 32) for rf, op in pairs)
+                 for pairs in _operand_pairs(mnemonic))
+
+
+def _bind_mask(fields: dict[str, int],
+               pairs: tuple[tuple[str, int], ...]) -> int:
+    mask = 0
+    for op, base in pairs:
+        n = fields.get(op)
+        if n is not None:
+            mask |= 1 << (base + n)
+    return mask & ~1  # x0 is hard-wired to zero
+
+
+def register_masks(instr: Instruction) -> tuple[int, int]:
+    """(uses, defs) of *instr* as 64-bit register masks.
+
+    x<n> is bit *n* and f<n> bit 32 + *n*.  x0 is dropped, as in
+    :func:`register_uses`/:func:`register_defs`."""
+    uses, defs = _mask_operands(instr.mnemonic)
+    fields = instr.fields
+    return _bind_mask(fields, uses), _bind_mask(fields, defs)
+
+
 def reads_memory(instr: Instruction) -> bool:
     sem = semantics_for(instr)
     if sem is not None:

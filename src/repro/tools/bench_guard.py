@@ -27,6 +27,9 @@ Artifact-store / service checks:
 * the session service actually served its concurrent clients
   (``clients >= 8``, ``sessions_per_sec > 0``).
 
+It also prints, unchecked, the medians of warm opens and of cold
+``analyze(store=False)`` calls and their ratio.
+
 The sim-tier CI floors sit below the benchmark's own acceptance bars
 (4.5x megatrace, 2.0x superblock) on purpose: shared runners are
 noisy, and the guard exists to catch regressions of the *mechanism* —
@@ -165,6 +168,10 @@ def main(argv: list[str] | None = None) -> int:
           f"{service.get('warm_speedup', 0):.2f}x; "
           f"{service.get('clients')} clients @ "
           f"{service.get('sessions_per_sec', 0):.1f} sessions/s)")
+    print(f"  medians of {service.get('median_runs', 0)}: cold analyze "
+          f"(no store) {service.get('analyze_cold_nostore_median_s', 0):.4f}"
+          f"s, warm {service.get('analyze_warm_median_s', 0):.4f}s = "
+          f"{service.get('warm_speedup_median', 0):.2f}x")
 
     bad = check(bench, args.floor, args.superblock_floor)
     bad += check_service(service, args.warm_floor)

@@ -227,6 +227,71 @@ class TestAnalyzeIntegration:
         assert "fib" in {f.name for f in a.cfg.functions.values()}
 
 
+def _intra_out_table(payload):
+    """The first function's live-out table of an intraprocedural
+    payload."""
+    return payload["liveness"]["functions"][0][1]["out"]
+
+
+def _interproc_out_table(payload):
+    """The first function's live-out table of an interprocedural
+    payload."""
+    return payload["liveness"]["interproc"]["results"][0][2]
+
+
+def _string_mask(payload, table):
+    row = table(payload)[0]
+    row[1] = str(row[1])
+
+
+def _negative_mask(payload, table):
+    table(payload)[0][1] = -1
+
+
+def _missing_block(payload, table):
+    del table(payload)[-1]
+
+
+def _unknown_function(payload, table):
+    functions = payload["liveness"]["interproc"]["results"]
+    functions[0][0] += 2
+
+
+class TestMalformedLiveness:
+    """A stored liveness entry that parses as JSON but does not fit the
+    binary is a stale miss: recomputed and rewritten, never a crash and
+    never revived."""
+
+    CASES = [
+        ("intra", _string_mask), ("interproc", _string_mask),
+        ("intra", _negative_mask), ("interproc", _negative_mask),
+        ("intra", _missing_block), ("interproc", _missing_block),
+        ("interproc", _unknown_function),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,malform", CASES,
+        ids=[f"{k}-{m.__name__[1:]}" for k, m in CASES])
+    def test_is_stale_and_heals(self, fib_elf, store, kind, malform):
+        opts = InstrumentOptions(
+            interprocedural_liveness=kind == "interproc")
+        cold = analyze(fib_elf, opts, store=store)
+        payload = store.load(cold.key)
+        malform(payload, _interproc_out_table if kind == "interproc"
+                else _intra_out_table)
+        store.store(cold.key, payload)
+
+        with telemetry.enabled() as rec:
+            again = analyze(fib_elf, opts, store=store)
+        counters = rec.snapshot()["counters"]
+        assert counters.get("artifacts.hits") == 1
+        assert counters.get("artifacts.stale") == 1
+        assert counters.get("artifacts.stores") == 1  # rewritten
+        assert not again.revived
+        assert store.load(cold.key) == cold.to_payload()
+        assert analyze(fib_elf, opts, store=store).revived
+
+
 def _writer_main(root, key, writer_id, rounds):
     st = ArtifactStore(root)
     blob = chr(ord("a") + writer_id) * 20_000

@@ -4,8 +4,10 @@ memory-access introspection — tools call these on arbitrary binaries)."""
 
 from hypothesis import given, settings, strategies as st
 
+from repro.dataflow.liveness import mask_of
 from repro.instruction import Insn, InsnCategory
 from repro.riscv import DecodeError, decode
+from repro.semantics import register_masks
 
 
 @settings(max_examples=500, deadline=None)
@@ -22,6 +24,8 @@ def test_insn_queries_total_over_random_words(raw):
         assert isinstance(op.is_read, bool)
     rs, ws = insn.read_set(), insn.write_set()
     assert all(r.number < 32 for r in rs | ws)
+    # liveness's masks name the same registers
+    assert register_masks(insn.raw) == (mask_of(rs), mask_of(ws))
     acc = insn.memory_access()
     if acc is not None:
         assert acc.size in (1, 2, 4, 8)
@@ -42,7 +46,7 @@ def test_insn_queries_total_over_compressed(hw):
         return
     _ = insn.category
     _ = insn.operands()
-    _ = insn.read_set()
-    _ = insn.write_set()
+    assert register_masks(insn.raw) == (mask_of(insn.read_set()),
+                                        mask_of(insn.write_set()))
     _ = insn.memory_access()
     _ = insn.disasm()
