@@ -77,7 +77,10 @@ AMO_OPS = {
     "amomaxu": lambda old, src, sx: max(old, src),
 }
 
-FP_RR = {  # two-operand FP arithmetic on Python floats
+#: two-operand FP arithmetic on Python floats.  A NaN result, like one
+#: of FMA, ``fsqrt`` or ``fcvt`` between formats, is packed as the
+#: canonical NaN (``fp.canonical_bits_from_f64``, ``fp.bits_from_f32``)
+FP_RR = {
     "fadd": lambda a, b: a + b,
     "fsub": lambda a, b: a - b,
     "fmul": lambda a, b: a * b,
@@ -341,7 +344,7 @@ def build_body(m: "Machine", pc: int, instr: Instruction
     if root in FP_RR and len(parts) == 2:
         single = parts[1] == "s"
         get = fp.f32_from_bits if single else fp.f64_from_bits
-        put = fp.bits_from_f32 if single else fp.bits_from_f64
+        put = fp.bits_from_f32 if single else fp.canonical_bits_from_f64
         op = FP_RR[root]
         rd, rs1, rs2 = f["rd"], f["rs1"], f["rs2"]
         def body():
@@ -362,7 +365,7 @@ def build_body(m: "Machine", pc: int, instr: Instruction
     if root == "fsqrt":
         single = parts[1] == "s"
         get = fp.f32_from_bits if single else fp.f64_from_bits
-        put = fp.bits_from_f32 if single else fp.bits_from_f64
+        put = fp.bits_from_f32 if single else fp.canonical_bits_from_f64
         rd, rs1 = f["rd"], f["rs1"]
         def body():
             fr[rd] = put(fp.fp_sqrt(get(fr[rs1])))
@@ -402,7 +405,7 @@ def build_body(m: "Machine", pc: int, instr: Instruction
         psign, asign = FMA_SIGNS[root]
         single = parts[1] == "s"
         get = fp.f32_from_bits if single else fp.f64_from_bits
-        put = fp.bits_from_f32 if single else fp.bits_from_f64
+        put = fp.bits_from_f32 if single else fp.canonical_bits_from_f64
         rd, rs1, rs2, rs3 = f["rd"], f["rs1"], f["rs2"], f["rs3"]
         def body():
             fr[rd] = put(psign * (get(fr[rs1]) * get(fr[rs2]))
@@ -475,7 +478,7 @@ def _build_fcvt(m, mn, parts, f):
 
     if dst == "d" and src == "s":
         def body():
-            fr[rd] = fp.bits_from_f64(fp.f32_from_bits(fr[rs1]))
+            fr[rd] = fp.canonical_bits_from_f64(fp.f32_from_bits(fr[rs1]))
         return body
 
     return None

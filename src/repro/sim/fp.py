@@ -2,9 +2,24 @@
 
 FP registers hold raw 64-bit patterns; single-precision values are
 NaN-boxed (upper 32 bits all-ones) per the RISC-V F-on-RV64 convention.
-Arithmetic is performed in Python doubles; single-precision results are
-re-rounded through a 32-bit pack, which matches hardware except for
-double-rounding corner cases that do not affect the benchmarks.
+The bit helpers convert through :mod:`repro.sim.memory`'s precompiled
+page accessors.  A ``<d`` unpack/pack round trip keeps every bit
+pattern, signalling-NaN payloads included, so moves (``fld``, ``fsd``,
+``fmv``, ``fsgnj``) stay bit-exact even when a double passes through a
+Python float on the way.
+
+Arithmetic is performed in Python doubles and rounds to nearest even
+whatever its rounding mode; only conversions to integers honour a
+static ``rm`` (``frm`` and ``fflags`` are not modelled).
+Single-precision results are re-rounded through a 32-bit pack, which is
+exact for add, subtract, multiply, divide and square root; fused
+multiply-adds round the product before the add, and
+``fcvt.s.l``/``fcvt.s.lu`` of integers wider than 53 bits round twice,
+so those can differ from hardware in the last place.  A NaN result of arithmetic or of a conversion between
+formats is the canonical NaN (:data:`QNAN64`, or :data:`QNAN32`
+NaN-boxed), as the ISA requires: :func:`bits_from_f32` and
+:func:`canonical_bits_from_f64` apply that rule, :func:`bits_from_f64`
+does not, because it also packs doubles that ``fld`` loaded.
 """
 
 from __future__ import annotations
@@ -12,34 +27,54 @@ from __future__ import annotations
 import math
 import struct
 
+from .memory import ACCESSORS
+
 NAN_BOX = 0xFFFF_FFFF_0000_0000
 #: Canonical quiet NaNs.
 QNAN64 = 0x7FF8_0000_0000_0000
 QNAN32 = 0x7FC0_0000
 
+_M64 = 0xFFFF_FFFF_FFFF_FFFF
+_pack_u32, _unpack_u32 = ACCESSORS[4].pack, ACCESSORS[4].unpack
+_pack_u64, _unpack_u64 = ACCESSORS[8].pack, ACCESSORS[8].unpack
+_pack_f64, _unpack_f64 = ACCESSORS["d"].pack, ACCESSORS["d"].unpack
+_F32 = struct.Struct("<f")
+
 
 def f64_from_bits(bits: int) -> float:
-    return struct.unpack("<d", (bits & 0xFFFF_FFFF_FFFF_FFFF).to_bytes(8, "little"))[0]
+    return _unpack_f64(_pack_u64(bits & _M64))[0]
 
 
 def bits_from_f64(value: float) -> int:
-    return int.from_bytes(struct.pack("<d", value), "little")
+    """The exact bit pattern of *value*: a NaN keeps its payload."""
+    return _unpack_u64(_pack_f64(value))[0]
+
+
+def canonical_bits_from_f64(value: float) -> int:
+    """Bits of a double arithmetic result: any NaN is the canonical
+    NaN."""
+    if value != value:
+        return QNAN64
+    return _unpack_u64(_pack_f64(value))[0]
 
 
 def f32_from_bits(bits: int) -> float:
     """Unbox and read a single.  Improperly boxed values are NaN per spec."""
     if bits & NAN_BOX != NAN_BOX:
         return math.nan
-    return struct.unpack("<f", (bits & 0xFFFF_FFFF).to_bytes(4, "little"))[0]
+    return _F32.unpack(_pack_u32(bits & 0xFFFF_FFFF))[0]
 
 
 def bits_from_f32(value: float) -> int:
-    """Round to single precision and NaN-box."""
+    """Round to single precision and NaN-box; any NaN is the canonical
+    NaN."""
+    if value != value:
+        return NAN_BOX | QNAN32
     try:
-        raw = struct.pack("<f", value)
+        raw = _F32.pack(value)
     except OverflowError:
-        raw = struct.pack("<f", math.copysign(math.inf, value))
-    return NAN_BOX | int.from_bytes(raw, "little")
+        raw = _F32.pack(math.copysign(math.inf, value))
+    return NAN_BOX | _unpack_u32(raw)[0]
 
 
 def classify(value: float, bits: int, single: bool) -> int:

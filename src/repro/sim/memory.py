@@ -7,9 +7,17 @@ so an 8 MiB stack costs nothing until the mutatee touches it.  Accesses
 to unmapped addresses raise :class:`MemoryFault` — catching wild pointers
 early matters more here than graceful degradation, since the simulator
 is the testbed for instrumentation correctness.
+
+A value is read from or written to a page in place, through one table
+of precompiled little-endian :class:`struct.Struct` accessors: the
+interpreter's :meth:`Memory.read_int`/:meth:`Memory.write_int`, the
+fast paths compiled traces generate, and :mod:`repro.sim.fp`'s bit
+helpers all use it.
 """
 
 from __future__ import annotations
+
+import struct
 
 from .. import faults
 from ..errors import ReproError
@@ -17,6 +25,15 @@ from ..errors import ReproError
 PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
 PAGE_MASK = PAGE_SIZE - 1
+
+#: Precompiled little-endian page accessors: an unsigned integer of 1,
+#: 2, 4 or 8 bytes under its size, a double under ``"d"``.  Read with
+#: ``unpack_from(page, off)[0]``, write with ``pack_into(page, off, v)``
+#: (an integer must already fit its size).
+ACCESSORS: dict = {key: struct.Struct(fmt) for key, fmt in (
+    (1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"), ("d", "<d"))}
+UNPACK = {key: s.unpack_from for key, s in ACCESSORS.items()}
+PACK = {key: s.pack_into for key, s in ACCESSORS.items()}
 
 
 class MemoryFault(ReproError):
@@ -201,7 +218,10 @@ class Memory:
             # hand-inlined _page(): this is the simulator's hottest call
             page = self._cache_page if idx == self._cache_idx \
                 else self._page(idx, addr)
-            return int.from_bytes(page[off:off + size], "little")
+            try:
+                return UNPACK[size](page, off)[0]
+            except KeyError:  # not 1, 2, 4 or 8 bytes wide
+                pass
         return int.from_bytes(self.read_bytes(addr, size), "little")
 
     def write_int(self, addr: int, size: int, value: int) -> None:
@@ -211,8 +231,12 @@ class Memory:
         if off + size <= PAGE_SIZE:
             page = self._cache_page if idx == self._cache_idx \
                 else self._page(idx, addr)
-            page[off:off + size] = value.to_bytes(size, "little")
-            if idx in self._watch_pages:
-                self._notify_write(addr, size)
-            return
+            try:
+                PACK[size](page, off, value)
+            except KeyError:  # not 1, 2, 4 or 8 bytes wide
+                pass
+            else:
+                if idx in self._watch_pages:
+                    self._notify_write(addr, size)
+                return
         self.write_bytes(addr, value.to_bytes(size, "little"))

@@ -15,8 +15,17 @@ rest.  Integer registers live in Python **locals**, spilled to the
 architectural ``x`` list only at exits, body calls and faults; the
 lowering folds immediates and registers known constant while emitting
 source (``li``/``lui``/``auipc`` chains become literals).  Loaded and
-stored values are forwarded to later loads of the same address, and a
-store to an unwatched page writes the page directly.
+stored values are forwarded to later loads of the same address.  A
+load reads its page in place, and a store to an unwatched page writes
+it in place, through :mod:`repro.sim.memory`'s precompiled ``struct``
+accessors (``U8(pg, o)[0]``, ``P8(pg, o, v)``, bound into a trace's
+namespace on first use); an access that leaves its page, or whose page
+is not created yet, calls ``Memory.read_int``/``write_int``.  Doubles
+stay Python floats from page to page: ``fld`` unpacks one straight into
+its ``g<rd>`` local, ``fsd`` of a live float packs it straight back,
+and ``fr[]`` bits are packed only at exits, faults, executor-body calls
+and single-precision instructions.  A NaN result of double arithmetic the
+emitter inlines is replaced by the canonical NaN, as the ISA requires.
 
 Tier 1 — superblocks.  Once a pc has been dispatched
 :data:`HOT_THRESHOLD` times, the straight-line run of instructions
@@ -102,7 +111,7 @@ from ..semantics.lower import HELPERS, Lowering, Val, const, sx
 from ..semantics.registry import semantics_for
 from . import fp
 from .executor import FMA_SIGNS, SimFault, build_body
-from .memory import MemoryFault
+from .memory import PACK, UNPACK, MemoryFault
 from .timing import category_of
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -527,7 +536,7 @@ class _TraceEmitter:
         self.ns = {
             "m": m, "x": m.x, "fr": m.f, "WP": m.mem._watch_pages,
             "ri": m.mem.read_int, "si": m.mem.write_int,
-            "PG": m.mem._pages.get, "FB": int.from_bytes,
+            "PG": m.mem._pages.get,
             "sx": sx, "L": cache._link, "MT": cache._promote,
             "JM": cache._jalr_miss, "GH": cache.jalr_hits,
             "D": cache.deopt_count,
@@ -585,6 +594,7 @@ class _TraceEmitter:
         #: known memory values: (base reg | None, offset, size) ->
         #: temp-local holding the loaded/stored bytes (little-endian
         #: unsigned).  ``None`` base keys absolute (const) addresses.
+        #: A slot ``fsd`` wrote from a float is in :attr:`fp_mem` only.
         self.mem_known: dict[tuple, str] = {}
         #: id of each register's latest const-write placeholder, or
         #: None once a non-const write supersedes it (build_result
@@ -623,21 +633,18 @@ class _TraceEmitter:
         #: fp regs whose architectural ``fr[]`` slot is stale; the
         #: authoritative value is ``g{reg}`` (always ⊆ fp_float)
         self.fp_dirty: set[int] = set()
-        #: fp regs whose raw bit pattern is live in a named local or
-        #: literal (purged when the backing name is reassigned)
-        self.fp_bits: dict[int, str] = {}
         #: access key -> fp reg whose ``g`` local holds the float of
         #: the memory value (killed with the reg's ``g`` redefinition
-        #: and by aliasing stores)
+        #: and by aliasing stores); ``fld`` and ``fsd`` fill it
         self.fp_mem: dict[tuple, int] = {}
-        #: per-ip dirty-fp sync table for the fault handler, parallel
-        #: to P/U/N: tuples of (reg, bits-local-name | None)
+        #: per-ip dirty fp regs for the fault handler, parallel to
+        #: P/U/N
         self.sync_fp: list[tuple] = [()]
-        #: per-spill-site dirty-fp sync exprs, keyed like spill_consts
-        self.spill_fp: dict[int, dict[int, str]] = {}
-        #: per-close-site dirty-fp sync exprs (expanded at build time
-        #: for regs whose dirtiness is not carried by the seeds)
-        self.fpsync_sites: dict[int, dict[int, str]] = {}
+        #: per-spill-site dirty fp regs, keyed like spill_consts
+        self.spill_fp: dict[int, tuple] = {}
+        #: per-close-site dirty fp regs (written back at build time
+        #: unless the seeds carry their dirtiness)
+        self.fpsync_sites: dict[int, tuple] = {}
 
     # -- register / const helpers ----------------------------------------
 
@@ -701,9 +708,12 @@ class _TraceEmitter:
     # -- float-local cache helpers ----------------------------------------
     #
     # Double-precision values live as plain Python floats in ``g{reg}``
-    # locals; struct pack/unpack round-trips doubles exactly, so
-    # deferring the B64 pack until a sync point (exit, fault, fsw/flw,
-    # body closure) is bit-identical to packing after every op.
+    # locals: ``fld`` unpacks a page's double straight into one, and
+    # ``fsd`` packs it straight back.  A ``<d`` unpack/pack round trip
+    # keeps every bit pattern, signalling-NaN payloads included, so
+    # packing ``fr[]`` bits only where they must be exact (exits,
+    # faults, executor-body calls, single-precision instructions) is
+    # bit-identical to packing after every instruction.
 
     def _fp_kill_g(self, r: int) -> None:
         """Local ``g{r}`` is about to be reassigned: forwarded memory
@@ -718,29 +728,22 @@ class _TraceEmitter:
         the write replaces it architecturally)."""
         self.fp_dirty.discard(r)
         self.fp_float.discard(r)
-        self.fp_bits.pop(r, None)
         self._fp_kill_g(r)
-
-    def _fp_bits_expr(self, r: int) -> str:
-        """Bit-pattern expression for fp reg *r*'s cached value."""
-        b = self.fp_bits.get(r)
-        return b if b is not None else f"B64(g{r})"
 
     def _fp_sync(self, r: int) -> None:
         """Make ``fr[r]`` architecturally fresh; cached knowledge
         survives, only the dirtiness clears."""
         if r in self.fp_dirty:
             self.fp_dirty.discard(r)
-            self.lines.append(f"fr[{r}] = {self._fp_bits_expr(r)}")
+            self.lines.append(f"fr[{r}] = B64(g{r})")
 
     def _fp_float_of(self, r: int) -> str:
         """Expression for the float value of fp reg *r*, materializing
-        ``g{r}`` lazily from the cheapest known bit source."""
+        ``g{r}`` from ``fr[r]`` when it is not live."""
         if r in self.fp_float:
             return f"g{r}"
         self._fp_kill_g(r)
-        src = self.fp_bits.get(r, f"fr[{r}]")
-        self.lines.append(f"g{r} = F64({src})")
+        self.lines.append(f"g{r} = F64(fr[{r}])")
         self.fp_float.add(r)
         return f"g{r}"
 
@@ -749,25 +752,10 @@ class _TraceEmitter:
         state — emitted before anything that may read or write the
         architectural fr list behind our back (body closures)."""
         for r in sorted(self.fp_dirty):
-            self.lines.append(f"fr[{r}] = {self._fp_bits_expr(r)}")
+            self.lines.append(f"fr[{r}] = B64(g{r})")
         self.fp_dirty.clear()
         self.fp_float.clear()
-        self.fp_bits.clear()
         self.fp_mem.clear()
-
-    def _fp_purge_name(self, nm: str) -> None:
-        """Bits local *nm* is being reassigned: bit-pattern claims
-        referencing it are stale (float claims keep their own ``g``
-        locals and survive)."""
-        if self.fp_bits:
-            for r in [r for r, b in self.fp_bits.items() if b == nm]:
-                del self.fp_bits[r]
-
-    def _fp_dirty_snap(self) -> dict[int, str]:
-        """Write-back exprs for the currently dirty fp regs (resolved
-        now: emission is linear, so a name valid here is valid at
-        runtime whenever control passes this site)."""
-        return {r: self._fp_bits_expr(r) for r in sorted(self.fp_dirty)}
 
     # -- bookkeeping helpers ---------------------------------------------
 
@@ -786,13 +774,7 @@ class _TraceEmitter:
         self.sync_count.append(self.count)
         self.sync_consts.append(tuple(
             (r, v) for r, v in sorted(self.consts.items()) if r))
-        ents = []
-        for r in sorted(self.fp_dirty):
-            b = self.fp_bits.get(r)
-            # the handler reads named locals through locals(); literal
-            # bit patterns fall back to packing the float local
-            ents.append((r, b if b and b.isidentifier() else None))
-        self.sync_fp.append(tuple(ents))
+        self.sync_fp.append(tuple(sorted(self.fp_dirty)))
         self.lines.append(f"ip = {ip}")
 
     def _chain_cell(self) -> int:
@@ -810,7 +792,7 @@ class _TraceEmitter:
         known constant *here* stored as literals."""
         sid = len(self.spill_consts)
         self.spill_consts[sid] = dict(self.consts)
-        self.spill_fp[sid] = self._fp_dirty_snap()
+        self.spill_fp[sid] = tuple(sorted(self.fp_dirty))
         self.lines.append(f"{indent}{_SPILL}:{sid}")
 
     def _sync_exit(self, target_expr: str, indent: str) -> None:
@@ -837,7 +819,7 @@ class _TraceEmitter:
         for k in (*self.mem_known, *self.fp_mem):
             self._rely(k)
         fid = len(self.fpsync_sites)
-        self.fpsync_sites[fid] = self._fp_dirty_snap()
+        self.fpsync_sites[fid] = tuple(sorted(self.fp_dirty))
         self.lines.append(f"{indent}\x00FPSYNC:{fid}")
         self._flush(indent)
         if self.fast:
@@ -902,7 +884,6 @@ class _TraceEmitter:
         self.last_const = {}
         self.fp_float = set(seed_fp)
         self.fp_dirty = {r for r, d in seed_fp.items() if d}
-        self.fp_bits = {}
         self.fp_mem = dict(seed_fp_mem)
         self.kept = {}
         self.seed_consts = dict(seed_consts)
@@ -1111,7 +1092,7 @@ class _TraceEmitter:
             # stale (dirty) until a sync point needs the bit pattern
             key = self._mem_key(rs1, imm, 8)
             fsrc = self.fp_mem.get(key)
-            v = self._load_value(pc, rs1, imm, 8)
+            bits = self.mem_known.get(key)
             if fsrc is not None and fsrc in self.fp_float:
                 # the slot's float is already live in a local: the
                 # reload is at most a local-to-local copy
@@ -1121,10 +1102,14 @@ class _TraceEmitter:
                     self.lines.append(f"g{rd} = g{fsrc}")
             else:
                 self._fp_kill_g(rd)
-                self.lines.append(f"g{rd} = F64({v})")
+                if bits is not None:
+                    # an integer access forwarded the slot's bits
+                    self._rely(key)
+                    self.lines.append(f"g{rd} = F64({bits})")
+                else:
+                    self._emit_read(pc, rs1, imm, 8, f"g{rd}", "d")
                 self.fp_mem[key] = rd
             self.fp_float.add(rd)
-            self.fp_bits[rd] = v
             self.fp_dirty.add(rd)
             self._charge(mn, instr)
             return True
@@ -1141,7 +1126,7 @@ class _TraceEmitter:
                     fb = self._fp_float_of(b)
                     self._fp_kill_g(rd)
                     self.lines.append(f"g{rd} = {fa} {op} {fb}")
-                    self.fp_bits.pop(rd, None)
+                    self._canonical_nan(rd)
                     self.fp_float.add(rd)
                     self.fp_dirty.add(rd)
                 else:
@@ -1164,7 +1149,7 @@ class _TraceEmitter:
                     self._fp_kill_g(rd)
                     self.lines.append(
                         f"g{rd} = {ps} * ({fa} * {fb}) + {qs} * {fc}")
-                    self.fp_bits.pop(rd, None)
+                    self._canonical_nan(rd)
                     self.fp_float.add(rd)
                     self.fp_dirty.add(rd)
                 else:
@@ -1180,7 +1165,21 @@ class _TraceEmitter:
                 return True
         return False
 
+    def _canonical_nan(self, rd: int) -> None:
+        """A NaN result of double arithmetic is the canonical NaN."""
+        self.ns.setdefault("QN", fp.f64_from_bits(fp.QNAN64))
+        self.lines.append(f"if g{rd} != g{rd}: g{rd} = QN")
+
     # -- memory access ----------------------------------------------------
+
+    def _accessor(self, kind: str, key) -> str:
+        """Name of the page accessor (``kind`` ``"U"`` unpacks, ``"P"``
+        packs) for *key* (a size, or ``"d"``), bound into the
+        namespace on first use."""
+        name = f"{kind}{key}"
+        if name not in self.ns:
+            self.ns[name] = (UNPACK if kind == "U" else PACK)[key]
+        return name
 
     def _addr_expr(self, rs1: int, imm: int) -> str:
         c = self.const_of(rs1)
@@ -1232,34 +1231,49 @@ class _TraceEmitter:
             self._rely(key)
             return hit
         v = self._stable(key)
-        self._fp_purge_name(v)
-        self._mark(pc)
-        c = self.const_of(rs1)
-        if c is not None:
-            addr = (c + imm) & _MASK64
-            off = addr & 4095
-            if off > 4096 - size:  # crosses a page: slow path only
-                self.lines.append(f"{v} = ri({addr:#x}, {size})")
-            else:
-                self.lines += [
-                    f"pg = PG({addr >> 12:#x})",
-                    "if pg is None:",
-                    f"    {v} = ri({addr:#x}, {size})",
-                    "else:",
-                    f"    {v} = FB(pg[{off}:{off + size}], 'little')",
-                ]
-        else:
-            self.lines += [
-                f"a = {self._addr_expr(rs1, imm)}",
-                "pg = PG(a >> 12)",
-                "o = a & 4095",
-                f"if pg is None or o > {4096 - size}:",
-                f"    {v} = ri(a, {size})",
-                "else:",
-                f"    {v} = FB(pg[o:o + {size}], 'little')",
-            ]
+        self._emit_read(pc, rs1, imm, size, v, size)
         self.mem_known[key] = v
         return v
+
+    def _emit_read(self, pc: int, rs1: int, imm: int, size: int,
+                   dest: str, key) -> None:
+        """Read the *size* bytes at (*rs1* + *imm*) into local *dest*
+        through the page accessor for *key* (*size*, or ``"d"`` for a
+        double)."""
+        self._mark(pc)
+        slow = f"ri({{}}, {size})"
+        if key == "d":
+            slow = f"F64({slow})"
+        self._emit_access(
+            rs1, imm, size, f"{dest} = {slow}",
+            f"{dest} = {self._accessor('U', key)}(pg, {{}})[0]")
+
+    def _emit_access(self, rs1: int, imm: int, size: int, slow: str,
+                     fast: str, store: bool = False) -> None:
+        """Emit an access of *size* bytes at (*rs1* + *imm*): statement
+        *fast*, formatted with the page offset, works on page ``pg`` in
+        place; *slow*, formatted with the address, runs instead when the
+        page is not created yet, the access leaves it, or (a *store*)
+        the write watch covers it."""
+        c = self.const_of(rs1)
+        if c is None:
+            self.lines += [f"a = {self._addr_expr(rs1, imm)}",
+                           "pg = PG(a >> 12)", "o = a & 4095"]
+            test = f"pg is None or o > {4096 - size}"
+            if store:
+                test += " or a >> 12 in WP"
+            slow, fast = slow.format("a"), fast.format("o")
+        else:
+            addr = (c + imm) & _MASK64
+            slow = slow.format(f"{addr:#x}")
+            if addr & 4095 > 4096 - size:  # crosses a page: slow path only
+                self.lines.append(slow)
+                return
+            page = f"{addr >> 12:#x}"
+            self.lines.append(f"pg = PG({page})")
+            test = f"pg is None or {page} in WP" if store else "pg is None"
+            fast = fast.format(addr & 4095)
+        self.lines += [f"if {test}:", f"    {slow}", "else:", f"    {fast}"]
 
     def _store_invalidate(self, key: tuple) -> None:
         """A store to *key* kills the forwarded values it may alias.
@@ -1298,112 +1312,57 @@ class _TraceEmitter:
             self.relied |= bases
 
     def _emit_store(self, pc: int, size: int, f: dict, instr) -> None:
+        """Emit a store.  ``fsd`` of a register whose float is live
+        packs the float straight into the page, and the slot is then
+        forwarded through :attr:`fp_mem` alone, so an integer access to
+        it reads memory; every other store forwards its value through
+        :attr:`mem_known`."""
         mn = instr.mnemonic
-        rs2 = f["rs2"]
-        imm = f["imm"]
-        skey = self._mem_key(f["rs1"], imm, size)
-        fsd_cached = False
-        if mn == "fsd":
-            b = self.fp_bits.get(rs2)
-            if b is None and rs2 in self.fp_float:
-                b = f"B64(g{rs2})"
-            if b is not None:
-                # store straight from the float cache: the bits land in
-                # the forwarding local first, so any B64 runs once and
-                # the value is forwarded to same-slot reloads for free
-                nm = self._stable(skey)
-                if b != nm:
-                    self._fp_purge_name(nm)
-                    self.lines.append(f"{nm} = {b}")
-                    self.fp_bits[rs2] = nm
-                val_int = nm
-                val_bytes = f"{nm}.to_bytes(8, 'little')"
-                fsd_cached = True
-            else:
-                val_int = f"fr[{rs2}]"
-                val_bytes = f"fr[{rs2}].to_bytes(8, 'little')"
-        elif mn == "fsw":
-            self._fp_sync(rs2)
-            val_int = f"fr[{rs2}]"
-            val_bytes = (f"(fr[{rs2}] & 0xFFFFFFFF)"
-                         f".to_bytes(4, 'little')")
+        rs1, rs2, imm = f["rs1"], f["rs2"], f["imm"]
+        skey = self._mem_key(rs1, imm, size)
+        # the page accessor's key and value, and the value's bits for
+        # write_int
+        key = size
+        literal = False
+        if mn == "fsd" and rs2 in self.fp_float:
+            key, val, bits = "d", f"g{rs2}", f"B64(g{rs2})"
         else:
-            c = self.const_of(rs2)
-            if c is not None:
-                val_int = f"{c:#x}" if c else "0"
-                val_bytes = repr(
-                    (c & ((1 << (8 * size)) - 1))
-                    .to_bytes(size, "little"))
+            if mn == "fsd":
+                val = f"fr[{rs2}]"
+            elif mn == "fsw":
+                self._fp_sync(rs2)
+                val = f"fr[{rs2}] & 0xFFFFFFFF"
             else:
-                v = self.use(rs2)
-                val_int = v
-                if size == 8:
-                    val_bytes = f"{v}.to_bytes(8, 'little')"
+                c = self.const_of(rs2)
+                mask = (1 << (8 * size)) - 1
+                if c is not None:
+                    val, literal = f"{c & mask:#x}", True
+                elif size == 8:
+                    val = self.use(rs2)
                 else:
-                    mask = (1 << (8 * size)) - 1
-                    val_bytes = (f"({v} & {mask:#x})"
-                                 f".to_bytes({size}, 'little')")
+                    val = f"{self.use(rs2)} & {mask:#x}"
+            bits = val
         self._cover(pc, instr.length)
         self._mark(pc)
         # fast path: a direct page write unless the page is watched
         # (it holds code: the write watch must see the store) or the
         # store leaves the page, which write_int handles
-        c1 = self.const_of(f["rs1"])
-        if c1 is not None:
-            addr = (c1 + imm) & _MASK64
-            off = addr & 4095
-            if off > 4096 - size:
-                self.lines.append(f"si({addr:#x}, {size}, {val_int})")
-            else:
-                page = f"{addr >> 12:#x}"
-                self.lines += [
-                    f"pg = PG({page})",
-                    f"if pg is None or {page} in WP:",
-                    f"    si({addr:#x}, {size}, {val_int})",
-                    "else:",
-                    f"    pg[{off}:{off + size}] = {val_bytes}",
-                ]
-        else:
-            self.lines += [
-                f"a = {self._addr_expr(f['rs1'], imm)}",
-                "pg = PG(a >> 12)",
-                "o = a & 4095",
-                f"if pg is None or o > {4096 - size} or a >> 12 in WP:",
-                f"    si(a, {size}, {val_int})",
-                "else:",
-                f"    pg[o:o + {size}] = {val_bytes}",
-            ]
+        self._emit_access(rs1, imm, size, f"si({{}}, {size}, {bits})",
+                          f"{self._accessor('P', key)}(pg, {{}}, {val})",
+                          store=True)
         self._charge(mn, instr)
         self._store_invalidate(skey)
         # store-to-load forwarding: remember the stored value so a
         # same-address reload (this iteration or, via seeding, the next
         # one) costs one local read instead of a page access
-        fwd = None
-        if mn == "fsd":
-            if fsd_cached:
-                self.mem_known[skey] = val_int
-                if rs2 in self.fp_float:
-                    self.fp_mem[skey] = rs2
-            else:
-                fwd = f"fr[{rs2}]"
-        elif mn == "fsw":
-            fwd = f"fr[{rs2}] & 0xFFFFFFFF"
+        if key == "d":
+            self.fp_mem[skey] = rs2
+        elif literal:
+            self.mem_known[skey] = val
         else:
-            c2 = self.const_of(rs2)
-            if c2 is not None:
-                self.mem_known[skey] = \
-                    f"{c2 & ((1 << (8 * size)) - 1):#x}"
-            elif size == 8:
-                fwd = self.use(rs2)
-            else:
-                fwd = f"{self.use(rs2)} & {(1 << (8 * size)) - 1:#x}"
-        if fwd is not None:
             nm = self._stable(skey)
-            self._fp_purge_name(nm)
-            self.lines.append(f"{nm} = {fwd}")
+            self.lines.append(f"{nm} = {val}")
             self.mem_known[skey] = nm
-            if mn == "fsd":
-                self.fp_bits[rs2] = nm
         self.lines.append("if m.code_dirty:")
         self.lines.append("    m.code_dirty = False")
         self.lines.append("    D[0] += 1")
@@ -1456,17 +1415,16 @@ class _TraceEmitter:
                     else f"{pad}x[{r}] = r{r}"
                     for r in written
                 ]
-                out += [f"{pad}fr[{r}] = {e}"
-                        for r, e in self.spill_fp[sid].items()]
+                out += [f"{pad}fr[{r}] = B64(g{r})"
+                        for r in self.spill_fp[sid]]
                 continue
             if stripped.startswith("\x00FPSYNC:"):
                 # back-edge fp write-back: dirty regs whose dirtiness
                 # the seeds carry across the loop stay in their floats;
                 # everything else syncs here
                 site = self.fpsync_sites[int(stripped.split(":")[1])]
-                out += [f"{pad}fr[{r}] = {e}"
-                        for r, e in site.items()
-                        if not self.seed_fp.get(r)]
+                out += [f"{pad}fr[{r}] = B64(g{r})"
+                        for r in site if not self.seed_fp.get(r)]
                 continue
             out.append(line)
         return out
@@ -1536,9 +1494,8 @@ class _TraceEmitter:
         handler_spill = "\n        ".join(spill)
         fp_handler = (
             "        _lv = locals()\n"
-            "        for _fd, _fn in FPP[ip]:\n"
-            "            fr[_fd] = _lv[_fn] if _fn else "
-            "B64(_lv['g%d' % _fd])\n"
+            "        for _fd in FPP[ip]:\n"
+            "            fr[_fd] = B64(_lv['g%d' % _fd])\n"
         ) if has_fpp else ""
         tag = "mega" if self.loop else "trace"
         name = f"__{tag}__"

@@ -34,6 +34,19 @@ class TestMemory:
         m.write_int(0, 1, 0x1FF)
         assert m.read_int(0, 1) == 0xFF
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("addr", [0x1100, 0x1FFE])
+    def test_every_width(self, size, addr):
+        """Any width round-trips, inside a page and across a page
+        boundary, and touches only its own bytes."""
+        m = Memory()
+        m.map_region(0x1000, 0x2000)
+        value = int.from_bytes(bytes(range(0x81, 0x81 + size)), "little")
+        m.write_int(addr, size, value | 1 << 8 * size)
+        assert m.read_int(addr, size) == value
+        assert m.read_bytes(addr - 1, size + 2) == \
+            bytes([0]) + value.to_bytes(size, "little") + bytes([0])
+
     def test_bytes_roundtrip_cross_page(self):
         m = Memory()
         m.map_region(0, 0x3000)

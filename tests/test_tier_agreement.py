@@ -311,3 +311,131 @@ f:
 """)
         mega = _agree_on(prog)
         assert mega.traces.jalr_hits[0] < 10
+
+
+#: loop bodies mixing integer and FP accesses to the same bytes; each
+#: runs 200 times inside :data:`_MIXED`, so the default threshold
+#: reaches megatraces too.  ``f2`` holds 3.0, ``f9`` 1.0f, and ``s2``
+#: points at page offset 4092, 8 KiB below the stack frame.
+MIXED = {
+    # an integer store, then a double load of the same slot
+    "sd-then-fld": """
+  li t1, 0x4000000000000000
+  add t0, t1, s0
+  sd t0, 0(sp)
+  fld f3, 0(sp)
+  fadd.d f4, f4, f3
+""",
+    # a double store over a forwarded integer, then integer reloads:
+    # the whole slot and its upper half
+    "fsd-then-ld": """
+  ld t1, 0(sp)
+  lw t4, 12(sp)
+  fadd.d f5, f5, f2
+  fsd f5, 0(sp)
+  fsd f5, 8(sp)
+  ld t2, 0(sp)
+  lw t3, 12(sp)
+  add a1, a1, t2
+  xor a2, a2, t1
+  add a3, a3, t3
+  xor a4, a4, t4
+""",
+    # a word store into half of a double slot, then a double load
+    "sw-into-double-then-fld": """
+  fadd.d f5, f5, f2
+  fsd f5, 16(sp)
+  sw s0, 20(sp)
+  fld f6, 16(sp)
+  fadd.d f7, f7, f6
+  fsd f7, 48(sp)
+""",
+    # singles beside (and inside) a double slot
+    "flw-fsw-beside-fsd": """
+  fadd.d f5, f5, f2
+  fsd f5, 24(sp)
+  flw f8, 32(sp)
+  fadd.s f8, f8, f9
+  fsw f8, 32(sp)
+  flw f10, 32(sp)
+  fld f11, 24(sp)
+  fadd.d f12, f12, f11
+  fsw f8, 28(sp)
+  fld f13, 24(sp)
+  fadd.d f12, f12, f13
+""",
+    # a double straddling two pages: the slow path only
+    "double-across-pages": """
+  fld f14, 0(s2)
+  fadd.d f14, f14, f2
+  fsd f14, 0(s2)
+  ld t0, 0(s2)
+  add a1, a1, t0
+  lw t1, 4(s2)
+  add a2, a2, t1
+""",
+    # a double at a constant address in .data
+    "constant-double": """
+  la t0, dval
+  fld f15, 0(t0)
+  fadd.d f15, f15, f2
+  fsd f15, 0(t0)
+  ld t1, 0(t0)
+  xor a1, a1, t1
+""",
+    # signalling-NaN and payload-NaN patterns copied by fld/fsd
+    "nan-copies": """
+  la t0, nans
+  andi t1, s0, 3
+  slli t1, t1, 3
+  add t2, t0, t1
+  fld f16, 0(t2)
+  fsd f16, 32(t2)
+  fld f17, 32(t2)
+  fsd f17, 40(sp)
+  ld t3, 40(sp)
+  xor a5, a5, t3
+  fld f18, 8(t0)
+  fsd f18, 56(t0)
+  fsd f18, 8(sp)
+""",
+}
+
+_MIXED = """
+_start:
+  addi sp, sp, -64
+  li s0, 0
+  li t6, 3
+  fcvt.d.l f2, t6
+  li t6, 1
+  fcvt.s.l f9, t6
+  li t6, -8192
+  add s2, sp, t6
+  srli s2, s2, 12
+  slli s2, s2, 12
+  addi s2, s2, -4
+loop:
+{body}
+  addi s0, s0, 1
+  li t5, 200
+  blt s0, t5, loop
+  li a7, 93
+  ecall
+.data
+dval:
+  .dword 0x3ff8000000000000
+nans:
+  .dword 0x7ff0000000000001, 0x7ff4000000000abc
+  .dword 0xfff8000000000123, 0x7ff8000000000000
+copies:
+  .zero 32
+"""
+
+
+@pytest.mark.parametrize("case", sorted(MIXED))
+def test_mixed_memory_accesses(case):
+    """Integer and FP accesses to the same bytes, page-crossing and
+    constant-address doubles, and NaN bit patterns leave the same
+    state on every engine."""
+    mega = _agree_on(assemble(_MIXED.format(body=MIXED[case])))
+    assert mega.traces.mega_compiles > 0

@@ -260,7 +260,9 @@ loop:
 
 class TestInstrumentedHotLoop:
     """A counter at every block of ``multiply``: in the hot inner loop
-    the counter lives in a local and the stack slots stay forwarded."""
+    the counter lives in a local, the stack slots stay forwarded, and
+    each remaining access reads or writes its page in place, doubles
+    as floats."""
 
     def test_counter_stays_in_locals(self, monkeypatch):
         sources: list[str] = []
@@ -301,7 +303,8 @@ class TestInstrumentedHotLoop:
         assert not [a for a in calls if counter <= a < counter + 8]
 
         # the steady-state body of the loop that bumps the counter
-        # reloads neither the counter nor a stack slot
+        # reloads neither the counter nor a stack slot, integer or
+        # double (``g<n> = F64(ri(a, 8))``)
         page = f"PG({counter >> 12:#x})"
         hot = [s.split("while True:", 1)[1] for s in sources
                if "while True:" in s
@@ -314,5 +317,32 @@ class TestInstrumentedHotLoop:
                 line = line.strip()
                 if line.startswith("a = "):
                     addr = line
-                elif line.startswith(("w", "v")) and "ri(a," in line:
+                elif line.startswith(("w", "v", "g")) and "ri(a," in line:
                     assert "r2" not in addr, addr
+            # every access in the main path reads or writes the page in
+            # place: no bytes, and doubles stay floats
+            main = _main_path(body)
+            for token in ("to_bytes", "FB(", "F64(", "B64("):
+                assert not [ln for ln in main if token in ln], token
+            assert any("Ud(pg, o)[0]" in line for line in main)
+
+
+def _main_path(body: str) -> list[str]:
+    """The lines of a megatrace's steady-state loop (the source after
+    its ``while True:``) that run on every iteration: nested blocks
+    under an ``if`` (the ``ri``/``si`` slow paths and the exits) are
+    left out, the ``else:`` fast paths kept."""
+    lines = [ln for ln in body.splitlines() if ln.strip()]
+    base = len(lines[0]) - len(lines[0].lstrip())
+    main, skip = [], False
+    for line in lines:
+        depth = len(line) - len(line.lstrip())
+        if depth < base:
+            break  # the fault handler
+        if depth == base:
+            skip = line.lstrip().startswith("if ") and \
+                line.rstrip().endswith(":")
+            main.append(line)
+        elif not skip:
+            main.append(line)
+    return main
