@@ -1,10 +1,9 @@
 """Lower instruction semantics IR to Python source.
 
-The simulator's three execution tiers take an integer instruction's
-meaning from here instead of writing it by hand: the closure
-interpreter compiles one factory per mnemonic, and the trace emitter
-inlines the lowered expressions into both compiled tiers, superblocks
-and megatraces.
+The simulator's execution tiers take an integer instruction's meaning
+from here instead of writing it by hand: the closure interpreter
+compiles one factory per mnemonic, and the trace emitter inlines the
+lowered expressions into compiled traces.
 
 :class:`Lowering` walks one instruction's :class:`~repro.semantics.ir.
 Semantics` and renders each expression as a :class:`Val`: Python source

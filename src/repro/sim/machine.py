@@ -12,9 +12,10 @@ attributes to locals, and instructions are compiled at two levels —
   cold code: an unbounded ``run()`` steps a pc through its closure until
   the pc has been dispatched ``traces.hot_threshold`` times;
 * a trace cache (:class:`repro.sim.trace.TraceCache`) used by unbounded
-  ``run()`` once code is warm: straight-line blocks execute as one
-  Python function with batched timing and direct chaining to successor
-  blocks, and hot loops are promoted to megatraces.
+  ``run()`` once code is warm: a trace is rooted at every warm pc and
+  runs the path from there as one Python function with batched timing,
+  looping without leaving compiled code when the path returns to its
+  root, and chaining directly to the traces at its exits.
 
 Both levels are **patch-safe**: every write overlapping a registered
 executable range — self-modifying stores, ``write_mem`` from the
@@ -110,24 +111,17 @@ class Machine:
         The :class:`TimingModel` charged per instruction; determines
         what ``clock_gettime``/``rdcycle`` report.
     trace_compile:
-        Enable the trace compiler for unbounded ``run()``: a pc is
-        compiled into a superblock once it has been dispatched
-        ``traces.hot_threshold`` times, and runs on the per-pc closure
-        interpreter until then.  Defaults to on; set
+        Enable the trace compiler for unbounded ``run()``: once a pc
+        has been dispatched ``traces.hot_threshold`` times, a trace is
+        rooted there (see docs/INTERNALS.md, "JIT tiers"); until then
+        it runs on the per-pc closure interpreter.  Defaults to on; set
         ``REPRO_SIM_TRACES=0`` (or pass ``False``) to force the closure
         interpreter everywhere — results are architecturally identical
         either way.
-    megatraces:
-        Enable tier-2 megatrace promotion (hot loops compiled into
-        single looping functions with register caching — see
-        docs/INTERNALS.md, "JIT tiers").  On by default; pass
-        ``False`` to cap the JIT at superblocks.  Architecturally
-        identical either way.
     """
 
     def __init__(self, timing: TimingModel = P550,
-                 trace_compile: bool | None = None,
-                 megatraces: bool = True):
+                 trace_compile: bool | None = None):
         self.timing = timing
         self.mem = Memory()
         self.x: list[int] = [0] * 32
@@ -149,7 +143,7 @@ class Machine:
         self.trap_redirects: dict[int, int] = {}
         self.trace_compile = (_traces_default() if trace_compile is None
                               else trace_compile)
-        self.traces = TraceCache(self, mega=megatraces)
+        self.traces = TraceCache(self)
         #: armed only for telemetry-observed runs: the traced dispatch
         #: loop then counts cache hits (disabled runs skip the wrapper
         #: entirely, so the hot loop stays wrapper-free)
@@ -238,8 +232,8 @@ class Machine:
         Effective at the next :meth:`run`/:meth:`step` dispatch (the
         simulator is single-threaded, so mid-run attachment happens at
         debugger stops).  Attaching a block-granularity stream flushes
-        the trace cache so superblocks recompile with an embedded
-        block-enter emit; attaching an instruction-granularity stream
+        the trace cache so traces recompile with embedded block-enter
+        emits; attaching an instruction-granularity stream
         leaves compiled traces intact — they are simply not dispatched
         while the observer wants per-instruction events.
         """
@@ -438,9 +432,9 @@ class Machine:
             max_instructions: int | None = None) -> StopEvent:
         """Run until exit, breakpoint, fault, or *max_steps*.
 
-        Unbounded runs use the superblock trace compiler (when enabled);
-        bounded runs need a per-instruction step budget and stay on the
-        closure interpreter.
+        Unbounded runs use the trace compiler (when enabled); bounded
+        runs need a per-instruction step budget and stay on the closure
+        interpreter.
 
         *max_instructions* is a **hard budget**, not a cooperative
         bound: retiring that many instructions without stopping raises
@@ -458,8 +452,8 @@ class Machine:
         observer-overhead rule (docs/INTERNALS.md): instruction-
         granularity streams deoptimise the run to the event-emitting
         closure interpreter; block-granularity streams keep the trace
-        compiler engaged with one embedded block-enter emit per
-        superblock.  With no observer attached, event support costs one
+        compiler engaged with block-enter emits compiled into the
+        traces.  With no observer attached, event support costs one
         list check per ``run()`` call — nothing per instruction.
 
         *report* asks for a per-run summary (instructions retired,
@@ -526,8 +520,8 @@ class Machine:
         """Telemetry/reporting wrapper around the raw run loops."""
         traces = self.traces
         instret0, ucycles0 = self.instret, self.ucycles
-        base = (traces.compiles, traces.invalidations, traces.links,
-                traces.hits, traces.mega_compiles, traces.jalr_hits[0],
+        base = (traces.invalidations, traces.links, traces.hits,
+                traces.mega_compiles, traces.jalr_hits[0],
                 traces.jalr_misses[0], traces.deopt_count[0],
                 traces.alias_guard_misses)
         self._count_hits = rec.enabled or bool(report)
@@ -540,15 +534,14 @@ class Machine:
         retired = self.instret - instret0
         mips = retired / elapsed / 1e6 if elapsed > 0 else 0.0
         deltas = {
-            "compiles": traces.compiles - base[0],
-            "invalidations": traces.invalidations - base[1],
-            "links": traces.links - base[2],
-            "hits": traces.hits - base[3],
-            "megatraces_compiled": traces.mega_compiles - base[4],
-            "jalr_guard_hits": traces.jalr_hits[0] - base[5],
-            "jalr_guard_misses": traces.jalr_misses[0] - base[6],
-            "deopts": traces.deopt_count[0] - base[7],
-            "alias_guard_misses": traces.alias_guard_misses - base[8],
+            "invalidations": traces.invalidations - base[0],
+            "links": traces.links - base[1],
+            "hits": traces.hits - base[2],
+            "megatraces_compiled": traces.mega_compiles - base[3],
+            "jalr_guard_hits": traces.jalr_hits[0] - base[4],
+            "jalr_guard_misses": traces.jalr_misses[0] - base[5],
+            "deopts": traces.deopt_count[0] - base[6],
+            "alias_guard_misses": traces.alias_guard_misses - base[7],
         }
         if rec.enabled:
             rec.record_span("sim.run", elapsed)
@@ -579,11 +572,11 @@ class Machine:
             f"  host seconds           {elapsed:>14.3f}",
             f"  throughput (MIPS)      {mips:>14.2f}",
             f"  trace cache            "
-            f"hits={deltas['hits']} compiles={deltas['compiles']} "
+            f"hits={deltas['hits']} "
+            f"compiles={deltas['megatraces_compiled']} "
             f"links={deltas['links']} "
             f"invalidations={deltas['invalidations']}",
-            f"  trace tiers            "
-            f"megatraces={deltas['megatraces_compiled']} "
+            f"  trace guards           "
             f"jalr_guard_hits={deltas['jalr_guard_hits']} "
             f"jalr_guard_misses={deltas['jalr_guard_misses']} "
             f"deopts={deltas['deopts']} "
@@ -594,11 +587,12 @@ class Machine:
     def _run_traced(self) -> StopEvent:
         """Trace-mode hot loop: execute compiled traces, following
         chained successors without re-entering this loop.  A pc with no
-        cache entry runs one closure step and counts one dispatch; it
-        compiles once the count reaches ``traces.hot_threshold``, or at
-        once while a block-granularity observer is attached (block-enter
-        events come from compiled trace prologues).  Pcs the trace
-        compiler rejects also step through their closure."""
+        cache entry runs one closure step and counts one dispatch; a
+        trace is rooted there once the count reaches
+        ``traces.hot_threshold``, or at once while a block-granularity
+        observer is attached (block-enter events come from compiled
+        code).  Pcs the trace compiler rejects also step through their
+        closure."""
         if self._count_hits:
             traces = self.traces
             raw_get = traces.fns.get

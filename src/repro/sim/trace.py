@@ -1,14 +1,29 @@
-"""Tiered trace JIT for the simulator hot loop.
+"""Trace JIT for the simulator hot loop.
 
-Tier 0 — cold code.  A pc with no trace-cache entry runs one
-instruction on the machine's per-pc closure interpreter and adds one to
-its dispatch count.  Most of an instrumented whole binary executes only
-a few times, and building a closure is far cheaper than compiling a
-trace, so nothing is compiled until the code proves hot.
+Cold code.  A pc with no trace-cache entry runs one instruction on the
+machine's per-pc closure interpreter and adds one to its dispatch
+count.  Most of an instrumented whole binary executes only a few times,
+and building a closure is far cheaper than compiling a trace, so
+nothing is compiled until the code proves warm.
 
-One emitter, :class:`_TraceEmitter`, generates the code of both
-compiled tiers; :meth:`TraceCache._walk` drives it along the path.  It
-inlines each instruction the SAIL IR covers as the source
+Looping traces.  Once a pc has been dispatched :data:`HOT_THRESHOLD`
+times, :meth:`TraceCache.compile_at` roots a trace there.
+:meth:`TraceCache._walk` drives one emitter, :class:`_TraceEmitter`,
+along the path from that pc: past forward branches (guarded side
+exits), into direct calls, and back through returns whose target
+constant-folds (``jal`` makes the link register a known constant).
+When the path returns to its root the trace loops: its iterations run
+inside a ``while True:`` loop and never return to the dispatch loop,
+with registers and forwarded memory values kept in locals across the
+back edge.  A path that never returns to its root (straight-line code
+entered once per call, say) ends at its exits.  Either way the trace
+charges timing as **one batched ucycle charge** per exit, bumps
+``instret`` once, and **chains** each exit to a known pc directly to
+the trace compiled there, skipping even the dispatch-loop lookup.  A pc
+whose first instruction cannot be traced (ecall/ebreak/fences/CSR
+reads/atomics) gets a negative entry and stays on the interpreter.
+
+The emitter inlines each instruction the SAIL IR covers as the source
 :mod:`repro.semantics.lower` renders, plus the hot F/D forms (no
 per-instruction call at all), calling the executor's F/D bodies for the
 rest.  Integer registers live in Python **locals**, spilled to the
@@ -27,36 +42,13 @@ and ``fr[]`` bits are packed only at exits, faults, executor-body calls
 and single-precision instructions.  A NaN result of double arithmetic the
 emitter inlines is replaced by the canonical NaN, as the ISA requires.
 
-Tier 1 — superblocks.  Once a pc has been dispatched
-:data:`HOT_THRESHOLD` times, the straight-line run of instructions
-starting there — ended just after a branch or jump, after
-:data:`MAX_BLOCK` instructions, or just before anything that needs
-exact per-instruction machine state (ecall/ebreak/fences/CSR
-reads/atomics) — is compiled by the emitter's non-looping mode into a
-single Python function that
-
-* executes the whole block with machine state bound to locals,
-* charges timing as **one batched ucycle charge** per exit and bumps
-  ``instret`` once,
-* **chains** directly to the successor trace when the (static) branch
-  target has already been compiled, skipping even the per-block cache
-  lookup.
-
-Tier 2 — megatraces.  A superblock's backward exits carry a hot
-counter; when it fires :data:`HOT_THRESHOLD` times the cache promotes
-the loop head into a **megatrace**: the emitter's looping mode follows
-the loop body (fallthrough past forward branches, direct calls, and
-returns whose target constant-folds: ``jal`` makes the link register a
-known constant) into one Python function whose iterations run inside a
-``while True:`` loop — they never return to the dispatch loop — with
-registers and forwarded memory values kept in locals across the back
-edge.  Stores kill forwarded values by alias class: a
-constant-address store (an instrumentation counter) keeps the values
-addressed through a base register the loop never writes, such as the
-stack slots under ``sp``, and a store through such a register keeps the
-constant-address ones.  An entry guard checks, once per entry, that
-those registers' accesses miss the constant addresses; when it fails,
-the head is recompiled with no such assumption.
+Stores kill forwarded values by alias class: a constant-address store
+(an instrumentation counter) keeps the values addressed through a base
+register the loop never writes, such as the stack slots under ``sp``,
+and a store through such a register keeps the constant-address ones.
+An entry guard checks, once per entry, that those registers' accesses
+miss the constant addresses; when it fails, the root is recompiled with
+no such assumption.
 
 Indirect jumps (``jalr``) that end a trace are **guard-specialised**:
 each such exit keeps its own inline cache, which remembers the first
@@ -75,16 +67,16 @@ must never execute stale bytes:
   :class:`~repro.sim.memory.Memory` write watch; generated stores test
   the watch's page set, which ``add_exec_range`` updates in place, so a
   resident trace sees code ranges added after it compiled;
-* invalidation drops every trace any of whose instruction **spans**
-  overlap the written bytes (with the same 3-byte pre-slack as the
-  per-pc icache: a patched instruction may start up to 3 bytes before
-  the written address) and severs every chain link pointing at a
-  dropped trace — megatraces track one span per contiguous stretch of
-  code they inlined, so a write into a callee dropped a megatrace that
-  inlined it even when the loop head lives pages away;
+* invalidation drops every trace (and negative entry) any of whose
+  instruction **spans** overlap the written bytes (with the same 3-byte
+  pre-slack as the per-pc icache: a patched instruction may start up to
+  3 bytes before the written address) and severs every chain link
+  pointing at a dropped trace — a trace tracks one span per contiguous
+  stretch of code it inlined, so a write into a callee drops a trace
+  that inlined it even when its root lives pages away;
 * a store *inside* a running trace that invalidates any trace sets
   ``machine.code_dirty``; the generated code spills cached registers,
-  syncs architectural state and exits the block right after that store
+  syncs architectural state and exits the trace right after that store
   (counted under ``trace.deopts``), so the remaining (possibly
   rewritten) tail is re-fetched through the cache.
 
@@ -95,10 +87,11 @@ pc/ucycles/instret and constant registers, and the generated exception
 handler spills register locals — which hold exactly the pre-fault
 architectural values — before re-raising).
 Single-stepping, watchpoint runs and bounded ``run(max_steps=...)``
-stay on the per-pc closure interpreter.  One exception to the tier-1
-hotness gate: while a block-granularity event observer is attached,
-every pc compiles on its first dispatch, because block-enter events are
-emitted from compiled trace prologues.
+stay on the per-pc closure interpreter.  While a block-granularity
+event observer is attached, every pc compiles on its first dispatch,
+and traces emit block-enter events from compiled code: at their entry,
+at the top of the steady-state loop, and at the first instruction after
+every transfer the path follows.
 """
 
 from __future__ import annotations
@@ -117,14 +110,10 @@ from .timing import category_of
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
 
-#: maximum instructions per superblock
-MAX_BLOCK = 64
-
-#: maximum instructions inlined into one megatrace
+#: maximum instructions inlined into one trace
 MAX_MEGA = 256
 
-#: dispatches of an uncompiled pc before its superblock is compiled,
-#: and back-edge executions before a loop head becomes a megatrace
+#: dispatches of an uncompiled pc before a trace is rooted there
 HOT_THRESHOLD = 32
 
 #: jalr guard misses tolerated before the inline cache rebinds
@@ -157,38 +146,30 @@ def _lower(emit, pc: int, instr):
 class Trace:
     """One compiled trace: its covered instruction spans plus function."""
 
-    __slots__ = ("entry", "fn", "backrefs", "kind", "spans")
+    __slots__ = ("entry", "fn", "backrefs", "spans")
 
-    def __init__(self, entry: int, fn, spans: list[tuple[int, int]],
-                 kind: str = "super"):
+    def __init__(self, entry: int, fn, spans: list[tuple[int, int]]):
         self.entry = entry
-        #: the compiled block function (``False`` marks a negative entry:
-        #: the pc starts with an untraceable instruction)
+        #: the compiled trace function (``False`` marks a negative
+        #: entry: the pc starts with an untraceable instruction)
         self.fn = fn
         #: chain cells (cells-list, index) that point at ``self.fn``;
         #: severed on invalidation
         self.backrefs: list[tuple[list, int]] = []
-        #: "super" (tier-1 superblock) or "mega" (tier-2 loop trace)
-        self.kind = kind
-        #: merged [lo, hi) code intervals this trace compiled from; a
-        #: superblock has one, a megatrace one per inlined stretch
+        #: merged [lo, hi) code intervals this trace compiled from, one
+        #: per inlined stretch of code
         self.spans = spans
 
 
 class TraceCache:
-    """Tiered compiled-trace cache with range invalidation, chaining
-    and megatrace promotion.  One :class:`_TraceEmitter` compiles both
-    tiers: :meth:`compile_at` runs it without looping (superblocks),
-    :meth:`_compile_mega` with looping (megatraces)."""
+    """Compiled-trace cache with range invalidation and chaining.
+    :meth:`compile_at` roots a trace at every warm pc, built by
+    :meth:`_compile_mega`."""
 
-    def __init__(self, machine: "Machine", mega: bool = True):
+    def __init__(self, machine: "Machine"):
         self.m = machine
-        #: megatrace promotion enabled (tier 2)
-        self.mega_enabled = mega
-        #: dispatches before a cold pc compiles (tier 1) and back-edge
-        #: executions before a loop head is promoted (tier 2).  Read
-        #: when a run starts and baked into generated superblocks at
-        #: compile time: set it before the first run.
+        #: dispatches before a cold pc compiles.  Read when a run
+        #: starts: set it before the first run.
         self.hot_threshold = HOT_THRESHOLD
         #: uncompiled pc -> dispatches so far on the closure interpreter
         #: (the run loop binds this dict; mutate in place only)
@@ -198,17 +179,17 @@ class TraceCache:
         self.fns: dict[int, object] = {}
         self._traces: dict[int, Trace] = {}
         self._pages: dict[int, set[Trace]] = {}
-        #: loop heads where megatrace compilation failed; retried only
-        #: after the code covering them is rewritten
-        self._no_mega: set[int] = set()
         # -- statistics (reported by the throughput ablation and the
         # telemetry subsystem)
+        #: traces compiled (alias-guard recompiles included)
+        self.mega_compiles = 0
+        #: always 0: the count of the retired non-looping tier, kept
+        #: for readers that sum it with :attr:`mega_compiles`
         self.compiles = 0
         self.invalidations = 0
         self.links = 0
-        self.mega_compiles = 0
         #: dispatch-loop hits on a compiled trace; bumped only during
-        #: telemetry-observed runs (chained block->block transfers
+        #: telemetry-observed runs (chained trace->trace transfers
         #: bypass the dispatch loop and are counted under ``links``)
         self.hits = 0
         #: shared mutable counters bound into generated code (one-element
@@ -218,8 +199,8 @@ class TraceCache:
         #: early exits from compiled traces forced by invalidation
         #: (code_dirty after a store)
         self.deopt_count = [0]
-        #: megatrace entries whose alias guard failed (each one replaced
-        #: the trace with a conservative recompile of its head)
+        #: trace entries whose alias guard failed (each one replaced the
+        #: trace with a conservative recompile of its head)
         self.alias_guard_misses = 0
 
     # -- management ------------------------------------------------------
@@ -231,7 +212,6 @@ class TraceCache:
         self.fns.clear()
         self._traces.clear()
         self._pages.clear()
-        self._no_mega.clear()
         self.dispatches.clear()
 
     def invalidate_range(self, addr: int, size: int) -> None:
@@ -254,8 +234,6 @@ class TraceCache:
             for tr in stale:
                 self._drop(tr)
                 dropped = True
-        if self._no_mega:
-            self._no_mega -= {p for p in self._no_mega if lo <= p < hi}
         if dropped:
             self.invalidations += 1
             # a running trace exits at its next store / block boundary
@@ -302,65 +280,35 @@ class TraceCache:
         self.links += 1
         return fn
 
-    # -- megatrace promotion ---------------------------------------------
-
-    def _promote(self, cells: list, idx: int, head: int):
-        """Hot back-edge fired: compile (or link) the megatrace at
-        *head*.  Called from generated superblock code with ``m.pc``
-        already set to *head*; returns the function to run next (or
-        ``None`` to fall back to the dispatch loop)."""
-        tr = self._traces.get(head)
-        if tr is not None and tr.kind == "mega":
-            fn = tr.fn
-            if not fn:
-                return None
-            cells[idx] = fn
-            tr.backrefs.append((cells, idx))
-            self.links += 1
-            return fn
-        if (not self.mega_enabled or self.m._trace_events
-                or head in self._no_mega):
-            return self._link(cells, idx, head)
-        built = self._compile_mega(head)
-        if built is None:
-            self._no_mega.add(head)
-            return self._link(cells, idx, head)
-        tr = self._install_mega(head, built)
-        cells[idx] = tr.fn
-        tr.backrefs.append((cells, idx))
-        self.links += 1
-        return tr.fn
-
-    def _install_mega(self, head: int, built) -> Trace:
-        """Register the megatrace ``(fn, spans)`` at *head*, replacing
-        whatever trace is bound there."""
-        fn, spans = built
-        old = self._traces.get(head)
+    def _install(self, pc: int, built):
+        """Bind the trace ``(fn, spans)`` built at *pc*, replacing
+        whatever is bound there; ``None`` binds a negative entry, which
+        the dispatch loop runs on the interpreter until the code under
+        *pc* is rewritten.  Returns the function (``False`` for a
+        negative entry)."""
+        old = self._traces.get(pc)
         if old is not None:
             self._drop(old)
-        tr = Trace(head, fn, spans, kind="mega")
-        self._register(tr)
-        self.mega_compiles += 1
-        return tr
+        if built is None:
+            fn, spans = False, [(pc, pc + 4)]
+        else:
+            fn, spans = built
+            self.mega_compiles += 1
+        self._register(Trace(pc, fn, spans))
+        return fn
 
     def _alias_miss(self, head: int):
-        """Entry guard of the megatrace at *head* failed: a base
+        """Entry guard of the trace rooted at *head* failed: a base
         register it assumed disjoint addresses one of its constant
-        addresses.  Called from the megatrace prologue with ``m.pc ==
+        addresses.  Called from the trace prologue with ``m.pc ==
         head`` and no state touched.  Replaces the trace with one
         compiled under no assumption and returns it to run instead.
-        When that compile fails the head is unbound and marked
-        ``_no_mega``, and ``None`` hands it back to the dispatch loop
-        (never the failing trace, which would re-enter forever)."""
+        When that compile fails the head gets a negative entry, and
+        ``None`` hands it back to the dispatch loop (never the failing
+        trace, which would re-enter forever)."""
         self.alias_guard_misses += 1
-        built = self._compile_mega(head, assume=False)
-        if built is None:
-            old = self._traces.get(head)
-            if old is not None:
-                self._drop(old)
-            self._no_mega.add(head)
-            return None
-        return self._install_mega(head, built).fn
+        return self._install(head, self._compile_mega(head, assume=False)) \
+            or None
 
     def _jalr_miss(self, G: list, cells: list, idx: int, t: int):
         """Inline-cache miss on a guarded jalr exit.  First observation
@@ -382,26 +330,16 @@ class TraceCache:
     # -- compilation -----------------------------------------------------
 
     def compile_at(self, pc: int):
-        """Compile the superblock entered at *pc* (called by the run loop
-        once *pc* is warm; see :attr:`hot_threshold`).
+        """Root a trace at *pc* (called by the run loop once *pc* is
+        warm; see :attr:`hot_threshold`).
 
-        Returns the block function, or ``False`` when *pc* starts with an
-        instruction that must run through the closure interpreter (the
-        negative result is cached and invalidated like a real trace).
+        Returns the trace function, or ``False`` when *pc* starts with
+        an instruction that must run through the closure interpreter
+        (the negative result is cached and invalidated like a real
+        trace).
         """
         faults.site("sim.trace.compile")
-        emit = _TraceEmitter(self, pc, loop=False)
-        fn, spans = False, [(pc, pc + 4)]
-        try:
-            self._walk(emit, pc)
-            if emit.count:
-                fn, spans = emit.build_result()
-        except (DecodeError, MemoryFault):
-            pass
-        self._register(Trace(pc, fn, spans))
-        if fn is not False:
-            self.compiles += 1
-        return fn
+        return self._install(pc, self._compile_mega(pc))
 
     def _fetch(self, pc: int):
         mem = self.m.mem
@@ -412,17 +350,18 @@ class TraceCache:
         return decode(raw, 0, pc)
 
     def _walk(self, emit: "_TraceEmitter", head: int) -> None:
-        """Drive one emission pass from *head*.  A looping emitter
-        follows the straight-line path (guarding forward branches,
-        following direct calls and constant-folded returns) until the
-        path returns to *head*, leaves through an exit, or hits
-        :data:`MAX_MEGA` (chained exit).  A non-looping one ends at its
-        first control transfer or after :data:`MAX_BLOCK` instructions.
-        Either stops before an instruction it cannot trace."""
+        """Drive one emission pass from *head*: follow the path
+        (guarding forward branches, following direct calls and
+        constant-folded returns) until it returns to *head*, leaves
+        through an exit, reaches a pc it already passed, or hits
+        :data:`MAX_MEGA` (chained exits), stopping before an
+        instruction it cannot trace.  Under a block observer, the
+        first instruction after each transfer the path follows starts
+        with a block-enter event."""
         pc = head
         visited: set[int] = set()
-        budget = (MAX_MEGA if emit.loop else MAX_BLOCK) - emit.count
-        for _ in range(max(budget, 1)):
+        entered = False  # pc is the target of a followed transfer
+        for _ in range(max(MAX_MEGA - emit.count, 1)):
             if pc == head and emit.count:
                 emit.close_loop()
                 return
@@ -435,12 +374,20 @@ class TraceCache:
                 emit.exit_plain(pc)
                 return
             visited.add(pc)
+            if entered:
+                emit.block_event(pc)
             lw = _lower(emit, pc, instr)
             if lw is not None and lw.target is not None:
                 pc = emit.emit_transfer(pc, instr, lw)
+                entered = True
             elif emit.emit_straight(pc, instr, lw):
                 pc += instr.length
+                entered = False
             else:
+                if entered:
+                    # the dispatch loop runs it, and no trace starts
+                    # there: its block has no block-enter event
+                    emit.drop_block_event()
                 emit.exit_plain(pc)
                 return
             if pc is None:  # the emitter closed or exited the trace
@@ -448,7 +395,7 @@ class TraceCache:
         emit.exit_chain(pc)
 
     def _compile_mega(self, head: int, assume: bool = True):
-        """Build the megatrace rooted at loop head *head*.
+        """Build the trace rooted at *head*.
 
         With *assume*, every base register starts out assumed to
         address memory disjoint from the trace's constant addresses
@@ -468,7 +415,8 @@ class TraceCache:
             assumed -= emit.written
 
     def _emit_mega(self, head: int, assumed: frozenset):
-        """Emit the loop rooted at *head* as two stitched bodies: a
+        """Emit the trace rooted at *head*.  A path that returns to
+        *head* becomes a loop of two stitched bodies: a
         straight-line **warmup** pass for the first iteration, then a
         steady-state ``while True:`` body spliced in at every point the
         warmup returns to the head.  The steady-state body is emitted
@@ -512,24 +460,14 @@ class TraceCache:
 class _TraceEmitter:
     """Generates the Python source of one compiled trace, with the
     referenced integer registers cached in Python locals and immediates
-    constant-folded at emission time.
-
-    With *loop* (a megatrace) the path rooted at a loop head becomes a
-    ``while True:`` loop.  Without it (a superblock, see
-    :meth:`TraceCache.compile_at`) every control transfer ends the
-    trace, and a backward exit counts towards promoting its target to
-    a megatrace."""
+    constant-folded at emission time.  A path that returns to the
+    trace's root *entry* becomes a ``while True:`` loop."""
 
     def __init__(self, cache: TraceCache, entry: int,
-                 assumed: frozenset = frozenset(), loop: bool = True):
+                 assumed: frozenset = frozenset()):
         self.cache = cache
         m = self.m = cache.m
         self.entry = entry
-        self.loop = loop
-        #: backward exits carry the hot counter (superblocks only, and
-        #: not under a block observer, which keeps megatraces off)
-        self.promote = not loop and cache.mega_enabled and \
-            not m._trace_events
         self.lines: list[str] = []
         #: namespace the generated function closes over (via default
         #: arguments)
@@ -537,23 +475,24 @@ class _TraceEmitter:
             "m": m, "x": m.x, "fr": m.f, "WP": m.mem._watch_pages,
             "ri": m.mem.read_int, "si": m.mem.write_int,
             "PG": m.mem._pages.get,
-            "sx": sx, "L": cache._link, "MT": cache._promote,
+            "sx": sx, "L": cache._link,
             "JM": cache._jalr_miss, "GH": cache.jalr_hits,
             "D": cache.deopt_count,
             "F64": fp.f64_from_bits, "B64": fp.bits_from_f64,
             "F32": fp.f32_from_bits, "B32": fp.bits_from_f32,
             "MF": MemoryFault, "SF": SimFault,
         }
-        # block-granularity observation: compile one block-enter emit
-        # into the trace prologue.  _rebuild_emit flushes the cache
-        # whenever this mode (or the emit fan-out) changes, so binding
-        # the current emit callable at compile time is safe.
-        if m._trace_events and m._emit is not None:
-            self.ns["EV"] = m._emit
-            self.lines.append(
-                f"EV((5, {entry:#x}, 0, m.instret, m.ucycles))")
         self.count = 0
         self.cost = 0
+        # block-granularity observation: block-enter emits are compiled
+        # into the trace (see :meth:`block_event`).  _rebuild_emit
+        # flushes the cache whenever this mode (or the emit fan-out)
+        # changes, so binding the current emit callable at compile
+        # time is safe.
+        self.events = m._trace_events and m._emit is not None
+        if self.events:
+            self.ns["EV"] = m._emit
+        self.block_event(entry)
         self.cells = 0
         #: base registers assumed to address memory disjoint from every
         #: constant address the trace accesses (the alias classes of
@@ -802,6 +741,23 @@ class _TraceEmitter:
         self.lines.append(f"{indent}m.ucycles += uc + {self.cost}")
         self.lines.append(f"{indent}m.instret += ir + {self.count}")
 
+    def block_event(self, pc: int) -> None:
+        """Under a block observer, emit a block-enter event for *pc*
+        with ``instret`` and ``ucycles`` as they stand at this point of
+        the trace.  Emitted at the trace's entry, at the top of its
+        steady-state loop, and at the first instruction after each
+        transfer the path follows: where the closure interpreter's
+        event loop starts a block."""
+        if self.events:
+            self.lines.append(
+                f"EV((5, {pc:#x}, 0, m.instret + ir + {self.count}, "
+                f"m.ucycles + uc + {self.cost}))")
+
+    def drop_block_event(self) -> None:
+        """Withdraw the event :meth:`block_event` just emitted."""
+        if self.events:
+            self.lines.pop()
+
     # -- trace enders -----------------------------------------------------
 
     def close_loop(self, indent: str = "") -> None:
@@ -878,6 +834,7 @@ class _TraceEmitter:
         self.lines = []
         self.cost = 0
         self.count = 0
+        self.block_event(self.entry)
         self.consts = {0: 0}
         self.consts.update(seed_consts)
         self.mem_known = dict(seed_mem)
@@ -929,22 +886,10 @@ class _TraceEmitter:
             del self.fpsync_sites[fid]
         del self._pcs[snap["pcs"]:]
 
-    def exit_chain(self, target: int, indent: str = "",
-                   hot: bool = False) -> None:
-        """Side exit to a known pc, chained to its compiled trace.  A
-        *hot* exit (a superblock's backward edge) counts its executions
-        and promotes *target* to a megatrace once the count reaches
-        the cache's threshold."""
+    def exit_chain(self, target: int, indent: str = "") -> None:
+        """Side exit to a known pc, chained to its compiled trace."""
         self._sync_exit(f"{target:#x}", indent)
         k = self._chain_cell()
-        if hot and self.promote:
-            self.ns.setdefault("C", [0])
-            self.lines += [
-                f"{indent}C[0] += 1",
-                f"{indent}if C[0] >= {self.cache.hot_threshold}:",
-                f"{indent}    C[0] = 0",
-                f"{indent}    return MT(S, {k}, {target:#x})",
-            ]
         self.lines.append(f"{indent}t = S[{k}]")
         self.lines.append(f"{indent}if t is None:")
         self.lines.append(f"{indent}    t = L(S, {k}, {target:#x})")
@@ -976,15 +921,6 @@ class _TraceEmitter:
 
     # -- control transfer -------------------------------------------------
 
-    def _next(self, pc: int, target: int):
-        """Control reaches the known pc *target* from the transfer at
-        *pc*: a looping trace keeps building there, a superblock ends
-        with a chained exit."""
-        if self.loop:
-            return target
-        self.exit_chain(target, hot=target <= pc)
-        return None
-
     def emit_transfer(self, pc: int, instr, lw: Lowering):
         """Emit a branch or jump.  Returns the pc to keep building at,
         or None if the emitter closed the trace."""
@@ -997,15 +933,15 @@ class _TraceEmitter:
             taken = target.const
             if cond.const is not None:
                 # both operands known: the branch folds to a direct jump
-                return self._next(pc, taken if cond.const else fall)
+                return taken if cond.const else fall
             self.lines.append(f"if {cond.src}:")
-            if self.loop and taken == self.entry:
+            if taken == self.entry:
                 # the loop's own back-edge: guard and start the next
                 # iteration without leaving compiled code
                 self.close_loop(indent="    ")
             else:
-                self.exit_chain(taken, indent="    ", hot=taken <= pc)
-            return self._next(pc, fall)
+                self.exit_chain(taken, indent="    ")
+            return fall
         if target.const is None:
             self.lines.append(f"t = {lw.value(target).src}")
         # a link register becomes a known constant, so a jalr through a
@@ -1013,13 +949,12 @@ class _TraceEmitter:
         for r, v in lw.writes:
             self._write(lw, r, v)
         if target.const is not None:
-            return self._next(pc, target.const)
+            return target.const
         # dynamic target: end the trace through a guarded exit with its
         # own inline cache.  An indirect loop closure (a jalr landing
         # back on the head) continues iterating without leaving the trace
-        if self.loop:
-            self.lines.append(f"if t == {self.entry:#x}:")
-            self.close_loop(indent="    ")
+        self.lines.append(f"if t == {self.entry:#x}:")
+        self.close_loop(indent="    ")
         self._sync_exit("t", "")
         k = self._chain_cell()
         self.ns[f"G{k}"] = [None, 0]
@@ -1060,7 +995,7 @@ class _TraceEmitter:
         # spill the cached registers around the call and reload an
         # integer destination afterwards.  A body depends only on the
         # machine, the pc and the instruction, so both bodies of a
-        # megatrace may share its name.
+        # loop may share its name.
         self._cover(pc, instr.length)
         self._fp_flush()  # the body may read or write any fr slot
         self._mark(pc)
@@ -1476,12 +1411,9 @@ class _TraceEmitter:
                     continue
                 body_lines.append(line)
         else:
-            # a superblock, or a loop path that never returned to the
-            # head: a straight-line body whose every path returns.  A
-            # superblock's exits and faults store its constants as
-            # literals, so like a steady-state body it materializes
-            # only each register's last constant write
-            body_lines = self._expand(self.lines, self.loop, written)
+            # a path that never returned to the head: a straight-line
+            # body whose every path returns
+            body_lines = self._expand(self.lines, True, written)
         has_fpp = any(self.sync_fp)
         if has_fpp:
             ns["FPP"] = tuple(self.sync_fp)
@@ -1497,8 +1429,7 @@ class _TraceEmitter:
             "        for _fd in FPP[ip]:\n"
             "            fr[_fd] = B64(_lv['g%d' % _fd])\n"
         ) if has_fpp else ""
-        tag = "mega" if self.loop else "trace"
-        name = f"__{tag}__"
+        name = "__mega__"
         src = (
             f"def {name}({', '.join(f'{k}={k}' for k in ns)}):\n"
             f"    ip = 0\n"
@@ -1517,7 +1448,7 @@ class _TraceEmitter:
             f"        m.instret += ir + N[ip]\n"
             f"        raise\n"
         )
-        code = compile(src, f"<{tag}@{self.entry:#x}>", "exec")
+        code = compile(src, f"<mega@{self.entry:#x}>", "exec")
         env = dict(ns)
         exec(code, env)
         return env[name], self._merge_spans()

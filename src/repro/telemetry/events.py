@@ -41,8 +41,8 @@ RET = 2
 JUMP = 3
 #: conditional branch that was taken (fall-throughs are not emitted)
 BRANCH = 4
-#: block entry: first pc executed after any control transfer (and the
-#: entry of every compiled superblock in block-granularity mode)
+#: block entry: first pc executed after any control transfer (and, in
+#: block-granularity mode, the entry of every compiled trace)
 BLOCK = 5
 #: memory/architectural fault; pc = faulting pc
 FAULT = 6
@@ -75,8 +75,9 @@ class EventStream:
         ``"instruction"`` (default) asks the machine for the full event
         vocabulary; the simulator deoptimises to its per-pc closure
         interpreter while such a stream is attached.  ``"block"`` asks
-        only for block-enter events; the superblock trace compiler
-        stays engaged and emits one event per compiled-block execution.
+        only for block-enter events; the trace JIT stays engaged, its
+        traces (looping ones included) emitting them from compiled
+        code.
     """
 
     __slots__ = ("capacity", "granularity", "dropped", "_buf", "_next")

@@ -10,13 +10,18 @@ either mechanism has regressed below the floors::
 
 Simulator checks, in order:
 
-* the headline ``speedup`` (megatrace tier over the closure
+* the headline ``speedup`` (the trace JIT over the closure
   interpreter) is at or above ``--floor``;
-* the superblock tier is at or above ``--superblock-floor``;
-* megatraces run the instrumented matmul (a counter at every block of
+* the JIT runs the instrumented matmul (a counter at every block of
   ``multiply``) at least :data:`INSTRUMENTED_FLOOR` times as fast as
   the plain one (``instrumented_over_plain``; both rows run in one
-  process, taking turns, so host speed cancels out of the ratio).
+  process, taking turns, so host speed cancels out of the ratio);
+* on that instrumented matmul, the closure interpreter runs at most
+  :data:`INTERPRETED_CEILING` of the instructions (``instret``): the
+  traces cover the loops and the hops between them.  The share is a
+  deterministic count, not a timing;
+* a run with a block-granularity observer attached is no slower than
+  the closure interpreter (``instr_per_sec_observed_block``).
 
 Artifact-store / service checks:
 
@@ -30,11 +35,11 @@ Artifact-store / service checks:
 It also prints, unchecked, the medians of warm opens and of cold
 ``analyze(store=False)`` calls and their ratio.
 
-The sim-tier CI floors sit below the benchmark's own acceptance bars
-(4.5x megatrace, 2.0x superblock) on purpose: shared runners are
-noisy, and the guard exists to catch regressions of the *mechanism* —
-a dropped tier, a warm open that silently re-parses — not to
-re-litigate the exact multiplier measured on a quiet host.  Exit status
+The JIT's CI floor sits below the benchmark's own acceptance bar
+(4.5x) on purpose: shared runners are noisy, and the guard exists to
+catch regressions of the *mechanism* — a JIT that stops covering the
+hot code, a warm open that silently re-parses — not to re-litigate the
+exact multiplier measured on a quiet host.  Exit status
 0 when every check passes, 1 otherwise (2 when a snapshot is
 missing/unreadable).
 """
@@ -46,14 +51,17 @@ import json
 import sys
 from pathlib import Path
 
-#: default CI floors (see module docstring for why they are below the
-#: benchmark's local acceptance bars)
+#: default CI floor (see module docstring for why it is below the
+#: benchmark's local acceptance bar)
 MEGATRACE_FLOOR = 3.0
-SUPERBLOCK_FLOOR = 1.6
 
-#: instrumented over plain megatrace throughput: instrumentation must
-#: not take the JIT's forwarding of stack slots away
+#: instrumented over plain traced throughput: instrumentation must not
+#: take the JIT's forwarding of stack slots away
 INSTRUMENTED_FLOOR = 0.9
+
+#: most of the instrumented matmul's instructions the closure
+#: interpreter may run
+INTERPRETED_CEILING = 0.005
 
 #: warm analyze() must beat cold by this much (ISSUE 7 acceptance bar;
 #: the revive path does no parsing, so this holds even on noisy hosts)
@@ -63,28 +71,46 @@ WARM_ANALYZE_FLOOR = 3.0
 MIN_CLIENTS = 8
 
 
-def check(bench: dict, floor: float = MEGATRACE_FLOOR,
-          superblock_floor: float = SUPERBLOCK_FLOOR) -> list[str]:
+def _number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+def check(bench: dict, floor: float = MEGATRACE_FLOOR) -> list[str]:
     """Return the list of violated checks (empty = all green)."""
     bad: list[str] = []
     speedup = bench.get("speedup")
-    if not isinstance(speedup, (int, float)):
+    if not _number(speedup):
         return [f"no usable 'speedup' key in snapshot: {speedup!r}"]
     if speedup < floor:
-        bad.append(f"megatrace speedup {speedup:.2f}x below the "
+        bad.append(f"traced speedup {speedup:.2f}x below the "
                    f"{floor:.2f}x floor")
-    sb = bench.get("speedup_superblock")
-    if isinstance(sb, (int, float)) and sb < superblock_floor:
-        bad.append(f"superblock speedup {sb:.2f}x below the "
-                   f"{superblock_floor:.2f}x floor")
     ratio = bench.get("instrumented_over_plain")
-    if not isinstance(ratio, (int, float)):
+    if not _number(ratio):
         bad.append("no usable 'instrumented_over_plain' key in "
                    f"snapshot: {ratio!r}")
     elif ratio < INSTRUMENTED_FLOOR:
-        bad.append(f"megatraces run instrumented code at {ratio:.2f}x "
+        bad.append(f"traces run instrumented code at {ratio:.2f}x "
                    f"the plain throughput, below the "
                    f"{INSTRUMENTED_FLOOR:.2f}x floor")
+    share = bench.get("instrumented", {}).get("megatrace", {}).get(
+        "interpreted_share")
+    if not _number(share):
+        bad.append("no usable 'instrumented.megatrace.interpreted_share'"
+                   f" key in snapshot: {share!r}")
+    elif share > INTERPRETED_CEILING:
+        bad.append(f"the interpreter runs {share:.2%} of the "
+                   f"instrumented matmul, above the "
+                   f"{INTERPRETED_CEILING:.2%} ceiling")
+    observed = bench.get("instr_per_sec_observed_block")
+    interp = bench.get("tiers", {}).get("interpreter", {}).get(
+        "instr_per_sec")
+    if not (_number(observed) and _number(interp)):
+        bad.append("no usable 'instr_per_sec_observed_block' or "
+                   "interpreter row in snapshot")
+    elif observed < interp:
+        bad.append(f"block-observed runs at {observed / 1e6:.2f} "
+                   f"Minstr/s, below the interpreter's "
+                   f"{interp / 1e6:.2f}")
     return bad
 
 
@@ -122,10 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--json", default=str(repo / "BENCH_sim.json"),
                     help="snapshot path (default: repo BENCH_sim.json)")
     ap.add_argument("--floor", type=float, default=MEGATRACE_FLOOR,
-                    help="minimum megatrace-over-interpreter speedup")
-    ap.add_argument("--superblock-floor", type=float,
-                    default=SUPERBLOCK_FLOOR,
-                    help="minimum superblock-over-interpreter speedup")
+                    help="minimum traced-over-interpreter speedup")
     ap.add_argument("--service-json",
                     default=str(repo / "BENCH_service.json"),
                     help="artifact-store/service snapshot "
@@ -159,8 +182,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name:<14} {t.get('instr_per_sec', 0) / 1e6:8.2f} "
               f"Minstr/s  {speed:5.2f}x  "
               f"(spread {t.get('run_to_run_spread', 0):.1%})")
-    print(f"  instrumented megatrace / plain: "
-          f"{bench.get('instrumented_over_plain', 0):.2f}")
+    inst = bench.get("instrumented", {}).get("megatrace", {})
+    print(f"  instrumented traced / plain: "
+          f"{bench.get('instrumented_over_plain', 0):.2f}; "
+          f"{inst.get('megatraces_compiled', '?')} traces, "
+          f"interpreted share {inst.get('interpreted_share', 0):.3%}")
+    print(f"  block-observed "
+          f"{bench.get('instr_per_sec_observed_block', 0) / 1e6:8.2f} "
+          f"Minstr/s")
 
     print(f"bench_guard: {service.get('benchmark', '?')} "
           f"(cold {service.get('analyze_cold_s', 0):.4f}s, warm "
@@ -173,12 +202,12 @@ def main(argv: list[str] | None = None) -> int:
           f"s, warm {service.get('analyze_warm_median_s', 0):.4f}s = "
           f"{service.get('warm_speedup_median', 0):.2f}x")
 
-    bad = check(bench, args.floor, args.superblock_floor)
+    bad = check(bench, args.floor)
     bad += check_service(service, args.warm_floor)
     for msg in bad:
         print(f"bench_guard: FAIL: {msg}", file=sys.stderr)
     if not bad:
-        print(f"bench_guard: OK (megatrace {bench['speedup']:.2f}x >= "
+        print(f"bench_guard: OK (traced {bench['speedup']:.2f}x >= "
               f"{args.floor:.2f}x floor; instrumented/plain "
               f"{bench['instrumented_over_plain']:.2f} >= "
               f"{INSTRUMENTED_FLOOR:.2f}; warm analyze "

@@ -141,7 +141,7 @@ def _run(src, timing=P550, max_steps=1_000_000):
 
 def _traced_machine(prog):
     """A trace-compiling machine that compiles on first dispatch, so
-    these few-instruction programs still run as superblocks."""
+    these few-instruction programs still run as compiled traces."""
     m = Machine(P550, trace_compile=True)
     m.traces.hot_threshold = 1
     m.load_program(prog)
@@ -341,7 +341,7 @@ _start:
         assert ev.reason is StopReason.BREAKPOINT
         assert ev.pc == p.entry + 4
         assert m.pc == p.entry + 4  # pc stays at the ebreak
-        assert m.traces.compiles > 0
+        assert m.traces.mega_compiles > 0
 
     def test_zicond_executes(self):
         from repro.riscv.extensions import RVA23_SUBSET
@@ -359,7 +359,7 @@ _start:
         m = _traced_machine(p)
         ev = m.run()
         assert ev.exit_code == 5
-        assert m.traces.compiles > 0
+        assert m.traces.mega_compiles > 0
 
 
 class TestSyscalls:
@@ -415,7 +415,7 @@ ts: .zero 16
         # exit code is tv_nsec & 0xff; just confirm the full value in memory
         ns = m.mem.read_int(p.symbols["ts"].address + 8, 8)
         assert ns == pytest.approx(m.timing.nanoseconds(m.ucycles), abs=100)
-        assert m.traces.compiles > 0
+        assert m.traces.mega_compiles > 0
 
     def test_unknown_syscall_faults(self):
         _, ev = _run("_start:\nli a7, 999\necall\n")
@@ -480,7 +480,7 @@ class TestDebugPort:
         m.write_mem(p.entry, new)
         ev = m.run()
         assert ev.exit_code == 77
-        assert m.traces.compiles > 0
+        assert m.traces.mega_compiles > 0
 
     def test_breakpoint_insert_resume_cycle(self):
         from repro.riscv import encode
@@ -494,4 +494,4 @@ class TestDebugPort:
         m.write_mem(bp_addr, orig)  # restore and resume
         ev = m.run()
         assert ev.reason is StopReason.EXITED and ev.exit_code == 6
-        assert m.traces.compiles > 0
+        assert m.traces.mega_compiles > 0

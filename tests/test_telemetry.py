@@ -226,7 +226,7 @@ class TestPipelineTelemetry:
             counters["patch.scratch.dead_regs_used"]
         # sim phase: retirement + trace cache + MIPS gauge
         assert counters["sim.instructions_retired"] == m.instret
-        assert counters["sim.trace.compiles"] >= 1
+        assert counters["sim.trace.megatraces_compiled"] >= 1
         assert counters["sim.trace.hits"] >= 1
         assert snap["gauges"]["sim.mips"] > 0
 

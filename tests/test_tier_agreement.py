@@ -1,13 +1,13 @@
 """Every execution tier agrees with the closure interpreter.
 
 The MiniC workload suite runs unbounded on four engines: the closure
-interpreter, superblocks only, megatraces compiling on first dispatch,
-and the default hotness threshold.  Each run must leave the same
-registers, FP registers, pc, ``instret``, ``ucycles``, stdout and
-memory.  Superblock boundaries are pinned to the rule
-``docs/INTERNALS.md`` states.  Hand-written programs fault inside
-compiled code, and take paths on which a megatrace once ran the wrong
-code.
+interpreter, and the trace JIT rooting traces on a pc's first dispatch,
+on its second, and at the default hotness threshold.  Each run must
+leave the same registers, FP registers, pc, ``instret``, ``ucycles``,
+stdout and memory.  At the default threshold, every innermost hot loop
+roots a looping trace at its header, the rule ``docs/INTERNALS.md``
+states.  Hand-written programs fault inside compiled code, and take
+paths on which a trace once ran the wrong code.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from repro.minicc import (
     matmul_source, nbody_source, qsort_source, switch_source,
     tailcall_source,
 )
+from repro.parse import natural_loops
 from repro.riscv import assemble
-from repro.riscv.decoder import DecodeError
 from repro.sim import Machine, P550, StopReason
-from repro.sim.memory import MemoryFault
-from repro.sim.trace import MAX_BLOCK
+from repro.sim.trace import HOT_THRESHOLD
+from repro.telemetry.events import EventStream
 from repro.tools import count_basic_blocks
+from repro.tracing import block_heat
 
 #: workload -> (source, hot function, compile options)
 WORKLOADS = {
@@ -42,16 +43,20 @@ WORKLOADS = {
 CONFIGS = [f"{w}-{build}-{inst}" for w in WORKLOADS
            for build in ("plain", "rvc") for inst in ("none", "bb")]
 
-#: engine -> (Machine keywords, hot threshold or None for the default)
+#: engine -> (Machine keywords, hot threshold or None for the default).
+#: Rooting traces on the second dispatch instead of the first moves
+#: them: a function entered twice roots a straight-line entry trace, and
+#: a loop runs its first iteration on the interpreter.
 ENGINES = {
     "interp": ({"trace_compile": False}, None),
-    "superblocks": ({"trace_compile": True, "megatraces": False}, 1),
-    "megatraces": ({"trace_compile": True}, 1),
+    "hot2": ({"trace_compile": True}, 2),
+    "hot1": ({"trace_compile": True}, 1),
     "default": ({"trace_compile": True}, None),
 }
 
-_TRANSFERS = {"beq", "bne", "blt", "bge", "bltu", "bgeu", "jal", "jalr"}
-_REFUSED = {"ecall", "ebreak", "fence", "fence.i"}
+#: workloads whose hot function has an innermost loop hot enough to
+#: root a trace at the default threshold
+LOOPING = {"matmul", "qsort", "nbody", "crc"}
 
 
 def _state(m):
@@ -78,6 +83,7 @@ def load(request):
     src, hot, opts = WORKLOADS[name]
     edit = open_binary(compile_source(
         src, Options(compress=build == "rvc", **opts)))
+    function = edit.cfg.function_by_name(hot)
     if inst == "bb":
         count_basic_blocks(edit, hot)
     result = edit.commit()
@@ -85,65 +91,63 @@ def load(request):
     def into(m):
         edit.symtab.load_into(m)
         result.apply_to_machine(m)
+    into.workload = name
+    into.function = function
     return into
 
 
 def test_tiers_agree(load):
     ref, ev = _run(load, "interp")
     assert ev.reason is StopReason.EXITED
-    for engine in ("superblocks", "megatraces", "default"):
+    for engine in ("hot2", "hot1", "default"):
         m, ev = _run(load, engine)
         assert ev.reason is StopReason.EXITED, engine
         assert _state(m) == _state(ref), engine
-        if engine == "superblocks":
-            assert m.traces.compiles > 0
-            assert m.traces.mega_compiles == 0
-        elif engine == "megatraces":
-            assert m.traces.mega_compiles > 0
+        if engine != "default":
+            assert m.traces.mega_compiles > 0, engine
 
 
-def _block_end(m, entry: int) -> int:
-    """Where the superblock entered at *entry* ends: just after its
-    first branch, ``jal`` or ``jalr``, after ``MAX_BLOCK``
-    instructions, or just before the first instruction the compiler
-    refuses (``entry + 4`` for a negative entry)."""
-    pc = entry
-    for _ in range(MAX_BLOCK):
-        try:
-            instr = m.traces._fetch(pc)
-        except (DecodeError, MemoryFault):
-            instr = None
-        if instr is None or instr.mnemonic in _REFUSED \
-                or instr.spec.extension in ("zicsr", "a"):
-            return pc if pc != entry else entry + 4
-        pc += instr.length
-        if instr.mnemonic in _TRANSFERS:
-            return pc
-    return pc
+def _hot_inner_loops(load) -> list[int]:
+    """Headers of the innermost natural loops of the workload's hot
+    function that the interpreter enters at least ``HOT_THRESHOLD``
+    times."""
+    m = Machine(P550, trace_compile=False)
+    load(m)
+    events = EventStream(granularity="block", capacity=1 << 20)
+    assert m.run(trace=events).reason is StopReason.EXITED
+    heat = block_heat(events.events())
+    return [loop.header for loop in natural_loops(load.function)
+            if not loop.children
+            and heat.get(loop.header, 0) >= HOT_THRESHOLD]
 
 
-def test_superblock_boundaries(load):
-    m, ev = _run(load, "superblocks")
+def test_superblock_boundaries(load, trace_sources):
+    """Where traces are rooted: at the default threshold, every
+    innermost hot loop of the hot function roots a trace at its header,
+    and that trace loops (its path returns to the header), instrumented
+    or not."""
+    m, ev = _run(load, "default")
     assert ev.reason is StopReason.EXITED
-    traces = list(m.traces._traces.values())
-    assert traces
-    for tr in traces:
-        assert tr.kind == "super"
-        assert tr.spans == [(tr.entry, _block_end(m, tr.entry))], \
-            hex(tr.entry)
+    heads = _hot_inner_loops(load)
+    assert bool(heads) == (load.workload in LOOPING)
+    for head in heads:
+        assert m.traces.fns.get(head), hex(head)
+        assert "while True:" in trace_sources[f"<mega@{head:#x}>"], \
+            hex(head)
 
 
 def _agree_on(prog, reason=StopReason.EXITED):
     """Run *prog* on every engine; all must stop for *reason* in the
-    interpreter's state.  Returns the megatrace engine's machine."""
+    interpreter's state.  Returns the machine of the engine that roots
+    traces on first dispatch."""
     runs = {engine: _run(lambda m: m.load_program(prog), engine)
             for engine in ENGINES}
     ref = runs["interp"][0]
     for engine, (m, ev) in runs.items():
         assert (ev.reason, ev.pc) == (reason, ref.pc), engine
         assert _state(m) == _state(ref), engine
-    mega = runs["megatraces"][0]
-    assert mega.traces.compiles > 0
+    mega = runs["hot1"][0]
+    assert mega.traces.mega_compiles > 0
     return mega
 
 
@@ -152,7 +156,7 @@ class TestFaults:
     state: register locals are spilled, constant and FP registers
     restored, and pc and counters point at the faulting load."""
 
-    def test_load_fault_mid_superblock(self):
+    def test_load_fault_mid_trace(self):
         """The load faults on the second pass through ``body``, after
         a constant write (``t0``), integer expressions (``t1``,
         ``s0``) and an FP write (``f1``) earlier in the same block."""
@@ -182,7 +186,7 @@ data:
 
     def test_pointer_walks_off_the_stack_in_steady_state(self):
         """``a0`` climbs from ``sp`` one double word per iteration and
-        leaves the stack in the ninth, well inside the megatrace's
+        leaves the stack in the ninth, well inside the trace's
         steady-state body."""
         prog = assemble("""
 _start:
@@ -204,11 +208,11 @@ loop:
 
 
 class TestWrongPath:
-    """Paths on which a megatrace once ran the wrong code."""
+    """Paths on which a trace once ran the wrong code."""
 
     def test_jalr_exits_keep_their_own_guards(self):
         """The loop ``head`` ends in an indirect jump through ``a5``
-        and becomes a megatrace whose warm-up and steady-state bodies
+        and roots a looping trace whose warm-up and steady-state bodies
         each exit through that jump.  ``a5`` is ``A`` for ten outer
         iterations, then ``B``.  Once the steady-state exit rebinds its
         inline cache to ``B``, the warm-up exit still chains to ``A``'s
@@ -292,7 +296,7 @@ B:
 
     def test_fp_destination_keeps_the_link_constant(self):
         """``fcvt.d.l f1`` writes an FP register: ``ra`` (``x1``) stays
-        the constant ``jal`` set, so the megatrace follows ``ret`` back
+        the constant ``jal`` set, so the trace follows ``ret`` back
         into the loop instead of leaving through a guarded exit on
         every iteration."""
         prog = assemble("""
@@ -315,7 +319,7 @@ f:
 
 #: loop bodies mixing integer and FP accesses to the same bytes; each
 #: runs 200 times inside :data:`_MIXED`, so the default threshold
-#: reaches megatraces too.  ``f2`` holds 3.0, ``f9`` 1.0f, and ``s2``
+#: roots a trace too.  ``f2`` holds 3.0, ``f9`` 1.0f, and ``s2``
 #: points at page offset 4092, 8 KiB below the stack frame.
 MIXED = {
     # an integer store, then a double load of the same slot

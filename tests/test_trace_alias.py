@@ -1,6 +1,6 @@
-"""Alias classes of the megatrace's store-to-load forwarding.
+"""Alias classes of the trace JIT's store-to-load forwarding.
 
-A megatrace keeps loaded and stored values in Python locals and forwards
+A looping trace keeps loaded and stored values in Python locals and forwards
 them to later loads of the same address.  A constant-address store (an
 instrumentation counter in ``.dyninst.data``) keeps the forwarded values
 of an ``sp``-relative stack slot, and a store through ``sp`` keeps the
@@ -20,11 +20,12 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import repro.sim.trace as trace_mod
+import repro.sim.machine as machine_mod
 from repro import telemetry
 from repro.api import open_binary
 from repro.minicc import compile_source
 from repro.minicc.workloads import matmul_source
+from repro.parse import natural_loops
 from repro.riscv import assemble
 from repro.sim import Machine, P550, StopReason
 from repro.sim.memory import Memory
@@ -101,11 +102,13 @@ loop:
 class TestGuard:
     def test_sp_in_counter_page_fails_the_guard(self):
         """The guard fails on the first entry, and the conservative
-        megatrace runs the loop."""
+        trace runs the loop."""
         prog = assemble(_SP_ON_COUNTER)
         traced = _run_pair(prog)
         assert traced.traces.alias_guard_misses == 1
-        assert traced.traces.mega_compiles == 2
+        # a straight-line trace at _start, the guarded loop trace, and
+        # its conservative replacement
+        assert traced.traces.mega_compiles == 3
         head = traced.traces.fns[prog.symbol("loop").address]
         assert not _guarded(head)
 
@@ -118,7 +121,8 @@ class TestGuard:
             assert m.run(report=report).reason is StopReason.EXITED
         counters = rec.snapshot()["counters"]
         assert counters["sim.trace.alias_guard_misses"] == 1
-        assert counters["sim.trace.megatraces_compiled"] == 2
+        # _start, the guarded loop trace, its conservative replacement
+        assert counters["sim.trace.megatraces_compiled"] == 3
         assert "alias_guard_misses=1" in report.getvalue()
 
     def test_disjoint_sp_keeps_the_guarded_trace(self):
@@ -258,22 +262,29 @@ loop:
     assert (traced.traces.alias_guard_misses > 0) == overlap
 
 
+def _instrumented_matmul(n: int, reps: int):
+    """``matmul_source(n, reps)`` with a counter at every block of
+    ``multiply``: (loader, counter handle, header of ``multiply``'s
+    innermost natural loop)."""
+    edit = open_binary(compile_source(matmul_source(n, reps)))
+    (inner,) = [loop for loop in natural_loops(
+        edit.cfg.function_by_name("multiply")) if not loop.children]
+    handle = count_basic_blocks(edit, "multiply")
+    result = edit.commit()
+
+    def load(m):
+        edit.symtab.load_into(m)
+        result.apply_to_machine(m)
+    return load, handle, inner.header
+
+
 class TestInstrumentedHotLoop:
-    """A counter at every block of ``multiply``: in the hot inner loop
-    the counter lives in a local, the stack slots stay forwarded, and
-    each remaining access reads or writes its page in place, doubles
-    as floats."""
+    """A counter at every block of ``multiply``: the inner loop roots
+    a looping trace at its header, in which the counter lives in a
+    local, the stack slots stay forwarded, and each remaining access
+    reads or writes its page in place, doubles as floats."""
 
-    def test_counter_stays_in_locals(self, monkeypatch):
-        sources: list[str] = []
-
-        def hook(src, name, mode):
-            if name.startswith("<mega@"):
-                sources.append(src)
-            return compile(src, name, mode)
-
-        monkeypatch.setattr(trace_mod, "compile", hook, raising=False)
-
+    def test_counter_stays_in_locals(self, monkeypatch, trace_sources):
         calls = []
         write_int = Memory.write_int
 
@@ -284,14 +295,11 @@ class TestInstrumentedHotLoop:
 
         monkeypatch.setattr(Memory, "write_int", counting_write_int)
 
-        edit = open_binary(compile_source(matmul_source(8, 2)))
-        handle = count_basic_blocks(edit, "multiply")
-        result = edit.commit()
+        load, handle, header = _instrumented_matmul(8, 2)
         runs = []
         for tc in (True, False):
             m = Machine(P550, trace_compile=tc)
-            edit.symtab.load_into(m)
-            result.apply_to_machine(m)
+            load(m)
             assert m.run().reason is StopReason.EXITED
             runs.append(m)
         traced, interp = runs
@@ -302,33 +310,60 @@ class TestInstrumentedHotLoop:
         assert traced.traces.mega_compiles > 0
         assert not [a for a in calls if counter <= a < counter + 8]
 
-        # the steady-state body of the loop that bumps the counter
-        # reloads neither the counter nor a stack slot, integer or
-        # double (``g<n> = F64(ri(a, 8))``)
-        page = f"PG({counter >> 12:#x})"
-        hot = [s.split("while True:", 1)[1] for s in sources
-               if "while True:" in s
-               and page in s.split("while True:", 1)[1]]
-        assert hot
-        for body in hot:
-            assert f"ri({counter:#x}" not in body
-            addr = None
-            for line in body.splitlines():
-                line = line.strip()
-                if line.startswith("a = "):
-                    addr = line
-                elif line.startswith(("w", "v", "g")) and "ri(a," in line:
-                    assert "r2" not in addr, addr
-            # every access in the main path reads or writes the page in
-            # place: no bytes, and doubles stay floats
-            main = _main_path(body)
-            for token in ("to_bytes", "FB(", "F64(", "B64("):
-                assert not [ln for ln in main if token in ln], token
-            assert any("Ud(pg, o)[0]" in line for line in main)
+        # the inner loop's trace loops, and its steady-state body bumps
+        # the counter yet reloads neither the counter nor a stack slot,
+        # integer or double (``g<n> = F64(ri(a, 8))``)
+        assert traced.traces.fns.get(header)
+        src = trace_sources[f"<mega@{header:#x}>"]
+        assert "while True:" in src
+        body = src.split("while True:", 1)[1]
+        assert f"PG({counter >> 12:#x})" in body
+        assert f"ri({counter:#x}" not in body
+        addr = None
+        for line in body.splitlines():
+            line = line.strip()
+            if line.startswith("a = "):
+                addr = line
+            elif line.startswith(("w", "v", "g")) and "ri(a," in line:
+                assert "r2" not in addr, addr
+        # every access in the main path reads or writes the page in
+        # place: no bytes, and doubles stay floats
+        main = _main_path(body)
+        for token in ("to_bytes", "FB(", "F64(", "B64("):
+            assert not [ln for ln in main if token in ln], token
+        assert any("Ud(pg, o)[0]" in line for line in main)
+
+    def test_traces_run_the_hops_between_loops(self, monkeypatch,
+                                               trace_sources):
+        """At the default threshold the closure interpreter runs under
+        1% of the instructions: traces run the loops and the hops
+        between them.  Rooting traces by backward-transfer counts
+        instead sees a back edge in every jump from a trampoline (they
+        sit above ``.text``), roots each loop one instruction past its
+        springboard, and leaves the hops to the interpreter."""
+        steps = [0]
+        build = machine_mod.build_closure
+
+        def counting_build(m, pc, instr):
+            closure = build(m, pc, instr)
+
+            def step():
+                steps[0] += 1
+                closure()
+            return step
+
+        monkeypatch.setattr(machine_mod, "build_closure", counting_build)
+        load, _, header = _instrumented_matmul(12, 20)
+        m = Machine(P550)
+        load(m)
+        assert m.run().reason is StopReason.EXITED
+        assert steps[0] < 0.01 * m.instret, (steps[0], m.instret)
+        assert m.traces.fns.get(header)
+        assert "while True:" in trace_sources[f"<mega@{header:#x}>"]
 
 
 def _main_path(body: str) -> list[str]:
-    """The lines of a megatrace's steady-state loop (the source after
+    """The lines of a trace's steady-state loop (the source after
     its ``while True:``) that run on every iteration: nested blocks
     under an ``if`` (the ``ri``/``si`` slow paths and the exits) are
     left out, the ``else:`` fast paths kept."""

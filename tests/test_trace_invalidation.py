@@ -4,7 +4,7 @@ Dynamic instrumentation rewrites code while it runs.  These tests patch
 code mid-run through every channel — self-modifying stores, the
 ProcControl debug port, breakpoint insertion, runtime instrumentation —
 and check the subsequent execution observes the new code, with the
-superblock trace compiler enabled and disabled.  Both modes must also
+trace compiler enabled and disabled.  Both modes must also
 agree on the full architectural outcome (registers, counters, stdout).
 """
 
@@ -62,7 +62,7 @@ target:
         assert ev.reason is StopReason.EXITED
         assert ev.exit_code == 100  # not 1: the patched addi ran
         if trace_compile:
-            assert m.traces.compiles > 0
+            assert m.traces.mega_compiles > 0
 
     @pytest.mark.parametrize("trace_compile", MODES)
     def test_store_patches_hot_loop_body(self, trace_compile):
@@ -95,7 +95,7 @@ skip:
         # iterations 4-6 add 10 each
         assert ev.exit_code == 3 + 30
         if trace_compile:
-            assert m.traces.compiles > 0
+            assert m.traces.mega_compiles > 0
 
     def test_modes_agree_on_counts(self):
         """Self-modifying run: identical instret/ucycles traced vs not."""
@@ -125,7 +125,7 @@ skip:
             ev = m.run()
             runs.append((ev.exit_code, m.instret, m.ucycles, m.x, m.pc))
             if tc:
-                assert m.traces.compiles > 0
+                assert m.traces.mega_compiles > 0
         assert runs[0] == runs[1]
 
 
@@ -171,7 +171,7 @@ cont:
         # iterations 3-5 ran the patched body
         assert ev.exit_code == 2 + 3 * 10
         if trace_compile:
-            assert m.traces.compiles > 0
+            assert m.traces.mega_compiles > 0
 
     @pytest.mark.parametrize("trace_compile", MODES)
     def test_breakpoint_inserted_into_compiled_loop(self, trace_compile):
@@ -216,16 +216,17 @@ cont:
         assert ev.type is EventType.EXITED
         assert ev.exit_code == 6
         if trace_compile:
-            assert m.traces.compiles > 0
+            assert m.traces.mega_compiles > 0
 
     @pytest.mark.parametrize("trace_compile", MODES)
     def test_breakpoint_inserted_into_resident_megatrace(self,
                                                          trace_compile):
-        """The loop runs past HOT_THRESHOLD, so it is a resident
-        megatrace when the run stops outside it; planting a breakpoint
-        on the loop body must drop the megatrace and fire on the first
-        iteration of the next pass.  The ``j loop`` makes each pass
-        enter through the loop head, where the megatrace is bound."""
+        """The loop runs past HOT_THRESHOLD, so its head roots a
+        resident looping trace when the run stops outside it; planting
+        a breakpoint on the loop body must drop the trace and fire on
+        the first iteration of the next pass.  The ``j loop`` makes
+        each pass enter through the loop head, where the trace is
+        bound."""
         src = """
 _start:
   li a0, 0
@@ -278,7 +279,7 @@ between:
         assert ev.type is EventType.EXITED
         assert ev.exit_code == ref.exit_code == 128
         if trace_compile:
-            assert m.traces.compiles > 0
+            assert m.traces.mega_compiles > 0
 
 
 class TestRuntimeInstrumentation:
@@ -306,7 +307,7 @@ class TestRuntimeInstrumentation:
         count = b.read_variable(m, c)
         assert count > 0
         if trace_compile:
-            assert m.traces.compiles > 0
+            assert m.traces.mega_compiles > 0
         return count, m.exit_code, m.instret, m.ucycles
 
     @pytest.mark.parametrize("trace_compile", MODES)
@@ -343,7 +344,7 @@ cont:
         proc.insert_breakpoint(prog.symbol("mid").address)
         ev = proc.continue_to_event()
         assert ev.type is EventType.STOPPED_BREAKPOINT
-        assert m.traces.compiles > 0
+        assert m.traces.mega_compiles > 0
         return m, prog, proc
 
     def test_write_mem_drops_overlapping_traces(self):
@@ -391,9 +392,9 @@ cont:
 
 class TestObserverTraceCacheInteraction:
     """Event-stream observers (repro.telemetry.events) vs the trace
-    cache: attach/detach must invalidate or deoptimise compiled
-    superblocks per the observer-overhead rule (docs/INTERNALS.md) and
-    never perturb architectural state."""
+    cache: attach/detach must invalidate or deoptimise compiled traces
+    per the observer-overhead rule (docs/INTERNALS.md) and never
+    perturb architectural state."""
 
     SRC = fib_source(10)
 
@@ -402,7 +403,7 @@ class TestObserverTraceCacheInteraction:
         m = _machine(prog, True)
         ev = m.run()
         assert ev.reason is StopReason.EXITED
-        assert m.traces.compiles > 0
+        assert m.traces.mega_compiles > 0
         return prog, m
 
     def _state(self, m):
@@ -507,14 +508,14 @@ target:
         assert ev.reason is StopReason.EXITED
         assert ev.exit_code == 100
         assert len(es) > 0
-        assert m.traces.compiles > 0
+        assert m.traces.mega_compiles > 0
 
 
 class TestTierPolicy:
-    """Cold code runs on the closure interpreter; a pc compiles once it
-    has been dispatched ``hot_threshold`` times, and a hot loop then
-    reaches a megatrace.  Every tier mix must match the interpreter
-    bit for bit."""
+    """Cold code runs on the closure interpreter; a trace is rooted at
+    a pc once it has been dispatched ``hot_threshold`` times, so a hot
+    loop's head roots a looping trace.  Every mix of interpreted and
+    compiled code must match the interpreter bit for bit."""
 
     @staticmethod
     def _loop_src(iterations: int) -> str:
@@ -558,22 +559,21 @@ bump:
         traced, interp = self._run_both(
             assemble(self._loop_src(HOT_THRESHOLD - 1)))
         assert traced.traces.hot_threshold == HOT_THRESHOLD
-        assert traced.traces.compiles == 0
         assert traced.traces.mega_compiles == 0
         assert self._state(traced) == self._state(interp)
 
-    def test_hot_loop_reaches_superblocks_then_megatrace(self):
-        traced, interp = self._run_both(
-            assemble(self._loop_src(3 * HOT_THRESHOLD)))
-        assert traced.traces.compiles > 0
+    def test_hot_loop_roots_a_trace_at_its_head(self):
+        prog = assemble(self._loop_src(3 * HOT_THRESHOLD))
+        traced, interp = self._run_both(prog)
         assert traced.traces.mega_compiles > 0
+        assert traced.traces.fns.get(prog.symbol("loop").address)
         assert self._state(traced) == self._state(interp)
 
     @pytest.mark.parametrize("patch_at", [HOT_THRESHOLD - 1,
                                           HOT_THRESHOLD,
                                           HOT_THRESHOLD + 1])
     def test_store_patches_loop_at_cold_to_warm_edge(self, patch_at):
-        """The loop head compiles on iteration ``HOT_THRESHOLD``; a
+        """The loop head roots a trace on iteration ``HOT_THRESHOLD``; a
         store rewriting the loop body just before, on, or just after
         that iteration must take effect on the next iteration."""
         n = 3 * HOT_THRESHOLD
@@ -598,7 +598,7 @@ skip:
 """
         traced, interp = self._run_both(assemble(src))
         assert traced.x[10] == patch_at + 10 * (n - patch_at)
-        assert traced.traces.compiles > 0
+        assert traced.traces.mega_compiles > 0
         # the store drops a compiled loop trace only once the head is
         # warm: on iteration HOT_THRESHOLD it compiled just before
         assert (traced.traces.invalidations > 0) == \
@@ -614,9 +614,9 @@ skip:
         assert not m.traces.dispatches
 
     def test_block_observer_compiles_cold_code(self):
-        """Block-enter events come from compiled trace prologues, so a
-        block observer compiles every pc on first dispatch; the events
-        match the interpreter's block entries one for one."""
+        """Block-enter events come from compiled traces, so a block
+        observer compiles every pc on first dispatch; the events match
+        the interpreter's block entries one for one."""
         from repro.telemetry.events import BLOCK, EventStream
 
         prog = assemble(self._loop_src(HOT_THRESHOLD - 1))
@@ -628,7 +628,7 @@ skip:
             assert m.run(trace=es).reason is StopReason.EXITED
             streams.append(es.events())
             if tc:
-                assert m.traces.compiles > 0
+                assert m.traces.mega_compiles > 0
         traced, interp = streams
         assert traced and {e[0] for e in traced} == {BLOCK}
         assert traced == interp
@@ -744,12 +744,12 @@ slot:
     def test_exec_range_added_under_a_resident_megatrace(self,
                                                          trace_compile):
         """The loop stores an instruction word into ``dcode`` by
-        constant address and is a resident megatrace when the run
-        stops between passes; ``dcode`` then becomes code.  The next
-        pass's first store, made by that megatrace, must invalidate the
-        code compiled from ``dcode``, so the call after the loop runs
-        the new instruction.  At the default threshold the outer loop
-        (two passes) never compiles a megatrace of its own, which would
+        constant address and roots a resident looping trace when the
+        run stops between passes; ``dcode`` then becomes code.  The
+        next pass's first store, made by that trace, must invalidate
+        the code compiled from ``dcode``, so the call after the loop
+        runs the new instruction.  At the default threshold the outer
+        loop (two passes) never roots a trace of its own, which would
         bind the watched pages after the range was added."""
         add1 = _addi_a0(1)
         add100 = _addi_a0(100)
@@ -799,7 +799,7 @@ dcode:
             assert m.x[10] == 1
             loop = prog.symbol("loop").address
             if tc:
-                assert m.traces._traces[loop].kind == "mega"
+                assert m.traces.fns.get(loop)
             invalidations = m.traces.invalidations
             dcode = prog.symbol("dcode").address
             m.add_exec_range(dcode, dcode + 8)

@@ -113,12 +113,12 @@ class TestMachineEvents:
         m, es, stop = _run_traced(MATMUL, granularity="block")
         assert stop.reason is StopReason.EXITED
         assert {e[0] for e in es} == {BLOCK}
-        assert m.traces.compiles > 0, \
+        assert m.traces.mega_compiles > 0, \
             "block granularity must keep the trace compiler engaged"
 
     def test_instruction_granularity_deopts(self):
         m, es, _ = _run_traced(MATMUL)
-        assert m.traces.compiles == 0, \
+        assert m.traces.mega_compiles == 0, \
             "instruction granularity must stay on the interpreter"
 
     def test_observed_state_bit_identical(self):
@@ -140,9 +140,9 @@ class TestMachineEvents:
         _, es_b, _ = _run_traced(MATMUL, granularity="block")
         heat_i = block_heat(es_i.events())
         heat_b = block_heat(es_b.events())
-        # the hottest block must agree exactly (superblock cuts can add
-        # extra entries at untraceable instructions, so the full dicts
-        # may differ at the margins)
+        # the hottest block must agree exactly (traces add an entry
+        # after each untraceable instruction, so the full dicts may
+        # differ at the margins)
         top_i = max(heat_i, key=heat_i.get)
         assert heat_b.get(top_i) == heat_i[top_i]
 
@@ -152,7 +152,7 @@ class TestMachineEvents:
         assert m._observers == []
         m.load_program(MATMUL)
         m.run()
-        assert m.traces.compiles > 0, \
+        assert m.traces.mega_compiles > 0, \
             "after detach the trace compiler must engage again"
 
     def test_attach_is_idempotent_and_detach_unknown_ok(self):
@@ -203,22 +203,22 @@ _start:
 
 
 # ---------------------------------------------------------------------------
-# Observer interaction with the tier-2 megatrace JIT
+# Observer interaction with the looping-trace JIT
 
 
 class TestMegatraceObserverInteraction:
     """Attaching an event stream at a mid-run debugger stop must deopt
-    megatraces correctly: block granularity flushes the cache (emits
-    are compiled *into* traces) and suppresses tier-2 promotion while
-    observed; instruction granularity leaves compiled traces intact but
-    undispatched.  Either way the architectural outcome is
-    bit-identical to an unobserved continuation."""
+    looping traces correctly: block granularity flushes the cache
+    (emits are compiled *into* traces), and traces recompile with
+    emits while observed; instruction granularity leaves compiled
+    traces intact but undispatched.  Either way the architectural
+    outcome is bit-identical to an unobserved continuation."""
 
     def _stop_at_print(self):
-        """Run the megatraced matmul up to a breakpoint on
-        ``print_long`` — fired once, after the hot loops have been
-        promoted to megatraces — then clear the breakpoint."""
-        m = Machine(P550, trace_compile=True, megatraces=True)
+        """Run the traced matmul up to a breakpoint on ``print_long``
+        — fired once, after the hot loops have rooted looping traces
+        — then clear the breakpoint."""
+        m = Machine(P550, trace_compile=True)
         m.load_program(MATMUL)
         proc = Process.attach(m)
         pl = MATMUL.symbol("print_long").address
@@ -233,10 +233,11 @@ class TestMegatraceObserverInteraction:
         return (m.pc, list(m.x), list(m.f), m.instret, m.ucycles,
                 bytes(m.stdout))
 
-    def test_midrun_block_attach_deopts_megatraces(self):
+    def test_midrun_block_attach_recompiles_with_emits(
+            self, trace_sources):
         ref, rproc = self._stop_at_print()
         assert ref.traces.mega_compiles > 0, \
-            "hot loops must be tier-2 by the time print_long runs"
+            "hot loops must root traces by the time print_long runs"
         assert rproc.continue_to_event().type is EventType.EXITED
 
         m, proc = self._stop_at_print()
@@ -244,14 +245,17 @@ class TestMegatraceObserverInteraction:
         es = EventStream(granularity="block")
         m.attach_observer(es)
         # block emits are compiled into traces: the attach must flush
-        # every compiled trace, megatraces included
+        # every compiled trace
         assert len(m.traces.fns) == 0
+        trace_sources.clear()
         ev = proc.continue_to_event()
         assert ev.type is EventType.EXITED
-        # superblocks recompiled with the emit; tier-2 promotion is
-        # refused while a block observer wants every block entry
-        assert m.traces.compiles > 0
-        assert m.traces.mega_compiles == mega_at_stop
+        # the traces recompile, every one with block-enter emits, and
+        # the hot loops' traces still loop
+        assert m.traces.mega_compiles > mega_at_stop
+        sources = trace_sources.values()
+        assert sources and all("EV((" in src for src in sources)
+        assert any("while True:" in src for src in sources)
         assert len(es) > 0 and {e[0] for e in es} == {BLOCK}
         assert self._state(m) == self._state(ref)
 
@@ -261,7 +265,7 @@ class TestMegatraceObserverInteraction:
 
         m, proc = self._stop_at_print()
         fns = len(m.traces.fns)
-        compiles, mega = m.traces.compiles, m.traces.mega_compiles
+        mega = m.traces.mega_compiles
         assert fns > 0 and mega > 0
         es = EventStream(granularity="instruction")
         m.attach_observer(es)
@@ -270,7 +274,6 @@ class TestMegatraceObserverInteraction:
         assert len(m.traces.fns) == fns
         ev = proc.continue_to_event()
         assert ev.type is EventType.EXITED
-        assert m.traces.compiles == compiles
         assert m.traces.mega_compiles == mega
         kinds = {e[0] for e in es}
         assert CALL in kinds and RET in kinds
@@ -284,7 +287,7 @@ class TestMegatraceObserverInteraction:
         mega_observed = m.traces.mega_compiles
         m.detach_observer(es)
         assert not m.observed
-        # a fresh run of the same image must promote to tier 2 again
+        # a fresh run of the same image must compile its traces again
         m.load_program(MATMUL)
         stop = m.run()
         assert stop.reason is StopReason.EXITED
@@ -544,4 +547,4 @@ class TestTraceSessionApi:
         with open_binary(MATMUL) as edit:
             session = edit.trace(granularity="block")
         assert session.heat()
-        assert session.machine.traces.compiles > 0
+        assert session.machine.traces.mega_compiles > 0
