@@ -139,8 +139,13 @@ def encode_bytes(mnemonic: str, **fields: int) -> bytes:
 
 
 def make(mnemonic: str, **fields: int) -> Instruction:
-    """Construct an :class:`Instruction` (validating the encoding)."""
+    """Construct an :class:`Instruction` (validating the encoding).
+
+    A free rounding mode left out is the dynamic one, as in the
+    encoding."""
     spec = by_mnemonic(mnemonic)
+    if spec.has_rm:
+        fields.setdefault("rm", _DYNAMIC_RM)
     word = encode_fields(spec, dict(fields))
     return Instruction(spec=spec, fields=dict(fields), length=4, raw=word)
 

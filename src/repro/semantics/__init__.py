@@ -8,8 +8,9 @@ Semantics are produced by the SAIL-substitute pipeline in
 
 from .evaluate import evaluate, eval_expr
 from .ir import (
-    BinOp, CondEffect, Const, Effect, Expr, Extend, ILen, ITE, MemRead,
-    MemWrite, OperandRef, PC, PCWrite, RegRef, RegWrite, Semantics, UnOp,
+    BinOp, CondEffect, Const, Effect, Expr, Extend, FloatOp, ILen, ITE,
+    MemRead, MemWrite, OperandRef, PC, PCWrite, RegRef, RegWrite, Semantics,
+    UnOp,
 )
 from .registry import (
     coverage_report, has_precise_semantics, reads_memory, register_defs,
@@ -18,8 +19,8 @@ from .registry import (
 )
 
 __all__ = [
-    "BinOp", "CondEffect", "Const", "Effect", "Expr", "Extend", "ILen",
-    "ITE", "MemRead", "MemWrite", "OperandRef", "PC", "PCWrite", "RegRef",
+    "BinOp", "CondEffect", "Const", "Effect", "Expr", "Extend", "FloatOp",
+    "ILen", "ITE", "MemRead", "MemWrite", "OperandRef", "PC", "PCWrite", "RegRef",
     "RegWrite", "Semantics", "UnOp",
     "evaluate", "eval_expr",
     "coverage_report", "has_precise_semantics", "reads_memory",

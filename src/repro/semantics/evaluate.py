@@ -2,14 +2,16 @@
 
 Executes an instruction's :class:`~repro.semantics.ir.Semantics` against
 an abstract machine-state interface and returns the concrete writes.
-Its operator kernel (``_binop``/``_unop``/``_extend``) is the one
-definition of each operator: backward slicing (DataflowAPI) evaluates
+Its operator kernel (``_binop``/``_unop``/``_extend``, and the float
+kernel of :mod:`repro.semantics.floats`) is the one definition of each
+operator: backward slicing (DataflowAPI) evaluates
 with it, and :mod:`repro.semantics.lower` folds constants with it and
 calls it from the simulator's generated code.  The evaluator itself is
 the reference the simulator tiers are cross-checked against.
 
-All values are 64-bit unsigned integers; signed interpretations happen
-at operator granularity, exactly as in the IR definition.
+All values are 64-bit unsigned integers (F registers hold bit
+patterns); signed and float interpretations happen at operator
+granularity, exactly as in the IR definition.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from typing import Protocol
 
 from ..riscv.encoding import sign_extend, to_unsigned
 from ..riscv.instr import Instruction
+from .floats import FLOAT_OPS
 from .ir import (
-    BinOp, CondEffect, Const, Effect, Expr, Extend, ILen, ITE, MemRead,
-    MemWrite, OperandRef, PC, PCWrite, RegRef, RegWrite, Semantics, UnOp,
+    BinOp, CondEffect, Const, Effect, Expr, Extend, FloatOp, ILen, ITE,
+    MemRead, MemWrite, OperandRef, PC, PCWrite, RegRef, RegWrite, Semantics,
+    UnOp,
 )
 
 _M64 = (1 << 64) - 1
@@ -167,6 +171,9 @@ def eval_expr(e: Expr, instr: Instruction, state: EvalState) -> int:
         return (eval_expr(e.then, instr, state)
                 if eval_expr(e.cond, instr, state)
                 else eval_expr(e.otherwise, instr, state))
+    if isinstance(e, FloatOp):
+        return FLOAT_OPS[e.op](*(eval_expr(a, instr, state)
+                                 for a in e.args))
     raise TypeError(f"unknown expression {e!r}")
 
 

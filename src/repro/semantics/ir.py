@@ -130,6 +130,20 @@ class ITE(Expr):
         return (self.cond, self.then, self.otherwise)
 
 
+@dataclass(frozen=True)
+class FloatOp(Expr):
+    """A float primitive (``f64_add``, ``f32_class``...) over bit patterns.
+
+    *op* names a :data:`repro.semantics.floats.FLOAT_OPS` entry: the IR
+    has no float type.  A rounding primitive takes ``rm`` last."""
+
+    op: str
+    args: tuple[Expr, ...]
+
+    def children(self):
+        return self.args
+
+
 #: Binary operators with RISC-V semantics.  The u/s suffix selects
 #: unsigned/signed interpretation where it matters.  divs/divu/rems/remu
 #: implement the architectural division-by-zero and overflow results.
@@ -276,6 +290,9 @@ def expr_to_json(e: Expr) -> Any:
     if isinstance(e, ITE):
         return {"k": "ite", "c": expr_to_json(e.cond),
                 "t": expr_to_json(e.then), "f": expr_to_json(e.otherwise)}
+    if isinstance(e, FloatOp):
+        return {"k": "fop", "op": e.op,
+                "a": [expr_to_json(a) for a in e.args]}
     raise TypeError(f"unknown expr {e!r}")
 
 
@@ -302,6 +319,8 @@ def expr_from_json(j: Any) -> Expr:
     if k == "ite":
         return ITE(expr_from_json(j["c"]), expr_from_json(j["t"]),
                    expr_from_json(j["f"]))
+    if k == "fop":
+        return FloatOp(j["op"], tuple(expr_from_json(a) for a in j["a"]))
     raise ValueError(f"unknown expr kind {k!r}")
 
 

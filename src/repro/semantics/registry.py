@@ -5,12 +5,13 @@ terms, §3.2.4) three places: ROSE-derived classes, SAIL-derived classes,
 and hand-crafted descriptions.  Here:
 
 * SAIL-derived: the generated module from the mini-SAIL pipeline covers
-  the I/M (and sample RVA23) instructions.
-* Hand-crafted fallback: every other instruction in the spec table gets
-  conservative operand-derived def/use information (rd written, rs*
-  read, loads read memory, stores write memory) — sufficient for
-  liveness, too coarse for value-tracking slices, which is exactly how
-  Dyninst degrades when precise semantics are unavailable.
+  166 of the 178 specs: I, M, A's AMOs, F, D and the RVA23 samples.
+* Hand-crafted fallback: the rest (``lr``/``sc``, Zicsr, ``ecall``,
+  ``ebreak``) gets conservative operand-derived def/use information (rd
+  written, rs* read, ``lr``/``sc`` read memory, ``sc`` writes it) —
+  sufficient for liveness, too coarse for value-tracking slices, which
+  is exactly how Dyninst degrades when precise semantics are
+  unavailable.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..riscv.instr import Instruction
-from ..riscv.opcodes import (
-    InstrSpec, OP_BRANCH, OP_JAL, OP_JALR, all_specs, by_mnemonic,
-)
+from ..riscv.opcodes import OP_AMO, InstrSpec, all_specs, by_mnemonic
 from .ir import Semantics
 
 
@@ -54,28 +53,12 @@ def has_precise_semantics(mnemonic: str) -> bool:
 
 # -- def/use extraction (with fallback) ---------------------------------
 
-_LOAD_OPCODES = (0x03, 0x07)
-_STORE_OPCODES = (0x23, 0x27)
 
-
-def _fallback_uses(spec: InstrSpec) -> set[tuple[str, str]]:
-    uses = set()
-    for op in spec.operands:
-        if op in ("rs1", "rs2", "rs3"):
-            uses.add(("x", op))
-        elif op in ("frs1", "frs2", "frs3"):
-            uses.add(("f", op[1:]))
-    return uses
-
-
-def _fallback_defs(spec: InstrSpec) -> set[tuple[str, str]]:
-    defs = set()
-    for op in spec.operands:
-        if op == "rd":
-            defs.add(("x", "rd"))
-        elif op == "frd":
-            defs.add(("f", "rd"))
-    return defs
+def _fallback(spec: InstrSpec, names: tuple) -> tuple:
+    """The operand-derived (regfile, operand) pairs of *spec* among
+    *names*."""
+    return tuple(("f", op[1:]) if op[0] == "f" else ("x", op)
+                 for op in spec.operands if op.lstrip("f") in names)
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +71,7 @@ def _operand_pairs(mnemonic: str) -> tuple[tuple[tuple[str, str], ...],
     if sem is not None:
         return tuple(sem.register_uses()), tuple(sem.register_defs())
     spec = by_mnemonic(mnemonic)
-    return tuple(_fallback_uses(spec)), tuple(_fallback_defs(spec))
+    return _fallback(spec, ("rs1", "rs2", "rs3")), _fallback(spec, ("rd",))
 
 
 def _bind(instr: Instruction,
@@ -154,28 +137,19 @@ def reads_memory(instr: Instruction) -> bool:
     sem = semantics_for(instr)
     if sem is not None:
         return sem.reads_memory()
-    opc = instr.spec.match & 0x7F
-    return opc in _LOAD_OPCODES or (opc == 0x2F)  # AMO reads
+    return instr.spec.match & 0x7F == OP_AMO  # lr/sc
 
 
 def writes_memory(instr: Instruction) -> bool:
     sem = semantics_for(instr)
     if sem is not None:
         return sem.writes_memory()
-    opc = instr.spec.match & 0x7F
-    if opc in _STORE_OPCODES:
-        return True
-    if opc == 0x2F:  # AMOs (except lr) write memory
-        return not instr.mnemonic.startswith("lr.")
-    return False
+    return instr.mnemonic.startswith("sc.")
 
 
 def writes_pc(instr: Instruction) -> bool:
     sem = semantics_for(instr)
-    if sem is not None:
-        return sem.writes_pc()
-    opc = instr.spec.match & 0x7F
-    return opc in (OP_BRANCH, OP_JAL, OP_JALR)
+    return sem is not None and sem.writes_pc()
 
 
 def coverage_report() -> dict[str, bool]:

@@ -28,6 +28,8 @@ document (itself derived from the mini-SAIL source).  Regenerate with
 ``python -m repro.semantics.sail``.
 """
 
+import json
+
 from repro.semantics.ir import Semantics, semantics_from_json
 
 
@@ -84,7 +86,7 @@ def generate_source(json_document: str) -> str:
             f"@_register\n"
             f"class {_class_name(mnemonic)}(SemanticClass):\n"
             f"    MNEMONIC = {mnemonic!r}\n"
-            f"    SEMANTICS = semantics_from_json({payload})\n\n"
+            f"    SEMANTICS = semantics_from_json(json.loads({payload!r}))\n\n"
         )
     return "\n".join(parts)
 

@@ -7,9 +7,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..floats import FLOAT_OPS
 from ..ir import (
-    BinOp, CondEffect, Const, Effect, Expr, Extend, ILen, ITE, MemRead,
-    MemWrite, OperandRef, PC, PCWrite, RegRef, RegWrite, Semantics, UnOp,
+    BinOp, CondEffect, Const, Effect, Expr, Extend, FloatOp, ILen, ITE,
+    MemRead, MemWrite, OperandRef, PC, PCWrite, RegRef, RegWrite, Semantics,
+    UnOp,
 )
 
 
@@ -89,7 +91,7 @@ _BUILTIN_BINOPS = {"mulh", "mulhu", "mulhsu", "divs", "divu", "rems", "remu"}
 _BUILTIN_UNOPS = {"clz", "ctz", "cpop"}
 
 #: Immediate-like operand field names usable bare in expressions.
-_OPERAND_NAMES = {"imm", "shamt", "csr", "zimm"}
+_OPERAND_NAMES = {"imm", "shamt", "csr", "zimm", "rm"}
 
 
 def _parse_expr(s: _Stream, level: int = 0) -> Expr:
@@ -167,6 +169,15 @@ def _parse_primary(s: _Stream) -> Expr:
         a = _parse_expr(s)
         s.expect(")")
         return UnOp(tok, a)
+    if tok in FLOAT_OPS:
+        s.expect("(")
+        args = [_parse_expr(s)]
+        while s.accept(","):
+            args.append(_parse_expr(s))
+        s.expect(")")
+        if len(args) != FLOAT_OPS[tok].__code__.co_argcount:
+            raise SailParseError(f"{tok}: wrong number of arguments")
+        return FloatOp(tok, tuple(args))
     if tok in _OPERAND_NAMES:
         return OperandRef(tok)
     raise SailParseError(f"unexpected token {tok!r} in expression")

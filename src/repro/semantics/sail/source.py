@@ -1,4 +1,4 @@
-"""Mini-SAIL semantic definitions for the RV64 integer instructions.
+"""Mini-SAIL semantic definitions for RV64GC.
 
 This file plays the role of the *official RISC-V SAIL model* in the
 paper's pipeline (§3.2.4): a high-level, declarative description of what
@@ -17,20 +17,28 @@ DSL cheat sheet
 ---------------
 * ``X(rs1)`` — integer register named by the decoded ``rs1`` field
   (reads of x0 yield 0, writes to x0 vanish).
+* ``F(rs1)`` — FP register: a 64-bit pattern (f0 is an ordinary
+  register).  A single sits in the low 32 bits under a NaN box of ones.
 * ``pc`` / ``ilen`` — instruction address / encoded length.
-* ``imm`` / ``shamt`` — decoded immediate fields.
+* ``imm`` / ``shamt`` / ``rm`` — decoded immediate fields (``rm`` is
+  the static rounding mode).
 * ``mem(addr, n)`` — n-byte little-endian load (zero-extended);
-  assignment to ``mem(addr, n)`` is a store.
+  assignment to ``mem(addr, n)`` is a store.  Every read sees the
+  pre-instruction memory, so an AMO is a load and a store.
 * ``sext(e, w)`` / ``zext(e, w)`` — extend the low w bits.
 * Signedness-explicit operators: ``/s /u %s %u <s <u >=s >=u >>a >>l``.
+* ``f64_add(a, b, rm)``, ``f32_class(a)``, ``i64_to_f64(v, rm)``... —
+  the float primitives of :mod:`repro.semantics.floats`, over bit
+  patterns.  NaN boxing, unboxing and the canonical-NaN rule live
+  there; ``f32_unbox(a)`` exposes the unboxing to bit-level clauses.
 * ``if cond { ... } else { ... }``; statements separated by ``;``.
 * An instruction without a ``pc = ...`` assignment falls through.
 
-Coverage: the I and M extensions plus the RVA23 samples Zicond, Zba and
-Zbb (everything integer dataflow analysis slices over).  A/F/D/Zicsr
-instructions use the conservative operand-derived def/use fallback (the
-paper's "hand-crafted semantic descriptions" third source) — see
-:mod:`repro.semantics.registry`.
+Coverage: 166 of the 178 RV64GC specs: I, M, A's AMOs, F, D and the
+RVA23 samples Zicond, Zba and Zbb.  ``lr``/``sc``, Zicsr, ``ecall`` and
+``ebreak`` use the operand-derived def/use fallback of
+:mod:`repro.semantics.registry` (the paper's "hand-crafted semantic
+descriptions") and run hand-written in the simulator.
 """
 
 SAIL_SOURCE = r"""
@@ -142,4 +150,105 @@ cpop   { X(rd) = cpop(X(rs1)) }
 sext.b { X(rd) = sext(X(rs1), 8) }
 sext.h { X(rd) = sext(X(rs1), 16) }
 zext.h { X(rd) = zext(X(rs1), 16) }
+
+// ---- A: AMOs, read-modify-writes over the pre-instruction memory ----
+amoswap.w { X(rd) = sext(mem(X(rs1), 4), 32) ; mem(X(rs1), 4) = X(rs2) }
+amoadd.w  { X(rd) = sext(mem(X(rs1), 4), 32) ; mem(X(rs1), 4) = mem(X(rs1), 4) + X(rs2) }
+amoxor.w  { X(rd) = sext(mem(X(rs1), 4), 32) ; mem(X(rs1), 4) = mem(X(rs1), 4) ^ X(rs2) }
+amoand.w  { X(rd) = sext(mem(X(rs1), 4), 32) ; mem(X(rs1), 4) = mem(X(rs1), 4) & X(rs2) }
+amoor.w   { X(rd) = sext(mem(X(rs1), 4), 32) ; mem(X(rs1), 4) = mem(X(rs1), 4) | X(rs2) }
+amomin.w  { X(rd) = sext(mem(X(rs1), 4), 32) ;
+            mem(X(rs1), 4) = ite(sext(mem(X(rs1), 4), 32) <s sext(X(rs2), 32), mem(X(rs1), 4), X(rs2)) }
+amomax.w  { X(rd) = sext(mem(X(rs1), 4), 32) ;
+            mem(X(rs1), 4) = ite(sext(mem(X(rs1), 4), 32) <s sext(X(rs2), 32), X(rs2), mem(X(rs1), 4)) }
+amominu.w { X(rd) = sext(mem(X(rs1), 4), 32) ;
+            mem(X(rs1), 4) = ite(mem(X(rs1), 4) <u zext(X(rs2), 32), mem(X(rs1), 4), X(rs2)) }
+amomaxu.w { X(rd) = sext(mem(X(rs1), 4), 32) ;
+            mem(X(rs1), 4) = ite(mem(X(rs1), 4) <u zext(X(rs2), 32), X(rs2), mem(X(rs1), 4)) }
+amoswap.d { X(rd) = mem(X(rs1), 8) ; mem(X(rs1), 8) = X(rs2) }
+amoadd.d  { X(rd) = mem(X(rs1), 8) ; mem(X(rs1), 8) = mem(X(rs1), 8) + X(rs2) }
+amoxor.d  { X(rd) = mem(X(rs1), 8) ; mem(X(rs1), 8) = mem(X(rs1), 8) ^ X(rs2) }
+amoand.d  { X(rd) = mem(X(rs1), 8) ; mem(X(rs1), 8) = mem(X(rs1), 8) & X(rs2) }
+amoor.d   { X(rd) = mem(X(rs1), 8) ; mem(X(rs1), 8) = mem(X(rs1), 8) | X(rs2) }
+amomin.d  { X(rd) = mem(X(rs1), 8) ;
+            mem(X(rs1), 8) = ite(mem(X(rs1), 8) <s X(rs2), mem(X(rs1), 8), X(rs2)) }
+amomax.d  { X(rd) = mem(X(rs1), 8) ;
+            mem(X(rs1), 8) = ite(mem(X(rs1), 8) <s X(rs2), X(rs2), mem(X(rs1), 8)) }
+amominu.d { X(rd) = mem(X(rs1), 8) ;
+            mem(X(rs1), 8) = ite(mem(X(rs1), 8) <u X(rs2), mem(X(rs1), 8), X(rs2)) }
+amomaxu.d { X(rd) = mem(X(rs1), 8) ;
+            mem(X(rs1), 8) = ite(mem(X(rs1), 8) <u X(rs2), X(rs2), mem(X(rs1), 8)) }
+
+// ---- F/D: loads, stores and moves carry raw bits ----
+flw     { F(rd) = 0xFFFFFFFF00000000 | mem(X(rs1) + imm, 4) }
+fld     { F(rd) = mem(X(rs1) + imm, 8) }
+fsw     { mem(X(rs1) + imm, 4) = F(rs2) }
+fsd     { mem(X(rs1) + imm, 8) = F(rs2) }
+fmv.x.w { X(rd) = sext(F(rs1), 32) }
+fmv.w.x { F(rd) = 0xFFFFFFFF00000000 | zext(X(rs1), 32) }
+fmv.x.d { X(rd) = F(rs1) }
+fmv.d.x { F(rd) = X(rs1) }
+
+// ---- F/D: sign injection (a single's operands are unboxed first) ----
+fsgnj.d  { F(rd) = (F(rs1) & 0x7FFFFFFFFFFFFFFF) | (F(rs2) & 0x8000000000000000) }
+fsgnjn.d { F(rd) = (F(rs1) & 0x7FFFFFFFFFFFFFFF) | (~F(rs2) & 0x8000000000000000) }
+fsgnjx.d { F(rd) = F(rs1) ^ (F(rs2) & 0x8000000000000000) }
+fsgnj.s  { F(rd) = 0xFFFFFFFF00000000 | (f32_unbox(F(rs1)) & 0x7FFFFFFF)
+                   | (f32_unbox(F(rs2)) & 0x80000000) }
+fsgnjn.s { F(rd) = 0xFFFFFFFF00000000 | (f32_unbox(F(rs1)) & 0x7FFFFFFF)
+                   | (~f32_unbox(F(rs2)) & 0x80000000) }
+fsgnjx.s { F(rd) = 0xFFFFFFFF00000000 | (f32_unbox(F(rs1))
+                   ^ (f32_unbox(F(rs2)) & 0x80000000)) }
+
+// ---- F: single-precision arithmetic, compares and conversions ----
+fadd.s    { F(rd) = f32_add(F(rs1), F(rs2), rm) }
+fsub.s    { F(rd) = f32_sub(F(rs1), F(rs2), rm) }
+fmul.s    { F(rd) = f32_mul(F(rs1), F(rs2), rm) }
+fdiv.s    { F(rd) = f32_div(F(rs1), F(rs2), rm) }
+fsqrt.s   { F(rd) = f32_sqrt(F(rs1), rm) }
+fmin.s    { F(rd) = f32_min(F(rs1), F(rs2)) }
+fmax.s    { F(rd) = f32_max(F(rs1), F(rs2)) }
+fmadd.s   { F(rd) = f32_madd(F(rs1), F(rs2), F(rs3), rm) }
+fmsub.s   { F(rd) = f32_msub(F(rs1), F(rs2), F(rs3), rm) }
+fnmsub.s  { F(rd) = f32_nmsub(F(rs1), F(rs2), F(rs3), rm) }
+fnmadd.s  { F(rd) = f32_nmadd(F(rs1), F(rs2), F(rs3), rm) }
+feq.s     { X(rd) = f32_eq(F(rs1), F(rs2)) }
+flt.s     { X(rd) = f32_lt(F(rs1), F(rs2)) }
+fle.s     { X(rd) = f32_le(F(rs1), F(rs2)) }
+fclass.s  { X(rd) = f32_class(F(rs1)) }
+fcvt.w.s  { X(rd) = sext(f32_to_i32(F(rs1), rm), 32) }
+fcvt.wu.s { X(rd) = sext(f32_to_u32(F(rs1), rm), 32) }
+fcvt.l.s  { X(rd) = f32_to_i64(F(rs1), rm) }
+fcvt.lu.s { X(rd) = f32_to_u64(F(rs1), rm) }
+fcvt.s.w  { F(rd) = i64_to_f32(sext(X(rs1), 32), rm) }
+fcvt.s.wu { F(rd) = u64_to_f32(zext(X(rs1), 32), rm) }
+fcvt.s.l  { F(rd) = i64_to_f32(X(rs1), rm) }
+fcvt.s.lu { F(rd) = u64_to_f32(X(rs1), rm) }
+
+// ---- D: double-precision arithmetic, compares and conversions ----
+fadd.d    { F(rd) = f64_add(F(rs1), F(rs2), rm) }
+fsub.d    { F(rd) = f64_sub(F(rs1), F(rs2), rm) }
+fmul.d    { F(rd) = f64_mul(F(rs1), F(rs2), rm) }
+fdiv.d    { F(rd) = f64_div(F(rs1), F(rs2), rm) }
+fsqrt.d   { F(rd) = f64_sqrt(F(rs1), rm) }
+fmin.d    { F(rd) = f64_min(F(rs1), F(rs2)) }
+fmax.d    { F(rd) = f64_max(F(rs1), F(rs2)) }
+fmadd.d   { F(rd) = f64_madd(F(rs1), F(rs2), F(rs3), rm) }
+fmsub.d   { F(rd) = f64_msub(F(rs1), F(rs2), F(rs3), rm) }
+fnmsub.d  { F(rd) = f64_nmsub(F(rs1), F(rs2), F(rs3), rm) }
+fnmadd.d  { F(rd) = f64_nmadd(F(rs1), F(rs2), F(rs3), rm) }
+feq.d     { X(rd) = f64_eq(F(rs1), F(rs2)) }
+flt.d     { X(rd) = f64_lt(F(rs1), F(rs2)) }
+fle.d     { X(rd) = f64_le(F(rs1), F(rs2)) }
+fclass.d  { X(rd) = f64_class(F(rs1)) }
+fcvt.w.d  { X(rd) = sext(f64_to_i32(F(rs1), rm), 32) }
+fcvt.wu.d { X(rd) = sext(f64_to_u32(F(rs1), rm), 32) }
+fcvt.l.d  { X(rd) = f64_to_i64(F(rs1), rm) }
+fcvt.lu.d { X(rd) = f64_to_u64(F(rs1), rm) }
+fcvt.d.w  { F(rd) = i64_to_f64(sext(X(rs1), 32), rm) }
+fcvt.d.wu { F(rd) = u64_to_f64(zext(X(rs1), 32), rm) }
+fcvt.d.l  { F(rd) = i64_to_f64(X(rs1), rm) }
+fcvt.d.lu { F(rd) = u64_to_f64(X(rs1), rm) }
+fcvt.s.d  { F(rd) = f64_to_f32(F(rs1), rm) }
+fcvt.d.s  { F(rd) = f32_to_f64(F(rs1)) }
 """

@@ -10,9 +10,8 @@ is the testbed for instrumentation correctness.
 
 A value is read from or written to a page in place, through one table
 of precompiled little-endian :class:`struct.Struct` accessors: the
-interpreter's :meth:`Memory.read_int`/:meth:`Memory.write_int`, the
-fast paths compiled traces generate, and :mod:`repro.sim.fp`'s bit
-helpers all use it.
+interpreter's :meth:`Memory.read_int`/:meth:`Memory.write_int` and the
+fast paths compiled traces generate both use it.
 """
 
 from __future__ import annotations

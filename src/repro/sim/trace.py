@@ -21,13 +21,12 @@ charges timing as **one batched ucycle charge** per exit, bumps
 ``instret`` once, and **chains** each exit to a known pc directly to
 the trace compiled there, skipping even the dispatch-loop lookup.  A pc
 whose first instruction cannot be traced (ecall/ebreak/fences/CSR
-reads/atomics) gets a negative entry and stays on the interpreter.
+reads/``lr``/``sc``) gets a negative entry and stays on the interpreter.
 
-The emitter inlines each instruction the SAIL IR covers as the source
-:mod:`repro.semantics.lower` renders, plus the hot F/D forms (no
-per-instruction call at all), calling the executor's F/D bodies for the
-rest.  Integer registers live in Python **locals**, spilled to the
-architectural ``x`` list only at exits, body calls and faults; the
+The emitter inlines every instruction the SAIL IR covers as the source
+:mod:`repro.semantics.lower` renders (no per-instruction call at all,
+F/D and AMOs included).  Integer registers live in Python **locals**,
+spilled to the architectural ``x`` list only at exits and faults; the
 lowering folds immediates and registers known constant while emitting
 source (``li``/``lui``/``auipc`` chains become literals).  Loaded and
 stored values are forwarded to later loads of the same address.  A
@@ -37,10 +36,11 @@ accessors (``U8(pg, o)[0]``, ``P8(pg, o, v)``, bound into a trace's
 namespace on first use); an access that leaves its page, or whose page
 is not created yet, calls ``Memory.read_int``/``write_int``.  Doubles
 stay Python floats from page to page: ``fld`` unpacks one straight into
-its ``g<rd>`` local, ``fsd`` of a live float packs it straight back,
-and ``fr[]`` bits are packed only at exits, faults, executor-body calls
-and single-precision instructions.  A NaN result of double arithmetic the
-emitter inlines is replaced by the canonical NaN, as the ISA requires.
+its ``g<rd>`` local, double arithmetic computes on them, ``fsd`` of a
+live float packs it straight back, and ``fr[]`` bits are packed only at
+exits, faults and where an instruction reads an F register's bits.  A
+NaN result of double arithmetic becomes the canonical NaN as it lands
+in its ``g<rd>`` local, as the ISA requires.
 
 Stores kill forwarded values by alias class: a constant-address store
 (an instrumentation counter) keeps the values addressed through a base
@@ -100,10 +100,10 @@ from typing import TYPE_CHECKING
 
 from .. import faults
 from ..riscv.decoder import DecodeError, decode
-from ..semantics.lower import HELPERS, Lowering, Val, const, sx
+from ..semantics.floats import QNAN64, b64, f64
+from ..semantics.lower import ARITH, EXACT, HELPERS, Lowering, Val, const, sx
 from ..semantics.registry import semantics_for
-from . import fp
-from .executor import FMA_SIGNS, SimFault, build_body
+from .executor import SimFault
 from .memory import PACK, UNPACK, MemoryFault
 from .timing import category_of
 
@@ -461,7 +461,10 @@ class _TraceEmitter:
     """Generates the Python source of one compiled trace, with the
     referenced integer registers cached in Python locals and immediates
     constant-folded at emission time.  A path that returns to the
-    trace's root *entry* becomes a ``while True:`` loop."""
+    trace's root *entry* becomes a ``while True:`` loop.  As a lowering
+    target it keeps doubles as Python floats (``floats``)."""
+
+    floats = True
 
     def __init__(self, cache: TraceCache, entry: int,
                  assumed: frozenset = frozenset()):
@@ -477,9 +480,7 @@ class _TraceEmitter:
             "PG": m.mem._pages.get,
             "sx": sx, "L": cache._link,
             "JM": cache._jalr_miss, "GH": cache.jalr_hits,
-            "D": cache.deopt_count,
-            "F64": fp.f64_from_bits, "B64": fp.bits_from_f64,
-            "F32": fp.f32_from_bits, "B32": fp.bits_from_f32,
+            "D": cache.deopt_count, "F64": f64, "B64": b64,
             "MF": MemoryFault, "SF": SimFault,
         }
         self.count = 0
@@ -624,16 +625,6 @@ class _TraceEmitter:
         self.lines.append(f"r{r} = {expr}")
         self._forget_base(r)
 
-    def _clobber(self, r: int) -> None:
-        """Register written by code outside our control (body call)."""
-        if r == 0:
-            return
-        self.consts.pop(r, None)
-        self.last_const[r] = None
-        self.localized.add(r)
-        self.written.add(r)
-        self._forget_base(r)
-
     def _forget_base(self, r: int) -> None:
         """Writing register *r* invalidates forwarded memory values
         whose address depends on it."""
@@ -651,8 +642,8 @@ class _TraceEmitter:
     # ``fsd`` packs it straight back.  A ``<d`` unpack/pack round trip
     # keeps every bit pattern, signalling-NaN payloads included, so
     # packing ``fr[]`` bits only where they must be exact (exits,
-    # faults, executor-body calls, single-precision instructions) is
-    # bit-identical to packing after every instruction.
+    # faults, reads of an F register's bits) is bit-identical to packing
+    # after every instruction.
 
     def _fp_kill_g(self, r: int) -> None:
         """Local ``g{r}`` is about to be reassigned: forwarded memory
@@ -660,41 +651,6 @@ class _TraceEmitter:
         if self.fp_mem:
             for k in [k for k, v in self.fp_mem.items() if v == r]:
                 del self.fp_mem[k]
-
-    def _fp_def(self, r: int) -> None:
-        """``fr[r]`` is about to be written directly: drop every cached
-        claim about the register (its old value needs no write-back —
-        the write replaces it architecturally)."""
-        self.fp_dirty.discard(r)
-        self.fp_float.discard(r)
-        self._fp_kill_g(r)
-
-    def _fp_sync(self, r: int) -> None:
-        """Make ``fr[r]`` architecturally fresh; cached knowledge
-        survives, only the dirtiness clears."""
-        if r in self.fp_dirty:
-            self.fp_dirty.discard(r)
-            self.lines.append(f"fr[{r}] = B64(g{r})")
-
-    def _fp_float_of(self, r: int) -> str:
-        """Expression for the float value of fp reg *r*, materializing
-        ``g{r}`` from ``fr[r]`` when it is not live."""
-        if r in self.fp_float:
-            return f"g{r}"
-        self._fp_kill_g(r)
-        self.lines.append(f"g{r} = F64(fr[{r}])")
-        self.fp_float.add(r)
-        return f"g{r}"
-
-    def _fp_flush(self) -> None:
-        """Write back every dirty fp register and forget all float
-        state — emitted before anything that may read or write the
-        architectural fr list behind our back (body closures)."""
-        for r in sorted(self.fp_dirty):
-            self.lines.append(f"fr[{r}] = B64(g{r})")
-        self.fp_dirty.clear()
-        self.fp_float.clear()
-        self.fp_mem.clear()
 
     # -- bookkeeping helpers ---------------------------------------------
 
@@ -907,9 +863,50 @@ class _TraceEmitter:
         c = self.consts.get(n)
         return Val(self.use(n)) if c is None else const(c, self.use(n))
 
-    def load(self, lw: Lowering, base: int, off: Val, size: int) -> Val:
+    def freg(self, r: int, fl: bool) -> Val:
+        """F register *r*: its float when live, else its ``fr[]`` bits
+        (unless *fl*: ``g{r}`` then loads the float from them)."""
+        if r not in self.fp_float:
+            if not fl:
+                return Val(f"fr[{r}]")
+            self._fp_kill_g(r)
+            self.lines.append(f"g{r} = F64(fr[{r}])")
+            self.fp_float.add(r)
+        return Val(f"g{r}", fl=EXACT, fr=r)
+
+    def load(self, lw: Lowering, base: int, off: Val, size: int,
+             dest=None) -> Val:
+        if dest is not None and size == 8:
+            self._load_float(lw.pc, base, sx(off.const), dest)
+            return Val(f"g{dest}", fl=EXACT, fr=dest)
         return Val(self._load_value(lw.pc, base, sx(off.const), size),
                    bits=8 * size)
+
+    def _load_float(self, pc: int, rs1: int, imm: int, rd: int) -> None:
+        """Load the double at (*rs1* + *imm*) straight into ``g{rd}``,
+        forwarding a float or the bits an earlier access left."""
+        key = self._mem_key(rs1, imm, 8)
+        fsrc = self.fp_mem.get(key)
+        bits = self.mem_known.get(key)
+        if fsrc is not None and fsrc in self.fp_float:
+            # the slot's float is already live in a local: the reload is
+            # at most a local-to-local copy
+            self._rely(key)
+            if fsrc != rd:
+                self._fp_kill_g(rd)
+                self.lines.append(f"g{rd} = g{fsrc}")
+        else:
+            self._fp_kill_g(rd)
+            if bits is not None:
+                # an integer access forwarded the slot's bits
+                self._rely(key)
+                self.lines.append(f"g{rd} = F64({bits})")
+            else:
+                self._emit_read(pc, rs1, imm, 8, f"g{rd}", "d")
+            self.fp_mem[key] = rd
+        # fr[rd] stays stale (dirty) until a sync point needs its bits
+        self.fp_float.add(rd)
+        self.fp_dirty.add(rd)
 
     def _write(self, lw: Lowering, r: int, v: Val) -> None:
         if v.const is not None:
@@ -918,6 +915,24 @@ class _TraceEmitter:
         src = lw.value(v).src
         if src != f"r{r}":
             self.set_expr(r, src)
+
+    def _fwrite(self, lw: Lowering, r: int, v: Val) -> None:
+        """Write F register *r*: a float into ``g{r}`` (replacing a NaN
+        result of arithmetic by the canonical NaN), bits into ``fr[r]``,
+        which drops every cached claim about the register."""
+        if v.fr != r:  # (not a load straight into it)
+            self._fp_kill_g(r)
+            self.lines.append(f"g{r} = {v.src}" if v.fl
+                              else f"fr[{r}] = {lw.value(v).src}")
+        if not v.fl:
+            self.fp_float.discard(r)
+            self.fp_dirty.discard(r)
+            return
+        if v.fl == ARITH:
+            self.ns.setdefault("QN", f64(QNAN64))
+            self.lines.append(f"if g{r} != g{r}: g{r} = QN")
+        self.fp_float.add(r)
+        self.fp_dirty.add(r)
 
     # -- control transfer -------------------------------------------------
 
@@ -972,138 +987,27 @@ class _TraceEmitter:
     # -- straight-line instructions ---------------------------------------
 
     def emit_straight(self, pc: int, instr, lw) -> bool:
-        mn = instr.mnemonic
-        f = instr.fields
-        if lw is not None and lw.stores:
-            self._emit_store(pc, lw.stores[0].size, f, instr)
-            return True
-        if lw is not None:
-            self._cover(pc, instr.length)
-            for r, v in lw.writes:
-                self._write(lw, r, v)
-            self._charge(mn, instr)
-            return True
-        if self._inline(pc, mn, f, instr):
-            return True
-        if mn in ("fsw", "fsd"):
-            self._emit_store(pc, 4 if mn == "fsw" else 8, f, instr)
-            return True
-        body = build_body(self.m, pc, instr)
-        if body is None:
+        """Emit a straight-line instruction from its lowering *lw*; False
+        when the IR does not cover it (the trace ends before it)."""
+        if lw is None:
             return False
-        # fallback body closures read/write the architectural x list:
-        # spill the cached registers around the call and reload an
-        # integer destination afterwards.  A body depends only on the
-        # machine, the pc and the instruction, so both bodies of a
-        # loop may share its name.
         self._cover(pc, instr.length)
-        self._fp_flush()  # the body may read or write any fr slot
-        self._mark(pc)
-        self._spill_marker("")
-        self.ns[f"b{pc:x}"] = body
-        self.lines.append(f"b{pc:x}()")
-        rd = f["rd"] if "rd" in instr.spec.operands else 0
-        if rd:
-            self._clobber(rd)
-            self.lines.append(f"r{rd} = x[{rd}]")
-        self._charge(mn, instr)
-        self.mem_known.clear()  # the body may store anywhere
+        for st in lw.stores:
+            # a read-modify-write's result may read the loaded value its
+            # store replaces: that store forwards nothing
+            self._emit_store(pc, lw, *st, forward=not lw.writes)
+        for r, v in lw.writes:
+            self._write(lw, r, v)
+        for r, v in lw.fwrites:
+            self._fwrite(lw, r, v)
+        self._charge(instr.mnemonic, instr)
+        if lw.stores:
+            self.lines.append("if m.code_dirty:")
+            self.lines.append("    m.code_dirty = False")
+            self.lines.append("    D[0] += 1")
+            self._sync_exit(f"{pc + instr.length:#x}", indent="    ")
+            self.lines.append("    return None")
         return True
-
-    def _inline(self, pc: int, mn: str, f: dict, instr) -> bool:
-        """Emit the hot F/D forms (double precision through float
-        locals); False if the form is not inlined."""
-        if mn in ("flw", "fld"):
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            self._cover(pc, instr.length)
-            if mn == "flw":
-                v = self._load_value(pc, rs1, imm, 4)
-                self._fp_def(rd)
-                self.lines.append(
-                    f"fr[{rd}] = 0xFFFFFFFF00000000 | {v}")
-                self._charge(mn, instr)
-                return True
-            # fld goes straight into the float cache: fr[rd] stays
-            # stale (dirty) until a sync point needs the bit pattern
-            key = self._mem_key(rs1, imm, 8)
-            fsrc = self.fp_mem.get(key)
-            bits = self.mem_known.get(key)
-            if fsrc is not None and fsrc in self.fp_float:
-                # the slot's float is already live in a local: the
-                # reload is at most a local-to-local copy
-                self._rely(key)
-                if fsrc != rd:
-                    self._fp_kill_g(rd)
-                    self.lines.append(f"g{rd} = g{fsrc}")
-            else:
-                self._fp_kill_g(rd)
-                if bits is not None:
-                    # an integer access forwarded the slot's bits
-                    self._rely(key)
-                    self.lines.append(f"g{rd} = F64({bits})")
-                else:
-                    self._emit_read(pc, rs1, imm, 8, f"g{rd}", "d")
-                self.fp_mem[key] = rd
-            self.fp_float.add(rd)
-            self.fp_dirty.add(rd)
-            self._charge(mn, instr)
-            return True
-        parts = mn.split(".")
-        if len(parts) == 2 and parts[1] in ("s", "d"):
-            root, fmt = parts
-            G = "F32" if fmt == "s" else "F64"
-            B = "B32" if fmt == "s" else "B64"
-            if root in ("fadd", "fsub", "fmul"):
-                op = {"fadd": "+", "fsub": "-", "fmul": "*"}[root]
-                rd, a, b = f["rd"], f["rs1"], f["rs2"]
-                if fmt == "d":
-                    fa = self._fp_float_of(a)
-                    fb = self._fp_float_of(b)
-                    self._fp_kill_g(rd)
-                    self.lines.append(f"g{rd} = {fa} {op} {fb}")
-                    self._canonical_nan(rd)
-                    self.fp_float.add(rd)
-                    self.fp_dirty.add(rd)
-                else:
-                    self._fp_sync(a)
-                    self._fp_sync(b)
-                    self._fp_def(rd)
-                    self.lines.append(
-                        f"fr[{rd}] = {B}({G}(fr[{a}]) {op} "
-                        f"{G}(fr[{b}]))")
-                self._cover(pc, instr.length)
-                self._charge(mn, instr)
-                return True
-            if root in FMA_SIGNS:
-                ps, qs = FMA_SIGNS[root]
-                rd, a, b, c = f["rd"], f["rs1"], f["rs2"], f["rs3"]
-                if fmt == "d":
-                    fa = self._fp_float_of(a)
-                    fb = self._fp_float_of(b)
-                    fc = self._fp_float_of(c)
-                    self._fp_kill_g(rd)
-                    self.lines.append(
-                        f"g{rd} = {ps} * ({fa} * {fb}) + {qs} * {fc}")
-                    self._canonical_nan(rd)
-                    self.fp_float.add(rd)
-                    self.fp_dirty.add(rd)
-                else:
-                    self._fp_sync(a)
-                    self._fp_sync(b)
-                    self._fp_sync(c)
-                    self._fp_def(rd)
-                    self.lines.append(
-                        f"fr[{rd}] = {B}({ps} * ({G}(fr[{a}]) * "
-                        f"{G}(fr[{b}])) + {qs} * {G}(fr[{c}]))")
-                self._cover(pc, instr.length)
-                self._charge(mn, instr)
-                return True
-        return False
-
-    def _canonical_nan(self, rd: int) -> None:
-        """A NaN result of double arithmetic is the canonical NaN."""
-        self.ns.setdefault("QN", fp.f64_from_bits(fp.QNAN64))
-        self.lines.append(f"if g{rd} != g{rd}: g{rd} = QN")
 
     # -- memory access ----------------------------------------------------
 
@@ -1246,38 +1150,31 @@ class _TraceEmitter:
         if bases:
             self.relied |= bases
 
-    def _emit_store(self, pc: int, size: int, f: dict, instr) -> None:
-        """Emit a store.  ``fsd`` of a register whose float is live
-        packs the float straight into the page, and the slot is then
-        forwarded through :attr:`fp_mem` alone, so an integer access to
-        it reads memory; every other store forwards its value through
-        :attr:`mem_known`."""
-        mn = instr.mnemonic
-        rs1, rs2, imm = f["rs1"], f["rs2"], f["imm"]
+    def _emit_store(self, pc: int, lw: Lowering, rs1: int, off: Val,
+                    size: int, v: Val, forward: bool) -> None:
+        """Emit a store of *v* at (*rs1* + *off*).  A live float (``fsd``
+        of a register whose float is in ``g``) is packed straight into
+        the page, and the slot is then forwarded through :attr:`fp_mem`
+        alone, so an integer access to it reads memory; every other
+        store forwards its value through :attr:`mem_known`."""
+        imm = sx(off.const)
         skey = self._mem_key(rs1, imm, size)
         # the page accessor's key and value, and the value's bits for
         # write_int
         key = size
         literal = False
-        if mn == "fsd" and rs2 in self.fp_float:
-            key, val, bits = "d", f"g{rs2}", f"B64(g{rs2})"
+        if v.fr is not None and size == 8:
+            key, val, bits = "d", v.src, f"B64({v.src})"
         else:
-            if mn == "fsd":
-                val = f"fr[{rs2}]"
-            elif mn == "fsw":
-                self._fp_sync(rs2)
-                val = f"fr[{rs2}] & 0xFFFFFFFF"
+            mask = (1 << (8 * size)) - 1
+            v = lw.value(v)
+            if v.const is not None:
+                val, literal = f"{v.const & mask:#x}", True
+            elif size == 8:
+                val = v.src
             else:
-                c = self.const_of(rs2)
-                mask = (1 << (8 * size)) - 1
-                if c is not None:
-                    val, literal = f"{c & mask:#x}", True
-                elif size == 8:
-                    val = self.use(rs2)
-                else:
-                    val = f"{self.use(rs2)} & {mask:#x}"
+                val = lw.binop("and", v, const(mask)).src
             bits = val
-        self._cover(pc, instr.length)
         self._mark(pc)
         # fast path: a direct page write unless the page is watched
         # (it holds code: the write watch must see the store) or the
@@ -1285,24 +1182,20 @@ class _TraceEmitter:
         self._emit_access(rs1, imm, size, f"si({{}}, {size}, {bits})",
                           f"{self._accessor('P', key)}(pg, {{}}, {val})",
                           store=True)
-        self._charge(mn, instr)
         self._store_invalidate(skey)
         # store-to-load forwarding: remember the stored value so a
         # same-address reload (this iteration or, via seeding, the next
         # one) costs one local read instead of a page access
+        if not forward:
+            return
         if key == "d":
-            self.fp_mem[skey] = rs2
+            self.fp_mem[skey] = v.fr
         elif literal:
             self.mem_known[skey] = val
         else:
             nm = self._stable(skey)
             self.lines.append(f"{nm} = {val}")
             self.mem_known[skey] = nm
-        self.lines.append("if m.code_dirty:")
-        self.lines.append("    m.code_dirty = False")
-        self.lines.append("    D[0] += 1")
-        self._sync_exit(f"{pc + instr.length:#x}", indent="    ")
-        self.lines.append("    return None")
 
     # -- assembly ---------------------------------------------------------
 

@@ -4,7 +4,10 @@ on the interpreter and the trace JIT at two hotness thresholds.
 A NaN produced by arithmetic or by a conversion between formats is the
 canonical NaN: ``0x7ff8000000000000`` for a double, ``0x7fc00000``
 NaN-boxed for a single.  Moves (``fsgnj``, ``fmv``) copy bit patterns,
-signalling-NaN payloads included.
+signalling-NaN payloads included.  Only loads, stores and ``fmv`` take a
+single's bits as they are; every other single-precision operand that is
+not properly NaN-boxed reads as the canonical NaN.  Fused multiply-adds
+and conversions round once.
 
 The interpreter runs the instruction once.  The JIT runs it in a
 three-iteration counted loop whose head roots a looping trace: at
@@ -36,7 +39,9 @@ ONE32_BOXED = 0xFFFF_FFFF_3F80_0000  # 1.0f
 _RR = {"rd": 5, "rs1": 6, "rs2": 7}
 _R1 = {"rd": 5, "rs1": 6}
 
-#: name -> (mnemonic, fields, initial FP registers, expected fr[5])
+#: name -> (mnemonic, fields, initial registers, expected fr[5], or
+#: ``("x", value)`` for x5).  Integer keys of the initial registers name
+#: F registers, ``"x<n>"`` keys x registers.
 ROWS = {
     "fmul.d-zero-times-inf": ("fmul.d", _RR, {6: 0, 7: INF}, QNAN64),
     "fsub.d-inf-minus-inf": ("fsub.d", _RR, {6: INF, 7: INF}, QNAN64),
@@ -64,6 +69,25 @@ ROWS = {
     "fsgnj.d-snan": ("fsgnj.d", _RR, {6: SNAN64, 7: SNAN64}, SNAN64),
     "fsgnjn.d-snan": ("fsgnjn.d", _RR, {6: SNAN64, 7: SNAN64},
                       SNAN64 | 1 << 63),
+    "fmv.x.w-raw-bits": ("fmv.x.w", _R1, {6: 0x1234_5678_BF80_0000},
+                         ("x", 0xFFFF_FFFF_BF80_0000)),
+    # every other single-precision operand is unboxed
+    "fsgnj.s-unboxed-rs1": ("fsgnj.s", _RR,
+                            {6: 0x3F80_0000, 7: ONE32_BOXED}, QNAN32_BOXED),
+    "fsgnjn.s-unboxed-rs2": ("fsgnjn.s", _RR,
+                             {6: ONE32_BOXED, 7: 0x8000_0000},
+                             0xFFFF_FFFF_BF80_0000),
+    "fclass.s-unboxed": ("fclass.s", _R1, {6: 0x3F80_0000}, ("x", 0x200)),
+    # one rounding: (1 + 2**-30)**2 - (1 + 2**-29) is 2**-60, which a
+    # rounded product loses
+    "fmadd.d-fused": ("fmadd.d", {**_RR, "rs3": 8},
+                      {6: 0x3FF0_0000_0040_0000, 7: 0x3FF0_0000_0040_0000,
+                       8: 0xBFF0_0000_0080_0000}, 0x3C30_0000_0000_0000),
+    "fcvt.s.l-rounds-once": ("fcvt.s.l", _R1, {"x6": 0x1000_0010_0000_0001},
+                             0xFFFF_FFFF_5D80_0001),
+    "fcvt.s.lu-rounds-once": ("fcvt.s.lu", _R1,
+                              {"x6": 0x8000_0080_0000_0001},
+                              0xFFFF_FFFF_5F00_0001),
 }
 
 #: engine id -> the JIT's hot threshold (``None``: the interpreter).
@@ -81,7 +105,10 @@ def _run(tier, instr, init):
         m.traces.hot_threshold = hot
     m.mem.map_region(_CODE, PAGE_SIZE)
     for r, v in init.items():
-        m.f[r] = v
+        if isinstance(r, str):
+            m.x[int(r[1:])] = v
+        else:
+            m.f[r] = v
     if tier == "interpreter":
         program = [instr, make("ebreak")]
     else:
@@ -108,5 +135,10 @@ def _run(tier, instr, init):
 def test_fp_spec_literals(row, tier):
     mnemonic, fields, init, expected = ROWS[row]
     m = _run(tier, make(mnemonic, **fields), init)
-    assert f"{m.f[5]:#x}" == f"{expected:#x}"
-    assert {r: m.f[r] for r in init} == init  # sources keep their bits
+    got = m.f[5]
+    if isinstance(expected, tuple):
+        got, expected = m.x[5], expected[1]
+    assert f"{got:#x}" == f"{expected:#x}"
+    # sources keep their bits
+    assert {r: m.x[int(r[1:])] if isinstance(r, str) else m.f[r]
+            for r in init} == init

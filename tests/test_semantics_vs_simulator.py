@@ -1,22 +1,27 @@
 """Cross-validation of the SAIL-derived semantics against every
 simulator tier.
 
-The simulator derives its integer instructions from the same IR through
-:mod:`repro.semantics.lower`, and each tier runs that lowering
-differently: the closure interpreter through per-mnemonic factories,
-the trace JIT as inlined, constant-folded source.
+The simulator derives its instructions (integer, F/D and the AMOs) from
+the same IR through :mod:`repro.semantics.lower`, and each tier runs
+that lowering differently: the closure interpreter through per-mnemonic
+factories, the trace JIT as inlined, constant-folded source that keeps
+doubles in Python floats.
 PROPERTY: for every instruction with precise semantics, evaluating the IR
-on a random machine state produces exactly the register/pc/memory writes
-each tier's execution produces.
+on a random machine state produces exactly the x register, F register,
+pc and memory writes each tier's execution produces.  F registers start
+as random bits biased towards the values float code gets wrong: NaN
+payloads, zeros and infinities of both signs, subnormals, and singles
+that are (or are not) properly NaN-boxed.
 
 The interpreter runs the instruction once.  The JIT runs it in a
 three-iteration counted loop whose head roots a looping trace: with
 ``hot_threshold = 1`` on its first dispatch, so the instruction executes
 in the trace's warm-up body and then its steady-state body; with
 ``hot_threshold = 2`` after one iteration on the interpreter.  In half
-the draws its source registers are re-materialised inside the loop, so
-the trace folds them as constants.  The reference evaluates the whole
-loop on the IR.
+the draws its source registers are re-materialised inside the loop: the
+integer ones as constants the trace folds, the F ones by ``fld`` from a
+slot, so the trace holds them as Python floats.  The reference evaluates
+the whole loop on the IR.
 
 Because the simulator and the evaluator share one definition of each
 operator, :data:`SPEC_ROWS` pins both to values taken from the RISC-V
@@ -37,7 +42,34 @@ _BASE = 0x2000  # scratch memory region the random state points into
 _CODE = 0x1000
 _HEAD = _CODE + 0x100  # the instruction (interpreter) or loop head
 _COUNTER = 31  # loop-counter register of the compiled-tier loop
+_FSLOT = 0x700  # f<n>'s initial bits sit at _FSLOT + 8n (x0-relative)
 _M64 = (1 << 64) - 1
+_BOX = 0xFFFF_FFFF_0000_0000
+
+#: F register values float code gets wrong: NaNs (quiet, signalling,
+#: with payloads, negative), signed zeros and infinities, subnormals,
+#: the largest finite double, and singles boxed and unboxed
+_F_SPECIAL = [
+    0x7FF8_0000_0000_0000, 0x7FF0_0000_0000_0001, 0xFFF8_0000_0000_0123,
+    0x7FF4_0000_0000_0000, 0, 1 << 63, 0x7FF0_0000_0000_0000,
+    0xFFF0_0000_0000_0000, 1, 0x800F_FFFF_FFFF_FFFF, 0x7FEF_FFFF_FFFF_FFFF,
+    0x3FF0_0000_0000_0000, 0x4330_0000_0000_0001,
+    _BOX | 0x7FC0_0000, _BOX | 0x7F80_0001, _BOX | 0x7F80_0000,
+    _BOX | 0xFF80_0000, _BOX | 0x8000_0000, _BOX, _BOX | 1,
+    _BOX | 0x3F80_0000, _BOX | 0x4B80_0001, 0x3F80_0000, 0x7FC0_0000,
+    0x1234_5678_3F80_0000,
+]
+_XREG = st.integers(0, 31)
+#: an F register operand: f0 in half the draws
+_FREG = st.integers(-31, 31).map(lambda n: max(n, 0))
+_FREG_VALUE = st.one_of(
+    st.sampled_from(_F_SPECIAL),
+    st.integers(0, _M64),
+    st.integers(0, 0xFFFF_FFFF).map(lambda v: _BOX | v),
+    # subnormal doubles of either sign
+    st.tuples(st.booleans(), st.integers(1, (1 << 52) - 1)).map(
+        lambda t: t[0] << 63 | t[1]),
+)
 
 #: Instructions excluded from the cross-check: fences have no
 #: state-visible effect; ecall/ebreak trap.
@@ -74,7 +106,7 @@ class _EvalAdapter:
         return self._m.mem.read_int(addr, size)
 
 
-def _fresh_machine(reg_values, mem_bytes, tier="interpreter"):
+def _fresh_machine(reg_values, mem_bytes, tier="interpreter", fregs=None):
     hot = _HOT[tier]
     m = Machine(trace_compile=hot is not None)
     if hot is not None:
@@ -84,22 +116,29 @@ def _fresh_machine(reg_values, mem_bytes, tier="interpreter"):
     m.mem.write_bytes(_BASE, mem_bytes)
     for i in range(1, 32):
         m.x[i] = reg_values[i - 1]
+    if fregs is not None:
+        m.f[:] = fregs
+        m.mem.map_region(0, PAGE_SIZE)
+        for n, v in enumerate(fregs):
+            m.mem.write_int(_FSLOT + 8 * n, 8, v)
     m.pc = _HEAD
     return m
 
 
 def _random_fields(spec, draw):
-    reg = st.integers(0, 31)
+    """Operand fields for *spec*: registers (an F operand is f0 in at
+    least half the draws), immediates, a static rounding mode."""
     f = {}
-    ops = {op if op[0] != "f" else op[1:] for op in spec.operands}
+    for op in spec.operands:
+        if op.lstrip("f") in ("rd", "rs1", "rs2", "rs3"):
+            f[op.lstrip("f")] = draw(_FREG if op[0] == "f" else _XREG)
     fmt = spec.fmt
-    if "rd" in ops:
-        f["rd"] = draw(reg)
-    if fmt in ("R", "SHIFT64", "SHIFT32", "I", "S", "B"):
-        if "rs1" in ops or fmt in ("I", "S", "B"):
-            f["rs1"] = draw(reg)
-    if fmt in ("S", "B") or "rs2" in ops:
-        f["rs2"] = draw(reg)
+    if fmt in ("I", "S", "B"):
+        f.setdefault("rs1", draw(st.integers(0, 31)))
+    if fmt in ("S", "B"):
+        f.setdefault("rs2", draw(st.integers(0, 31)))
+    if spec.has_rm:
+        f["rm"] = draw(st.sampled_from([0, 1, 2, 3, 4, 7]))
     if fmt in ("I", "S"):
         f["imm"] = draw(st.integers(-2048, 2047))
     elif fmt == "B":
@@ -120,6 +159,8 @@ def _apply(m: Machine, writes) -> None:
     for w in writes:
         if w[0] == "x":
             m.x[w[1]] = w[2]
+        elif w[0] == "f":
+            m.f[w[1]] = w[2]
         elif w[0] == "mem":
             m.mem.write_int(w[1], w[2], w[3])
         elif w[0] == "pc":
@@ -133,24 +174,26 @@ def _li(r: int, value: int) -> list:
     return [make("lui", rd=r, imm=hi), make("addiw", rd=r, rs1=r, imm=lo)]
 
 
-def _loop(instr, remat: dict) -> list:
+def _loop(instr, remat: dict, fremat=()) -> list:
     """The compiled tiers' program at ``_HEAD``: *remat* (register ->
-    value) re-loaded, *instr*, a ``nop`` a taken transfer skips, then the
-    counter decrement and back edge."""
+    value) re-loaded, the F registers *fremat* re-loaded from their
+    slots, *instr*, a ``nop`` a taken transfer skips, then the counter
+    decrement and back edge."""
     body = [i for r, v in remat.items() for i in _li(r, v)]
+    body += [make("fld", rd=n, rs1=0, imm=_FSLOT + 8 * n) for n in fremat]
     body += [instr, make("addi", rd=0, rs1=0, imm=0),
              make("addi", rd=_COUNTER, rs1=_COUNTER, imm=-1)]
     body.append(make("bne", rs1=_COUNTER, rs2=0, imm=-4 * len(body)))
     return body + [make("ebreak")]
 
 
-def _run_loop(tier, regs, mem0, program):
+def _run_loop(tier, regs, mem0, program, fregs=None):
     """Run *program* on *tier* and on the IR evaluator from the same
     state; assert the final states agree and return the tier's machine."""
     regs = list(regs)
     regs[_COUNTER - 1] = 3
-    m_sim = _fresh_machine(regs, mem0, tier)
-    m_ref = _fresh_machine(regs, mem0)
+    m_sim = _fresh_machine(regs, mem0, tier, fregs)
+    m_ref = _fresh_machine(regs, mem0, fregs=fregs)
     code = {_HEAD + 4 * k: instr for k, instr in enumerate(program)}
     for pc, instr in code.items():
         m_sim.mem.write_int(pc, 4, encode_fields(instr.spec, instr.fields))
@@ -173,17 +216,22 @@ def _run_loop(tier, regs, mem0, program):
             category_of(mn, instr.spec.match & 0x7F))
 
     assert m_sim.x == m_ref.x, "register file mismatch"
+    assert _hex(m_sim.f) == _hex(m_ref.f), "FP register file mismatch"
     assert (m_sim.mem.read_bytes(_BASE, 256)
             == m_ref.mem.read_bytes(_BASE, 256)), "memory mismatch"
     assert (m_sim.instret, m_sim.ucycles) == (m_ref.instret, m_ref.ucycles)
     return m_sim
 
 
-def _step(regs, mem0, instr):
+def _hex(regs) -> list[str]:
+    return [f"{v:#x}" for v in regs]
+
+
+def _step(regs, mem0, instr, fregs=None):
     """Run *instr* once on the interpreter and on the evaluator; assert
     they agree and return the interpreter's machine."""
-    m_sim = _fresh_machine(regs, mem0)
-    m_ref = _fresh_machine(regs, mem0)
+    m_sim = _fresh_machine(regs, mem0, fregs=fregs)
+    m_ref = _fresh_machine(regs, mem0, fregs=fregs)
     m_sim.mem.write_int(m_sim.pc, 4, encode_fields(instr.spec, instr.fields))
 
     # Reference: evaluate IR semantics against the *pre* state.
@@ -196,6 +244,7 @@ def _step(regs, mem0, instr):
     _apply(m_ref, writes)
     assert m_sim.pc == m_ref.pc, "pc mismatch"
     assert m_sim.x == m_ref.x, "register file mismatch"
+    assert _hex(m_sim.f) == _hex(m_ref.f), "FP register file mismatch"
     assert (m_sim.mem.read_bytes(_BASE, 256)
             == m_ref.mem.read_bytes(_BASE, 256)), "memory mismatch"
     return m_sim
@@ -217,24 +266,41 @@ def test_sail_semantics_match_simulator(tier, mnemonic, data):
     remat = tier != "interpreter" and data.draw(st.booleans())
 
     sem = sail_semantics()[mnemonic]
+    fregs = None
+    if any(rf == "f" for rf, _ in sem.register_uses() | sem.register_defs()):
+        # random bits everywhere, the biased values in the sources
+        raw = data.draw(st.binary(min_size=8 * 32, max_size=8 * 32))
+        fregs = [int.from_bytes(raw[i:i + 8], "little")
+                 for i in range(0, 256, 8)]
+        for rf, op in sorted(sem.register_uses()):
+            if rf == "f":
+                fregs[fields[op]] = data.draw(_FREG_VALUE)
     rs1 = fields.get("rs1")
     if sem.reads_memory() or sem.writes_memory():
         if not rs1:
             return  # unmappable without a base register; skip
-        offset = data.draw(st.integers(0, 248))
-        regs[rs1 - 1] = _BASE + offset - fields["imm"]
+        # an AMO's address is aligned; every access stays in the window
+        offset = data.draw(st.integers(0, 31)) * 8 if spec.fmt == "AMO" \
+            else data.draw(st.integers(0, 248))
+        regs[rs1 - 1] = _BASE + offset - fields.get("imm", 0)
 
     if tier == "interpreter":
-        _step(regs, mem0, make(mnemonic, **fields))
+        _step(regs, mem0, make(mnemonic, **fields), fregs)
         return
 
-    # Compiled tiers: the loop needs its counter, a load that keeps its
-    # base, and control transfers that land back in the loop.
-    regs_used = {fields.get(op) for op in ("rd", "rs1", "rs2")}
-    if _COUNTER in regs_used or (sem.reads_memory() and fields["rd"] == rs1):
+    # Compiled tiers: the loop needs its counter, an access that keeps
+    # its base, and control transfers that land back in the loop.
+    xregs = {fields[op] for op in spec.operands
+             if op in ("rd", "rs1", "rs2")}
+    if _COUNTER in xregs or (("x", "rd") in sem.register_defs()
+                             and sem.reads_memory() and fields["rd"] == rs1):
         return
-    sources = sorted({fields[op] for _, op in sem.register_uses()} - {0})
-    at = _HEAD + 8 * len(sources) * remat  # the instruction's pc
+    sources = sorted({fields[op] for rf, op in sem.register_uses()
+                      if rf == "x"} - {0})
+    fsources = sorted({fields[op] for rf, op in sem.register_uses()
+                       if rf == "f"}) if remat else []
+    # the instruction's pc
+    at = _HEAD + 8 * len(sources) * remat + 4 * len(fsources)
     if sem.writes_pc():
         if mnemonic == "jalr":
             if not rs1:
@@ -245,7 +311,8 @@ def test_sail_semantics_match_simulator(tier, mnemonic, data):
             fields["imm"] = 8
     instr = make(mnemonic, **fields)
     _run_loop(tier, regs, mem0, _loop(
-        instr, {r: regs[r - 1] for r in sources} if remat else {}))
+        instr, {r: regs[r - 1] for r in sources} if remat else {},
+        fsources), fregs)
 
 
 # -- spec literals ----------------------------------------------------------

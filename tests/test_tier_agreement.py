@@ -12,6 +12,8 @@ paths on which a trace once ran the wrong code.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.api import open_binary
@@ -263,9 +265,10 @@ next:
 
     def test_fallback_bodies_keep_their_pcs(self):
         """``beq t2, zero, A`` folds in the steady state (``t2`` is 0
-        there) but not in the warm-up, so the two bodies call the
-        executor's ``fcvt.d.l`` for different pcs; each must call its
-        own."""
+        there) but not in the warm-up, so the two bodies run a
+        different ``fcvt.d.l`` (the test keeps the name it had when
+        traces called the executor's F/D bodies); each must convert its
+        own source register."""
         prog = assemble("""
 _start:
   li s0, 0
@@ -315,6 +318,67 @@ f:
 """)
         mega = _agree_on(prog)
         assert mega.traces.jalr_hits[0] < 10
+
+
+class TestFloatLocals:
+    """A trace holds a live double in a float local; an integer
+    operator over that F register must read its bits."""
+
+    def test_bit_ops_on_a_live_double(self):
+        """After ``fadd.d`` the trace holds ``f1`` as a float.  The
+        sign injections behind ``fmv.d``, ``fneg.d`` and ``fabs.d``
+        mask its bits, and ``fmv.x.w`` sign-extends its low word."""
+        prog = assemble("""
+_start:
+  la s1, data
+  li s0, 0
+  li s2, 0
+loop:
+  fld f1, 0(s1)
+  fadd.d f1, f1, f1
+  fmv.d f2, f1
+  fneg.d f3, f1
+  fabs.d f4, f1
+  fmv.x.w a0, f1
+  add s2, s2, a0
+  fsd f3, 0(s1)
+  addi s0, s0, 1
+  li t0, 40
+  blt s0, t0, loop
+  li a7, 93
+  ecall
+.data
+data:
+  .dword 0x4008CCCCCCCCCCCD
+""")
+        mega = _agree_on(prog)
+        # f1 doubles and flips sign each pass: -3.1 * 2**40 at the end
+        big = struct.unpack("<Q", struct.pack("<d", 3.1 * 2 ** 40))[0]
+        assert mega.f[1:5] == [big | 1 << 63, big | 1 << 63, big, big]
+        assert mega.x[10] == 0xFFFFFFFFCCCCCCCD  # a0
+
+    def test_double_calls_in_a_hot_loop(self):
+        """MiniC moves every double argument, return value and call
+        result with ``fmv.d`` and negates with ``fneg.d``.  The run
+        under a block observer roots a trace at every pc's first
+        dispatch too."""
+        prog = compile_source("""
+double half(double x) { return x * 0.5; }
+double flip(double x) { return -x; }
+long main(void) {
+    double acc = 1.0;
+    for (long i = 0; i < 300; i = i + 1) {
+        acc = flip(half(acc) + (double)i);
+    }
+    return (long)acc;
+}
+""")
+        ref = _agree_on(prog)
+        m = Machine(P550, trace_compile=True)
+        m.load_program(prog)
+        ev = m.run(trace=EventStream(granularity="block"))
+        assert (ev.reason, _state(m)) == (StopReason.EXITED, _state(ref))
+        assert m.traces.mega_compiles > 0
 
 
 #: loop bodies mixing integer and FP accesses to the same bytes; each
