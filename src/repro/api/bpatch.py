@@ -320,9 +320,10 @@ class BinaryEdit:
                 session.write_flamegraph("out.folded")
 
         *granularity* is ``"instruction"`` (full event vocabulary; the
-        simulator deoptimises to its interpreter) or ``"block"``
-        (block-enter events only; the trace compiler stays engaged) —
-        see the observer-overhead rule in docs/INTERNALS.md.  When the
+        simulator stays on its interpreter) or ``"block"`` (block-enter
+        events only, the same ones; the trace compiler stays engaged
+        and compiles only warm code) — see the observer-overhead rule in
+        docs/INTERNALS.md.  When the
         process telemetry recorder is timeline-enabled, the session
         carries a snapshot so the Perfetto export gains the pipeline
         track.

@@ -23,6 +23,12 @@ patcher/ProcControl, breakpoint insertion — flows through the
 :class:`Memory` write watch into :meth:`_code_written`, which drops the
 overlapping closures and traces.  See docs/INTERNALS.md ("Trace cache &
 invalidation rules").
+
+Both levels also emit execution events, from the instruction that
+transfers control: while an observer is attached, every control-flow
+closure and every compiled transfer enters a block at the pc it leaves
+for.  Observed runs take the same two run loops as unobserved ones (see
+docs/INTERNALS.md, "Execution event streams").
 """
 
 from __future__ import annotations
@@ -154,18 +160,21 @@ class Machine:
         self.code_dirty = False
         # -- execution-event observers (repro.telemetry.events) --------
         #: attached EventStreams; empty on the unobserved fast path
-        #: (one ``if self._observers`` check per run() call, zero per
-        #: instruction — see docs/INTERNALS.md, "Execution event
-        #: streams")
+        #: (see docs/INTERNALS.md, "Execution event streams")
         self._observers: list[EventStream] = []
         #: bound emit callable (fans out to every observer); None when
-        #: unobserved
+        #: unobserved, which costs one check per run() call and per
+        #: closure built, zero per instruction.  Closures and traces
+        #: built while observed bind it
         self._emit = None
-        #: per-pc control-flow classification cache for the observed
-        #: interpreter loop; invalidated alongside the icache
-        self._evmeta: dict[int, tuple] = {}
-        #: True while a block-granularity observer is attached: the
-        #: trace compiler embeds a block-enter emit in every new trace
+        #: streams attached since the last run()/step() began: each sees
+        #: a block enter at the first pc executed after it attached
+        self._fresh: list[EventStream] = []
+        #: True while an instruction-granularity observer is attached:
+        #: runs stay on the closure interpreter
+        self._per_insn = False
+        #: True while a block-granularity observer is attached: new
+        #: traces emit block enters
         self._trace_events = False
 
     # -- program loading --------------------------------------------------
@@ -207,7 +216,6 @@ class Machine:
         self.stdout = bytearray()
         # full flush: compiled code binds the (re-created) register lists
         self._icache.clear()
-        self._evmeta.clear()
         self.traces.clear()
         if exec_range is not None:
             self.exec_ranges = [exec_range]
@@ -231,15 +239,18 @@ class Machine:
 
         Effective at the next :meth:`run`/:meth:`step` dispatch (the
         simulator is single-threaded, so mid-run attachment happens at
-        debugger stops).  Attaching a block-granularity stream flushes
-        the trace cache so traces recompile with embedded block-enter
-        emits; attaching an instruction-granularity stream
-        leaves compiled traces intact — they are simply not dispatched
-        while the observer wants per-instruction events.
+        debugger stops); the stream's first event enters the block at
+        the first pc executed from then on.  Attaching a
+        block-granularity stream flushes the trace cache so traces
+        recompile with block-enter emits; attaching an
+        instruction-granularity stream leaves compiled traces intact —
+        they are simply not dispatched while the observer wants
+        per-instruction events.
         """
         if stream in self._observers:
             return stream
         self._observers.append(stream)
+        self._fresh.append(stream)
         self._rebuild_emit()
         return stream
 
@@ -248,6 +259,8 @@ class Machine:
         to their unobserved zero-overhead paths."""
         if stream in self._observers:
             self._observers.remove(stream)
+            if stream in self._fresh:
+                self._fresh.remove(stream)
             self._rebuild_emit()
 
     def _rebuild_emit(self) -> None:
@@ -263,39 +276,59 @@ class Machine:
                 for p in _pushes:
                     p(event)
         self._emit = emit
-        # block-granularity observation compiles emits *into* traces;
-        # flush whenever that mode toggles or its fan-out changes so no
-        # trace carries a stale (or missing) emit binding.
+        self._per_insn = any(s.granularity == "instruction" for s in obs)
+        # closures bind emit: rebuild them under the new fan-out
+        self._icache.clear()
+        # so do traces, but only block-observed runs dispatch them: flush
+        # whenever block observation starts, ends or changes its fan-out
         want_trace_events = any(s.granularity == "block" for s in obs)
         if want_trace_events or self._trace_events:
             self.traces.clear()
         self._trace_events = want_trace_events
 
-    def _event_meta(self, pc: int) -> tuple:
-        """(event kind | None, length) of the instruction at *pc*, for
-        the observed interpreter loop; cached per pc."""
-        try:
-            raw = self.mem.read_bytes(pc, 4)
-        except MemoryFault:
-            raw = self.mem.read_bytes(pc, 2)
-        instr = decode(raw, 0, pc)
+    def _enter(self) -> None:
+        """A run or step begins with streams attached since the last
+        one: each enters the block at the pc about to execute."""
+        event = (BLOCK, self.pc, 0, self.instret, self.ucycles)
+        for stream in self._fresh:
+            stream.push(event)
+        self._fresh.clear()
+
+    def _emitting(self, cl, pc: int, instr):
+        """*cl*, wrapped to emit the events of the transfer it makes
+        when *instr* is a control-flow instruction: the block enter at
+        the pc it leaves for (taken or not) and, with an
+        instruction-granularity observer attached, its call, return,
+        jump or taken branch.  Other instructions emit nothing."""
         mn = instr.mnemonic
-        kind = None
-        f = instr.fields
+        rd = instr.fields.get("rd")
         if mn == "jal":
-            kind = CALL if f["rd"] in LINK_REGS else JUMP
+            kind = CALL if rd in LINK_REGS else JUMP
         elif mn == "jalr":
-            if f["rd"] in LINK_REGS:
+            if rd in LINK_REGS:
                 kind = CALL
-            elif f["rd"] == 0 and f["rs1"] in LINK_REGS:
+            elif rd == 0 and instr.fields["rs1"] in LINK_REGS:
                 kind = RET
             else:
                 kind = JUMP
         elif mn in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
             kind = BRANCH
-        meta = (kind, instr.length)
-        self._evmeta[pc] = meta
-        return meta
+        else:
+            return cl
+        # a branch falling through emits no BRANCH
+        fall = pc + instr.length if kind == BRANCH else None
+        if not self._per_insn:
+            kind = None
+        emit = self._emit
+        m = self
+
+        def run() -> None:
+            cl()
+            npc = m.pc
+            if kind is not None and npc != fall:
+                emit((kind, pc, npc, m.instret, m.ucycles))
+            emit((BLOCK, npc, 0, m.instret, m.ucycles))
+        return run
 
     # -- debug port (ProcControlAPI) ---------------------------------------
 
@@ -314,11 +347,9 @@ class Machine:
         """Memory write-watch callback: a write overlapped a code range.
         Drop per-pc closures and traces covering the written bytes."""
         pop = self._icache.pop
-        mpop = self._evmeta.pop
         # a patched instruction may start up to 3 bytes before addr
         for a in range(addr - 3, addr + size):
             pop(a, None)
-            mpop(a, None)
         self.traces.invalidate_range(addr, size)
 
     def invalidate_code_range(self, addr: int, size: int) -> None:
@@ -332,7 +363,6 @@ class Machine:
 
     def flush_icache(self) -> None:
         self._icache.clear()
-        self._evmeta.clear()
         self.traces.clear()
 
     def get_reg(self, n: int) -> int:
@@ -396,6 +426,8 @@ class Machine:
                 raw = self.mem.read_bytes(pc, 2)  # page-end compressed instr
             instr = decode(raw, 0, pc)
             cl = build_closure(self, pc, instr)
+            if self._emit is not None:
+                cl = self._emitting(cl, pc, instr)
             self._icache[pc] = cl
         return cl
 
@@ -409,11 +441,21 @@ class Machine:
         emit = self._emit
         if emit is not None:
             emit((PATCH, pc, target, self.instret, self.ucycles))
+            emit((BLOCK, target, 0, self.instret, self.ucycles))
         return True
+
+    def _fault(self, e: Exception) -> StopEvent:
+        """Stop on fault *e*, emitting a FAULT event at the pc."""
+        emit = self._emit
+        if emit is not None:
+            emit((FAULT, self.pc, 0, self.instret, self.ucycles))
+        return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
 
     def step(self) -> StopEvent | None:
         """Execute one instruction.  Returns a StopEvent on
         exit/breakpoint/fault, else None."""
+        if self._fresh:
+            self._enter()
         try:
             self._closure_at(self.pc)()
         except ExitTrap as e:
@@ -424,7 +466,7 @@ class Machine:
                 return None
             return StopEvent(StopReason.BREAKPOINT, e.pc)
         except (SimFault, MemoryFault, DecodeError) as e:
-            return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
+            return self._fault(e)
         return None
 
     def run(self, max_steps: int | None = None, *,
@@ -449,12 +491,13 @@ class Machine:
         observer for the duration of this run only (equivalent to
         :meth:`attach_observer` / :meth:`detach_observer` around the
         call).  While any observer is attached the run loop follows the
-        observer-overhead rule (docs/INTERNALS.md): instruction-
-        granularity streams deoptimise the run to the event-emitting
-        closure interpreter; block-granularity streams keep the trace
-        compiler engaged with block-enter emits compiled into the
-        traces.  With no observer attached, event support costs one
-        list check per ``run()`` call — nothing per instruction.
+        observer-overhead rule (docs/INTERNALS.md): closures and traces
+        emit from the instructions that transfer control, and the run
+        takes the loop an unobserved one would, except that an
+        instruction-granularity stream keeps it on the closure
+        interpreter.  With no observer attached, event support costs
+        one check per ``run()`` call and one per closure built —
+        nothing per instruction.
 
         *report* asks for a per-run summary (instructions retired,
         simulated vs. host time, MIPS, trace-cache activity): ``True``
@@ -500,17 +543,15 @@ class Machine:
         return ev
 
     def _dispatch_run(self, max_steps: int | None) -> StopEvent:
-        """Pick the run loop: the unobserved fast paths, or — with
-        observers attached — the event-emitting variants."""
-        if self._observers:
-            if any(s.granularity == "instruction"
-                   for s in self._observers):
-                # deopt: per-instruction events need the interpreter
-                return self._run_events(max_steps, full=True)
-            if max_steps is None and self.trace_compile:
-                # block granularity: traces stay hot, blocks self-emit
-                return self._run_traced()
-            return self._run_events(max_steps, full=False)
+        """Pick the run loop.  Observed runs take the loop an unobserved
+        one would, except that an instruction-granularity observer
+        keeps the run on the closure interpreter: traces emit block
+        enters only."""
+        if self._emit is not None:
+            if self._fresh:
+                self._enter()
+            if self._per_insn:
+                return self._run_interp(max_steps)
         if max_steps is None and self.trace_compile:
             return self._run_traced()
         return self._run_interp(max_steps)
@@ -589,10 +630,8 @@ class Machine:
         chained successors without re-entering this loop.  A pc with no
         cache entry runs one closure step and counts one dispatch; a
         trace is rooted there once the count reaches
-        ``traces.hot_threshold``, or at once while a block-granularity
-        observer is attached (block-enter events come from compiled
-        code).  Pcs the trace compiler rejects also step through their
-        closure."""
+        ``traces.hot_threshold``.  Pcs the trace compiler rejects also
+        step through their closure."""
         if self._count_hits:
             traces = self.traces
             raw_get = traces.fns.get
@@ -607,7 +646,7 @@ class Machine:
         compile_at = self.traces.compile_at
         dispatches = self.traces.dispatches
         seen = dispatches.get
-        threshold = 1 if self._trace_events else self.traces.hot_threshold
+        threshold = self.traces.hot_threshold
         icache = self._icache
         closure_at = self._closure_at
         self.code_dirty = False
@@ -641,72 +680,7 @@ class Machine:
                     continue
                 return StopEvent(StopReason.BREAKPOINT, e.pc)
             except (SimFault, MemoryFault, DecodeError) as e:
-                emit = self._emit
-                if emit is not None:
-                    emit((FAULT, self.pc, 0, self.instret, self.ucycles))
-                return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
-
-    def _run_events(self, max_steps: int | None, full: bool) -> StopEvent:
-        """Event-emitting closure-interpreter loop — the deopt path the
-        observer-overhead rule routes observed runs through.
-
-        With ``full=True`` (any instruction-granularity observer) every
-        control-flow event is emitted: call/return/jump, taken branches,
-        block entries, faults (patch-site hits ride on
-        :meth:`_redirect`).  With ``full=False`` (block-granularity
-        observers on a *bounded* run, where the trace compiler cannot
-        engage) only block-enter and fault events are emitted.
-        """
-        emit = self._emit
-        icache = self._icache
-        closure_at = self._closure_at
-        evmeta = self._evmeta
-        event_meta = self._event_meta
-        remaining = max_steps
-        pending_block = True  # first executed pc starts a block
-        while True:
-            try:
-                while remaining is None or remaining > 0:
-                    pc = self.pc
-                    if pending_block:
-                        emit((BLOCK, pc, 0, self.instret, self.ucycles))
-                        pending_block = False
-                    meta = evmeta.get(pc)
-                    if meta is None:
-                        meta = event_meta(pc)
-                    cl = icache.get(pc)
-                    if cl is None:
-                        cl = closure_at(pc)
-                    cl()
-                    kind = meta[0]
-                    if kind is not None:
-                        # every control-flow instruction ends a basic
-                        # block (untaken branches included), matching
-                        # the compiled-trace block-enter emits
-                        pending_block = True
-                        if full:
-                            npc = self.pc
-                            if kind != BRANCH:
-                                emit((kind, pc, npc, self.instret,
-                                      self.ucycles))
-                            elif npc != pc + meta[1]:  # taken only
-                                emit((BRANCH, pc, npc, self.instret,
-                                      self.ucycles))
-                    if remaining is not None:
-                        remaining -= 1
-                return StopEvent(StopReason.STEPS_EXHAUSTED, self.pc)
-            except ExitTrap as e:
-                self.exit_code = e.code
-                return StopEvent(StopReason.EXITED, self.pc,
-                                 exit_code=e.code)
-            except BreakpointHit as e:
-                if self._redirect(e.pc):
-                    pending_block = True
-                    continue
-                return StopEvent(StopReason.BREAKPOINT, e.pc)
-            except (SimFault, MemoryFault, DecodeError) as e:
-                emit((FAULT, self.pc, 0, self.instret, self.ucycles))
-                return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
+                return self._fault(e)
 
     def _run_interp(self, max_steps: int | None = None) -> StopEvent:
         """Seed per-pc closure loop (also the `REPRO_SIM_TRACES=0` and
@@ -739,7 +713,7 @@ class Machine:
                     continue
                 return StopEvent(StopReason.BREAKPOINT, e.pc)
             except (SimFault, MemoryFault, DecodeError) as e:
-                return StopEvent(StopReason.FAULT, self.pc, fault=str(e))
+                return self._fault(e)
 
 
 def run_program(program: Program, timing: TimingModel = P550,

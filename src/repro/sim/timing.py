@@ -44,13 +44,6 @@ class TimingModel:
         """Integer micro-cycle cost for an instruction category."""
         return max(1, round(self.costs.get(category, self.default_cost) * UCYCLE))
 
-    def block_ucycles(self, categories) -> int:
-        """Batched cost of a straight-line block (one charge per block in
-        the trace-compiled run loop; identical to summing per-instruction
-        charges, since costs are exact integer micro-cycles)."""
-        ucycles = self.ucycles
-        return sum(ucycles(c) for c in categories)
-
     def seconds(self, ucycles: int) -> float:
         """Convert an accumulated micro-cycle count to simulated seconds."""
         return ucycles / UCYCLE / self.frequency_hz

@@ -87,11 +87,13 @@ pc/ucycles/instret and constant registers, and the generated exception
 handler spills register locals — which hold exactly the pre-fault
 architectural values — before re-raising).
 Single-stepping, watchpoint runs and bounded ``run(max_steps=...)``
-stay on the per-pc closure interpreter.  While a block-granularity
-event observer is attached, every pc compiles on its first dispatch,
-and traces emit block-enter events from compiled code: at their entry,
-at the top of the steady-state loop, and at the first instruction after
-every transfer the path follows.
+stay on the per-pc closure interpreter.  A trace compiled while a
+block-granularity event observer is attached emits a block enter at
+every transfer its path follows: at a taken side exit before it
+chains, before a dynamic ``jalr`` exit, at every back edge, and where a
+followed branch or jump lands.  It never emits at its entry: whatever
+transferred control there already did (a control-flow closure of the
+interpreter, another trace's exit, a trap redirect).
 """
 
 from __future__ import annotations
@@ -355,12 +357,9 @@ class TraceCache:
         constant-folded returns) until it returns to *head*, leaves
         through an exit, reaches a pc it already passed, or hits
         :data:`MAX_MEGA` (chained exits), stopping before an
-        instruction it cannot trace.  Under a block observer, the
-        first instruction after each transfer the path follows starts
-        with a block-enter event."""
+        instruction it cannot trace."""
         pc = head
         visited: set[int] = set()
-        entered = False  # pc is the target of a followed transfer
         for _ in range(max(MAX_MEGA - emit.count, 1)):
             if pc == head and emit.count:
                 emit.close_loop()
@@ -374,20 +373,12 @@ class TraceCache:
                 emit.exit_plain(pc)
                 return
             visited.add(pc)
-            if entered:
-                emit.block_event(pc)
             lw = _lower(emit, pc, instr)
             if lw is not None and lw.target is not None:
                 pc = emit.emit_transfer(pc, instr, lw)
-                entered = True
             elif emit.emit_straight(pc, instr, lw):
                 pc += instr.length
-                entered = False
             else:
-                if entered:
-                    # the dispatch loop runs it, and no trace starts
-                    # there: its block has no block-enter event
-                    emit.drop_block_event()
                 emit.exit_plain(pc)
                 return
             if pc is None:  # the emitter closed or exited the trace
@@ -486,14 +477,13 @@ class _TraceEmitter:
         self.count = 0
         self.cost = 0
         # block-granularity observation: block-enter emits are compiled
-        # into the trace (see :meth:`block_event`).  _rebuild_emit
-        # flushes the cache whenever this mode (or the emit fan-out)
-        # changes, so binding the current emit callable at compile
-        # time is safe.
-        self.events = m._trace_events and m._emit is not None
+        # into the trace (see :meth:`block_event`).  Only block-observed
+        # runs dispatch traces, and _rebuild_emit flushes the cache
+        # whenever their emit fan-out changes, so binding the current
+        # emit callable at compile time is safe.
+        self.events = m._emit is not None
         if self.events:
             self.ns["EV"] = m._emit
-        self.block_event(entry)
         self.cells = 0
         #: base registers assumed to address memory disjoint from every
         #: constant address the trace accesses (the alias classes of
@@ -697,22 +687,15 @@ class _TraceEmitter:
         self.lines.append(f"{indent}m.ucycles += uc + {self.cost}")
         self.lines.append(f"{indent}m.instret += ir + {self.count}")
 
-    def block_event(self, pc: int) -> None:
-        """Under a block observer, emit a block-enter event for *pc*
-        with ``instret`` and ``ucycles`` as they stand at this point of
-        the trace.  Emitted at the trace's entry, at the top of its
-        steady-state loop, and at the first instruction after each
-        transfer the path follows: where the closure interpreter's
-        event loop starts a block."""
+    def block_event(self, target: str, indent: str = "") -> None:
+        """Under a block observer, emit a block-enter event for the pc
+        expression *target*, where a transfer leaves for it, with
+        ``instret`` and ``ucycles`` as they stand at this point of the
+        trace (the transfer charged)."""
         if self.events:
             self.lines.append(
-                f"EV((5, {pc:#x}, 0, m.instret + ir + {self.count}, "
-                f"m.ucycles + uc + {self.cost}))")
-
-    def drop_block_event(self) -> None:
-        """Withdraw the event :meth:`block_event` just emitted."""
-        if self.events:
-            self.lines.pop()
+                f"{indent}EV((5, {target}, 0, m.instret + ir + "
+                f"{self.count}, m.ucycles + uc + {self.cost}))")
 
     # -- trace enders -----------------------------------------------------
 
@@ -790,7 +773,6 @@ class _TraceEmitter:
         self.lines = []
         self.cost = 0
         self.count = 0
-        self.block_event(self.entry)
         self.consts = {0: 0}
         self.consts.update(seed_consts)
         self.mem_known = dict(seed_mem)
@@ -937,8 +919,9 @@ class _TraceEmitter:
     # -- control transfer -------------------------------------------------
 
     def emit_transfer(self, pc: int, instr, lw: Lowering):
-        """Emit a branch or jump.  Returns the pc to keep building at,
-        or None if the emitter closed the trace."""
+        """Emit a branch or jump, and its block enter on every path it
+        takes.  Returns the pc to keep building at, or None if the
+        emitter closed the trace."""
         self._cover(pc, instr.length)
         self._charge(instr.mnemonic, instr)
         fall = pc + instr.length
@@ -948,14 +931,18 @@ class _TraceEmitter:
             taken = target.const
             if cond.const is not None:
                 # both operands known: the branch folds to a direct jump
-                return taken if cond.const else fall
+                dest = taken if cond.const else fall
+                self.block_event(f"{dest:#x}")
+                return dest
             self.lines.append(f"if {cond.src}:")
+            self.block_event(f"{taken:#x}", "    ")
             if taken == self.entry:
                 # the loop's own back-edge: guard and start the next
                 # iteration without leaving compiled code
                 self.close_loop(indent="    ")
             else:
                 self.exit_chain(taken, indent="    ")
+            self.block_event(f"{fall:#x}")
             return fall
         if target.const is None:
             self.lines.append(f"t = {lw.value(target).src}")
@@ -964,10 +951,12 @@ class _TraceEmitter:
         for r, v in lw.writes:
             self._write(lw, r, v)
         if target.const is not None:
+            self.block_event(f"{target.const:#x}")
             return target.const
         # dynamic target: end the trace through a guarded exit with its
         # own inline cache.  An indirect loop closure (a jalr landing
         # back on the head) continues iterating without leaving the trace
+        self.block_event("t")
         self.lines.append(f"if t == {self.entry:#x}:")
         self.close_loop(indent="    ")
         self._sync_exit("t", "")

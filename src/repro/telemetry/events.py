@@ -41,8 +41,8 @@ RET = 2
 JUMP = 3
 #: conditional branch that was taken (fall-throughs are not emitted)
 BRANCH = 4
-#: block entry: first pc executed after any control transfer (and, in
-#: block-granularity mode, the entry of every compiled trace)
+#: block entry: the pc a control-flow instruction (taken or not) or a
+#: trap redirect leaves for, and the first pc run after an attach
 BLOCK = 5
 #: memory/architectural fault; pc = faulting pc
 FAULT = 6
@@ -73,11 +73,12 @@ class EventStream:
         counted in :attr:`dropped`) once the ring is full.
     granularity:
         ``"instruction"`` (default) asks the machine for the full event
-        vocabulary; the simulator deoptimises to its per-pc closure
+        vocabulary; the simulator keeps the run on its per-pc closure
         interpreter while such a stream is attached.  ``"block"`` asks
         only for block-enter events; the trace JIT stays engaged, its
-        traces (looping ones included) emitting them from compiled
-        code.
+        traces emitting them at the transfers they compile.  Either way
+        the block-enter events are the same, whichever engine runs the
+        code and however the run is sliced.
     """
 
     __slots__ = ("capacity", "granularity", "dropped", "_buf", "_next")

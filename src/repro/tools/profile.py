@@ -106,10 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--granularity", choices=("instruction", "block"),
                     default="instruction",
                     help="event granularity; 'block' keeps the trace "
-                         "JIT engaged (its traces, looping ones "
-                         "included, emit block entries) but drops "
-                         "call/return events (heat only — see "
-                         "docs/INTERNALS.md)")
+                         "JIT engaged and emits the block entries "
+                         "'instruction' does, but no call/return "
+                         "events (heat only — see docs/INTERNALS.md)")
     ap.add_argument("--weight", choices=("ucycles", "instructions"),
                     default="ucycles", help="flamegraph weight unit")
     ap.add_argument("--perfetto", metavar="FILE",

@@ -4,10 +4,13 @@ The MiniC workload suite runs unbounded on four engines: the closure
 interpreter, and the trace JIT rooting traces on a pc's first dispatch,
 on its second, and at the default hotness threshold.  Each run must
 leave the same registers, FP registers, pc, ``instret``, ``ucycles``,
-stdout and memory.  At the default threshold, every innermost hot loop
-roots a looping trace at its header, the rule ``docs/INTERNALS.md``
-states.  Hand-written programs fault inside compiled code, and take
-paths on which a trace once ran the wrong code.
+stdout and memory, and every engine must emit the interpreter's block
+event stream, event for event.  However a run is sliced, into bounded
+runs or single steps, it emits the unsliced run's stream at either
+granularity.  At the default threshold, every innermost hot loop roots
+a looping trace at its header, the rule ``docs/INTERNALS.md`` states.
+Hand-written programs fault inside compiled code, and take paths on
+which a trace once ran the wrong code.
 """
 
 from __future__ import annotations
@@ -107,6 +110,57 @@ def test_tiers_agree(load):
         assert _state(m) == _state(ref), engine
         if engine != "default":
             assert m.traces.mega_compiles > 0, engine
+
+
+def _unsliced(m):
+    return m.run()
+
+
+def _sliced(m):
+    while (ev := m.run(max_steps=37)).reason is StopReason.STEPS_EXHAUSTED:
+        pass
+    return ev
+
+
+def _stepped(m):
+    while (ev := m.step()) is None:
+        pass
+    return ev
+
+
+def _stream(load, engine, granularity, drive=_unsliced):
+    """Events of one run to exit on *engine*, observed from its start
+    and driven by *drive*."""
+    kwargs, hot = ENGINES[engine]
+    m = Machine(P550, **kwargs)
+    if hot is not None:
+        m.traces.hot_threshold = hot
+    load(m)
+    events = EventStream(granularity=granularity, capacity=1 << 20)
+    m.attach_observer(events)
+    assert drive(m).reason is StopReason.EXITED
+    m.detach_observer(events)
+    return events.events()
+
+
+def test_block_streams_agree(load):
+    """Block events come from the instruction that transfers control,
+    so the JIT emits the interpreter's stream: none at a trace's entry,
+    one at each taken side exit, dynamic exit and back edge."""
+    ref = _stream(load, "interp", "block")
+    for engine in ("hot2", "hot1", "default"):
+        assert _stream(load, engine, "block") == ref, engine
+
+
+@pytest.mark.parametrize("granularity", ["instruction", "block"])
+def test_slicing_keeps_the_stream(load, granularity):
+    """Bounded runs and ``step()`` loops emit the unsliced stream: a
+    block enters at the first pc executed after the attach, and then
+    only where control transfers."""
+    ref = _stream(load, "default", granularity)
+    for drive in (_sliced, _stepped):
+        assert _stream(load, "default", granularity, drive) == ref, \
+            drive.__name__
 
 
 def _hot_inner_loops(load) -> list[int]:

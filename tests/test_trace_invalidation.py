@@ -614,9 +614,10 @@ skip:
         assert not m.traces.dispatches
 
     def test_block_observer_compiles_cold_code(self):
-        """Block-enter events come from compiled traces, so a block
-        observer compiles every pc on first dispatch; the events match
-        the interpreter's block entries one for one."""
+        """Block-enter events come from the instruction that transfers
+        control, on either tier, so a block observer compiles only warm
+        code: a loop that stays under the threshold compiles nothing,
+        and the events match the interpreter's one for one."""
         from repro.telemetry.events import BLOCK, EventStream
 
         prog = assemble(self._loop_src(HOT_THRESHOLD - 1))
@@ -628,7 +629,7 @@ skip:
             assert m.run(trace=es).reason is StopReason.EXITED
             streams.append(es.events())
             if tc:
-                assert m.traces.mega_compiles > 0
+                assert m.traces.mega_compiles == 0
         traced, interp = streams
         assert traced and {e[0] for e in traced} == {BLOCK}
         assert traced == interp

@@ -135,16 +135,10 @@ class TestMachineEvents:
 
     def test_granularities_agree_on_heat(self):
         """Interpreter block-enters and compiled-trace block-enters
-        count the same hot block entries."""
+        count the same block entries, block for block."""
         _, es_i, _ = _run_traced(MATMUL)
         _, es_b, _ = _run_traced(MATMUL, granularity="block")
-        heat_i = block_heat(es_i.events())
-        heat_b = block_heat(es_b.events())
-        # the hottest block must agree exactly (traces add an entry
-        # after each untraceable instruction, so the full dicts may
-        # differ at the margins)
-        top_i = max(heat_i, key=heat_i.get)
-        assert heat_b.get(top_i) == heat_i[top_i]
+        assert block_heat(es_b.events()) == block_heat(es_i.events())
 
     def test_detach_restores_traced_throughput_path(self):
         m, es, _ = _run_traced(MATMUL)
@@ -201,6 +195,20 @@ _start:
         assert stop.reason is StopReason.STEPS_EXHAUSTED
         assert len(es) > 0
 
+    @pytest.mark.parametrize("granularity", ["instruction", "block"])
+    def test_detach_silences_the_closures(self, granularity):
+        """Closures built while observed emit, so detaching rebuilds
+        them: the rest of the run emits nothing."""
+        m = Machine(P550)
+        m.load_program(MATMUL)
+        es = EventStream(granularity=granularity)
+        stop = m.run(max_steps=500, trace=es)
+        assert stop.reason is StopReason.STEPS_EXHAUSTED
+        seen = len(es)
+        assert seen > 0
+        assert m.run().reason is StopReason.EXITED
+        assert len(es) == seen
+
 
 # ---------------------------------------------------------------------------
 # Observer interaction with the looping-trace JIT
@@ -214,20 +222,24 @@ class TestMegatraceObserverInteraction:
     traces intact but undispatched.  Either way the architectural
     outcome is bit-identical to an unobserved continuation."""
 
-    def _stop_at_print(self):
-        """Run the traced matmul up to a breakpoint on ``print_long``
-        — fired once, after the hot loops have rooted looping traces
-        — then clear the breakpoint."""
+    def _stop_at(self, symbol):
+        """Run the traced matmul up to a breakpoint on *symbol*, fired
+        once, then clear the breakpoint."""
         m = Machine(P550, trace_compile=True)
         m.load_program(MATMUL)
         proc = Process.attach(m)
-        pl = MATMUL.symbol("print_long").address
-        proc.insert_breakpoint(pl)
+        addr = MATMUL.symbol(symbol).address
+        proc.insert_breakpoint(addr)
         ev = proc.continue_to_event()
         assert ev.type is EventType.STOPPED_BREAKPOINT
-        assert ev.pc == pl
-        proc.remove_breakpoint(pl)
+        assert ev.pc == addr
+        proc.remove_breakpoint(addr)
         return m, proc
+
+    def _stop_at_print(self):
+        """Stop at ``print_long``: after the hot loops have rooted
+        looping traces."""
+        return self._stop_at("print_long")
 
     def _state(self, m):
         return (m.pc, list(m.x), list(m.f), m.instret, m.ucycles,
@@ -235,12 +247,15 @@ class TestMegatraceObserverInteraction:
 
     def test_midrun_block_attach_recompiles_with_emits(
             self, trace_sources):
-        ref, rproc = self._stop_at_print()
+        """Attach at ``multiply``'s entry, before its hot loops: they
+        grow warm while observed, so their traces compile with
+        emits."""
+        ref, rproc = self._stop_at("multiply")
         assert ref.traces.mega_compiles > 0, \
-            "hot loops must root traces by the time print_long runs"
+            "the set-up loops must root traces before multiply runs"
         assert rproc.continue_to_event().type is EventType.EXITED
 
-        m, proc = self._stop_at_print()
+        m, proc = self._stop_at("multiply")
         mega_at_stop = m.traces.mega_compiles
         es = EventStream(granularity="block")
         m.attach_observer(es)
@@ -250,8 +265,8 @@ class TestMegatraceObserverInteraction:
         trace_sources.clear()
         ev = proc.continue_to_event()
         assert ev.type is EventType.EXITED
-        # the traces recompile, every one with block-enter emits, and
-        # the hot loops' traces still loop
+        # the hot loops' traces compile, every one with block-enter
+        # emits, and still loop
         assert m.traces.mega_compiles > mega_at_stop
         sources = trace_sources.values()
         assert sources and all("EV((" in src for src in sources)
