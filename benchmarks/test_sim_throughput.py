@@ -185,8 +185,6 @@ def test_trace_compilation_throughput(record, monkeypatch):
         / tiers["interpreter"]["instr_per_sec"], 3)
     tiers["megatrace"].update({
         "megatraces_compiled": mm.traces.mega_compiles,
-        "jalr_guard_hits": mm.traces.jalr_hits[0],
-        "jalr_guard_misses": mm.traces.jalr_misses[0],
         "deopts": mm.traces.deopt_count[0],
     })
 
@@ -257,8 +255,6 @@ def test_trace_compilation_throughput(record, monkeypatch):
         f"interpreted share of instret: {share:.3%}",
         "",
         f"plain: traces compiled: {mm.traces.mega_compiles}   "
-        f"jalr guards: {mm.traces.jalr_hits[0]} hit / "
-        f"{mm.traces.jalr_misses[0]} miss   "
         f"deopts: {mm.traces.deopt_count[0]}",
         "",
         "observer overhead (event streams):",

@@ -15,7 +15,8 @@ attributes to locals, and instructions are compiled at two levels —
   ``run()`` once code is warm: a trace is rooted at every warm pc and
   runs the path from there as one Python function with batched timing,
   looping without leaving compiled code when the path returns to its
-  root, and chaining directly to the traces at its exits.
+  root; each exit looks up the trace at its pc in ``traces.fns`` and
+  hands it to the run loop, which calls it without a dispatch.
 
 Both levels are **patch-safe**: every write overlapping a registered
 executable range — self-modifying stores, ``write_mem`` from the
@@ -270,10 +271,13 @@ class Machine:
         elif len(obs) == 1:
             emit = obs[0].push
         else:
-            pushes = [s.push for s in obs]
+            pushes = tuple(s.push for s in obs)
+            insn = tuple(s.push for s in obs
+                         if s.granularity == "instruction")
 
-            def emit(event, _pushes=tuple(pushes)):
-                for p in _pushes:
+            def emit(event, _pushes=pushes, _insn=insn):
+                # CALL/RET/JUMP/BRANCH reach instruction streams only
+                for p in (_insn if event[0] < BLOCK else _pushes):
                     p(event)
         self._emit = emit
         self._per_insn = any(s.granularity == "instruction" for s in obs)
@@ -561,10 +565,8 @@ class Machine:
         """Telemetry/reporting wrapper around the raw run loops."""
         traces = self.traces
         instret0, ucycles0 = self.instret, self.ucycles
-        base = (traces.invalidations, traces.links, traces.hits,
-                traces.mega_compiles, traces.jalr_hits[0],
-                traces.jalr_misses[0], traces.deopt_count[0],
-                traces.alias_guard_misses)
+        base = (traces.invalidations, traces.hits, traces.mega_compiles,
+                traces.deopt_count[0], traces.alias_guard_misses)
         self._count_hits = rec.enabled or bool(report)
         t0 = time.perf_counter()
         try:
@@ -576,13 +578,10 @@ class Machine:
         mips = retired / elapsed / 1e6 if elapsed > 0 else 0.0
         deltas = {
             "invalidations": traces.invalidations - base[0],
-            "links": traces.links - base[1],
-            "hits": traces.hits - base[2],
-            "megatraces_compiled": traces.mega_compiles - base[3],
-            "jalr_guard_hits": traces.jalr_hits[0] - base[4],
-            "jalr_guard_misses": traces.jalr_misses[0] - base[5],
-            "deopts": traces.deopt_count[0] - base[6],
-            "alias_guard_misses": traces.alias_guard_misses - base[7],
+            "hits": traces.hits - base[1],
+            "megatraces_compiled": traces.mega_compiles - base[2],
+            "deopts": traces.deopt_count[0] - base[3],
+            "alias_guard_misses": traces.alias_guard_misses - base[4],
         }
         if rec.enabled:
             rec.record_span("sim.run", elapsed)
@@ -615,19 +614,17 @@ class Machine:
             f"  trace cache            "
             f"hits={deltas['hits']} "
             f"compiles={deltas['megatraces_compiled']} "
-            f"links={deltas['links']} "
             f"invalidations={deltas['invalidations']}",
             f"  trace guards           "
-            f"jalr_guard_hits={deltas['jalr_guard_hits']} "
-            f"jalr_guard_misses={deltas['jalr_guard_misses']} "
             f"deopts={deltas['deopts']} "
             f"alias_guard_misses={deltas['alias_guard_misses']}",
         ]
         return "\n".join(lines) + "\n"
 
     def _run_traced(self) -> StopEvent:
-        """Trace-mode hot loop: execute compiled traces, following
-        chained successors without re-entering this loop.  A pc with no
+        """Trace-mode hot loop: execute compiled traces, calling the
+        successor each one returns (the trace its exit found in
+        ``traces.fns``) without re-entering this loop.  A pc with no
         cache entry runs one closure step and counts one dispatch; a
         trace is rooted there once the count reaches
         ``traces.hot_threshold``.  Pcs the trace compiler rejects also
@@ -662,11 +659,11 @@ class Machine:
                         else:
                             dispatches[pc] = n
                     if fn:
-                        while fn is not None:
+                        while fn:
                             fn = fn()
                     else:
                         # cold pc, or a negative cache entry
-                        # (ecall/ebreak/csr/amo/...)
+                        # (ecall/ebreak/fences/csr/lr/sc)
                         cl = icache.get(pc)
                         if cl is None:
                             cl = closure_at(pc)

@@ -18,17 +18,22 @@ with registers and forwarded memory values kept in locals across the
 back edge.  A path that never returns to its root (straight-line code
 entered once per call, say) ends at its exits.  Either way the trace
 charges timing as **one batched ucycle charge** per exit, bumps
-``instret`` once, and **chains** each exit to a known pc directly to
-the trace compiled there, skipping even the dispatch-loop lookup.  A pc
-whose first instruction cannot be traced (ecall/ebreak/fences/CSR
-reads/``lr``/``sc``) gets a negative entry and stays on the interpreter.
+``instret`` once, and ends every exit with ``return FG(pc)``, where
+``FG`` is :attr:`TraceCache.fns`'s ``get``: it returns the trace
+compiled at the exit's pc, which the run loop calls next without a
+dispatch, or a false value that sends the run loop back to its dispatch
+loop.  A pc whose first instruction cannot be traced
+(ecall/ebreak/fences/CSR reads/``lr``/``sc``) gets a negative entry and
+stays on the interpreter.
 
 The emitter inlines every instruction the SAIL IR covers as the source
 :mod:`repro.semantics.lower` renders (no per-instruction call at all,
 F/D and AMOs included).  Integer registers live in Python **locals**,
 spilled to the architectural ``x`` list only at exits and faults; the
-lowering folds immediates and registers known constant while emitting
-source (``li``/``lui``/``auipc`` chains become literals).  Loaded and
+lowering folds immediates and registers known constant into the
+source it emits (``li``/``lui``/``auipc`` chains become literals), and
+a constant write still assigns its local, so every local holds its
+register's value at every exit and fault.  Loaded and
 stored values are forwarded to later loads of the same address.  A
 load reads its page in place, and a store to an unwatched page writes
 it in place, through :mod:`repro.sim.memory`'s precompiled ``struct``
@@ -50,11 +55,9 @@ An entry guard checks, once per entry, that those registers' accesses
 miss the constant addresses; when it fails, the root is recompiled with
 no such assumption.
 
-Indirect jumps (``jalr``) that end a trace are **guard-specialised**:
-each such exit keeps its own inline cache, which remembers the first
-observed target and chains straight to its compiled trace while the
-guard holds, deoptimising to the dispatch loop (and from there, if need
-be, the closure interpreter) on a miss.
+An indirect jump (``jalr``) whose target does not fold ends the trace
+the same way, with ``return FG(t)`` for the target ``t`` it computed,
+unless it lands on the trace's own root, where the loop iterates.
 
 Patch safety
 ------------
@@ -70,10 +73,11 @@ must never execute stale bytes:
 * invalidation drops every trace (and negative entry) any of whose
   instruction **spans** overlap the written bytes (with the same 3-byte
   pre-slack as the per-pc icache: a patched instruction may start up to
-  3 bytes before the written address) and severs every chain link
-  pointing at a dropped trace — a trace tracks one span per contiguous
-  stretch of code it inlined, so a write into a callee drops a trace
-  that inlined it even when its root lives pages away;
+  3 bytes before the written address) from ``fns`` — a trace tracks one
+  span per contiguous stretch of code it inlined, so a write into a
+  callee drops a trace that inlined it even when its root lives pages
+  away.  Traces reach each other only through ``fns``, so that is all
+  invalidation has to undo;
 * a store *inside* a running trace that invalidates any trace sets
   ``machine.code_dirty``; the generated code spills cached registers,
   syncs architectural state and exits the trace right after that store
@@ -83,14 +87,14 @@ must never execute stale bytes:
 Traces keep architectural state exact at every *observable* boundary:
 trace entry/exit, a store that rewrites code, and any faulting
 load/store (a per-trace side table maps the fault site back to precise
-pc/ucycles/instret and constant registers, and the generated exception
+pc/ucycles/instret and dirty float locals, and the generated exception
 handler spills register locals — which hold exactly the pre-fault
 architectural values — before re-raising).
 Single-stepping, watchpoint runs and bounded ``run(max_steps=...)``
 stay on the per-pc closure interpreter.  A trace compiled while a
 block-granularity event observer is attached emits a block enter at
 every transfer its path follows: at a taken side exit before it
-chains, before a dynamic ``jalr`` exit, at every back edge, and where a
+leaves, before a dynamic ``jalr`` exit, at every back edge, and where a
 followed branch or jump lands.  It never emits at its entry: whatever
 transferred control there already did (a control-flow closure of the
 interpreter, another trace's exit, a trap redirect).
@@ -118,18 +122,18 @@ MAX_MEGA = 256
 #: dispatches of an uncompiled pc before a trace is rooted there
 HOT_THRESHOLD = 32
 
-#: jalr guard misses tolerated before the inline cache rebinds
-GUARD_REBIND = 64
-
 #: 64-bit mask literal used throughout generated code
 _M64 = "0xFFFFFFFFFFFFFFFF"
 _MASK64 = (1 << 64) - 1
 
 PAGE_BITS = 12
 
-#: spill placeholder in generated trace source, expanded at build
-#: time once the trace's full written-register set is known
+#: placeholders in generated trace source, expanded at build time: a
+#: register spill (once the trace's full written-register set is known)
+#: and a back edge's float write-back (once the steady-state seeds are);
+#: each carries the F registers whose float locals are dirty there
 _SPILL = "\x00SPILL"
+_FPSYNC = "\x00FPSYNC"
 
 
 def _lower(emit, pc: int, instr):
@@ -145,26 +149,8 @@ def _lower(emit, pc: int, instr):
     return lw
 
 
-class Trace:
-    """One compiled trace: its covered instruction spans plus function."""
-
-    __slots__ = ("entry", "fn", "backrefs", "spans")
-
-    def __init__(self, entry: int, fn, spans: list[tuple[int, int]]):
-        self.entry = entry
-        #: the compiled trace function (``False`` marks a negative
-        #: entry: the pc starts with an untraceable instruction)
-        self.fn = fn
-        #: chain cells (cells-list, index) that point at ``self.fn``;
-        #: severed on invalidation
-        self.backrefs: list[tuple[list, int]] = []
-        #: merged [lo, hi) code intervals this trace compiled from, one
-        #: per inlined stretch of code
-        self.spans = spans
-
-
 class TraceCache:
-    """Compiled-trace cache with range invalidation and chaining.
+    """Compiled-trace cache with range invalidation.
     :meth:`compile_at` roots a trace at every warm pc, built by
     :meth:`_compile_mega`."""
 
@@ -176,30 +162,34 @@ class TraceCache:
         #: uncompiled pc -> dispatches so far on the closure interpreter
         #: (the run loop binds this dict; mutate in place only)
         self.dispatches: dict[int, int] = {}
-        #: entry pc -> block function (``False`` = negative entry).  The
-        #: run loop binds ``fns.get``; mutate in place only.
+        #: entry pc -> trace function (``False`` = negative entry: the
+        #: pc starts with an untraceable instruction).  The run loop and
+        #: every trace's exits bind ``fns.get``; mutate in place only.
         self.fns: dict[int, object] = {}
-        self._traces: dict[int, Trace] = {}
-        self._pages: dict[int, set[Trace]] = {}
+        #: entry pc -> merged [lo, hi) code intervals its trace compiled
+        #: from, one per inlined stretch of code
+        self._spans: dict[int, list[tuple[int, int]]] = {}
+        #: code page -> entry pcs of the traces whose spans touch it
+        self._pages: dict[int, set[int]] = {}
         # -- statistics (reported by the throughput ablation and the
         # telemetry subsystem)
         #: traces compiled (alias-guard recompiles included)
         self.mega_compiles = 0
-        #: always 0: the count of the retired non-looping tier, kept
-        #: for readers that sum it with :attr:`mega_compiles`
+        #: always 0: the counts of the retired non-looping tier and of
+        #: the retired ``jalr`` inline caches, kept because perfbench
+        #: still reads all three
         self.compiles = 0
-        self.invalidations = 0
-        self.links = 0
-        #: dispatch-loop hits on a compiled trace; bumped only during
-        #: telemetry-observed runs (chained trace->trace transfers
-        #: bypass the dispatch loop and are counted under ``links``)
-        self.hits = 0
-        #: shared mutable counters bound into generated code (one-element
-        #: lists so traces can bump them without attribute lookups)
         self.jalr_hits = [0]
         self.jalr_misses = [0]
+        self.invalidations = 0
+        #: dispatch-loop hits on a compiled trace; bumped only during
+        #: telemetry-observed runs (a trace exit that finds its
+        #: successor in ``fns`` bypasses the dispatch loop and is not
+        #: counted)
+        self.hits = 0
         #: early exits from compiled traces forced by invalidation
-        #: (code_dirty after a store)
+        #: (code_dirty after a store; a one-element list so traces bump
+        #: it without an attribute lookup)
         self.deopt_count = [0]
         #: trace entries whose alias guard failed (each one replaced the
         #: trace with a conservative recompile of its head)
@@ -209,10 +199,10 @@ class TraceCache:
 
     def clear(self) -> None:
         """Full flush (fence.i / load_image / observer mode change)."""
-        if self._traces or self.fns:
+        if self.fns:
             self.invalidations += 1
         self.fns.clear()
-        self._traces.clear()
+        self._spans.clear()
         self._pages.clear()
         self.dispatches.clear()
 
@@ -230,57 +220,31 @@ class TraceCache:
             bucket = self._pages.get(page)
             if not bucket:
                 continue
-            stale = [t for t in bucket
+            stale = [e for e in bucket
                      if any(s_lo < hi and s_hi > lo
-                            for s_lo, s_hi in t.spans)]
-            for tr in stale:
-                self._drop(tr)
+                            for s_lo, s_hi in self._spans[e])]
+            for entry in stale:
+                self._drop(entry)
                 dropped = True
         if dropped:
             self.invalidations += 1
             # a running trace exits at its next store / block boundary
             self.m.code_dirty = True
 
-    def _pages_of(self, tr: Trace):
+    @staticmethod
+    def _pages_of(spans):
         pages = set()
-        for lo, hi in tr.spans:
+        for lo, hi in spans:
             pages.update(range(lo >> PAGE_BITS,
                                ((hi - 1) >> PAGE_BITS) + 1))
         return pages
 
-    def _register(self, tr: Trace) -> None:
-        self._traces[tr.entry] = tr
-        self.fns[tr.entry] = tr.fn
-        for page in self._pages_of(tr):
-            self._pages.setdefault(page, set()).add(tr)
-
-    def _drop(self, tr: Trace) -> None:
-        self._traces.pop(tr.entry, None)
-        self.fns.pop(tr.entry, None)
-        for page in self._pages_of(tr):
+    def _drop(self, entry: int) -> None:
+        self.fns.pop(entry, None)
+        for page in self._pages_of(self._spans.pop(entry)):
             bucket = self._pages.get(page)
             if bucket is not None:
-                bucket.discard(tr)
-        fn = tr.fn
-        for cells, idx in tr.backrefs:
-            if cells[idx] is fn:
-                cells[idx] = None
-        tr.backrefs.clear()
-        tr.fn = None
-
-    def _link(self, cells: list, idx: int, pc: int):
-        """Resolve a chain cell: bind the trace at *pc* into *cells[idx]*
-        so the block jumps straight to its successor next time."""
-        tr = self._traces.get(pc)
-        if tr is None:
-            return None
-        fn = tr.fn
-        if not fn:
-            return None
-        cells[idx] = fn
-        tr.backrefs.append((cells, idx))
-        self.links += 1
-        return fn
+                bucket.discard(entry)
 
     def _install(self, pc: int, built):
         """Bind the trace ``(fn, spans)`` built at *pc*, replacing
@@ -288,15 +252,17 @@ class TraceCache:
         the dispatch loop runs on the interpreter until the code under
         *pc* is rewritten.  Returns the function (``False`` for a
         negative entry)."""
-        old = self._traces.get(pc)
-        if old is not None:
-            self._drop(old)
+        if pc in self._spans:
+            self._drop(pc)
         if built is None:
             fn, spans = False, [(pc, pc + 4)]
         else:
             fn, spans = built
             self.mega_compiles += 1
-        self._register(Trace(pc, fn, spans))
+        self.fns[pc] = fn
+        self._spans[pc] = spans
+        for page in self._pages_of(spans):
+            self._pages.setdefault(page, set()).add(pc)
         return fn
 
     def _alias_miss(self, head: int):
@@ -305,29 +271,11 @@ class TraceCache:
         addresses.  Called from the trace prologue with ``m.pc ==
         head`` and no state touched.  Replaces the trace with one
         compiled under no assumption and returns it to run instead.
-        When that compile fails the head gets a negative entry, and
-        ``None`` hands it back to the dispatch loop (never the failing
-        trace, which would re-enter forever)."""
+        When that compile fails the head gets a negative entry, which
+        hands it back to the dispatch loop (never the failing trace,
+        which would re-enter forever)."""
         self.alias_guard_misses += 1
-        return self._install(head, self._compile_mega(head, assume=False)) \
-            or None
-
-    def _jalr_miss(self, G: list, cells: list, idx: int, t: int):
-        """Inline-cache miss on a guarded jalr exit.  First observation
-        installs the guard; a persistent miss streak rebinds it to the
-        latest target.  Returns the next function to run (or ``None``
-        to deoptimise to the dispatch loop)."""
-        if G[0] is None:
-            G[0] = t
-            return self._link(cells, idx, t)
-        self.jalr_misses[0] += 1
-        G[1] += 1
-        if G[1] >= GUARD_REBIND:
-            G[0] = t
-            G[1] = 0
-            cells[idx] = None
-            return self._link(cells, idx, t)
-        return None
+        return self._install(head, self._compile_mega(head, assume=False))
 
     # -- compilation -----------------------------------------------------
 
@@ -356,8 +304,8 @@ class TraceCache:
         (guarding forward branches, following direct calls and
         constant-folded returns) until it returns to *head*, leaves
         through an exit, reaches a pc it already passed, or hits
-        :data:`MAX_MEGA` (chained exits), stopping before an
-        instruction it cannot trace."""
+        :data:`MAX_MEGA`, stopping before an instruction it cannot
+        trace."""
         pc = head
         visited: set[int] = set()
         for _ in range(max(MAX_MEGA - emit.count, 1)):
@@ -365,13 +313,11 @@ class TraceCache:
                 emit.close_loop()
                 return
             if pc in visited:
-                emit.exit_chain(pc)
-                return
+                break
             try:
                 instr = self._fetch(pc)
             except (DecodeError, MemoryFault):
-                emit.exit_plain(pc)
-                return
+                break
             visited.add(pc)
             lw = _lower(emit, pc, instr)
             if lw is not None and lw.target is not None:
@@ -379,11 +325,10 @@ class TraceCache:
             elif emit.emit_straight(pc, instr, lw):
                 pc += instr.length
             else:
-                emit.exit_plain(pc)
-                return
+                break
             if pc is None:  # the emitter closed or exited the trace
                 return
-        emit.exit_chain(pc)
+        emit.exit(f"{pc:#x}")
 
     def _compile_mega(self, head: int, assume: bool = True):
         """Build the trace rooted at *head*.
@@ -468,10 +413,8 @@ class _TraceEmitter:
         self.ns = {
             "m": m, "x": m.x, "fr": m.f, "WP": m.mem._watch_pages,
             "ri": m.mem.read_int, "si": m.mem.write_int,
-            "PG": m.mem._pages.get,
-            "sx": sx, "L": cache._link,
-            "JM": cache._jalr_miss, "GH": cache.jalr_hits,
-            "D": cache.deopt_count, "F64": f64, "B64": b64,
+            "PG": m.mem._pages.get, "FG": cache.fns.get,
+            "sx": sx, "D": cache.deopt_count, "F64": f64, "B64": b64,
             "MF": MemoryFault, "SF": SimFault,
         }
         self.count = 0
@@ -484,7 +427,6 @@ class _TraceEmitter:
         self.events = m._emit is not None
         if self.events:
             self.ns["EV"] = m._emit
-        self.cells = 0
         #: base registers assumed to address memory disjoint from every
         #: constant address the trace accesses (the alias classes of
         #: :meth:`_store_invalidate`)
@@ -506,32 +448,20 @@ class _TraceEmitter:
         #: const-prop; x0 is always 0).  An entry here means "the
         #: emission-order-last write to this register was the literal" —
         #: re-executed every iteration, so it holds at runtime on every
-        #: iteration, not just the first.  Constant writes are **never
-        #: materialized** as local assignments: reads fold to literals,
-        #: spill sites store the literal straight into ``x``, and the
-        #: fault handler patches them from a per-ip const table.
+        #: iteration, not just the first.  Reads fold to the literal; the
+        #: write still assigns the register's local, which spills and
+        #: the fault handler read.
         self.consts: dict[int, int] = {0: 0}
         #: integer registers whose Python local is referenced anywhere
         #: (loaded from ``x`` in the prologue)
         self.localized: set[int] = set()
         #: integer registers written (spilled at exits and faults)
         self.written: set[int] = set()
-        #: per-exit-site const snapshot, keyed by spill marker id
-        self.spill_consts: dict[int, dict[int, int]] = {}
-        #: per-ip const snapshot for the fault handler (parallel to the
-        #: P/U/N sync tables)
-        self.sync_consts: list[tuple] = [()]
         #: known memory values: (base reg | None, offset, size) ->
         #: temp-local holding the loaded/stored bytes (little-endian
         #: unsigned).  ``None`` base keys absolute (const) addresses.
         #: A slot ``fsd`` wrote from a float is in :attr:`fp_mem` only.
         self.mem_known: dict[tuple, str] = {}
-        #: id of each register's latest const-write placeholder, or
-        #: None once a non-const write supersedes it (build_result
-        #: materializes exactly the surviving ids of the steady-state
-        #: body; warmup const writes are always materialized)
-        self.last_const: dict[int, int] = {}
-        self._next_const = 0
         #: covered [pc, pc+len) unit intervals, merged into spans later
         self._pcs: list[tuple[int, int]] = []
         # -- two-body emission state (warmup + steady state) --------------
@@ -570,11 +500,6 @@ class _TraceEmitter:
         #: per-ip dirty fp regs for the fault handler, parallel to
         #: P/U/N
         self.sync_fp: list[tuple] = [()]
-        #: per-spill-site dirty fp regs, keyed like spill_consts
-        self.spill_fp: dict[int, tuple] = {}
-        #: per-close-site dirty fp regs (written back at build time
-        #: unless the seeds carry their dirtiness)
-        self.fpsync_sites: dict[int, tuple] = {}
 
     # -- register / const helpers ----------------------------------------
 
@@ -593,23 +518,13 @@ class _TraceEmitter:
         if r == 0:
             return
         val &= _MASK64
+        self.set_expr(r, f"{val:#x}")
         self.consts[r] = val
-        self.written.add(r)
-        # placeholder: only the emission-order-last constant write of a
-        # register is materialized (build_result) — it seeds the local
-        # for the next iteration's early exits; all earlier ones are
-        # dead (reads fold to literals, spills/faults use snapshots)
-        cid = self._next_const
-        self._next_const += 1
-        self.last_const[r] = cid
-        self.lines.append(f"\x00CONST:{cid}:{r}:{val:#x}")
-        self._forget_base(r)
 
     def set_expr(self, r: int, expr: str) -> None:
         if r == 0:
             return
         self.consts.pop(r, None)
-        self.last_const[r] = None
         self.localized.add(r)
         self.written.add(r)
         self.lines.append(f"r{r} = {expr}")
@@ -657,32 +572,21 @@ class _TraceEmitter:
         self.sync_pc.append(pc)
         self.sync_cost.append(self.cost)
         self.sync_count.append(self.count)
-        self.sync_consts.append(tuple(
-            (r, v) for r, v in sorted(self.consts.items()) if r))
         self.sync_fp.append(tuple(sorted(self.fp_dirty)))
         self.lines.append(f"ip = {ip}")
 
-    def _chain_cell(self) -> int:
-        k = self.cells
-        self.cells += 1
-        return k
+    def _fp_marker(self, tag: str, indent: str) -> None:
+        """Placeholder *tag*, carrying the F registers dirty here."""
+        regs = ",".join(map(str, sorted(self.fp_dirty)))
+        self.lines.append(f"{indent}{tag}:{regs}")
 
     def _flush(self, indent: str) -> None:
         self.lines.append(f"{indent}uc += {self.cost}")
         self.lines.append(f"{indent}ir += {self.count}")
 
-    def _spill_marker(self, indent: str) -> None:
-        """Placeholder for a register spill at this exit site; expanded
-        at build time against the final written set, with registers
-        known constant *here* stored as literals."""
-        sid = len(self.spill_consts)
-        self.spill_consts[sid] = dict(self.consts)
-        self.spill_fp[sid] = tuple(sorted(self.fp_dirty))
-        self.lines.append(f"{indent}{_SPILL}:{sid}")
-
     def _sync_exit(self, target_expr: str, indent: str) -> None:
         """Spill cached registers and make architectural state exact."""
-        self._spill_marker(indent)
+        self._fp_marker(_SPILL, indent)
         self.lines.append(f"{indent}m.pc = {target_expr}")
         self.lines.append(f"{indent}m.ucycles += uc + {self.cost}")
         self.lines.append(f"{indent}m.instret += ir + {self.count}")
@@ -713,9 +617,7 @@ class _TraceEmitter:
         # forwarded values surviving here may seed the next iteration
         for k in (*self.mem_known, *self.fp_mem):
             self._rely(k)
-        fid = len(self.fpsync_sites)
-        self.fpsync_sites[fid] = tuple(sorted(self.fp_dirty))
-        self.lines.append(f"{indent}\x00FPSYNC:{fid}")
+        self._fp_marker(_FPSYNC, indent)
         self._flush(indent)
         if self.fast:
             for r, v in self.seed_consts.items():
@@ -776,7 +678,6 @@ class _TraceEmitter:
         self.consts = {0: 0}
         self.consts.update(seed_consts)
         self.mem_known = dict(seed_mem)
-        self.last_const = {}
         self.fp_float = set(seed_fp)
         self.fp_dirty = {r for r, d in seed_fp.items() if d}
         self.fp_mem = dict(seed_fp_mem)
@@ -794,20 +695,15 @@ class _TraceEmitter:
         """Emitter state shared across passes, captured before a
         steady-state emission so a seed-kill can roll it back."""
         return {
-            "cells": self.cells,
-            "nc": self._next_const, "ns": set(self.ns),
+            "ns": set(self.ns),
             "localized": set(self.localized),
             "written": set(self.written),
             "sync": len(self.sync_pc),
-            "spills": len(self.spill_consts),
-            "fpsync": len(self.fpsync_sites),
             "pcs": len(self._pcs),
         }
 
     def restore(self, snap: dict) -> None:
         """Undo one steady-state emission pass (see :meth:`snapshot`)."""
-        self.cells = snap["cells"]
-        self._next_const = snap["nc"]
         for k in set(self.ns) - snap["ns"]:
             del self.ns[k]
         self.localized = snap["localized"]
@@ -815,29 +711,15 @@ class _TraceEmitter:
         del self.sync_pc[snap["sync"]:]
         del self.sync_cost[snap["sync"]:]
         del self.sync_count[snap["sync"]:]
-        del self.sync_consts[snap["sync"]:]
         del self.sync_fp[snap["sync"]:]
-        for sid in range(snap["spills"], len(self.spill_consts)):
-            del self.spill_consts[sid]
-            del self.spill_fp[sid]
-        for fid in range(snap["fpsync"], len(self.fpsync_sites)):
-            del self.fpsync_sites[fid]
         del self._pcs[snap["pcs"]:]
 
-    def exit_chain(self, target: int, indent: str = "") -> None:
-        """Side exit to a known pc, chained to its compiled trace."""
-        self._sync_exit(f"{target:#x}", indent)
-        k = self._chain_cell()
-        self.lines.append(f"{indent}t = S[{k}]")
-        self.lines.append(f"{indent}if t is None:")
-        self.lines.append(f"{indent}    t = L(S, {k}, {target:#x})")
-        self.lines.append(f"{indent}return t")
-
-    def exit_plain(self, target: int, indent: str = "") -> None:
-        """Side exit to a pc the trace compiler cannot handle (the
-        dispatch loop deoptimises to the closure interpreter there)."""
-        self._sync_exit(f"{target:#x}", indent)
-        self.lines.append(f"{indent}return None")
+    def exit(self, target: str, indent: str = "") -> None:
+        """Leave the trace for the pc expression *target*: sync, then
+        return the trace compiled there (``FG`` is ``fns.get``), or the
+        false value that hands the pc to the dispatch loop."""
+        self._sync_exit(target, indent)
+        self.lines.append(f"{indent}return FG({target})")
 
     # -- lowering target --------------------------------------------------
 
@@ -941,7 +823,7 @@ class _TraceEmitter:
                 # iteration without leaving compiled code
                 self.close_loop(indent="    ")
             else:
-                self.exit_chain(taken, indent="    ")
+                self.exit(f"{taken:#x}", indent="    ")
             self.block_event(f"{fall:#x}")
             return fall
         if target.const is None:
@@ -953,24 +835,13 @@ class _TraceEmitter:
         if target.const is not None:
             self.block_event(f"{target.const:#x}")
             return target.const
-        # dynamic target: end the trace through a guarded exit with its
-        # own inline cache.  An indirect loop closure (a jalr landing
-        # back on the head) continues iterating without leaving the trace
+        # dynamic target: leave the trace for it.  An indirect loop
+        # closure (a jalr landing back on the head) continues iterating
+        # without leaving the trace
         self.block_event("t")
         self.lines.append(f"if t == {self.entry:#x}:")
         self.close_loop(indent="    ")
-        self._sync_exit("t", "")
-        k = self._chain_cell()
-        self.ns[f"G{k}"] = [None, 0]
-        self.lines += [
-            f"if t == G{k}[0]:",
-            f"    f = S[{k}]",
-            "    if f is not None:",
-            "        GH[0] += 1",
-            "        return f",
-            f"    return L(S, {k}, t)",
-            f"return JM(G{k}, S, {k}, t)",
-        ]
+        self.exit("t")
         return None
 
     # -- straight-line instructions ---------------------------------------
@@ -1198,52 +1069,26 @@ class _TraceEmitter:
         return [tuple(s) for s in spans] or [(self.entry,
                                              self.entry + 4)]
 
-    def _expand(self, lines: list[str], materialize_all: bool,
-                written: list[int]) -> list[str]:
-        """Resolve const/spill placeholders against the final written
-        set.
-
-        In the warmup body every constant write materializes (it runs
-        once per loop entry, and keeping each local architecturally
-        fresh at every warmup position is what makes entering the
-        steady-state body safe under any seed set).  In the
-        steady-state body only each register's emission-order-last
-        constant write materializes: it seeds the local across the back
-        edge, making plain ``x[r] = r{r}`` spills correct at
-        sites/faults that precede the register's writes in iteration
-        order (where no const snapshot covers it); all earlier ones are
-        dead — reads fold to literals, spills/faults use snapshots."""
+    def _expand(self, lines: list[str], written: list[int]) -> list[str]:
+        """Resolve the spill and float write-back placeholders: a spill
+        stores every register in the final written set from its local,
+        and both pack their dirty F registers' floats into ``fr``."""
         out: list[str] = []
         for line in lines:
             stripped = line.lstrip(" ")
+            tag, _, regs = stripped.partition(":")
+            if tag not in (_SPILL, _FPSYNC):
+                out.append(line)
+                continue
             pad = line[:len(line) - len(stripped)]
-            if stripped.startswith("\x00CONST:"):
-                cid, r, val = stripped.split(":")[1:]
-                if materialize_all or \
-                        self.last_const.get(int(r)) == int(cid):
-                    out.append(f"{pad}r{r} = {val}")
-                    self.localized.add(int(r))
-                continue
-            if stripped.startswith("\x00SPILL:"):
-                sid = int(stripped.split(":")[1])
-                sc = self.spill_consts[sid]
-                out += [
-                    f"{pad}x[{r}] = {sc[r]:#x}" if r in sc
-                    else f"{pad}x[{r}] = r{r}"
-                    for r in written
-                ]
-                out += [f"{pad}fr[{r}] = B64(g{r})"
-                        for r in self.spill_fp[sid]]
-                continue
-            if stripped.startswith("\x00FPSYNC:"):
-                # back-edge fp write-back: dirty regs whose dirtiness
-                # the seeds carry across the loop stay in their floats;
-                # everything else syncs here
-                site = self.fpsync_sites[int(stripped.split(":")[1])]
-                out += [f"{pad}fr[{r}] = B64(g{r})"
-                        for r in site if not self.seed_fp.get(r)]
-                continue
-            out.append(line)
+            dirty = [int(r) for r in regs.split(",") if r]
+            if tag == _SPILL:
+                out += [f"{pad}x[{r}] = r{r}" for r in written]
+            else:
+                # a back edge: dirty regs whose dirtiness the seeds carry
+                # across the loop stay in their floats
+                dirty = [r for r in dirty if not self.seed_fp.get(r)]
+            out += [f"{pad}fr[{r}] = B64(g{r})" for r in dirty]
         return out
 
     def _alias_guard(self) -> list[str]:
@@ -1272,19 +1117,17 @@ class _TraceEmitter:
 
     def build_result(self):
         ns = self.ns
-        ns["S"] = [None] * self.cells
         ns["P"] = tuple(self.sync_pc)
         ns["U"] = tuple(self.sync_cost)
         ns["N"] = tuple(self.sync_count)
-        ns["CF"] = tuple(self.sync_consts)
         written = sorted(self.written)
         if self.warm_lines is not None:
             # stitch: warmup body once, steady-state loop spliced in at
             # every close site (markers keep the site's own indent, so
             # a conditional back edge nests its loop inside the branch)
-            fast = self._expand(self.lines, False, written)
+            fast = self._expand(self.lines, written)
             body_lines: list[str] = []
-            for line in self._expand(self.warm_lines, True, written):
+            for line in self._expand(self.warm_lines, written):
                 stripped = line.lstrip(" ")
                 pad = line[:len(line) - len(stripped)]
                 if stripped == "\x00CLOSE":
@@ -1295,7 +1138,7 @@ class _TraceEmitter:
         else:
             # a path that never returned to the head: a straight-line
             # body whose every path returns
-            body_lines = self._expand(self.lines, True, written)
+            body_lines = self._expand(self.lines, written)
         has_fpp = any(self.sync_fp)
         if has_fpp:
             ns["FPP"] = tuple(self.sync_fp)
@@ -1323,9 +1166,7 @@ class _TraceEmitter:
             f"    except (MF, SF):\n"
             + (f"        {handler_spill}\n" if spill else "")
             + fp_handler
-            + f"        for _rv in CF[ip]:\n"
-            f"            x[_rv[0]] = _rv[1]\n"
-            f"        m.pc = P[ip]\n"
+            + f"        m.pc = P[ip]\n"
             f"        m.ucycles += uc + U[ip]\n"
             f"        m.instret += ir + N[ip]\n"
             f"        raise\n"

@@ -270,9 +270,11 @@ class TestWrongPath:
         """The loop ``head`` ends in an indirect jump through ``a5``
         and roots a looping trace whose warm-up and steady-state bodies
         each exit through that jump.  ``a5`` is ``A`` for ten outer
-        iterations, then ``B``.  Once the steady-state exit rebinds its
-        inline cache to ``B``, the warm-up exit still chains to ``A``'s
-        trace: one guard cell shared by both exits sent it there."""
+        iterations, then ``B``; each exit must leave for the target it
+        computed.  (When exits kept per-exit inline caches, one guard
+        cell shared by both exits sent the warm-up exit to ``A``'s
+        trace after the steady-state exit rebound it to ``B``; the
+        name is kept for stable test ids.)"""
         prog = assemble("""
 _start:
   li s0, 0
@@ -353,14 +355,17 @@ B:
 
     def test_fp_destination_keeps_the_link_constant(self):
         """``fcvt.d.l f1`` writes an FP register: ``ra`` (``x1``) stays
-        the constant ``jal`` set, so the trace follows ``ret`` back
-        into the loop instead of leaving through a guarded exit on
-        every iteration."""
+        the constant ``jal`` set, so the trace rooted at ``loop``
+        follows ``ret`` back into the loop.  Had the write forgotten
+        ``ra``, the trace would leave through a dynamic exit on every
+        iteration, and a third trace would root at ``back``, where
+        ``ret`` lands."""
         prog = assemble("""
 _start:
   li s0, 0
 loop:
   jal ra, f
+back:
   addi s0, s0, 1
   li t0, 200
   blt s0, t0, loop
@@ -371,7 +376,9 @@ f:
   ret
 """)
         mega = _agree_on(prog)
-        assert mega.traces.jalr_hits[0] < 10
+        # traces at ``_start`` (leaving for ``loop``) and ``loop``
+        assert mega.traces.mega_compiles == 2
+        assert prog.symbol("back").address not in mega.traces.fns
 
 
 class TestFloatLocals:

@@ -358,12 +358,15 @@ cont:
                    if e in before) or target not in m.traces.fns
 
     def test_invalidation_severs_chain_links(self):
+        """A trace reaches another only through ``fns``, so dropping
+        one from it is the whole of invalidation: no surviving trace
+        may still run the dropped one (the name is kept from when
+        exits chained through cells that invalidation severed)."""
         m, prog, proc = self._hot_machine()
         target = prog.symbol("loop").address
         m.invalidate_code_range(target, 4)
-        # every remaining trace's chain cells must not point at a
-        # dropped function: simply finishing the run proves it (a stale
-        # chained call would run old code or crash)
+        # simply finishing the run proves no exit reached the dropped
+        # trace (a stale call would run old code or crash)
         proc.remove_breakpoint(prog.symbol("mid").address)
         ev = proc.continue_to_event()
         assert ev.type is EventType.EXITED
@@ -811,8 +814,8 @@ dcode:
             if tc:
                 assert m.traces.invalidations > invalidations
                 assert m.traces.deopt_count[0] > 0
-                assert m.traces._traces.get(prog.symbol("outer")
-                                            .address) is None
+                assert m.traces.fns.get(prog.symbol("outer")
+                                        .address) is None
             states.append(TestTierPolicy._state(m))
         assert states[0] == states[1]
 

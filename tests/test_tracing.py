@@ -172,6 +172,20 @@ class TestMachineEvents:
         assert a.events() == b.events()
         assert len(a) > 0
 
+    def test_mixed_granularities_keep_their_own_events(self):
+        """Streams of both granularities attached to one machine each
+        hold exactly the events they record alone: calls, returns,
+        jumps and taken branches reach the instruction stream only."""
+        alone = {g: _run_traced(MATMUL, granularity=g)[1].events()
+                 for g in ("instruction", "block")}
+        m = Machine(P550)
+        m.load_program(MATMUL)
+        streams = {g: m.attach_observer(EventStream(granularity=g))
+                   for g in ("instruction", "block")}
+        assert m.run().reason is StopReason.EXITED
+        for g, es in streams.items():
+            assert es.events() == alone[g], g
+
     def test_fault_event_emitted(self):
         src = """
 _start:
