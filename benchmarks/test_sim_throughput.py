@@ -109,25 +109,20 @@ def _arch_state(m, ev):
     }
 
 
-def _measure_observed(prog, granularity: str):
-    """Throughput with an event-stream observer attached (then again
-    after detach, pinning the zero-overhead-when-unobserved rule)."""
-    m = Machine(P550, trace_compile=True)
-    m.load_program(prog)
-    es = EventStream(granularity=granularity, capacity=1 << 16)
-    m.attach_observer(es)
-    t0 = time.perf_counter()
-    m.run()
-    dt_obs = time.perf_counter() - t0
-    instret_obs = m.instret
-    m.detach_observer(es)
-    # rerun the same image unobserved: must ride the traced path again
-    m2 = Machine(P550, trace_compile=True)
-    m2.load_program(prog)
-    t0 = time.perf_counter()
-    m2.run()
-    dt_after = time.perf_counter() - t0
-    return instret_obs / dt_obs, m2.instret / dt_after
+def _observed(prog, granularity: str, detach: bool = False):
+    """Factory of traced machines loaded with *prog* and observed by an
+    event stream at *granularity*; with *detach* the stream is detached
+    again before the run, pinning the zero-overhead-when-unobserved
+    rule."""
+    def make():
+        m = _machine("megatrace")
+        m.load_program(prog)
+        es = EventStream(granularity=granularity, capacity=1 << 16)
+        m.attach_observer(es)
+        if detach:
+            m.detach_observer(es)
+        return m
+    return make
 
 
 def _interpreted_share(make, monkeypatch) -> float:
@@ -217,8 +212,15 @@ def test_trace_compilation_throughput(record, monkeypatch):
                                monkeypatch)
     instrumented["megatrace"]["interpreted_share"] = round(share, 5)
 
-    ips_block, _ = _measure_observed(prog, "block")
-    ips_instr, ips_detached = _measure_observed(prog, "instruction")
+    # observed runs, best of REPEATS like the tier rows
+    observed = {}
+    for key, runs in zip(
+            ("block", "instruction", "after_detach"),
+            _measure(_observed(prog, "block"),
+                     _observed(prog, "instruction"),
+                     _observed(prog, "instruction", detach=True))):
+        m, _, dt, spread = _best(runs)
+        observed[key] = _row(m, dt, spread)
 
     fmt = [("interpreter", "interpreter (traces off)"),
            ("megatrace", "looping traces (JIT)")]
@@ -257,14 +259,17 @@ def test_trace_compilation_throughput(record, monkeypatch):
         f"plain: traces compiled: {mm.traces.mega_compiles}   "
         f"deopts: {mm.traces.deopt_count[0]}",
         "",
-        "observer overhead (event streams):",
-        f"{'block-granularity observed':<28}{ips_block / 1e6:>10.2f}"
-        " Minstr/s",
-        f"{'instruction-granularity':<28}{ips_instr / 1e6:>10.2f}"
-        " Minstr/s",
-        f"{'after detach (traced)':<28}{ips_detached / 1e6:>10.2f}"
-        " Minstr/s",
+        "observer overhead (event streams, best of "
+        f"{REPEATS}):",
+        f"{'':<28}{'Minstr/s':>10}{'seconds':>9}{'spread':>8}",
     ]
+    for key, label in (("block", "block-granularity observed"),
+                       ("instruction", "instruction-granularity"),
+                       ("after_detach", "after detach (traced)")):
+        t = observed[key]
+        lines.append(
+            f"{label:<28}{t['instr_per_sec'] / 1e6:>10.2f}"
+            f"{t['seconds_best']:>9.3f}{t['run_to_run_spread']:>7.1%}")
     record("ablation_trace", "\n".join(lines) + "\n")
 
     BENCH_JSON.write_text(json.dumps({
@@ -280,9 +285,12 @@ def test_trace_compilation_throughput(record, monkeypatch):
         # the CI guard's floor: traces on instrumented code against
         # traces on the plain code
         "instrumented_over_plain": ratio,
-        "instr_per_sec_observed_block": round(ips_block),
-        "instr_per_sec_observed_instruction": round(ips_instr),
-        "instr_per_sec_after_detach": round(ips_detached),
+        "observed": observed,
+        "instr_per_sec_observed_block": observed["block"]["instr_per_sec"],
+        "instr_per_sec_observed_instruction":
+            observed["instruction"]["instr_per_sec"],
+        "instr_per_sec_after_detach":
+            observed["after_detach"]["instr_per_sec"],
     }, indent=2) + "\n")
 
     # acceptance bar: the JIT >= 4.5x the interpreter

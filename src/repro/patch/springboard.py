@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .. import faults
 from ..errors import ReproError
-from ..riscv.compressed import CJ_RANGE, encode_c_ebreak, encode_c_nop, encode_cj
+from ..riscv.compressed import CJ_RANGE, encode_compressed
 from ..riscv.encoder import encode
 from ..riscv.encoding import fits_signed
 from ..riscv.extensions import ISASubset
@@ -74,7 +74,7 @@ def _pad(code: bytes, size: int, compressed_ok: bool) -> bytes:
     if pad % 4 == 2:
         if not compressed_ok:
             raise SpringboardError("2-byte padding requires the C extension")
-        out += encode_c_nop().to_bytes(2, "little")
+        out += encode_compressed("c.nop").to_bytes(2, "little")
         pad -= 2
     for _ in range(pad // 4):
         out += encode("addi", rd=0, rs1=0, imm=0).to_bytes(4, "little")
@@ -110,7 +110,7 @@ def build_springboard(site: int, target: int, slot_size: int,
     # 2. c.j: 2 bytes, ±2KiB (the only option for 2-byte slots in range)
     if not force_trap \
             and has_c and CJ_RANGE[0] <= disp <= CJ_RANGE[1] and disp % 2 == 0:
-        code = encode_cj(disp).to_bytes(2, "little")
+        code = encode_compressed("c.j", imm=disp).to_bytes(2, "little")
         return Springboard(SpringboardKind.CJ,
                            _pad(code, slot_size, has_c))
 
@@ -134,7 +134,7 @@ def build_springboard(site: int, target: int, slot_size: int,
         if not has_c:
             raise SpringboardError(
                 "2-byte trap needs the C extension (c.ebreak)")
-        code = encode_c_ebreak().to_bytes(2, "little")
+        code = encode_compressed("c.ebreak").to_bytes(2, "little")
     return Springboard(SpringboardKind.TRAP, _pad(code, slot_size, has_c),
                        needs_trap=True)
 

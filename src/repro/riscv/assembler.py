@@ -27,7 +27,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 
-from . import compressed as cmod
+from .compressed import encode_compressed, try_compress
 from .encoder import encode_fields
 from .encoding import EncodingError, fits_signed
 from .extensions import ISASubset, RV64GC, get_extension
@@ -113,17 +113,26 @@ _PSEUDO_SIZES = {
 }
 
 _COMPRESSED_ENCODERS = {
-    "c.nop": lambda ops, ctx: cmod.encode_c_nop(),
-    "c.ebreak": lambda ops, ctx: cmod.encode_c_ebreak(),
-    "c.addi": lambda ops, ctx: cmod.encode_c_addi(
-        ctx.reg(ops[0]), ctx.imm(ops[1])),
-    "c.li": lambda ops, ctx: cmod.encode_c_li(
-        ctx.reg(ops[0]), ctx.imm(ops[1])),
-    "c.mv": lambda ops, ctx: cmod.encode_c_mv(
-        ctx.reg(ops[0]), ctx.reg(ops[1])),
-    "c.jr": lambda ops, ctx: cmod.encode_c_jr(ctx.reg(ops[0])),
-    "c.j": lambda ops, ctx: cmod.encode_cj(ctx.imm(ops[0]) - ctx.pc),
+    "c.nop": lambda ops, ctx: encode_compressed("c.nop"),
+    "c.ebreak": lambda ops, ctx: encode_compressed("c.ebreak"),
+    "c.addi": lambda ops, ctx: encode_compressed(
+        "c.addi", rd=ctx.reg(ops[0]), imm=ctx.imm(ops[1])),
+    "c.li": lambda ops, ctx: encode_compressed(
+        "c.li", rd=ctx.reg(ops[0]), imm=ctx.imm(ops[1])),
+    "c.mv": lambda ops, ctx: encode_compressed(
+        "c.mv", rd=ctx.reg(ops[0]), rs2=ctx.reg(ops[1])),
+    "c.jr": lambda ops, ctx: encode_compressed("c.jr", rs1=ctx.reg(ops[0])),
+    "c.j": lambda ops, ctx: encode_compressed(
+        "c.j", imm=ctx.imm(ops[0]) - ctx.pc),
 }
+
+#: Standard mnemonics the compressing assembler shrinks when their
+#: operands are literals.  ``jalr`` is left out, so ``jalr rd, 0(rs1)``
+#: keeps its 4-byte form.
+_LITERAL_COMPRESSIBLE = frozenset((
+    "add", "sub", "xor", "or", "and", "subw", "addw", "addi", "addiw",
+    "andi", "lui", "slli", "srli", "srai", "ld", "lw", "fld", "sd", "sw",
+    "fsd"))
 
 
 @dataclass
@@ -441,40 +450,16 @@ class Assembler:
                           ) -> int | None:
         """Try compressing a standard instruction whose operands are all
         literal (registers / integer immediates); returns the halfword
-        or None.  Deterministic across passes by construction."""
-        from .compressed import try_compress
-
-        try:
-            fields: dict[str, int] = {}
-            if mn in ("add", "sub", "xor", "or", "and", "subw", "addw"):
-                fields = {"rd": reg_lookup(ops[0]).number,
-                          "rs1": reg_lookup(ops[1]).number,
-                          "rs2": reg_lookup(ops[2]).number}
-            elif mn in ("addi", "addiw", "andi"):
-                fields = {"rd": reg_lookup(ops[0]).number,
-                          "rs1": reg_lookup(ops[1]).number,
-                          "imm": _parse_int(ops[2])}
-            elif mn == "lui":
-                fields = {"rd": reg_lookup(ops[0]).number,
-                          "imm": _parse_int(ops[1])}
-            elif mn in ("slli", "srli", "srai"):
-                fields = {"rd": reg_lookup(ops[0]).number,
-                          "rs1": reg_lookup(ops[1]).number,
-                          "shamt": _parse_int(ops[2])}
-            elif mn in ("ld", "lw", "fld", "sd", "sw", "fsd"):
-                m = _MEM_RE.match(ops[1])
-                if m is None:
-                    return None
-                base = reg_lookup(m.group("base").strip()).number
-                off = _parse_int(m.group("off").strip() or "0")
-                first = reg_lookup(ops[0]).number
-                key = "rd" if mn in ("ld", "lw", "fld") else "rs2"
-                fields = {key: first, "rs1": base, "imm": off}
-            else:
-                return None
-            return try_compress(mn, fields)
-        except (KeyError, ValueError, IndexError):
+        or None.  Parsed with no symbols in scope, so a label operand
+        leaves it uncompressed and both passes agree on its size."""
+        if mn not in _LITERAL_COMPRESSIBLE:
             return None
+        ctx = _OperandContext({}, 0, _Item(".text", 0, 2, "instr", mn, ops))
+        try:
+            fields = self._parse_standard(mn, ops, ctx)
+        except (AsmError, KeyError, ValueError):
+            return None
+        return try_compress(mn, fields)
 
     def _emit_instr(self, mn: str, ops: tuple[str, ...],
                     ctx: "_OperandContext") -> bytes:
@@ -483,13 +468,13 @@ class Assembler:
         if self.compress:
             if self._pseudo_compressible(mn, ops):
                 if mn == "nop":
-                    return cmod.encode_c_nop().to_bytes(2, "little")
-                if mn == "mv":
-                    return cmod.encode_c_mv(
-                        ctx.reg(ops[0]),
-                        ctx.reg(ops[1])).to_bytes(2, "little")
-                if mn == "ret":
-                    return cmod.encode_c_jr(1).to_bytes(2, "little")
+                    hw = encode_compressed("c.nop")
+                elif mn == "mv":
+                    hw = encode_compressed(
+                        "c.mv", rd=ctx.reg(ops[0]), rs2=ctx.reg(ops[1]))
+                else:  # ret
+                    hw = encode_compressed("c.jr", rs1=1)
+                return hw.to_bytes(2, "little")
             hw = self._literal_compress(mn, ops)
             if hw is not None:
                 return hw.to_bytes(2, "little")

@@ -7,41 +7,44 @@ instruction into its standard equivalent — the resulting
 originating ``c.*`` mnemonic, so analysis operates on one uniform
 instruction vocabulary while patching still knows the true byte size.
 
-A small encode surface is provided for the compressed instructions the
-instrumentation engine emits itself (``c.j`` springboards, ``c.nop``
-padding, ``c.ebreak`` traps, and the common ALU moves).
+Every form is one row of :data:`repro.riscv.encoding.C_FORMS`; this
+module decodes and encodes through those rows.  A halfword decodes by
+the matching row with the most fixed bits.  A row encodes fields only
+when they fit it (ranges, ties, constants, no zero in a hint or
+reserved field) and the halfword decodes back through the same row.
 """
 
 from __future__ import annotations
 
-from .encoding import EncodingError, bit, bits, sign_extend
+from .encoding import C_FORMS, C_J_IMM, CForm, EncodingError, Field
 from .instr import Instruction
 from .opcodes import by_mnemonic
-
-
-def _expand(c_mnemonic: str, raw: int, std_mnemonic: str,
-            **fields: int) -> Instruction:
-    return Instruction(
-        spec=by_mnemonic(std_mnemonic),
-        fields=fields,
-        length=2,
-        raw=raw & 0xFFFF,
-        compressed_mnemonic=c_mnemonic,
-    )
-
-
-def _rc(field3: int) -> int:
-    """Map a 3-bit compressed register field to x8..x15 / f8..f15."""
-    return 8 + (field3 & 0x7)
 
 
 class IllegalCompressed(ValueError):
     """Raised for halfwords that are not valid RV64C encodings."""
 
 
-# ---------------------------------------------------------------------
-# Decode
-# ---------------------------------------------------------------------
+#: Range of the c.j target offset (paper §3.1.2): [-2^11, 2^11) bytes...
+#: The paper text says [-2^12, 2^12); the architectural field is an
+#: 11-bit signed offset in units of 2 bytes, i.e. [-2048, 2046] byte
+#: displacements — we use the architectural value.
+CJ_RANGE = (C_J_IMM.lo, C_J_IMM.hi)
+
+_BY_SPECIFICITY = sorted(C_FORMS, key=lambda row: -bin(row.mask).count("1"))
+_BY_CMN = {row.cmn: row for row in C_FORMS}
+_AUTO: dict[str, list[CForm]] = {}
+for _row in C_FORMS:
+    if _row.auto:
+        _AUTO.setdefault(_row.mnemonic, []).append(_row)
+
+
+def _row_of(hw: int) -> CForm | None:
+    for row in _BY_SPECIFICITY:
+        if hw & row.mask == row.match:
+            return row
+    return None
+
 
 def decode_compressed(hw: int) -> Instruction:
     """Decode a 16-bit halfword into its expanded Instruction.
@@ -51,408 +54,83 @@ def decode_compressed(hw: int) -> Instruction:
     common parse-gap marker).
     """
     hw &= 0xFFFF
-    op = hw & 0b11
-    funct3 = bits(hw, 15, 13)
-    if op == 0b00:
-        return _decode_q0(hw, funct3)
-    if op == 0b01:
-        return _decode_q1(hw, funct3)
-    if op == 0b10:
-        return _decode_q2(hw, funct3)
-    raise IllegalCompressed(f"not a compressed encoding: {hw:#06x}")
-
-
-def _decode_q0(hw: int, f3: int) -> Instruction:
-    if hw == 0:
-        raise IllegalCompressed("defined-illegal all-zero halfword")
-    rdc = _rc(bits(hw, 4, 2))
-    rs1c = _rc(bits(hw, 9, 7))
-    if f3 == 0b000:  # c.addi4spn
-        uimm = (
-            (bits(hw, 12, 11) << 4)
-            | (bits(hw, 10, 7) << 6)
-            | (bit(hw, 6) << 2)
-            | (bit(hw, 5) << 3)
-        )
-        if uimm == 0:
-            raise IllegalCompressed("c.addi4spn with zero immediate")
-        return _expand("c.addi4spn", hw, "addi", rd=rdc, rs1=2, imm=uimm)
-    if f3 == 0b001:  # c.fld
-        uimm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
-        return _expand("c.fld", hw, "fld", rd=rdc, rs1=rs1c, imm=uimm)
-    if f3 == 0b010:  # c.lw
-        uimm = (bits(hw, 12, 10) << 3) | (bit(hw, 6) << 2) | (bit(hw, 5) << 6)
-        return _expand("c.lw", hw, "lw", rd=rdc, rs1=rs1c, imm=uimm)
-    if f3 == 0b011:  # c.ld (RV64)
-        uimm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
-        return _expand("c.ld", hw, "ld", rd=rdc, rs1=rs1c, imm=uimm)
-    if f3 == 0b101:  # c.fsd
-        uimm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
-        return _expand("c.fsd", hw, "fsd", rs2=rdc, rs1=rs1c, imm=uimm)
-    if f3 == 0b110:  # c.sw
-        uimm = (bits(hw, 12, 10) << 3) | (bit(hw, 6) << 2) | (bit(hw, 5) << 6)
-        return _expand("c.sw", hw, "sw", rs2=rdc, rs1=rs1c, imm=uimm)
-    if f3 == 0b111:  # c.sd (RV64)
-        uimm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
-        return _expand("c.sd", hw, "sd", rs2=rdc, rs1=rs1c, imm=uimm)
-    raise IllegalCompressed(f"reserved Q0 encoding: {hw:#06x}")
-
-
-def _imm6(hw: int) -> int:
-    return sign_extend((bit(hw, 12) << 5) | bits(hw, 6, 2), 6)
-
-
-def _decode_q1(hw: int, f3: int) -> Instruction:
-    rd = bits(hw, 11, 7)
-    if f3 == 0b000:
-        imm = _imm6(hw)
-        if rd == 0:
-            # c.nop (hint space when imm != 0; treated as nop)
-            return _expand("c.nop", hw, "addi", rd=0, rs1=0, imm=0)
-        return _expand("c.addi", hw, "addi", rd=rd, rs1=rd, imm=imm)
-    if f3 == 0b001:  # c.addiw (RV64)
-        if rd == 0:
-            raise IllegalCompressed("c.addiw with rd=x0")
-        return _expand("c.addiw", hw, "addiw", rd=rd, rs1=rd, imm=_imm6(hw))
-    if f3 == 0b010:  # c.li
-        return _expand("c.li", hw, "addi", rd=rd, rs1=0, imm=_imm6(hw))
-    if f3 == 0b011:
-        if rd == 2:  # c.addi16sp
-            imm = sign_extend(
-                (bit(hw, 12) << 9)
-                | (bit(hw, 6) << 4)
-                | (bit(hw, 5) << 6)
-                | (bits(hw, 4, 3) << 7)
-                | (bit(hw, 2) << 5),
-                10,
-            )
-            if imm == 0:
-                raise IllegalCompressed("c.addi16sp with zero immediate")
-            return _expand("c.addi16sp", hw, "addi", rd=2, rs1=2, imm=imm)
-        imm = _imm6(hw)
-        if imm == 0 or rd == 0:
-            raise IllegalCompressed("c.lui reserved encoding")
-        return _expand("c.lui", hw, "lui", rd=rd, imm=imm)
-    if f3 == 0b100:
-        sub = bits(hw, 11, 10)
-        rdc = _rc(bits(hw, 9, 7))
-        if sub == 0b00:  # c.srli
-            shamt = (bit(hw, 12) << 5) | bits(hw, 6, 2)
-            return _expand("c.srli", hw, "srli", rd=rdc, rs1=rdc, shamt=shamt)
-        if sub == 0b01:  # c.srai
-            shamt = (bit(hw, 12) << 5) | bits(hw, 6, 2)
-            return _expand("c.srai", hw, "srai", rd=rdc, rs1=rdc, shamt=shamt)
-        if sub == 0b10:  # c.andi
-            return _expand("c.andi", hw, "andi", rd=rdc, rs1=rdc, imm=_imm6(hw))
-        rs2c = _rc(bits(hw, 4, 2))
-        hi = bit(hw, 12)
-        mid = bits(hw, 6, 5)
-        table = {
-            (0, 0b00): ("c.sub", "sub"),
-            (0, 0b01): ("c.xor", "xor"),
-            (0, 0b10): ("c.or", "or"),
-            (0, 0b11): ("c.and", "and"),
-            (1, 0b00): ("c.subw", "subw"),
-            (1, 0b01): ("c.addw", "addw"),
-        }
-        try:
-            cmn, mn = table[(hi, mid)]
-        except KeyError:
+    row = _row_of(hw)
+    if row is None:
+        raise IllegalCompressed(f"no RV64C encoding {hw:#06x}")
+    fields: dict[str, int] = {}
+    for name, source in row.fields:
+        if type(source) is Field:
+            fields[name] = source.get(hw)
+        elif type(source) is str:
+            fields[name] = fields[source]
+        else:
+            fields[name] = source
+    for name in row.reserved:
+        if not fields[name]:
             raise IllegalCompressed(
-                f"reserved Q1 ALU encoding: {hw:#06x}") from None
-        return _expand(cmn, hw, mn, rd=rdc, rs1=rdc, rs2=rs2c)
-    if f3 == 0b101:  # c.j
-        imm = _decode_cj_imm(hw)
-        return _expand("c.j", hw, "jal", rd=0, imm=imm)
-    if f3 in (0b110, 0b111):  # c.beqz / c.bnez
-        rs1c = _rc(bits(hw, 9, 7))
-        imm = sign_extend(
-            (bit(hw, 12) << 8)
-            | (bits(hw, 11, 10) << 3)
-            | (bits(hw, 6, 5) << 6)
-            | (bits(hw, 4, 3) << 1)
-            | (bit(hw, 2) << 5),
-            9,
-        )
-        if f3 == 0b110:
-            return _expand("c.beqz", hw, "beq", rs1=rs1c, rs2=0, imm=imm)
-        return _expand("c.bnez", hw, "bne", rs1=rs1c, rs2=0, imm=imm)
-    raise IllegalCompressed(f"reserved Q1 encoding: {hw:#06x}")
+                f"{row.cmn} with {name}=0 is reserved: {hw:#06x}")
+    return Instruction(spec=by_mnemonic(row.mnemonic), fields=fields,
+                       length=2, raw=hw, compressed_mnemonic=row.cmn)
 
 
-def _decode_cj_imm(hw: int) -> int:
-    return sign_extend(
-        (bit(hw, 12) << 11)
-        | (bit(hw, 11) << 4)
-        | (bits(hw, 10, 9) << 8)
-        | (bit(hw, 8) << 10)
-        | (bit(hw, 7) << 6)
-        | (bit(hw, 6) << 7)
-        | (bits(hw, 5, 3) << 1)
-        | (bit(hw, 2) << 5),
-        12,
-    )
-
-
-def _decode_q2(hw: int, f3: int) -> Instruction:
-    rd = bits(hw, 11, 7)
-    rs2 = bits(hw, 6, 2)
-    if f3 == 0b000:  # c.slli
-        shamt = (bit(hw, 12) << 5) | bits(hw, 6, 2)
-        return _expand("c.slli", hw, "slli", rd=rd, rs1=rd, shamt=shamt)
-    if f3 == 0b001:  # c.fldsp
-        uimm = (bit(hw, 12) << 5) | (bits(hw, 6, 5) << 3) | (bits(hw, 4, 2) << 6)
-        return _expand("c.fldsp", hw, "fld", rd=rd, rs1=2, imm=uimm)
-    if f3 == 0b010:  # c.lwsp
-        if rd == 0:
-            raise IllegalCompressed("c.lwsp with rd=x0")
-        uimm = (bit(hw, 12) << 5) | (bits(hw, 6, 4) << 2) | (bits(hw, 3, 2) << 6)
-        return _expand("c.lwsp", hw, "lw", rd=rd, rs1=2, imm=uimm)
-    if f3 == 0b011:  # c.ldsp (RV64)
-        if rd == 0:
-            raise IllegalCompressed("c.ldsp with rd=x0")
-        uimm = (bit(hw, 12) << 5) | (bits(hw, 6, 5) << 3) | (bits(hw, 4, 2) << 6)
-        return _expand("c.ldsp", hw, "ld", rd=rd, rs1=2, imm=uimm)
-    if f3 == 0b100:
-        if bit(hw, 12) == 0:
-            if rs2 == 0:  # c.jr
-                if rd == 0:
-                    raise IllegalCompressed("c.jr with rs1=x0")
-                return _expand("c.jr", hw, "jalr", rd=0, rs1=rd, imm=0)
-            return _expand("c.mv", hw, "add", rd=rd, rs1=0, rs2=rs2)
-        if rs2 == 0:
-            if rd == 0:  # c.ebreak
-                return _expand("c.ebreak", hw, "ebreak")
-            return _expand("c.jalr", hw, "jalr", rd=1, rs1=rd, imm=0)
-        return _expand("c.add", hw, "add", rd=rd, rs1=rd, rs2=rs2)
-    if f3 == 0b101:  # c.fsdsp
-        uimm = (bits(hw, 12, 10) << 3) | (bits(hw, 9, 7) << 6)
-        return _expand("c.fsdsp", hw, "fsd", rs2=rs2, rs1=2, imm=uimm)
-    if f3 == 0b110:  # c.swsp
-        uimm = (bits(hw, 12, 9) << 2) | (bits(hw, 8, 7) << 6)
-        return _expand("c.swsp", hw, "sw", rs2=rs2, rs1=2, imm=uimm)
-    if f3 == 0b111:  # c.sdsp (RV64)
-        uimm = (bits(hw, 12, 10) << 3) | (bits(hw, 9, 7) << 6)
-        return _expand("c.sdsp", hw, "sd", rs2=rs2, rs1=2, imm=uimm)
-    raise IllegalCompressed(f"reserved Q2 encoding: {hw:#06x}")
-
-
-# ---------------------------------------------------------------------
-# Encode (instrumentation-emitted subset)
-# ---------------------------------------------------------------------
-
-#: Range of the c.j target offset (paper §3.1.2): [-2^11, 2^11) bytes...
-#: The paper text says [-2^12, 2^12); the architectural field is an
-#: 11-bit signed offset in units of 2 bytes, i.e. [-2048, 2046] byte
-#: displacements — we use the architectural value.
-CJ_RANGE = (-(1 << 11), (1 << 11) - 2)
-
-
-def encode_cj(offset: int) -> int:
-    """Encode ``c.j offset`` (offset relative to the instruction)."""
-    if not CJ_RANGE[0] <= offset <= CJ_RANGE[1] or offset & 1:
-        raise EncodingError(f"c.j offset {offset} out of range / misaligned")
-    imm = offset & 0xFFF
-    return (
-        0b101 << 13
-        | (bit(imm, 11) << 12)
-        | (bit(imm, 4) << 11)
-        | (bits(imm, 9, 8) << 9)
-        | (bit(imm, 10) << 8)
-        | (bit(imm, 6) << 7)
-        | (bit(imm, 7) << 6)
-        | (bits(imm, 3, 1) << 3)
-        | (bit(imm, 5) << 2)
-        | 0b01
-    )
-
-
-def encode_c_nop() -> int:
-    """The canonical c.nop encoding."""
-    return 0x0001
-
-
-def encode_c_ebreak() -> int:
-    """The c.ebreak trap encoding (worst-case springboard, §3.1.2)."""
-    return 0x9002
-
-
-def encode_c_addi(rd: int, imm: int) -> int:
-    if rd == 0 or not -32 <= imm <= 31 or imm == 0:
-        raise EncodingError(f"c.addi rd={rd} imm={imm} not encodable")
-    return (
-        (bit(imm & 0x3F, 5) << 12) | (rd << 7) | ((imm & 0x1F) << 2) | 0b01
-    )
-
-
-def encode_c_li(rd: int, imm: int) -> int:
-    if rd == 0 or not -32 <= imm <= 31:
-        raise EncodingError(f"c.li rd={rd} imm={imm} not encodable")
-    return (
-        (0b010 << 13)
-        | (bit(imm & 0x3F, 5) << 12)
-        | (rd << 7)
-        | ((imm & 0x1F) << 2)
-        | 0b01
-    )
-
-
-def encode_c_mv(rd: int, rs2: int) -> int:
-    if rd == 0 or rs2 == 0:
-        raise EncodingError("c.mv requires rd!=x0 and rs2!=x0")
-    return (0b100 << 13) | (rd << 7) | (rs2 << 2) | 0b10
-
-
-def encode_c_jr(rs1: int) -> int:
-    if rs1 == 0:
-        raise EncodingError("c.jr requires rs1!=x0")
-    return (0b100 << 13) | (rs1 << 7) | 0b10
-
-
-def _in_window(*regs: int) -> bool:
-    return all(8 <= r <= 15 for r in regs)
+def _encode(row: CForm, fields: dict[str, int]) -> int | None:
+    """The halfword encoding *fields* in *row*, or ``None``."""
+    hw = row.match
+    for name, source in row.fields:
+        value = fields.get(name)
+        if value is None:
+            return None
+        if type(source) is Field:
+            placed = source.put(value)
+            if placed is None:
+                return None
+            hw |= placed
+        elif type(source) is str:
+            if value != fields.get(source):
+                return None
+        elif value != source:
+            return None
+    for name in row.reserved + row.hints:
+        if not fields[name]:
+            return None
+    return hw if _row_of(hw) is row else None
 
 
 def try_compress(mnemonic: str, fields: dict[str, int]) -> int | None:
     """Return a 16-bit encoding equivalent to the given standard
     instruction, or ``None`` when no compressed form applies.
 
-    Covers the operand-determined RV64C forms (everything whose
-    compressibility does not depend on a label value): ALU ops, loads
-    and stores (both sp-based and x8-x15-based), shifts, and register
-    moves.  This is what lets the assembler's auto-compression pass
-    produce realistically dense RV64GC binaries without relaxation.
+    Takes the first row of *mnemonic* that encodes the fields, trying
+    ``rs1``/``rs2`` swapped for commutative rows.  Covers the
+    operand-determined RV64C forms (everything whose compressibility
+    does not depend on a label value): ALU ops, loads and stores (both
+    sp-based and x8-x15-based), shifts, and register moves.  This is
+    what lets the assembler's auto-compression pass produce
+    realistically dense RV64GC binaries without relaxation.
     """
-    f = fields
-    try:
-        if mnemonic == "addi":
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            if rd == 0 and rs1 == 0 and imm == 0:
-                return encode_c_nop()
-            if rd != 0 and rs1 == 0 and -32 <= imm <= 31:
-                return encode_c_li(rd, imm)
-            if rd != 0 and rd == rs1 and imm != 0 and -32 <= imm <= 31:
-                return encode_c_addi(rd, imm)
-            if rd == 2 and rs1 == 2 and imm != 0 and imm % 16 == 0 \
-                    and -512 <= imm <= 496:
-                # c.addi16sp
-                i = imm & 0x3FF
-                return ((0b011 << 13) | (bit(i, 9) << 12) | (2 << 7)
-                        | (bit(i, 4) << 6) | (bit(i, 6) << 5)
-                        | (bits(i, 8, 7) << 3) | (bit(i, 5) << 2) | 0b01)
-            if _in_window(rd) and rs1 == 2 and imm > 0 and imm % 4 == 0 \
-                    and imm < 1024:
-                # c.addi4spn
-                return ((bits(imm, 5, 4) << 11) | (bits(imm, 9, 6) << 7)
-                        | (bit(imm, 2) << 6) | (bit(imm, 3) << 5)
-                        | ((rd - 8) << 2) | 0b00)
-        elif mnemonic == "addiw":
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            if rd != 0 and rd == rs1 and -32 <= imm <= 31:
-                return ((0b001 << 13) | (bit(imm & 0x3F, 5) << 12)
-                        | (rd << 7) | ((imm & 0x1F) << 2) | 0b01)
-        elif mnemonic == "andi":
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            if rd == rs1 and _in_window(rd) and -32 <= imm <= 31:
-                return ((0b100 << 13) | (bit(imm & 0x3F, 5) << 12)
-                        | (0b10 << 10) | ((rd - 8) << 7)
-                        | ((imm & 0x1F) << 2) | 0b01)
-        elif mnemonic == "lui":
-            rd, imm = f["rd"], f["imm"]
-            if rd not in (0, 2) and imm != 0 and -32 <= imm <= 31:
-                return ((0b011 << 13) | (bit(imm & 0x3F, 5) << 12)
-                        | (rd << 7) | ((imm & 0x1F) << 2) | 0b01)
-        elif mnemonic == "add":
-            rd, rs1, rs2 = f["rd"], f["rs1"], f["rs2"]
-            if rd != 0 and rs1 == 0 and rs2 != 0:
-                return encode_c_mv(rd, rs2)
-            if rd != 0 and rd == rs1 and rs2 != 0:
-                return (0b100 << 13) | (1 << 12) | (rd << 7) | (rs2 << 2) | 0b10
-            if rd != 0 and rd == rs2 and rs1 != 0:
-                return (0b100 << 13) | (1 << 12) | (rd << 7) | (rs1 << 2) | 0b10
-        elif mnemonic in ("sub", "xor", "or", "and", "subw", "addw"):
-            rd, rs1, rs2 = f["rd"], f["rs1"], f["rs2"]
-            commutative = mnemonic in ("xor", "or", "and", "addw")
-            if rd == rs2 and rd != rs1 and commutative:
-                rs1, rs2 = rs2, rs1
-            if rd == rs1 and _in_window(rd, rs2):
-                hi = 1 if mnemonic in ("subw", "addw") else 0
-                mid = {"sub": 0b00, "xor": 0b01, "or": 0b10, "and": 0b11,
-                       "subw": 0b00, "addw": 0b01}[mnemonic]
-                return ((0b100 << 13) | (hi << 12) | (0b11 << 10)
-                        | ((rd - 8) << 7) | (mid << 5)
-                        | ((rs2 - 8) << 2) | 0b01)
-        elif mnemonic == "slli":
-            rd, rs1, sh = f["rd"], f["rs1"], f["shamt"]
-            if rd != 0 and rd == rs1 and 0 < sh <= 63:
-                return ((bit(sh, 5) << 12) | (rd << 7)
-                        | ((sh & 0x1F) << 2) | 0b10)
-        elif mnemonic in ("srli", "srai"):
-            rd, rs1, sh = f["rd"], f["rs1"], f["shamt"]
-            if rd == rs1 and _in_window(rd) and 0 < sh <= 63:
-                sub = 0b00 if mnemonic == "srli" else 0b01
-                return ((0b100 << 13) | (bit(sh, 5) << 12) | (sub << 10)
-                        | ((rd - 8) << 7) | ((sh & 0x1F) << 2) | 0b01)
-        elif mnemonic in ("ld", "lw", "fld"):
-            rd, rs1, imm = f["rd"], f["rs1"], f["imm"]
-            scale = 4 if mnemonic == "lw" else 8
-            if imm >= 0 and imm % scale == 0:
-                if rs1 == 2 and (rd != 0 or mnemonic == "fld"):
-                    # sp-based: c.ldsp / c.lwsp / c.fldsp
-                    if mnemonic == "lw" and imm < 256:
-                        return ((0b010 << 13) | (bit(imm, 5) << 12)
-                                | (rd << 7) | (bits(imm, 4, 2) << 4)
-                                | (bits(imm, 7, 6) << 2) | 0b10)
-                    if mnemonic in ("ld", "fld") and imm < 512:
-                        f3 = 0b011 if mnemonic == "ld" else 0b001
-                        return ((f3 << 13) | (bit(imm, 5) << 12)
-                                | (rd << 7) | (bits(imm, 4, 3) << 5)
-                                | (bits(imm, 8, 6) << 2) | 0b10)
-                if _in_window(rd, rs1):
-                    if mnemonic == "lw" and imm < 128:
-                        return ((0b010 << 13) | (bits(imm, 5, 3) << 10)
-                                | ((rs1 - 8) << 7) | (bit(imm, 2) << 6)
-                                | (bit(imm, 6) << 5) | ((rd - 8) << 2)
-                                | 0b00)
-                    if mnemonic in ("ld", "fld") and imm < 256:
-                        f3 = 0b011 if mnemonic == "ld" else 0b001
-                        return ((f3 << 13) | (bits(imm, 5, 3) << 10)
-                                | ((rs1 - 8) << 7) | (bits(imm, 7, 6) << 5)
-                                | ((rd - 8) << 2) | 0b00)
-        elif mnemonic in ("sd", "sw", "fsd"):
-            rs2, rs1, imm = f["rs2"], f["rs1"], f["imm"]
-            scale = 4 if mnemonic == "sw" else 8
-            if imm >= 0 and imm % scale == 0:
-                if rs1 == 2:
-                    if mnemonic == "sw" and imm < 256:
-                        return ((0b110 << 13) | (bits(imm, 5, 2) << 9)
-                                | (bits(imm, 7, 6) << 7) | (rs2 << 2)
-                                | 0b10)
-                    if mnemonic in ("sd", "fsd") and imm < 512:
-                        f3 = 0b111 if mnemonic == "sd" else 0b101
-                        return ((f3 << 13) | (bits(imm, 5, 3) << 10)
-                                | (bits(imm, 8, 6) << 7) | (rs2 << 2)
-                                | 0b10)
-                if _in_window(rs2, rs1):
-                    if mnemonic == "sw" and imm < 128:
-                        return ((0b110 << 13) | (bits(imm, 5, 3) << 10)
-                                | ((rs1 - 8) << 7) | (bit(imm, 2) << 6)
-                                | (bit(imm, 6) << 5) | ((rs2 - 8) << 2)
-                                | 0b00)
-                    if mnemonic in ("sd", "fsd") and imm < 256:
-                        f3 = 0b111 if mnemonic == "sd" else 0b101
-                        return ((f3 << 13) | (bits(imm, 5, 3) << 10)
-                                | ((rs1 - 8) << 7) | (bits(imm, 7, 6) << 5)
-                                | ((rs2 - 8) << 2) | 0b00)
-        elif mnemonic == "jalr":
-            rd, rs1, imm = f.get("rd"), f.get("rs1", 0), f.get("imm", 0)
-            if imm == 0 and rs1 != 0:
-                if rd == 0:
-                    return encode_c_jr(rs1)
-                if rd == 1:
-                    return (0b100 << 13) | (1 << 12) | (rs1 << 7) | 0b10
-        elif mnemonic == "ebreak":
-            return encode_c_ebreak()
-    except (EncodingError, KeyError):
-        return None
+    for row in _AUTO.get(mnemonic, ()):
+        hw = _encode(row, fields)
+        if hw is None and row.commutative:
+            hw = _encode(row, {**fields, "rs1": fields.get("rs2"),
+                               "rs2": fields.get("rs1")})
+        if hw is not None:
+            return hw
     return None
+
+
+def encode_compressed(cmn: str, **fields: int) -> int:
+    """Encode the compressed form *cmn* (``c.j``, ``c.nop`` ...) from
+    its expanded fields; constants and tied fields may be left out.
+
+    ``encode_compressed("c.j", imm=offset)`` is a springboard,
+    ``encode_compressed("c.ebreak")`` the 2-byte trap.
+    """
+    row = _BY_CMN[cmn]
+    for name, source in row.fields:
+        if name not in fields and type(source) is not Field:
+            fields[name] = (fields.get(source) if type(source) is str
+                            else source)
+    hw = _encode(row, fields)
+    if hw is None:
+        raise EncodingError(f"{cmn}: cannot encode {fields}")
+    return hw

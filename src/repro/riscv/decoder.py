@@ -1,9 +1,11 @@
 """Instruction decoder: bytes -> :class:`~repro.riscv.instr.Instruction`.
 
-The decoder is table-driven from :mod:`repro.riscv.opcodes` for standard
-32-bit encodings and delegates 16-bit encodings to
-:mod:`repro.riscv.compressed` (which expands them).  This pair of modules
-is the Capstone substitute described in DESIGN.md.
+The decoder is table-driven: :mod:`repro.riscv.opcodes` identifies a
+standard 32-bit word and the field layouts of
+:mod:`repro.riscv.encoding` extract its operands; 16-bit encodings go
+to :mod:`repro.riscv.compressed`, which expands them through the RVC
+rows of the same module.  Together these are the Capstone substitute
+described in DESIGN.md.
 """
 
 from __future__ import annotations
@@ -27,54 +29,7 @@ class DecodeError(ReproError, ValueError):
 
 
 def _extract_fields(spec: InstrSpec, word: int) -> dict[str, int]:
-    fmt = spec.fmt
-    f: dict[str, int] = {}
-    ops = {op if op[0] != "f" else op[1:] for op in spec.operands}
-    if fmt in ("R", "R4", "SHIFT64", "SHIFT32", "AMO", "I", "U", "J",
-               "CSR", "CSRI"):
-        if "rd" in ops or fmt in ("I", "U", "J", "CSR", "CSRI"):
-            f["rd"] = enc.field_rd(word)
-    if fmt in ("R", "R4", "SHIFT64", "SHIFT32", "AMO", "I", "S", "B", "CSR"):
-        f["rs1"] = enc.field_rs1(word)
-    if fmt in ("S", "B") or ("rs2" in ops and fmt in ("R", "R4", "AMO")):
-        f["rs2"] = enc.field_rs2(word)
-    if fmt == "R4":
-        f["rs3"] = enc.field_rs3(word)
-        f["rm"] = enc.field_funct3(word)
-    if fmt == "R" and spec.has_rm:
-        f["rm"] = enc.field_funct3(word)
-    if fmt == "I":
-        f["imm"] = enc.decode_imm_i(word)
-    elif fmt == "S":
-        f["imm"] = enc.decode_imm_s(word)
-    elif fmt == "B":
-        f["imm"] = enc.decode_imm_b(word)
-    elif fmt == "U":
-        f["imm"] = enc.decode_imm_u(word)
-    elif fmt == "J":
-        f["imm"] = enc.decode_imm_j(word)
-    elif fmt == "SHIFT64":
-        f["shamt"] = enc.bits(word, 25, 20)
-    elif fmt == "SHIFT32":
-        f["shamt"] = enc.bits(word, 24, 20)
-    elif fmt == "AMO":
-        f["aq"] = enc.bit(word, 26)
-        f["rl"] = enc.bit(word, 25)
-    elif fmt == "CSR":
-        f["csr"] = enc.field_csr(word)
-    elif fmt == "CSRI":
-        f["csr"] = enc.field_csr(word)
-        f["zimm"] = enc.field_rs1(word)
-    elif fmt == "FENCE":
-        f["rd"] = enc.field_rd(word)
-        f["rs1"] = enc.field_rs1(word)
-        if spec.operands:
-            f["fm"] = enc.bits(word, 31, 28)
-            f["pred"] = enc.bits(word, 27, 24)
-            f["succ"] = enc.bits(word, 23, 20)
-        else:
-            f["imm"] = enc.bits(word, 31, 20)
-    return f
+    return {name: field.get(word) for name, field in enc.layout(spec)}
 
 
 # Decode memoization: identical encodings decode to the *same*

@@ -9,8 +9,10 @@ driven by this single table — adding an extension means adding rows here
 (plus semantics), which is the modularity property the paper calls for
 (§3.1.1).
 
-Compressed (16-bit) instructions live in :mod:`repro.riscv.compressed`;
-they decode to an *expansion* in terms of these specs.
+Where each spec's operands sit in the word is its format's field layout
+in :mod:`repro.riscv.encoding`.  Compressed (16-bit) instructions are
+rows there too; :mod:`repro.riscv.compressed` decodes them to an
+*expansion* in terms of these specs.
 """
 
 from __future__ import annotations

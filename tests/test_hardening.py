@@ -67,8 +67,8 @@ class TestDisasmFormats:
         assert make("fld", rd=5, rs1=10, imm=0).disasm() == "fld ft5, 0(a0)"
 
     def test_compressed_marker(self):
-        from repro.riscv.compressed import decode_compressed, encode_c_mv
-        ins = decode_compressed(encode_c_mv(10, 11))
+        from repro.riscv.compressed import decode_compressed, encode_compressed
+        ins = decode_compressed(encode_compressed("c.mv", rd=10, rs2=11))
         assert ins.disasm().startswith("c.mv")
 
     def test_csr_hex(self):

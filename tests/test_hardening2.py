@@ -25,8 +25,8 @@ class TestInstructionAccessors:
         assert i.get("rd") == 1
 
     def test_compressed_extension_attribution(self):
-        from repro.riscv.compressed import decode_compressed, encode_c_nop
-        i = decode_compressed(encode_c_nop())
+        from repro.riscv.compressed import decode_compressed, encode_compressed
+        i = decode_compressed(encode_compressed("c.nop"))
         assert i.extension == "c"          # encoding is compressed
         assert i.spec.extension == "i"     # semantics are base-ISA
 

@@ -127,6 +127,7 @@ class TestDecodeInsn:
         assert not i.is_compressed
 
     def test_compressed_length(self):
-        from repro.riscv.compressed import encode_c_nop
-        i = decode_insn(encode_c_nop().to_bytes(2, "little"), 0, 0x4000)
+        from repro.riscv.compressed import encode_compressed
+        i = decode_insn(encode_compressed("c.nop").to_bytes(2, "little"), 0,
+                        0x4000)
         assert i.is_compressed and i.next_address == 0x4002

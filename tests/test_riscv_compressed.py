@@ -3,16 +3,23 @@
 Reference encodings cross-checked against the RVC spec tables.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.riscv.compressed import (
-    CJ_RANGE, IllegalCompressed, decode_compressed, encode_c_addi,
-    encode_c_ebreak, encode_c_li, encode_c_mv, encode_c_nop, encode_cj,
-    encode_c_jr, try_compress,
+    CJ_RANGE, IllegalCompressed, decode_compressed, encode_compressed,
+    try_compress,
 )
 from repro.riscv.decoder import decode
 from repro.riscv.encoding import EncodingError
+
+#: digests of the decode map and of try_compress over ``_PROBES``
+_DECODE_MAP_SHA256 = (
+    "004447a70f360facecad1f7fb868f98227018ed3ab447ba1f4276fb2ad072c1e")
+_TRY_COMPRESS_SHA256 = (
+    "8633bfa1972c9239ba39308839e68ced2ca41f0ff13cad76484abf5a95198df2")
 
 
 def _exp(hw):
@@ -68,11 +75,11 @@ class TestQuadrant1:
         assert ins.fields == {"rd": 0, "rs1": 0, "imm": 0}
 
     def test_c_addi(self):
-        ins = _exp(encode_c_addi(10, -3))
+        ins = _exp(encode_compressed("c.addi", rd=10, imm=-3))
         assert ins.fields == {"rd": 10, "rs1": 10, "imm": -3}
 
     def test_c_li(self):
-        ins = _exp(encode_c_li(15, -32))
+        ins = _exp(encode_compressed("c.li", rd=15, imm=-32))
         assert ins.mnemonic == "addi"
         assert ins.fields == {"rd": 15, "rs1": 0, "imm": -32}
 
@@ -105,7 +112,7 @@ class TestQuadrant1:
 
     def test_c_j_roundtrip(self):
         for off in (0, 2, -2, 100, -100, CJ_RANGE[0], CJ_RANGE[1]):
-            ins = _exp(encode_cj(off))
+            ins = _exp(encode_compressed("c.j", imm=off))
             assert ins.mnemonic == "jal"
             assert ins.fields == {"rd": 0, "imm": off}, off
 
@@ -115,6 +122,7 @@ class TestQuadrant1:
         ins = _exp(hw)
         assert ins.mnemonic == "beq"
         assert ins.fields == {"rs1": 8, "rs2": 0, "imm": 8}
+        assert encode_compressed("c.beqz", rs1=8, imm=8) == hw
 
 
 class TestQuadrant2:
@@ -141,7 +149,7 @@ class TestQuadrant2:
         assert ins.fields == {"rs2": 9, "rs1": 2, "imm": 16}
 
     def test_c_jr(self):
-        ins = _exp(encode_c_jr(1))
+        ins = _exp(encode_compressed("c.jr", rs1=1))
         assert ins.mnemonic == "jalr"
         assert ins.fields == {"rd": 0, "rs1": 1, "imm": 0}
 
@@ -150,12 +158,12 @@ class TestQuadrant2:
             decode_compressed((0b100 << 13) | 0b10)
 
     def test_c_mv(self):
-        ins = _exp(encode_c_mv(10, 11))
+        ins = _exp(encode_compressed("c.mv", rd=10, rs2=11))
         assert ins.mnemonic == "add"
         assert ins.fields == {"rd": 10, "rs1": 0, "rs2": 11}
 
     def test_c_ebreak(self):
-        ins = _exp(encode_c_ebreak())
+        ins = _exp(encode_compressed("c.ebreak"))
         assert ins.mnemonic == "ebreak"
         assert ins.length == 2
 
@@ -175,20 +183,32 @@ class TestQuadrant2:
 class TestEncoders:
     def test_cj_range_enforced(self):
         with pytest.raises(EncodingError):
-            encode_cj(CJ_RANGE[1] + 2)
+            encode_compressed("c.j", imm=CJ_RANGE[1] + 2)
         with pytest.raises(EncodingError):
-            encode_cj(CJ_RANGE[0] - 2)
+            encode_compressed("c.j", imm=CJ_RANGE[0] - 2)
         with pytest.raises(EncodingError):
-            encode_cj(3)
+            encode_compressed("c.j", imm=3)
 
     def test_c_nop_canonical(self):
-        assert encode_c_nop() == 0x0001
+        assert encode_compressed("c.nop") == 0x0001
 
     def test_c_ebreak_canonical(self):
-        assert encode_c_ebreak() == 0x9002
+        assert encode_compressed("c.ebreak") == 0x9002
+
+    def test_hint_and_reserved_zeros_are_refused(self):
+        for cmn, fields in (
+                ("c.addi", dict(rd=10, imm=0)),   # hint
+                ("c.addi", dict(rd=0, imm=1)),    # c.nop's encoding
+                ("c.li", dict(rd=0, imm=1)),      # hint
+                ("c.mv", dict(rd=10, rs2=0)),     # c.jr's encoding
+                ("c.jr", dict(rs1=0)),            # reserved
+                ("c.lui", dict(rd=2, imm=1)),     # c.addi16sp's encoding
+                ("c.addi16sp", dict(imm=0))):     # reserved
+            with pytest.raises(EncodingError):
+                encode_compressed(cmn, **fields)
 
     def test_length_marker(self):
-        ins = decode(encode_c_nop().to_bytes(2, "little"))
+        ins = decode(encode_compressed("c.nop").to_bytes(2, "little"))
         assert ins.length == 2
         assert ins.extension == "c"
 
@@ -214,26 +234,103 @@ class TestTryCompress:
         assert decode_compressed(hw).compressed_mnemonic == "c.jr"
 
 
-@settings(max_examples=400, deadline=None)
-@given(hw=st.integers(1, 0xFFFF))
-def test_compressed_decode_total(hw):
-    """PROPERTY: every halfword either raises IllegalCompressed / is a
-    32-bit prefix, or expands to an instruction flagged length==2 whose
-    raw equals the input."""
-    if (hw & 0b11) == 0b11:
-        return
-    try:
-        ins = decode_compressed(hw)
-    except IllegalCompressed:
-        return
-    assert ins.length == 2
-    assert ins.raw == hw
-    assert ins.compressed_mnemonic.startswith("c.")
+def test_compressed_decode_total():
+    """Every halfword either is a 32-bit prefix, raises
+    IllegalCompressed, or expands to an instruction flagged length==2
+    whose raw equals the input; compressing that expansion gives None
+    or a halfword with the same meaning."""
+    for hw in range(1 << 16):
+        if (hw & 0b11) == 0b11:
+            continue
+        try:
+            ins = decode_compressed(hw)
+        except IllegalCompressed:
+            continue
+        assert ins.length == 2
+        assert ins.raw == hw
+        assert ins.compressed_mnemonic.startswith("c.")
+        again = try_compress(ins.mnemonic, ins.fields)
+        if again is not None:
+            back = decode_compressed(again)
+            assert (back.mnemonic, back.fields) == (ins.mnemonic, ins.fields)
+
+
+def _decode_map_digest():
+    h = hashlib.sha256()
+    for hw in range(1 << 16):
+        try:
+            ins = decode_compressed(hw)
+        except IllegalCompressed:
+            h.update(b"-\n")
+            continue
+        h.update(repr((ins.compressed_mnemonic, ins.mnemonic,
+                       tuple(ins.fields.items()))).encode() + b"\n")
+    return h.hexdigest()
+
+
+#: mnemonic -> (register fields, immediate field, its (lo, hi, scale)
+#: ranges in the 32-bit form and in each compressed form)
+_PROBES = {
+    "addi": (("rd", "rs1"), "imm", ((-2048, 2047, 1), (-32, 31, 1),
+                                    (-512, 496, 16), (4, 1020, 4))),
+    "addiw": (("rd", "rs1"), "imm", ((-2048, 2047, 1), (-32, 31, 1))),
+    "andi": (("rd", "rs1"), "imm", ((-2048, 2047, 1), (-32, 31, 1))),
+    "lui": (("rd",), "imm", ((-(1 << 19), (1 << 20) - 1, 1),
+                             (-32, 31, 1))),
+    "slli": (("rd", "rs1"), "shamt", ((0, 63, 1),)),
+    "srli": (("rd", "rs1"), "shamt", ((0, 63, 1),)),
+    "srai": (("rd", "rs1"), "shamt", ((0, 63, 1),)),
+    "ld": (("rd", "rs1"), "imm", ((0, 248, 8), (0, 504, 8))),
+    "fld": (("rd", "rs1"), "imm", ((0, 248, 8), (0, 504, 8))),
+    "lw": (("rd", "rs1"), "imm", ((0, 124, 4), (0, 252, 4))),
+    "sd": (("rs2", "rs1"), "imm", ((0, 248, 8), (0, 504, 8))),
+    "fsd": (("rs2", "rs1"), "imm", ((0, 248, 8), (0, 504, 8))),
+    "sw": (("rs2", "rs1"), "imm", ((0, 124, 4), (0, 252, 4))),
+    "jalr": (("rd", "rs1"), "imm", ((-2048, 2047, 1),)),
+    "jal": (("rd",), "imm", ((-(1 << 20), (1 << 20) - 2, 2),
+                             (-2048, 2046, 2))),
+    "beq": (("rs1", "rs2"), "imm", ((-4096, 4094, 2), (-256, 254, 2))),
+    "bne": (("rs1", "rs2"), "imm", ((-4096, 4094, 2), (-256, 254, 2))),
+    "ebreak": ((), None, ()),
+    **{mn: (("rd", "rs1", "rs2"), None, ())
+       for mn in ("add", "sub", "xor", "or", "and", "subw", "addw")},
+}
+
+
+def _try_compress_digest():
+    h = hashlib.sha256()
+    for mn, (regs, imm, ranges) in _PROBES.items():
+        values = {0}
+        for lo, hi, scale in ranges:
+            for v in (0, lo, hi):
+                values.update((v, v + 1, v - 1, v + scale, v - scale))
+        values = sorted(values) if imm else [None]
+        out = []
+        for n in range(32 ** len(regs)):
+            fields = {r: n >> (5 * i) & 31 for i, r in enumerate(regs)}
+            for v in values:
+                if imm:
+                    fields[imm] = v
+                out.append(try_compress(mn, fields))
+        h.update(f"{mn} {out}\n".encode())
+    return h.hexdigest()
+
+
+def test_decode_map_is_pinned():
+    """The decode of every halfword, as the hand-written decoders had it."""
+    assert _decode_map_digest() == _DECODE_MAP_SHA256
+
+
+def test_try_compress_is_pinned():
+    """try_compress over every register pair or triple against each
+    immediate's range ends, ±1, ±scale and 0, as the hand-written
+    encoders had it (None for jal, beq and bne)."""
+    assert _try_compress_digest() == _TRY_COMPRESS_SHA256
 
 
 @settings(max_examples=200, deadline=None)
 @given(off=st.integers(CJ_RANGE[0] // 2, CJ_RANGE[1] // 2).map(lambda v: v * 2))
 def test_cj_encode_decode_roundtrip(off):
     """PROPERTY: c.j offset encode/decode is the identity over its range."""
-    ins = decode_compressed(encode_cj(off))
+    ins = decode_compressed(encode_compressed("c.j", imm=off))
     assert ins.fields["imm"] == off

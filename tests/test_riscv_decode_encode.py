@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.riscv.decoder import DecodeError, decode, decode_all, decode_word
 from repro.riscv.encoder import encode, encode_fields, instruction_bytes, make
+from repro.riscv.encoding import EncodingError
 from repro.riscv.opcodes import all_specs, by_mnemonic, lookup_word
 
 
@@ -194,6 +195,19 @@ def test_decoder_total_on_32bit_words(word):
     re = encode_fields(ins.spec, ins.fields)
     # aq/rl and rm fields are round-tripped; everything else must match.
     assert re == word, (hex(word), hex(re), ins.mnemonic)
+
+
+@pytest.mark.parametrize("mnemonic,fields", [
+    ("fadd.d", dict(rd=1, rs1=2, rs2=3, rm=9)),
+    ("amoadd.d", dict(rd=1, rs1=2, rs2=3, aq=2, rl=3)),
+    ("fence", dict(pred=0x1F, succ=3)),
+    ("fence", dict(rd=33)),
+], ids=["rm", "aq-rl", "fence-pred", "fence-rd"])
+def test_out_of_range_fields_raise(mnemonic, fields):
+    """rm, aq/rl and FENCE's fields are range-checked like every other
+    field, not masked into the bits of another instruction."""
+    with pytest.raises(EncodingError):
+        make(mnemonic, **fields)
 
 
 def test_instruction_bytes_standard():

@@ -1,11 +1,12 @@
-"""Unit tests for bit-level encoding helpers."""
+"""Unit tests for bit-level encoding helpers and the immediate layouts
+of each 32-bit format."""
 
 import pytest
 
+from repro.riscv.decoder import decode_word
+from repro.riscv.encoder import encode
 from repro.riscv.encoding import (
-    EncodingError, bit, bits, decode_imm_b, decode_imm_i, decode_imm_j,
-    decode_imm_s, decode_imm_u, encode_imm_b, encode_imm_i, encode_imm_j,
-    encode_imm_s, encode_imm_u, fits_signed, fits_unsigned,
+    EncodingError, bit, bits, fits_signed, fits_unsigned,
     instruction_length, is_compressed, sign_extend, to_unsigned,
 )
 
@@ -42,46 +43,53 @@ class TestBitHelpers:
         assert not fits_unsigned(32, 5) and not fits_unsigned(-1, 5)
 
 
+def _imm_roundtrip(mnemonic, **fields):
+    """The immediate of *mnemonic* after encode then decode."""
+    return decode_word(encode(mnemonic, **fields)).fields["imm"]
+
+
 class TestImmediateFormats:
+    """One spec per format: addi (I), sd (S), beq (B), lui (U), jal (J)."""
+
     @pytest.mark.parametrize("imm", [0, 1, -1, 2047, -2048, 42, -77])
     def test_i_roundtrip(self, imm):
-        assert decode_imm_i(encode_imm_i(imm)) == imm
+        assert _imm_roundtrip("addi", rd=1, rs1=2, imm=imm) == imm
 
     def test_i_overflow(self):
         with pytest.raises(EncodingError):
-            encode_imm_i(2048)
+            encode("addi", rd=1, rs1=2, imm=2048)
 
     @pytest.mark.parametrize("imm", [0, 4, -4, 2047, -2048])
     def test_s_roundtrip(self, imm):
-        assert decode_imm_s(encode_imm_s(imm)) == imm
+        assert _imm_roundtrip("sd", rs2=1, rs1=2, imm=imm) == imm
 
     @pytest.mark.parametrize("imm", [0, 2, -2, 4094, -4096, 1024])
     def test_b_roundtrip(self, imm):
-        assert decode_imm_b(encode_imm_b(imm)) == imm
+        assert _imm_roundtrip("beq", rs1=1, rs2=2, imm=imm) == imm
 
     def test_b_rejects_odd(self):
         with pytest.raises(EncodingError):
-            encode_imm_b(3)
+            encode("beq", rs1=1, rs2=2, imm=3)
 
     def test_b_rejects_out_of_range(self):
         with pytest.raises(EncodingError):
-            encode_imm_b(4096)
+            encode("beq", rs1=1, rs2=2, imm=4096)
 
     @pytest.mark.parametrize("imm", [0, 1, -1, 0x7FFFF, -0x80000])
     def test_u_roundtrip(self, imm):
-        assert decode_imm_u(encode_imm_u(imm)) == imm
+        assert _imm_roundtrip("lui", rd=1, imm=imm) == imm
 
     def test_u_accepts_unsigned_20(self):
         # 0xFFFFF as unsigned field decodes as -1 (sign-extended field).
-        assert decode_imm_u(encode_imm_u(0xFFFFF)) == -1
+        assert _imm_roundtrip("lui", rd=1, imm=0xFFFFF) == -1
 
     @pytest.mark.parametrize("imm", [0, 2, -2, 0xFFFFE, -0x100000, 2048])
     def test_j_roundtrip(self, imm):
-        assert decode_imm_j(encode_imm_j(imm)) == imm
+        assert _imm_roundtrip("jal", rd=1, imm=imm) == imm
 
     def test_j_rejects_odd(self):
         with pytest.raises(EncodingError):
-            encode_imm_j(1)
+            encode("jal", rd=1, imm=1)
 
 
 class TestLengthDetection:
