@@ -9,10 +9,12 @@ memory oracle) jump-table loads.
 
 The resolver walks backward from a use, following the *single* reaching
 definition of each register of interest within the given instruction
-window, and evaluates the defining expressions with the SAIL-derived
-semantics.  Anything it cannot prove constant yields ``None`` — exactly
-the conservative failure mode the paper describes (the jalr is then
-handed to jump-table analysis, and failing that marked unresolvable).
+window, and evaluates the defining expression with the SAIL semantics'
+own evaluator (:func:`repro.semantics.eval_expr`): the state it reads
+resolves each integer register further back.  Anything it cannot prove
+constant yields ``None`` — exactly the conservative failure mode the
+paper describes (the jalr is then handed to jump-table analysis, and
+failing that marked unresolvable).
 """
 
 from __future__ import annotations
@@ -20,18 +22,29 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..instruction.insn import Insn
-from ..riscv.registers import Register
-from ..semantics import semantics_for
-from ..semantics.ir import (
-    BinOp, Const, Expr, Extend, ILen, ITE, MemRead, OperandRef, PC, RegRef,
-    RegWrite, UnOp,
-)
-from ..semantics.evaluate import _binop, _extend, _unop  # shared kernel
-from ..riscv.encoding import to_unsigned
+from ..riscv.registers import RegClass, Register, xreg
+from ..semantics import eval_expr, register_masks, semantics_for
+from ..semantics.ir import RegWrite
 
 #: Optional oracle: read n bytes of initialised memory at vaddr
 #: (e.g. Symtab.read); returns None when unavailable.
 MemReader = Callable[[int, int], int | None]
+
+
+def defines(insn: Insn, reg: Register) -> bool:
+    """Does *insn* write integer register *reg*?  (x0 never is.)"""
+    return bool(register_masks(insn.raw)[1] >> reg.number & 1)
+
+
+def nearest_def(window: Sequence[Insn], before: int,
+                reg: Register) -> int | None:
+    """Index of the nearest instruction before ``window[before]`` that
+    writes integer register *reg*, or None."""
+    bit = 1 << reg.number
+    for i in range(before - 1, -1, -1):
+        if register_masks(window[i].raw)[1] & bit:
+            return i
+    return None
 
 
 class _Unresolved(Exception):
@@ -49,88 +62,61 @@ def resolve_register(
     if provably constant within the window; else None.
     """
     try:
-        return _resolve(window, use_index - 1, reg, mem_reader, max_depth)
+        return _resolve(window, use_index, reg, mem_reader, max_depth)
     except _Unresolved:
         return None
 
 
-def _resolve(window: Sequence[Insn], from_index: int, reg: Register,
+def _resolve(window: Sequence[Insn], before: int, reg: Register,
              mem_reader: MemReader | None, depth: int) -> int:
     if depth <= 0:
         raise _Unresolved
     if reg.is_zero:
         return 0
-    if reg.regclass.value != "int":
+    if reg.regclass is not RegClass.INT:
         raise _Unresolved
-    for i in range(from_index, -1, -1):
-        insn = window[i]
-        raw = insn.raw
-        defs = {n for rf, n in _int_defs(insn) if rf == "x"}
-        if reg.number not in defs:
-            # An instruction with imprecise semantics that *might* write
-            # the register kills resolution conservatively.
-            continue
-        sem = semantics_for(raw)
-        if sem is None:
-            raise _Unresolved
-        # Find the (unconditional) RegWrite producing reg.
-        for eff in sem.effects:
-            if isinstance(eff, RegWrite) and eff.regfile == "x" and \
-                    raw.fields.get(eff.operand) == reg.number:
-                return _eval(eff.value, window, i, insn, mem_reader, depth)
-        raise _Unresolved  # defined only conditionally
-    raise _Unresolved  # no definition in the window
+    i = nearest_def(window, before, reg)
+    if i is None:
+        raise _Unresolved  # no definition in the window
+    insn = window[i]
+    raw = insn.raw
+    # An instruction with imprecise semantics that *might* write the
+    # register kills resolution conservatively.
+    sem = semantics_for(raw)
+    if sem is None:
+        raise _Unresolved
+    for eff in sem.effects:
+        if isinstance(eff, RegWrite) and eff.regfile == "x" and \
+                raw.fields.get(eff.operand) == reg.number:
+            return eval_expr(eff.value, raw,
+                             _Before(window, i, mem_reader, depth))
+    raise _Unresolved  # defined only conditionally
 
 
-def _int_defs(insn: Insn):
-    from ..semantics import register_defs
+class _Before:
+    """The state just before ``window[at]`` executes, as
+    :func:`~repro.semantics.eval_expr` reads it: x registers resolve
+    further back, F registers are unknown, memory is the oracle's."""
 
-    return register_defs(insn.raw)
+    __slots__ = ("window", "at", "mem_reader", "depth", "pc")
 
+    def __init__(self, window: Sequence[Insn], at: int,
+                 mem_reader: MemReader | None, depth: int):
+        self.window = window
+        self.at = at
+        self.mem_reader = mem_reader
+        self.depth = depth
+        self.pc = window[at].address
 
-def _eval(e: Expr, window: Sequence[Insn], at: int, insn: Insn,
-          mem_reader: MemReader | None, depth: int) -> int:
-    if isinstance(e, Const):
-        return to_unsigned(e.value, 64)
-    if isinstance(e, PC):
-        return to_unsigned(insn.address, 64)
-    if isinstance(e, ILen):
-        return insn.length
-    if isinstance(e, OperandRef):
-        v = insn.raw.fields.get(e.name)
+    def read_xreg(self, n: int) -> int:
+        return _resolve(self.window, self.at, xreg(n), self.mem_reader,
+                        self.depth - 1)
+
+    def read_freg(self, n: int) -> int:
+        raise _Unresolved
+
+    def read_mem(self, addr: int, size: int) -> int:
+        v = None if self.mem_reader is None else self.mem_reader(addr, size)
         if v is None:
             raise _Unresolved
-        return to_unsigned(v, 64)
-    if isinstance(e, RegRef):
-        if e.regfile != "x":
-            raise _Unresolved
-        n = insn.raw.fields.get(e.operand)
-        if n is None:
-            raise _Unresolved
-        from ..riscv.registers import xreg
-
-        return _resolve(window, at - 1, xreg(n), mem_reader, depth - 1)
-    if isinstance(e, BinOp):
-        return _binop(e.op,
-                      _eval(e.lhs, window, at, insn, mem_reader, depth),
-                      _eval(e.rhs, window, at, insn, mem_reader, depth))
-    if isinstance(e, UnOp):
-        return _unop(e.op, _eval(e.operand, window, at, insn, mem_reader,
-                                 depth))
-    if isinstance(e, Extend):
-        return _extend(e.kind, _eval(e.operand, window, at, insn, mem_reader,
-                                     depth), e.width)
-    if isinstance(e, MemRead):
-        if mem_reader is None:
-            raise _Unresolved
-        addr = _eval(e.addr, window, at, insn, mem_reader, depth)
-        v = mem_reader(addr, e.size)
-        if v is None:
-            raise _Unresolved
-        return to_unsigned(v, 64)
-    if isinstance(e, ITE):
-        # Sound when the condition itself resolves: pick that branch.
-        cond = _eval(e.cond, window, at, insn, mem_reader, depth)
-        branch = e.then if cond else e.otherwise
-        return _eval(branch, window, at, insn, mem_reader, depth)
-    raise _Unresolved
+        return v

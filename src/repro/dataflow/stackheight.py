@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..parse.cfg import Function
+from ..riscv.registers import SP
+from .constprop import defines
 
 #: Lattice bottom: height not statically known.
 BOTTOM = None
@@ -84,7 +86,7 @@ def analyze_stack_height(fn: Function) -> StackHeightResult:
                         ra_save_addr = insn.address
                     if f.get("rs2") == 8 and fp_saved_slot is None:
                         fp_saved_slot = cur + f["imm"]
-                elif 2 in {n for rf, n in _int_defs(insn)}:
+                elif defines(insn, SP):
                     cur = BOTTOM  # non-addi redefinition of sp
             else:
                 cur = BOTTOM
@@ -101,9 +103,3 @@ def analyze_stack_height(fn: Function) -> StackHeightResult:
     return StackHeightResult(
         fn, heights, ra_slot=ra_slot, ra_save_addr=ra_save_addr,
         fp_saved_slot=fp_saved_slot, frame_size=-frame_min)
-
-
-def _int_defs(insn):
-    from ..semantics import register_defs
-
-    return {(rf, n) for rf, n in register_defs(insn.raw) if rf == "x"}

@@ -2,9 +2,10 @@
 
 Wraps the low-level decode result with what tools consume: typed
 operands with read/write attribution, abstract categories, register
-read/write sets (sourced from the semantics registry, i.e. the
-SAIL-pipeline output where available — the operand-access information the
-authors upstreamed to Capstone v6), and memory-access descriptions.
+read/write sets and memory-access descriptions (all sourced from the
+semantics registry's per-mnemonic facts, i.e. the SAIL-pipeline output
+where available — the operand-access information the authors upstreamed
+to Capstone v6).
 
 Note what this layer deliberately does *not* decide: whether a
 ``jal``/``jalr`` is a call, return, jump or tail call.  On RISC-V that is
@@ -25,7 +26,7 @@ from ..riscv.opcodes import (
     OP_STORE, OP_STORE_FP, OP_SYSTEM,
 )
 from ..riscv.registers import RA, Register, T0, freg, xreg
-from ..semantics import register_defs, register_uses
+from ..semantics import facts_for, register_defs, register_uses
 
 
 class InsnCategory(enum.Enum):
@@ -72,11 +73,6 @@ class Operand:
     @property
     def is_register(self) -> bool:
         return isinstance(self.value, Register)
-
-
-_LOAD_SIZES = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lwu": 4,
-               "ld": 8, "flw": 4, "fld": 8}
-_STORE_SIZES = {"sb": 1, "sh": 2, "sw": 4, "sd": 8, "fsw": 4, "fsd": 8}
 
 
 class Insn:
@@ -241,31 +237,21 @@ class Insn:
 
     def memory_access(self) -> MemAccess | None:
         """Base+displacement memory operand, when present."""
-        mn = self.mnemonic
+        facts = facts_for(self.mnemonic)
+        if facts.mem is None:
+            return None
+        base, disp, size = facts.mem
         f = self.raw.fields
-        if mn in _LOAD_SIZES:
-            return MemAccess(xreg(f["rs1"]), f["imm"], _LOAD_SIZES[mn],
-                             True, False)
-        if mn in _STORE_SIZES:
-            return MemAccess(xreg(f["rs1"]), f["imm"], _STORE_SIZES[mn],
-                             False, True)
-        if mn.startswith(("lr.", "sc.", "amo")):
-            size = 4 if mn.endswith(".w") else 8
-            is_load = mn.startswith("lr.")
-            return MemAccess(xreg(f["rs1"]), 0, size,
-                             not mn.startswith("sc."),
-                             not is_load)
-        return None
+        return MemAccess(xreg(f[base]), f[disp] if disp else 0, size,
+                         facts.reads_memory, facts.writes_memory)
 
     @property
     def reads_memory(self) -> bool:
-        acc = self.memory_access()
-        return acc is not None and acc.is_read
+        return facts_for(self.mnemonic).reads_memory
 
     @property
     def writes_memory(self) -> bool:
-        acc = self.memory_access()
-        return acc is not None and acc.is_write
+        return facts_for(self.mnemonic).writes_memory
 
 
 def decode_insn(data: bytes | memoryview, offset: int, address: int) -> Insn:

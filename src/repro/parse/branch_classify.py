@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..dataflow.constprop import resolve_register
+from ..dataflow.constprop import nearest_def, resolve_register
 from ..instruction.insn import Insn, LINK_REGISTERS
 from .cfg import EdgeType
 from .jumptable import analyze_jump_table
@@ -130,14 +130,11 @@ def classify_jalr(insn: Insn, ctx: ClassifyContext) -> Classification:
 def _reaching_def_is_call_link(ctx: ClassifyContext, rs1) -> bool:
     """Does the nearest preceding definition of *rs1* in the window come
     from a call's link-register write?"""
-    from ..semantics import register_defs
-
-    for i in range(ctx.index - 1, -1, -1):
-        prev = ctx.window[i]
-        if ("x", rs1.number) not in register_defs(prev.raw):
-            continue
-        return bool(prev.links and prev.link_register == rs1)
-    return False
+    i = nearest_def(ctx.window, ctx.index, rs1)
+    if i is None:
+        return False
+    prev = ctx.window[i]
+    return bool(prev.links and prev.link_register == rs1)
 
 
 def classify(insn: Insn, ctx: ClassifyContext) -> Classification:

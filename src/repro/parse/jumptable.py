@@ -32,27 +32,14 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..dataflow.constprop import resolve_register
+from ..dataflow.constprop import defines, nearest_def, resolve_register
 from ..instruction.insn import Insn
 from ..riscv.registers import Register, xreg
-from ..semantics import register_defs
 
 #: hard cap on enumerated entries when no bounds check is found
 MAX_SCAN_ENTRIES = 512
 
 _LOADS = {"ld": 8, "lw": 4, "lwu": 4}
-
-
-def _defines(insn: Insn, reg: Register) -> bool:
-    return ("x", reg.number) in register_defs(insn.raw)
-
-
-def _find_def(window: Sequence[Insn], before: int, reg: Register
-              ) -> tuple[int, Insn] | None:
-    for i in range(before - 1, -1, -1):
-        if _defines(window[i], reg):
-            return i, window[i]
-    return None
 
 
 def analyze_jump_table(
@@ -64,10 +51,10 @@ def analyze_jump_table(
 ) -> list[int] | None:
     """Enumerate jump-table targets for ``window[index]`` (a jalr through
     *jump_reg*), or None when the pattern cannot be proven."""
-    found = _find_def(window, index, jump_reg)
-    if found is None:
+    load_i = nearest_def(window, index, jump_reg)
+    if load_i is None:
         return None
-    load_i, load = found
+    load = window[load_i]
     if load.mnemonic not in _LOADS:
         return None
     entry_size = _LOADS[load.mnemonic]
@@ -98,10 +85,10 @@ def _split_address(window: Sequence[Insn], load_i: int,
     if const is not None:
         return const, None, None
 
-    found = _find_def(window, load_i, addr_reg)
-    if found is None:
+    add_i = nearest_def(window, load_i, addr_reg)
+    if add_i is None:
         return None, None, None
-    add_i, add = found
+    add = window[add_i]
     if add.mnemonic not in ("add", "sh1add", "sh2add", "sh3add"):
         return None, None, None
     f = add.raw.fields
@@ -118,11 +105,10 @@ def _split_address(window: Sequence[Insn], load_i: int,
         base = resolve_register(window, add_i, base_reg)
         if base is None:
             continue
-        sfound = _find_def(window, add_i, idx_reg)
-        if sfound is not None and sfound[1].mnemonic == "slli":
-            shift = sfound[1].raw.fields["shamt"]
-            pre = xreg(sfound[1].raw.fields["rs1"])
-            return base, pre, shift
+        scale_i = nearest_def(window, add_i, idx_reg)
+        if scale_i is not None and window[scale_i].mnemonic == "slli":
+            f = window[scale_i].raw.fields
+            return base, xreg(f["rs1"]), f["shamt"]
         return base, idx_reg, None
     return None, None, None
 
@@ -138,7 +124,7 @@ def _find_bound(window: Sequence[Insn], before: int,
         if insn.mnemonic not in ("bgeu", "bltu"):
             # A redefinition of the index register before we find the
             # check breaks the correspondence.
-            if _defines(insn, index_reg) and insn.mnemonic != "slli":
+            if defines(insn, index_reg) and insn.mnemonic != "slli":
                 return None
             continue
         f = insn.raw.fields

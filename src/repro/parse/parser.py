@@ -286,7 +286,7 @@ class CodeObject:
 
     def _classify_terminal(self, block: Block, fn: Function,
                            known_entries: frozenset[int],
-                           window: list[Insn] | None = None) -> None:
+                           window: list[Insn]) -> None:
         term = block.last
         assert term is not None
         nxt = block.end
@@ -307,8 +307,6 @@ class CodeObject:
                     Edge(block, EdgeType.FALLTHROUGH, nxt))
             return
 
-        if window is None:
-            window = self._function_window(fn, block)
         win, idx = _window_slice(window, block.insns[-1].address,
                                  self.WINDOW_LIMIT)
         ctx = ClassifyContext(
@@ -326,18 +324,6 @@ class CodeObject:
             rec.count(f"parse.classify.{'jal' if term.is_jal else 'jalr'}"
                       f".{_classification_outcome(c)}")
         self._edges_from_classification(block, c, nxt)
-
-    def _function_window(self, fn: Function, block: Block) -> list[Insn]:
-        """Linear, address-ordered instruction window for slicing: all
-        instructions of the function parsed so far plus this block."""
-        seen = {}
-        for b in fn.blocks.values():
-            for insn in b.insns:
-                seen[insn.address] = insn
-        for insn in block.insns:
-            seen[insn.address] = insn
-        window = [seen[a] for a in sorted(seen) if a <= block.insns[-1].address]
-        return window
 
     def _edges_from_classification(self, block: Block, c: Classification,
                                    nxt: int) -> None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from .. import faults
 from ..errors import ReproError
 from ..instruction.insn import Insn
+from ..riscv.encoding import sign_extend
 from ..riscv.materialize import materialize_imm
 
 # Symbolic trampoline items:
@@ -51,9 +52,6 @@ class RelocationError(ReproError, ValueError):
     pass
 
 
-_BRANCHES = {"beq", "bne", "blt", "bge", "bltu", "bgeu"}
-
-
 def lower_relocated(insns: list[Insn]) -> RelocatedCode:
     """Lower displaced original instructions to symbolic trampoline
     items."""
@@ -66,7 +64,7 @@ def lower_relocated(insns: list[Insn]) -> RelocatedCode:
         is_last = idx == len(insns) - 1
 
         if mn == "auipc":
-            value = (insn.address + (_sext20(f["imm"]) << 12)) & (
+            value = (insn.address + (sign_extend(f["imm"], 20) << 12)) & (
                 (1 << 64) - 1)
             for sub_mn, sub_f in materialize_imm(f["rd"], value):
                 out.items.append(("i", sub_mn, sub_f))
@@ -79,7 +77,7 @@ def lower_relocated(insns: list[Insn]) -> RelocatedCode:
             else:
                 # call: use the link register itself as scratch
                 out.items.append(("call_abs", target, f["rd"]))
-        elif mn in _BRANCHES:
+        elif insn.is_conditional_branch:
             target = insn.address + f["imm"]
             sid = next_stub
             next_stub += 1
@@ -99,11 +97,6 @@ def lower_relocated(insns: list[Insn]) -> RelocatedCode:
             # 4-byte expansion).
             out.items.append(("i", mn, f))
     return out
-
-
-def _sext20(v: int) -> int:
-    v &= 0xFFFFF
-    return v - (1 << 20) if v & (1 << 19) else v
 
 
 def consumed_instructions(insns: list[Insn], start: int,

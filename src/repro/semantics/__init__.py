@@ -2,8 +2,8 @@
 
 Semantics are produced by the SAIL-substitute pipeline in
 :mod:`repro.semantics.sail` and consumed through the registry
-(:func:`semantics_for`, :func:`register_uses`, :func:`register_defs`,
-:func:`register_masks`).
+(:func:`semantics_for`, :func:`facts_for`, :func:`register_uses`,
+:func:`register_defs`, :func:`register_masks`).
 """
 
 from .evaluate import evaluate, eval_expr
@@ -13,9 +13,9 @@ from .ir import (
     UnOp,
 )
 from .registry import (
-    coverage_report, has_precise_semantics, reads_memory, register_defs,
-    register_masks, register_uses, sail_semantics, semantics_for,
-    writes_memory, writes_pc,
+    coverage_report, facts_for, has_precise_semantics, reads_memory,
+    register_defs, register_masks, register_uses, sail_semantics,
+    semantics_for, writes_memory, writes_pc,
 )
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "ILen", "ITE", "MemRead", "MemWrite", "OperandRef", "PC", "PCWrite", "RegRef",
     "RegWrite", "Semantics", "UnOp",
     "evaluate", "eval_expr",
-    "coverage_report", "has_precise_semantics", "reads_memory",
-    "register_defs", "register_masks", "register_uses", "sail_semantics",
-    "semantics_for", "writes_memory", "writes_pc",
+    "coverage_report", "facts_for", "has_precise_semantics",
+    "reads_memory", "register_defs", "register_masks", "register_uses",
+    "sail_semantics", "semantics_for", "writes_memory", "writes_pc",
 ]

@@ -4,10 +4,11 @@ Executes an instruction's :class:`~repro.semantics.ir.Semantics` against
 an abstract machine-state interface and returns the concrete writes.
 Its operator kernel (``_binop``/``_unop``/``_extend``, and the float
 kernel of :mod:`repro.semantics.floats`) is the one definition of each
-operator: backward slicing (DataflowAPI) evaluates
-with it, and :mod:`repro.semantics.lower` folds constants with it and
+operator: :mod:`repro.semantics.lower` folds constants with it and
 calls it from the simulator's generated code.  The evaluator itself is
-the reference the simulator tiers are cross-checked against.
+the reference the simulator tiers are cross-checked against, and
+DataflowAPI's constant resolution runs :func:`eval_expr` over a state
+that resolves registers backward.
 
 All values are 64-bit unsigned integers (F registers hold bit
 patterns); signed and float interpretations happen at operator

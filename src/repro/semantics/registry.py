@@ -8,19 +8,24 @@ and hand-crafted descriptions.  Here:
   166 of the 178 specs: I, M, A's AMOs, F, D and the RVA23 samples.
 * Hand-crafted fallback: the rest (``lr``/``sc``, Zicsr, ``ecall``,
   ``ebreak``) gets conservative operand-derived def/use information (rd
-  written, rs* read, ``lr``/``sc`` read memory, ``sc`` writes it) —
-  sufficient for liveness, too coarse for value-tracking slices, which
-  is exactly how Dyninst degrades when precise semantics are
+  written, rs* read, ``lr`` reads memory at ``X(rs1)``, ``sc`` writes
+  it) — sufficient for liveness, too coarse for value-tracking slices,
+  which is exactly how Dyninst degrades when precise semantics are
   unavailable.
+
+Every per-instruction fact the analyses read (register uses and defs,
+memory reads and writes, the memory operand) comes from one record per
+mnemonic, :func:`facts_for`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from ..riscv.instr import Instruction
 from ..riscv.opcodes import OP_AMO, InstrSpec, all_specs, by_mnemonic
-from .ir import Semantics
+from .ir import BinOp, MemRead, MemWrite, OperandRef, RegRef, Semantics
 
 
 @lru_cache(maxsize=1)
@@ -51,7 +56,21 @@ def has_precise_semantics(mnemonic: str) -> bool:
     return mnemonic in sail_semantics()
 
 
-# -- def/use extraction (with fallback) ---------------------------------
+# -- per-mnemonic facts (with fallback) ----------------------------------
+
+
+class Facts(NamedTuple):
+    """What the analyses need of one mnemonic, read off its SAIL IR once
+    (or, for the hand-written rest, off its operand list)."""
+
+    #: (regfile, operand) pairs read and written
+    uses: tuple[tuple[str, str], ...]
+    defs: tuple[tuple[str, str], ...]
+    reads_memory: bool
+    writes_memory: bool
+    #: the memory operand as (base operand, displacement operand or
+    #: None, size in bytes), or None
+    mem: tuple[str, str | None, int] | None
 
 
 def _fallback(spec: InstrSpec, names: tuple) -> tuple:
@@ -61,17 +80,41 @@ def _fallback(spec: InstrSpec, names: tuple) -> tuple:
                  for op in spec.operands if op.lstrip("f") in names)
 
 
+def _address(e) -> tuple[str, str | None]:
+    """(base operand, displacement operand or None) of a ``mem(...)``
+    address: ``X(rs1)`` or ``X(rs1) + imm``."""
+    if isinstance(e, RegRef):
+        return e.operand, None
+    if isinstance(e, BinOp) and e.op == "add" and \
+            isinstance(e.lhs, RegRef) and isinstance(e.rhs, OperandRef):
+        return e.lhs.operand, e.rhs.name
+    raise ValueError(f"unsupported memory address {e!r}")
+
+
 @lru_cache(maxsize=None)
-def _operand_pairs(mnemonic: str) -> tuple[tuple[tuple[str, str], ...],
-                                           tuple[tuple[str, str], ...]]:
-    """(uses, defs) of one mnemonic as (regfile, operand) pairs, from its
-    SAIL semantics or the operand fallback.  The IR walk runs once per
-    mnemonic; every def/use query binds these pairs to its fields."""
+def facts_for(mnemonic: str) -> Facts:
+    """The :class:`Facts` of one mnemonic.  The IR walk runs once per
+    mnemonic; every query binds the record to an instruction's fields."""
     sem = semantics_for(mnemonic)
-    if sem is not None:
-        return tuple(sem.register_uses()), tuple(sem.register_defs())
     spec = by_mnemonic(mnemonic)
-    return _fallback(spec, ("rs1", "rs2", "rs3")), _fallback(spec, ("rd",))
+    if sem is None:
+        uses = _fallback(spec, ("rs1", "rs2", "rs3"))
+        defs = _fallback(spec, ("rd",))
+        if spec.match & 0x7F != OP_AMO:  # Zicsr, ecall, ebreak
+            return Facts(uses, defs, False, False, None)
+        # lr/sc: the reservation is not memory.  lr loads from X(rs1);
+        # sc stores X(rs2) there and reads nothing.
+        store = "rs2" in spec.operands
+        size = 1 << (spec.match >> 12 & 7)
+        return Facts(uses, defs, not store, store, ("rs1", None, size))
+    reads = [e for e in sem.all_exprs() if isinstance(e, MemRead)]
+    writes = [e for e in sem.flat_effects() if isinstance(e, MemWrite)]
+    operands = {(*_address(e.addr), e.size) for e in reads + writes}
+    if len(operands) > 1:
+        raise ValueError(f"{mnemonic}: more than one memory operand")
+    return Facts(tuple(sem.register_uses()), tuple(sem.register_defs()),
+                 bool(reads), bool(writes),
+                 operands.pop() if operands else None)
 
 
 def _bind(instr: Instruction,
@@ -93,7 +136,7 @@ def register_uses(instr: Instruction) -> set[tuple[str, int]]:
 
     Reads of x0 are dropped (it is constant).
     """
-    return _bind(instr, _operand_pairs(instr.mnemonic)[0])
+    return _bind(instr, facts_for(instr.mnemonic).uses)
 
 
 def register_defs(instr: Instruction) -> set[tuple[str, int]]:
@@ -101,7 +144,7 @@ def register_defs(instr: Instruction) -> set[tuple[str, int]]:
 
     Writes to x0 are dropped (they vanish architecturally).
     """
-    return _bind(instr, _operand_pairs(instr.mnemonic)[1])
+    return _bind(instr, facts_for(instr.mnemonic).defs)
 
 
 @lru_cache(maxsize=None)
@@ -109,8 +152,9 @@ def _mask_operands(mnemonic: str) -> tuple[tuple[tuple[str, int], ...],
                                            tuple[tuple[str, int], ...]]:
     """(uses, defs) of one mnemonic as (operand, bit offset) pairs: the
     cached (regfile, operand) pairs with x mapped to bit 0 and f to 32."""
+    facts = facts_for(mnemonic)
     return tuple(tuple((op, 0 if rf == "x" else 32) for rf, op in pairs)
-                 for pairs in _operand_pairs(mnemonic))
+                 for pairs in (facts.uses, facts.defs))
 
 
 def _bind_mask(fields: dict[str, int],
@@ -134,17 +178,11 @@ def register_masks(instr: Instruction) -> tuple[int, int]:
 
 
 def reads_memory(instr: Instruction) -> bool:
-    sem = semantics_for(instr)
-    if sem is not None:
-        return sem.reads_memory()
-    return instr.spec.match & 0x7F == OP_AMO  # lr/sc
+    return facts_for(instr.mnemonic).reads_memory
 
 
 def writes_memory(instr: Instruction) -> bool:
-    sem = semantics_for(instr)
-    if sem is not None:
-        return sem.writes_memory()
-    return instr.mnemonic.startswith("sc.")
+    return facts_for(instr.mnemonic).writes_memory
 
 
 def writes_pc(instr: Instruction) -> bool:

@@ -46,6 +46,7 @@ from ..telemetry.events import (
 )
 from ..riscv.assembler import Program
 from ..riscv.decoder import DecodeError, decode
+from ..riscv.opcodes import OP_BRANCH
 from .executor import BreakpointHit, ExitTrap, SimFault, build_closure
 from .memory import Memory, MemoryFault
 from .timing import P550, TimingModel, UCYCLE
@@ -315,7 +316,7 @@ class Machine:
                 kind = RET
             else:
                 kind = JUMP
-        elif mn in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
+        elif instr.spec.match & 0x7F == OP_BRANCH:
             kind = BRANCH
         else:
             return cl

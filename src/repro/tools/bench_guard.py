@@ -21,7 +21,8 @@ Simulator checks, in order:
   traces cover the loops and the hops between them.  The share is a
   deterministic count, not a timing;
 * a run with a block-granularity observer attached is no slower than
-  the closure interpreter (``instr_per_sec_observed_block``).
+  the closure interpreter (``block_over_interpreter``, the median of
+  per-round ratios of runs made back to back).
 
 Artifact-store / service checks:
 
@@ -101,16 +102,13 @@ def check(bench: dict, floor: float = MEGATRACE_FLOOR) -> list[str]:
         bad.append(f"the interpreter runs {share:.2%} of the "
                    f"instrumented matmul, above the "
                    f"{INTERPRETED_CEILING:.2%} ceiling")
-    observed = bench.get("instr_per_sec_observed_block")
-    interp = bench.get("tiers", {}).get("interpreter", {}).get(
-        "instr_per_sec")
-    if not (_number(observed) and _number(interp)):
-        bad.append("no usable 'instr_per_sec_observed_block' or "
-                   "interpreter row in snapshot")
-    elif observed < interp:
-        bad.append(f"block-observed runs at {observed / 1e6:.2f} "
-                   f"Minstr/s, below the interpreter's "
-                   f"{interp / 1e6:.2f}")
+    observed = bench.get("block_over_interpreter")
+    if not _number(observed):
+        bad.append("no usable 'block_over_interpreter' key in "
+                   f"snapshot: {observed!r}")
+    elif observed < 1:
+        bad.append(f"block-observed runs at {observed:.2f}x the "
+                   f"interpreter's throughput, below it")
     return bad
 
 
@@ -187,9 +185,10 @@ def main(argv: list[str] | None = None) -> int:
           f"{bench.get('instrumented_over_plain', 0):.2f}; "
           f"{inst.get('megatraces_compiled', '?')} traces, "
           f"interpreted share {inst.get('interpreted_share', 0):.3%}")
-    print(f"  block-observed "
-          f"{bench.get('instr_per_sec_observed_block', 0) / 1e6:8.2f} "
-          f"Minstr/s")
+    print(f"  block-observed / interpreter: "
+          f"{bench.get('block_over_interpreter', 0):.2f}; / plain traced: "
+          f"{bench.get('block_over_plain', 0):.2f}; after detach / plain "
+          f"traced: {bench.get('after_detach_over_plain', 0):.2f}")
 
     print(f"bench_guard: {service.get('benchmark', '?')} "
           f"(cold {service.get('analyze_cold_s', 0):.4f}s, warm "

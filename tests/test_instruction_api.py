@@ -1,9 +1,12 @@
 """InstructionAPI tests: categories, operands, read/write sets, raw
 control-flow facts."""
 
+from repro import semantics
 from repro.instruction import Insn, InsnCategory, decode_insn
 from repro.riscv import lookup, make
+from repro.riscv.compressed import IllegalCompressed, decode_compressed
 from repro.riscv.encoder import instruction_bytes
+from repro.riscv.opcodes import all_specs
 
 
 def mk(mnemonic, addr=0x1000, **fields):
@@ -116,6 +119,83 @@ class TestMemoryAccess:
     def test_flags(self):
         assert mk("ld", rd=1, rs1=2, imm=0).reads_memory
         assert mk("sd", rs2=1, rs1=2, imm=0).writes_memory
+
+
+class _Traffic:
+    """An evaluation state whose x<n> holds 0x1000 * n and which records
+    the memory reads."""
+
+    pc = 0x1000
+
+    def __init__(self):
+        self.reads = set()
+
+    def read_xreg(self, n):
+        return 0x1000 * n
+
+    def read_freg(self, n):
+        return 0x3FF0_0000_0000_0000 | n
+
+    def read_mem(self, addr, size):
+        self.reads.add((addr, size))
+        return 0
+
+
+def _memory_traffic(instr):
+    """(reads, writes) of *instr* as sets of (address, size): what its
+    SAIL semantics do to memory when evaluated, or, for lr/sc, what the
+    architecture says (the reservation is not memory)."""
+    sem = semantics.semantics_for(instr)
+    if sem is None:
+        if instr.mnemonic[:3] not in ("lr.", "sc."):
+            return set(), set()
+        access = {(0x1000 * instr.fields["rs1"],
+                   4 if instr.mnemonic.endswith(".w") else 8)}
+        return (access, set()) if instr.mnemonic[:2] == "lr" \
+            else (set(), access)
+    state = _Traffic()
+    writes = semantics.evaluate(sem, instr, state)
+    return state.reads, {(w[1], w[2]) for w in writes if w[0] == "mem"}
+
+
+def _check_memory_facts(instr):
+    insn = Insn(instr, 0x1000)
+    reads, writes = _memory_traffic(instr)
+    what = instr.compressed_mnemonic or instr.mnemonic
+    assert insn.reads_memory == semantics.reads_memory(instr) == bool(reads), what
+    assert insn.writes_memory == semantics.writes_memory(instr) \
+        == bool(writes), what
+    acc = insn.memory_access()
+    if not reads | writes:
+        assert acc is None, what
+        return
+    ((addr, size),) = reads | writes
+    assert 0x1000 * acc.base.number + acc.displacement == addr, what
+    assert acc.size == size, what
+    assert (acc.is_read, acc.is_write) == (bool(reads), bool(writes)), what
+
+
+class TestMemoryFacts:
+    """The registry and InstructionAPI report one set of memory facts,
+    and they are what the semantics do."""
+
+    def test_every_spec(self):
+        regs = {"rd": 5, "rs1": 6, "rs2": 7, "rs3": 8, "imm": -24,
+                "shamt": 3, "csr": 0x340, "zimm": 9}
+        for spec in all_specs():
+            fields = {}
+            for op in spec.operands:
+                key = op[1:] if op in ("frd", "frs1", "frs2", "frs3") else op
+                fields[key] = regs.get(key, 0)
+            _check_memory_facts(make(spec.mnemonic, **fields))
+
+    def test_every_compressed_expansion(self):
+        for hw in range(1 << 16):
+            try:
+                instr = decode_compressed(hw)
+            except IllegalCompressed:
+                continue
+            _check_memory_facts(instr)
 
 
 class TestDecodeInsn:

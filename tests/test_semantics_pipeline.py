@@ -195,7 +195,8 @@ class TestRegistry:
         lr = make("lr.d", rd=1, rs1=2)
         assert not has_precise_semantics("lr.d")
         assert reads_memory(lr) and not writes_memory(lr)
-        assert writes_memory(make("sc.d", rd=1, rs1=2, rs2=3))
+        sc = make("sc.d", rd=1, rs1=2, rs2=3)
+        assert writes_memory(sc) and not reads_memory(sc)
 
     def test_writes_pc(self):
         assert writes_pc(make("jal", rd=1, imm=0))
