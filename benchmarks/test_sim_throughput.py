@@ -48,11 +48,9 @@ BENCH_JSON = Path(__file__).parent.parent / "BENCH_sim.json"
 BENCH_N = MATMUL_N if PAPER_SCALE else 16
 BENCH_REPS = MATMUL_REPS if PAPER_SCALE else 40
 
-#: timing repetitions; throughput is taken from the fastest run, the
-#: run-to-run spread ((max-min)/min) is recorded alongside
-REPEATS = 3
-
-#: rounds of plain and instrumented traced runs taking turns
+#: rounds of every rotation; a row's throughput is taken from its
+#: fastest run, its run-to-run spread ((max-min)/min) is recorded
+#: alongside, and each ratio is the median of the per-round ratios
 PAIR_ROUNDS = 5
 
 
@@ -80,7 +78,7 @@ def _patched(edit, result, tier: str):
     return make
 
 
-def _measure(*makes, repeats: int = REPEATS):
+def _measure(*makes, repeats: int = PAIR_ROUNDS):
     """Run the machine each factory in *makes* builds *repeats* times,
     the factories taking turns so that host drift hits them alike.  Per
     factory, the list of (machine, stop event, seconds)."""
@@ -218,8 +216,7 @@ def test_trace_compilation_throughput(record, monkeypatch):
     [[(mi, evi, dti)]] = _measure(_patched(edit, patch, "interpreter"),
                                   repeats=1)
     pair_runs, inst_runs = _measure(_plain(prog, "megatrace"),
-                                    _patched(edit, patch, "megatrace"),
-                                    repeats=PAIR_ROUNDS)
+                                    _patched(edit, patch, "megatrace"))
     mc, evc, dtc, spread = _best(inst_runs)
     assert _arch_state(mc, evc) == _arch_state(mi, evi)
     assert counter.read(mc) == counter.read(mi) > 0
@@ -277,7 +274,7 @@ def test_trace_compilation_throughput(record, monkeypatch):
         f"deopts: {mm.traces.deopt_count[0]}",
         "",
         "observer overhead (event streams, best of "
-        f"{REPEATS}, taking turns with the tier rows):",
+        f"{PAIR_ROUNDS}, taking turns with the tier rows):",
         f"{'':<28}{'Minstr/s':>10}{'seconds':>9}{'spread':>8}",
     ]
     for key, label in (("block", "block-granularity observed"),
@@ -293,7 +290,7 @@ def test_trace_compilation_throughput(record, monkeypatch):
         f"{ratios['after_detach_over_plain']:.2f}",
         f"block-observed / interpreter: "
         f"{ratios['block_over_interpreter']:.2f}"
-        f"   (medians of {REPEATS} rounds)",
+        f"   (medians of {PAIR_ROUNDS} rounds)",
     ]
     record("ablation_trace", "\n".join(lines) + "\n")
 

@@ -3,15 +3,15 @@
 The :class:`Patcher` takes (points, snippet) requests — Dyninst's
 ``(P, AST)`` tuples — and at :meth:`commit` time builds, per patch site:
 
-1. a scratch plan (dead registers first, §4.3's optimisation; spill-
+1. the springboard overwriting the original instruction(s), picked from
+   the §3.1.2 efficiency ladder by the bytes left in the block;
+2. a scratch plan (dead registers first, §4.3's optimisation; spill-
    backed otherwise — disable with ``use_dead_registers=False`` to get
    the legacy x86-engine behaviour);
-2. the lowered payload (CodeGenAPI);
-3. a trampoline: optional far-springboard restore, spill saves, payload,
-   spill restores, the relocated original instruction(s), and the jump
-   back;
-4. the springboard overwriting the original instruction(s), picked from
-   the §3.1.2 efficiency ladder.
+3. the payloads (CodeGenAPI), each wrapped in spill saves and restores;
+4. a trampoline: optional far-springboard restore, the payload, the
+   relocated original instruction(s) (an edge point's branch with its
+   edge payloads), and the jump back.
 
 The result applies to a live simulator machine (dynamic instrumentation)
 or serialises through the static rewriter (:mod:`repro.patch.rewriter`).
@@ -33,15 +33,12 @@ from ..dataflow.liveness import (
     LivenessResult, analyze_liveness, dead_regs, regs_of,
 )
 from ..parse.parser import CodeObject, parse_binary
-from ..riscv.compressed import CJ_RANGE
-from ..riscv.encoding import fits_signed
 from ..riscv.registers import ARG_REGS, CALLER_SAVED, RA, Register
 from ..symtab.symtab import Symtab
 from .points import Point
 from .relocate import consumed_instructions, lower_relocated
 from .springboard import (
-    FAR_SIZE, Springboard, SpringboardError, SpringboardKind,
-    build_springboard, far_preamble_restore,
+    SpringboardKind, build_springboard, far_preamble_restore,
 )
 from .trampoline import TrampolineBuilder
 from .transaction import apply_result, remove_result
@@ -89,11 +86,6 @@ class PatchResult:
     #: patching writes (and invalidates) only these spans, so compiled
     #: traces elsewhere in the text survive the install.
     patched_ranges: list[tuple[int, int]] = field(default_factory=list)
-
-    def _text_spans(self) -> list[tuple[int, int]]:
-        if self.patched_ranges:
-            return self.patched_ranges
-        return [(self.text_base, self.text_base + len(self.text))]
 
     def apply_to_machine(self, machine) -> None:
         """Dynamic instrumentation: patch a loaded simulator machine.
@@ -311,32 +303,29 @@ class Patcher:
         for req in ordered:
             faults.site("patch.commit.point")
             point = req.point
-            fn = point.function
             block = point.block
             site = point.address
-
-            available = block.end - site
-            sb, slot, fell_back = self._pick_springboard(
-                site, cursor, available)
-            stats.springboards[sb.kind.value] += 1
-            stats.trap_fallbacks += fell_back
-            if sb.needs_trap:
-                trap_map[site] = cursor
-                stats.trap_sites += 1
-
             if site < prev_end:
                 raise PatchConflict(
                     f"patch site {site:#x} lies inside the previous "
                     f"springboard's displaced instructions "
                     f"(ends at {prev_end:#x})")
-            consumed = consumed_instructions(block.insns, site, slot)
-            consumed_len = sum(i.length for i in consumed)
-            prev_end = site + consumed_len
+
+            sb = build_springboard(site, cursor, block.end - site, self.isa)
+            stats.springboards[sb.kind.value] += 1
+            stats.trap_fallbacks += sb.fell_back
+            if sb.needs_trap:
+                trap_map[site] = cursor
+                stats.trap_sites += 1
+            consumed = consumed_instructions(block.insns, site, len(sb.code))
+            resume = prev_end = site + sum(i.length for i in consumed)
+            if req.taken or req.not_taken:
+                self._check_edge(req, consumed)
 
             # scratch plan at the point.  Blocks can be *shared* between
             # functions (fallthrough overlap, tail-call sharing): the
             # plan must respect every containing function's liveness.
-            lv = self._liveness_at(site, fn)
+            lv = self._liveness_at(site, point.function)
             all_snips = req.all_snippets()
             needs_call_save = any(snippet_calls(s) for s in all_snips)
             n_scratch = max(
@@ -357,47 +346,35 @@ class Patcher:
             gen = SnippetGenerator(self.isa, list(plan.regs),
                                    sp_adjustment=spill.frame_bytes)
 
-            def lowered(snips):
-                out: list = []
+            def payload(snips):
+                """Spill saves, the lowered snippets, spill restores;
+                nothing without snippets."""
+                if not snips:
+                    return []
+                out = spill.save_instructions()
                 for snip in snips:
-                    out.extend(gen.generate(snip).instructions)
-                return out
+                    out += gen.generate(snip).instructions
+                return out + spill.restore_instructions()
 
-            builder = TrampolineBuilder(cursor)
+            builder = TrampolineBuilder(cursor, site)
             if sb.kind is SpringboardKind.AUIPC_JALR:
                 builder.add_instructions(far_preamble_restore())
-            if req.redirect is not None:
-                if req.taken or req.not_taken:
-                    raise PatchError(
-                        f"point {site:#x}: redirect cannot combine with "
-                        f"edge instrumentation")
-                if req.snippets:
-                    builder.add_instructions(spill.save_instructions())
-                    builder.add_instructions(lowered(req.snippets))
-                    builder.add_instructions(spill.restore_instructions())
-                if req.redirect_is_call:
-                    term = consumed[0]
-                    link = term.raw.fields.get("rd", 1)
-                    builder.add_call_abs(req.redirect, link)
-                    builder.add_jump_abs(site + consumed_len)
-                else:
-                    builder.add_jump_abs(req.redirect)
-            elif req.taken or req.not_taken:
-                self._build_edge_trampoline(
-                    builder, req, consumed, site, consumed_len,
-                    spill, lowered)
+            builder.add_instructions(payload(req.snippets))
+            if req.redirect is None:
+                # deletion drops the first displaced instruction; the
+                # rest of the slot still executes
+                diverts = lower_relocated(
+                    consumed[1:] if req.delete_original else consumed,
+                    builder, payload(req.taken))
+                builder.add_instructions(payload(req.not_taken))
+                if not diverts:
+                    builder.add_jump_abs(resume)
+            elif req.redirect_is_call:
+                link = consumed[0].raw.fields.get("rd", 1)
+                builder.add_call_abs(req.redirect, link)
+                builder.add_jump_abs(resume)
             else:
-                builder.add_instructions(spill.save_instructions())
-                builder.add_instructions(lowered(req.snippets))
-                builder.add_instructions(spill.restore_instructions())
-                # deletion: the first displaced instruction is dropped;
-                # the rest of the slot still executes
-                relocate_from = consumed[1:] if req.delete_original \
-                    else consumed
-                rc = lower_relocated(relocate_from)
-                builder.add_relocated(rc)
-                if not rc.diverts:
-                    builder.add_jump_abs(site + consumed_len)
+                builder.add_jump_abs(req.redirect)
             built = builder.build()
 
             trampolines += built.code
@@ -410,9 +387,9 @@ class Patcher:
             trampolines += b"\x00" * pad
 
             # splice the springboard into the text image
-            off = site - text_region.addr
-            text[off:off + slot] = sb.code
-            patched_ranges.append(sb.patched_range(site))
+            lo, hi = sb.patched_range(site)
+            text[lo - text_region.addr:hi - text_region.addr] = sb.code
+            patched_ranges.append((lo, hi))
 
         stats.trampoline_bytes = len(trampolines)
         return PatchResult(
@@ -431,47 +408,25 @@ class Patcher:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _build_edge_trampoline(self, builder, req, consumed, site,
-                               consumed_len, spill, lowered) -> None:
-        """Edge instrumentation (paper §2: branch-taken / not-taken
-        points).  The displaced conditional branch is recreated inside
-        the trampoline as a dispatch; each edge's payload runs only on
-        its path::
-
-            [unconditional payload]        ; plain points at the branch
-            b<cond> rs1, rs2, Ltaken
-            [not-taken payload] ; jump fallthrough
-            Ltaken:
-            [taken payload]     ; jump branch-target
-        """
-        term = consumed[0]
-        if len(consumed) != 1 or not term.is_conditional_branch:
+    @staticmethod
+    def _check_edge(req: _Request, consumed) -> None:
+        """Edge payloads (paper §2: branch-taken / not-taken points) ride
+        the relocated conditional branch: the point must displace
+        exactly that branch, which neither a redirect nor a deletion
+        may replace."""
+        site = req.point.address
+        if req.redirect is not None:
+            raise PatchError(
+                f"point {site:#x}: redirect cannot combine with "
+                f"edge instrumentation")
+        if req.delete_original:
+            raise PatchError(
+                f"point {site:#x}: deleting the branch would drop its "
+                f"edge instrumentation")
+        if len(consumed) != 1 or not consumed[0].is_conditional_branch:
             raise PatchError(
                 f"edge point at {site:#x} must displace exactly the "
                 f"conditional branch")
-        taken_target = term.direct_target()
-        fallthrough = site + consumed_len
-
-        if req.snippets:
-            builder.add_instructions(spill.save_instructions())
-            builder.add_instructions(lowered(req.snippets))
-            builder.add_instructions(spill.restore_instructions())
-
-        label = builder.new_label()
-        f = term.raw.fields
-        builder.add_branch_local(
-            term.mnemonic, {"rs1": f["rs1"], "rs2": f["rs2"]}, label)
-        if req.not_taken:
-            builder.add_instructions(spill.save_instructions())
-            builder.add_instructions(lowered(req.not_taken))
-            builder.add_instructions(spill.restore_instructions())
-        builder.add_jump_abs(fallthrough)
-        builder.place_label(label)
-        if req.taken:
-            builder.add_instructions(spill.save_instructions())
-            builder.add_instructions(lowered(req.taken))
-            builder.add_instructions(spill.restore_instructions())
-        builder.add_jump_abs(taken_target)
 
     def _liveness_at(self, site: int, primary_fn) -> "LivenessResult":
         """Liveness view for a patch site: when the address belongs to
@@ -501,49 +456,3 @@ class Patcher:
             else:
                 self._liveness[fn.entry] = analyze_liveness(fn)
         return self._liveness[fn.entry]
-
-    def _pick_springboard(
-            self, site: int, target: int,
-            available: int) -> tuple[Springboard, int, bool]:
-        """Choose the slot size per the §3.1.2 ladder, then encode.
-
-        Returns ``(springboard, slot, fell_back)``.  Ladder exhaustion
-        — an encoding the plan expected to fit failing at build time, or
-        the ``patch.springboard.ladder`` pressure site firing — degrades
-        to the trap tier (the paper's any-distance worst case) instead
-        of aborting the commit; ``fell_back`` reports it so the
-        ``springboard.trap_fallbacks`` counter can account for every
-        degradation.  Only a point too small for even a compressed trap
-        is a hard error.
-        """
-        disp = target - site
-        if not faults.pressure("patch.springboard.ladder"):
-            if available >= 4 and fits_signed(disp, 21):
-                slot = 4
-            elif available >= 2 and self.isa.supports("c") \
-                    and CJ_RANGE[0] <= disp <= CJ_RANGE[1]:
-                slot = 2
-            elif available >= FAR_SIZE:
-                slot = FAR_SIZE
-            elif available >= 4:
-                slot = 4   # trap
-            elif available >= 2:
-                slot = 2   # compressed trap — the paper's worst case
-            else:
-                raise PatchError(
-                    f"no room for any springboard at {site:#x}")
-            try:
-                sb = build_springboard(site, target, slot, self.isa)
-                return sb, slot, False
-            except SpringboardError:
-                pass   # exhausted: degrade to the trap tier below
-        if available >= 4:
-            slot = 4
-        elif available >= 2:
-            slot = 2
-        else:
-            raise PatchError(
-                f"no room for any springboard at {site:#x}")
-        sb = build_springboard(site, target, slot, self.isa,
-                               force_trap=True)
-        return sb, slot, True

@@ -13,7 +13,8 @@ The paper's §3.1.2 efficiency ladder, most to least efficient:
    "inefficient 2-byte trap instruction in the worst case".  Traps are
    resolved through the runtime's trap-redirect map.
 
-Unused bytes of the patched slot are filled with (c.)nops.
+:func:`build_springboard` walks the ladder once; the springboard's
+length is the slot it overwrites.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ class Springboard:
     needs_trap: bool = False
     #: register spilled by the auipc+jalr form (restored by trampoline)
     clobbers: int | None = None
+    #: True when ladder pressure forced the trap tier
+    fell_back: bool = False
 
     def patched_range(self, site: int) -> tuple[int, int]:
         """The [lo, hi) code bytes this springboard overwrites at *site*
@@ -67,76 +70,53 @@ FAR_SCRATCH = 31
 FAR_SIZE = 16
 
 
-def _pad(code: bytes, size: int, compressed_ok: bool) -> bytes:
-    """Pad to the slot size with nops."""
-    pad = size - len(code)
-    out = bytearray(code)
-    if pad % 4 == 2:
-        if not compressed_ok:
-            raise SpringboardError("2-byte padding requires the C extension")
-        out += encode_compressed("c.nop").to_bytes(2, "little")
-        pad -= 2
-    for _ in range(pad // 4):
-        out += encode("addi", rd=0, rs1=0, imm=0).to_bytes(4, "little")
-    return bytes(out)
+def build_springboard(site: int, target: int, available: int,
+                      isa: ISASubset) -> Springboard:
+    """Walk the §3.1.2 ladder once for a springboard at *site*.
 
+    Returns the most efficient rung that reaches *target* and fits the
+    *available* bytes left before the block ends.
 
-def build_springboard(site: int, target: int, slot_size: int,
-                      isa: ISASubset, *,
-                      force_trap: bool = False) -> Springboard:
-    """Pick and encode the most efficient springboard for jumping from
-    *site* to *target* given *slot_size* overwritable bytes.
-
-    ``force_trap=True`` skips ladder rungs 1–3 and encodes the trap
-    tier directly — the :class:`~repro.patch.patcher.Patcher` uses it
-    when the efficient rungs are exhausted (graceful degradation
-    instead of a failed commit).
+    Ladder exhaustion — the ``patch.springboard.ladder`` pressure site
+    firing — degrades to the trap tier (the paper's any-distance worst
+    case) instead of aborting the commit, and the springboard records
+    it as ``fell_back`` for the ``springboard.trap_fallbacks`` counter.
+    Only a slot too small for even a compressed trap is an error.
     """
+    fell_back = faults.pressure("patch.springboard.ladder")
     faults.site("patch.springboard.build")
-    if slot_size < 2:
-        raise SpringboardError(f"slot at {site:#x} smaller than 2 bytes")
     has_c = isa.supports("c")
-    if slot_size % 2:
-        raise SpringboardError("slot size must be even")
     disp = target - site
 
-    # 1. jal x0: single 4-byte instruction, ±1MiB
-    if not force_trap \
-            and slot_size >= 4 and fits_signed(disp, 21) and disp % 2 == 0:
-        code = encode("jal", rd=0, imm=disp).to_bytes(4, "little")
-        return Springboard(SpringboardKind.JAL,
-                           _pad(code, slot_size, has_c))
+    if not fell_back:
+        if available >= 4 and fits_signed(disp, 21):
+            code = encode("jal", rd=0, imm=disp).to_bytes(4, "little")
+            return Springboard(SpringboardKind.JAL, code)
+        if available >= 2 and has_c and CJ_RANGE[0] <= disp <= CJ_RANGE[1]:
+            code = encode_compressed("c.j", imm=disp).to_bytes(2, "little")
+            return Springboard(SpringboardKind.CJ, code)
+        # spill t6 below sp, auipc+jalr; auipc is the 3rd instruction
+        if available >= FAR_SIZE and fits_signed(target - (site + 8), 32):
+            hi, lo = pcrel_hi_lo(target, site + 8)
+            code = b"".join(w.to_bytes(4, "little") for w in (
+                encode("addi", rd=2, rs1=2, imm=-16),
+                encode("sd", rs2=FAR_SCRATCH, rs1=2, imm=8),
+                encode("auipc", rd=FAR_SCRATCH, imm=hi),
+                encode("jalr", rd=0, rs1=FAR_SCRATCH, imm=lo),
+            ))
+            return Springboard(SpringboardKind.AUIPC_JALR, code,
+                               clobbers=FAR_SCRATCH)
 
-    # 2. c.j: 2 bytes, ±2KiB (the only option for 2-byte slots in range)
-    if not force_trap \
-            and has_c and CJ_RANGE[0] <= disp <= CJ_RANGE[1] and disp % 2 == 0:
-        code = encode_compressed("c.j", imm=disp).to_bytes(2, "little")
-        return Springboard(SpringboardKind.CJ,
-                           _pad(code, slot_size, has_c))
-
-    # 3. far form: spill t6 below sp, auipc+jalr (16 bytes)
-    if not force_trap and slot_size >= FAR_SIZE:
-        hi, lo = pcrel_hi_lo(target, site + 8)  # auipc is the 3rd insn
-        code = b"".join(w.to_bytes(4, "little") for w in (
-            encode("addi", rd=2, rs1=2, imm=-16),
-            encode("sd", rs2=FAR_SCRATCH, rs1=2, imm=8),
-            encode("auipc", rd=FAR_SCRATCH, imm=hi),
-            encode("jalr", rd=0, rs1=FAR_SCRATCH, imm=lo),
-        ))
-        return Springboard(SpringboardKind.AUIPC_JALR,
-                           _pad(code, slot_size, has_c),
-                           clobbers=FAR_SCRATCH)
-
-    # 4. trap: works at any distance from any slot >= 2 bytes
-    if slot_size % 4 == 0:
+    if available >= 4:
         code = encode("ebreak").to_bytes(4, "little")
-    else:
-        if not has_c:
-            raise SpringboardError(
-                "2-byte trap needs the C extension (c.ebreak)")
+    elif available >= 2 and has_c:
         code = encode_compressed("c.ebreak").to_bytes(2, "little")
-    return Springboard(SpringboardKind.TRAP, _pad(code, slot_size, has_c),
-                       needs_trap=True)
+    else:
+        raise SpringboardError(
+            f"no room for a springboard at {site:#x}: {available} bytes"
+            + ("" if has_c else " (a 2-byte trap needs the C extension)"))
+    return Springboard(SpringboardKind.TRAP, code, needs_trap=True,
+                       fell_back=fell_back)
 
 
 def far_preamble_restore() -> list[tuple[str, dict[str, int]]]:

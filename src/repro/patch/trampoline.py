@@ -4,14 +4,28 @@ return jump, laid out at a concrete patch-area address.
 Structure (paper §1, "code patching")::
 
     [far-springboard restore]     ; only when entered via auipc+jalr
-    [spill saves]                 ; only when scratch registers are live
-    payload (lowered snippets)
-    [spill restores]
+    [payload]                     ; spill saves, snippets, spill restores
     relocated original instruction(s)
     jump back to original code    ; unless the originals divert
+    stubs                         ; per displaced conditional branch:
+                                  ;   [taken payload], jump to its target
 
-The back jump is a ``jal x0`` when the site is within ±1 MiB, otherwise
-an ``ebreak`` resolved through the trap-redirect map.
+An edge point is its relocated branch with a payload on each side: the
+not-taken payload between the branch and the jump back, the taken one
+in the branch's stub.
+
+Every trampoline is laid out from one item vocabulary:
+
+* ``("i", mn, fields)`` — one instruction;
+* ``("label", id)`` — a position (a stub's start);
+* ``("branch", mn, fields, label)`` — a conditional branch to a label;
+* ``("jump", target)`` — an absolute jump: ``jal x0`` when the target
+  is within ±1 MiB, otherwise an ``ebreak`` resolved through the
+  trap-redirect map;
+* ``("call", target, rd)`` — an ``auipc``+``jalr`` call linking *rd*.
+
+A *stub* is a label laid out after the body that holds a payload and a
+jump.
 """
 
 from __future__ import annotations
@@ -20,10 +34,14 @@ from dataclasses import dataclass, field
 
 from ..riscv.encoder import encode_fields
 from ..riscv.encoding import fits_signed
+from ..riscv.materialize import pcrel_hi_lo
 from ..riscv.opcodes import by_mnemonic
-from .relocate import Item, RelocatedCode
+from .relocate import RelocationError
 
 Lowered = tuple[str, dict[str, int]]
+
+#: item byte sizes other than one 4-byte instruction
+_SIZES = {"label": 0, "call": 8}
 
 
 @dataclass
@@ -41,124 +59,79 @@ class BuiltTrampoline:
 
 
 class TrampolineBuilder:
-    """Two-pass layout of symbolic trampoline items at a base address."""
+    """Two-pass layout, at *base*, of the trampoline for patch *site*."""
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, site: int):
         self.base = base
-        self._items: list[Item] = []
-        self._stubs: dict[int, int] = {}
-        self._labels = 0
+        self.site = site
+        self._items: list[tuple] = []
+        self._stubs: list[tuple] = []
 
     def add_instructions(self, seq: list[Lowered]) -> None:
-        for mn, fields in seq:
-            self._items.append(("i", mn, fields))
+        self._items += [("i", mn, fields) for mn, fields in seq]
 
-    # -- local labels (edge-instrumentation trampolines) -----------------
-
-    def new_label(self) -> int:
-        """Allocate a trampoline-local label id."""
-        self._labels += 1
-        return -self._labels  # negative ids: local labels
-
-    def place_label(self, label: int) -> None:
-        self._items.append(("label", label))
-
-    def add_branch_local(self, mn: str, fields: dict[str, int],
-                         label: int) -> None:
-        """Conditional branch to a local label."""
-        self._items.append(("branch_local", mn, fields, label))
-
-    def add_relocated(self, rc: RelocatedCode) -> None:
-        offset = max(self._stubs) + 1 if self._stubs else 0
-        for item in rc.items:
-            if item[0] == "branch_stub":
-                _, mn, bf, sid = item
-                self._items.append(("branch_stub", mn, bf, sid + offset))
-            else:
-                self._items.append(item)
-        for sid, target in rc.stubs.items():
-            self._stubs[sid + offset] = target
+    def add_branch(self, mn: str, fields: dict[str, int],
+                   label: int) -> None:
+        """Conditional branch to *label*."""
+        self._items.append(("branch", mn, fields, label))
 
     def add_jump_abs(self, target: int) -> None:
-        self._items.append(("jump_abs", target))
+        self._items.append(("jump", target))
 
     def add_call_abs(self, target: int, link_reg: int = 1) -> None:
         """auipc+jalr call to an absolute target; the callee returns
         into the trampoline."""
-        self._items.append(("call_abs", target, link_reg))
+        self._items.append(("call", target, link_reg))
 
-    # -- layout --------------------------------------------------------------
-
-    @staticmethod
-    def _item_size(item: Item) -> int:
-        if item[0] == "call_abs":
-            return 8  # auipc + jalr
-        if item[0] == "label":
-            return 0
-        return 4      # everything else is one 4-byte instruction
+    def add_stub(self, payload: list[Lowered], target: int) -> int:
+        """Lay out *payload* and a jump to *target* after the body;
+        returns the label that branches to it."""
+        label = len(self._stubs)
+        self._stubs += [("label", label),
+                        *(("i", mn, fields) for mn, fields in payload),
+                        ("jump", target)]
+        return label
 
     def build(self) -> BuiltTrampoline:
-        # Place main items, then one 4-byte stub slot per branch stub.
-        sizes = [self._item_size(it) for it in self._items]
-        main_size = sum(sizes)
-        stub_ids = sorted(self._stubs)
-        stub_addr = {
-            sid: self.base + main_size + 4 * i
-            for i, sid in enumerate(stub_ids)
-        }
-        label_addr: dict[int, int] = {}
+        items = self._items + self._stubs
+        labels: dict[int, int] = {}
         pc = self.base
-        for item, size in zip(self._items, sizes):
+        for item in items:
             if item[0] == "label":
-                label_addr[item[1]] = pc
-            pc += size
+                labels[item[1]] = pc
+            pc += _SIZES.get(item[0], 4)
 
         code = bytearray()
         traps: dict[int, int] = {}
         pc = self.base
-        for item, size in zip(self._items, sizes):
-            if item[0] == "label":
-                continue
-            if item[0] == "i":
-                _, mn, fields = item
-                code += self._enc(mn, fields)
-            elif item[0] == "branch_local":
-                _, mn, bf, label = item
-                fields = dict(bf)
-                fields["imm"] = label_addr[label] - pc
-                code += self._enc(mn, fields)
-            elif item[0] == "branch_stub":
-                _, mn, bf, sid = item
-                fields = dict(bf)
-                fields["imm"] = stub_addr[sid] - pc
-                code += self._enc(mn, fields)
-            elif item[0] == "jump_abs":
-                code += self._jump_abs(pc, item[1], traps)
-            elif item[0] == "call_abs":
+        for item in items:
+            kind = item[0]
+            if kind == "i":
+                code += _enc(item[1], item[2])
+            elif kind == "branch":
+                _, mn, fields, label = item
+                code += _enc(mn, {**fields, "imm": labels[label] - pc})
+            elif kind == "jump":
+                disp = item[1] - pc
+                if fits_signed(disp, 21):
+                    code += _enc("jal", {"rd": 0, "imm": disp})
+                else:
+                    traps[pc] = item[1]
+                    code += _enc("ebreak", {})
+            elif kind == "call":
                 _, target, rd = item
-                from ..riscv.materialize import pcrel_hi_lo
-
-                hi, lo = pcrel_hi_lo(target, pc)
-                code += self._enc("auipc", {"rd": rd, "imm": hi})
-                code += self._enc("jalr", {"rd": rd, "rs1": rd, "imm": lo})
-            else:  # pragma: no cover - lowering invariant
-                raise ValueError(f"unknown trampoline item {item!r}")
-            pc += size
-
-        for sid in stub_ids:
-            code += self._jump_abs(pc, self._stubs[sid], traps)
-            pc += 4
-
+                try:
+                    hi, lo = pcrel_hi_lo(target, pc)
+                except ValueError as exc:
+                    raise RelocationError(
+                        f"call displaced from {self.site:#x} cannot reach "
+                        f"{target:#x} from its trampoline at {pc:#x}: "
+                        f"{exc}") from None
+                code += _enc("auipc", {"rd": rd, "imm": hi})
+                code += _enc("jalr", {"rd": rd, "rs1": rd, "imm": lo})
+            pc += _SIZES.get(kind, 4)
         return BuiltTrampoline(self.base, bytes(code), traps)
 
-    def _jump_abs(self, pc: int, target: int,
-                  traps: dict[int, int]) -> bytes:
-        disp = target - pc
-        if fits_signed(disp, 21) and disp % 2 == 0:
-            return self._enc("jal", {"rd": 0, "imm": disp})
-        traps[pc] = target
-        return self._enc("ebreak", {})
 
-    @staticmethod
-    def _enc(mn: str, fields: dict[str, int]) -> bytes:
-        return encode_fields(by_mnemonic(mn), fields).to_bytes(4, "little")
+def _enc(mn: str, fields: dict[str, int]) -> bytes:
+    return encode_fields(by_mnemonic(mn), fields).to_bytes(4, "little")

@@ -128,7 +128,7 @@ def apply_result(result, machine) -> None:
     """
     rec = telemetry.current()
     journal = WriteAheadJournal(machine)
-    for lo, hi in result._text_spans():
+    for lo, hi in result.patched_ranges:
         journal.will_touch(lo, hi - lo)
     if result.trampoline_code:
         journal.will_touch(result.trampoline_base,
@@ -138,7 +138,7 @@ def apply_result(result, machine) -> None:
         rec.count("commit.journal_bytes", journal.journal_bytes)
     try:
         faults.site("patch.txn.text")
-        for lo, hi in result._text_spans():
+        for lo, hi in result.patched_ranges:
             off = lo - result.text_base
             machine.write_mem(lo, result.text[off:off + (hi - lo)])
             machine.invalidate_code_range(lo, hi - lo)
@@ -173,12 +173,12 @@ def remove_result(result, machine) -> tuple[int, int]:
     to the fully instrumented state.
     """
     journal = WriteAheadJournal(machine)
-    for lo, hi in result._text_spans():
+    for lo, hi in result.patched_ranges:
         journal.will_touch(lo, hi - lo)
     restored = skipped = 0
     try:
         faults.site("patch.txn.restore")
-        for lo, hi in result._text_spans():
+        for lo, hi in result.patched_ranges:
             off = lo - result.text_base
             expected = result.text[off:off + (hi - lo)]
             if machine.read_mem(lo, hi - lo) != bytes(expected):

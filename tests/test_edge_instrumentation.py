@@ -9,7 +9,7 @@ from repro.codegen import IncrementVar
 from repro.minicc import compile_source, fib_source
 from repro.patch import (
     PatchError, Patcher, PointType, branch_edges, edge_point,
-    function_entry, points_for,
+    function_entry, instruction_point, points_for,
 )
 from repro.parse import parse_binary
 from repro.sim import Machine, StopReason
@@ -202,4 +202,20 @@ class TestEdgeTrampolineErrors:
         c = b.allocate_variable("c")
         b.insert(bogus, IncrementVar(c))
         with pytest.raises(PatchError):
+            b.commit()
+
+    def test_deleting_an_instrumented_branch_rejected(self):
+        """Edge payloads ride the relocated branch: deleting it would
+        drop them, so the commit refuses."""
+        b = open_binary(compile_source(fib_source(10)))
+        fn = b.function("fib")
+        block = next(blk for blk in sorted(fn.blocks.values(),
+                                           key=lambda blk: blk.start)
+                     if blk.last is not None
+                     and blk.last.is_conditional_branch)
+        c = b.allocate_variable("c")
+        b.insert([edge_point(fn, block, True),
+                  edge_point(fn, block, False)], IncrementVar(c))
+        b.delete_instruction(instruction_point(fn, block.last.address))
+        with pytest.raises(PatchError, match="edge"):
             b.commit()

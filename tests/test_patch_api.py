@@ -113,8 +113,16 @@ class TestSpringboardLadder:
             build_springboard(0x10000, 0x10000 + (4 << 20), 2, RV64G)
 
     def test_padding_fills_slot(self):
+        # the springboard's length is the slot: 8 bytes left before the
+        # block ends and a near target take the 4-byte jal
         sb = build_springboard(0x10000, 0x10100, 8, RV64GC)
-        assert len(sb.code) == 8  # jal + nop
+        assert sb.kind is SpringboardKind.JAL
+        assert len(sb.code) == 4
+
+    def test_far_rung_only_within_auipc_reach(self):
+        sb = build_springboard(0x10000, 0x10000 + (3 << 30), 16, RV64GC)
+        assert sb.kind is SpringboardKind.TRAP
+        assert len(sb.code) == 4
 
 
 class TestEntryInstrumentation:
@@ -333,6 +341,34 @@ _start:
         assert ev.reason is StopReason.EXITED
         assert ev.exit_code == 8
         assert m.mem.read_int(c.address, 8) == 1
+
+    @pytest.mark.parametrize("ptype, count", [
+        (PointType.FUNC_ENTRY, 67), (PointType.BLOCK_ENTRY, 267)])
+    def test_patch_area_beyond_auipc_reach(self, ptype, count):
+        """4 GiB away even auipc+jalr cannot reach the trampolines:
+        every springboard traps and the counts stay those of the
+        default placement."""
+        st, co = setup_c(fib_source(8))
+        fib = co.function_by_name("fib")
+        patcher = Patcher(st, co, patch_base=0x1_0000_0000)
+        c = patcher.allocate_var("n")
+        patcher.insert(points_for(fib, ptype), IncrementVar(c))
+        res = patcher.commit()
+        assert set(res.stats.springboards) == {"trap"}
+        m = run_instrumented(st, res)
+        assert m.mem.read_int(c.address, 8) == count
+
+    def test_call_beyond_auipc_reach_is_a_relocation_error(self):
+        from repro.patch import RelocationError
+        st, co = setup_c(fib_source(8))
+        fib = co.function_by_name("fib")
+        patcher = Patcher(st, co, patch_base=0x1_0000_0000)
+        c = patcher.allocate_var("n")
+        sites = call_sites(fib)
+        patcher.insert(sites, IncrementVar(c))
+        with pytest.raises(RelocationError,
+                           match=f"{sites[0].address:#x}.*offset"):
+            patcher.commit()
 
     def test_conflicting_points_rejected(self):
         st, co = setup_c(fib_source(5))
