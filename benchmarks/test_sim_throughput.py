@@ -131,7 +131,8 @@ def _observed(prog, granularity: str, detach: bool = False):
 def _interpreted_share(make, monkeypatch) -> float:
     """Closure-interpreter steps over ``instret`` in one untimed run of
     the machine *make* builds, counted by wrapping every closure the
-    interpreter builds."""
+    interpreter builds, per pc or shared per encoding.  A cold run
+    steps some code, so a count of 0 means the hook missed closures."""
     steps = [0]
     build = machine_mod.build_closure
 
@@ -147,6 +148,7 @@ def _interpreted_share(make, monkeypatch) -> float:
         mp.setattr(machine_mod, "build_closure", counting_build)
         m = make()
         m.run()
+    assert steps[0] > 0, "the build_closure hook counted no steps"
     return steps[0] / m.instret
 
 

@@ -388,7 +388,13 @@ class SessionServer:
             target=self._worker_main, args=(slot["slot"],),
             daemon=True,
             name=f"repro-svc-{slot['slot']}.g{slot['generation']}")
-        p.start()
+        # the child inherits SIGTERM blocked and unblocks it once its
+        # drain handler is installed: an early TERM drains, not kills
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            p.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         slot["proc"] = p
         slot["started_at"] = time.monotonic()
         self._procs.append(p)
@@ -485,8 +491,6 @@ class SessionServer:
         # in-flight requests finish up to drain_timeout, then exit.  A
         # second SIGTERM (the parent's escalation) forces exit now.
         self._is_forked_worker = True
-        signal.signal(signal.SIGTERM, self._on_sigterm)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
         # fresh post-fork state: caches must not alias the parent's
         self._analyses = {}
         self._cache_lock = threading.Lock()
@@ -500,6 +504,10 @@ class SessionServer:
         self._conns = set()
         self._inflight = 0
         self._draining = False
+        signal.signal(signal.SIGTERM, self._on_sigterm)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        # a TERM that arrived since the fork waited, blocked: drain now
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         spec = os.environ.get(ENV_FAULTS)
         if spec:  # chaos harness: arm this worker's injection plan
             try:

@@ -1,13 +1,19 @@
 """Instruction execution engine: decoded instruction -> Python closure.
 
-The hot path of the simulator.  Each instruction at a given pc is decoded
-once and compiled into a small closure that mutates the machine state;
-closures are cached per-pc (the machine invalidates entries when code is
-patched — which is precisely what dynamic instrumentation does).  An
-instruction with SAIL semantics gets its closure from a per-mnemonic
-factory compiled from the lowered IR (:mod:`repro.semantics.lower`);
-only ``lr``/``sc``, Zicsr, ``ecall``/``ebreak`` and ``fence.i``'s icache
-flush are hand-written.
+The hot path of the simulator.  An instruction is decoded once and
+compiled into a small closure that mutates the machine state, in one of
+two shapes.  A per-pc closure computes everything that depends on its pc
+(branch targets, links, ``auipc`` values) once, when it is built: the
+closure interpreter and ``step()`` cache one per pc (the machine
+invalidates entries when code is patched — which is precisely what
+dynamic instrumentation does).  A shared closure serves every pc holding
+its encoding and reads the pc from ``m.pc`` when its meaning needs it:
+the trace JIT's cold path, where most pcs run only a few times, builds
+one per encoding.  An instruction with SAIL semantics gets either shape
+from a per-mnemonic factory compiled from the lowered IR
+(:mod:`repro.semantics.lower`); only ``lr``/``sc``, Zicsr,
+``ecall``/``ebreak`` and ``fence.i``'s icache flush are hand-written,
+and their closures are always per pc.
 
 Per the HPC guides: the interpreter optimises the *hot loop* only —
 closure dispatch, locals-bound state, no per-step allocation.  Everything
@@ -16,6 +22,7 @@ else favours clarity.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Callable, TYPE_CHECKING
 
@@ -96,12 +103,20 @@ class _ClosureTarget:
         return self.loads[key]
 
 
+#: a factory prologue line that computes a value over the pc
+_READS_PC = re.compile(r"\bpc\b")
+
+
 @lru_cache(maxsize=None)
-def _factory(mnemonic: str, rd_zero: bool):
+def _factory(mnemonic: str, rd_zero: bool, shared: bool):
     """Compile the closure factory of one IR-covered mnemonic (with a
     write to ``X(rd)`` dropped when *rd_zero*; ``F(rd)`` is then f0, an
     ordinary register).  The factory binds an instruction's operand
-    fields and returns its per-pc closure."""
+    fields and returns its closure: a per-pc one, whose values over the
+    pc the factory computes once, or with *shared* one for every pc
+    holding the encoding.  A shared closure computes its values over the
+    pc on each run, reading ``pc = m.pc`` first, and advances with
+    ``m.pc += ilen`` when it writes no target."""
     t = _ClosureTarget()
     lw = Lowering(semantics_for(mnemonic), t, zero=("rd",) if rd_zero
                   else ())
@@ -121,18 +136,31 @@ def _factory(mnemonic: str, rd_zero: bool):
             body.append(f"t = {pc}")  # read before the writes land
             pc = "t"
     body += [f"{r} = {v.src}" for r, v in writes]
+    prologue = t.prologue
+    advance = f"m.pc = {pc}"
+    if not shared:
+        prologue = ["next_pc = pc + ilen", *prologue]
+    else:
+        # the values over the pc move into run(), which reads it first
+        per_pc = [ln for ln in prologue if _READS_PC.search(ln)]
+        prologue = [ln for ln in prologue if ln not in per_pc]
+        if pc == "next_pc":
+            advance = "m.pc += ilen"
+        elif "next_pc" in "\n".join([*body, pc]):
+            per_pc.insert(0, "next_pc = pc + ilen")
+        if per_pc:
+            body = ["pc = m.pc", *per_pc, *body]
     src = "\n".join([
         "def __make__(m, pc, F, ilen, cost):",
         "    x = m.x",
         "    fr = m.f",
         "    ri = m.mem.read_int",
         "    si = m.mem.write_int",
-        "    next_pc = pc + ilen",
         *[f"    {n} = F[{n!r}]" for n in lw.operands],
-        *[f"    {ln}" for ln in t.prologue],
+        *[f"    {ln}" for ln in prologue],
         "    def run():",
         *[f"        {ln}" for ln in body],
-        f"        m.pc = {pc}",
+        f"        {advance}",
         "        m.ucycles += cost",
         "        m.instret += 1",
         "    return run",
@@ -142,21 +170,32 @@ def _factory(mnemonic: str, rd_zero: bool):
     return env["__make__"]
 
 
-def build_closure(m: "Machine", pc: int, instr: Instruction) -> Closure:
+def lowered(instr: Instruction) -> bool:
+    """Does *instr* run from its lowered IR, and so have a shared
+    closure (``build_closure(m, None, instr)``)?"""
+    mn = instr.mnemonic
+    return mn != "fence.i" and semantics_for(mn) is not None
+
+
+def build_closure(m: "Machine", pc: int | None,
+                  instr: Instruction) -> Closure:
     """Compile one decoded instruction into an executable closure.
 
     The closure updates registers/memory/pc and charges cycle cost.
     Instructions with SAIL semantics run the closure their lowered IR
-    builds; the rest are hand-written below.
+    builds: per pc, or shared by every pc holding the encoding when *pc*
+    is ``None`` (only for :func:`lowered` instructions).  The rest are
+    hand-written below, per pc.
     """
     mn = instr.mnemonic
     f = instr.fields
     length = instr.length
-    next_pc = pc + length
     cost = m.timing.ucycles(category_of(mn, instr.spec.match & 0x7F))
 
-    if mn != "fence.i" and semantics_for(mn) is not None:
-        return _factory(mn, f.get("rd") == 0)(m, pc, f, length, cost)
+    if lowered(instr):
+        return _factory(mn, f.get("rd") == 0, pc is None)(
+            m, pc, f, length, cost)
+    next_pc = pc + length
 
     def _finish_simple(body: Callable[[], None]) -> Closure:
         def run() -> None:

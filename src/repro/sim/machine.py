@@ -7,10 +7,15 @@ to (read/write registers and memory, step, run-until-event).
 Performance notes (per the HPC guides): the run loop binds hot
 attributes to locals, and instructions are compiled at two levels —
 
-* a per-pc closure cache (``_icache``) used for single-stepping, bounded
+* a pc -> closure cache (``_icache``) used for single-stepping, bounded
   ``run(max_steps=...)``, instructions the trace compiler rejects, and
   cold code: an unbounded ``run()`` steps a pc through its closure until
-  the pc has been dispatched ``traces.hot_threshold`` times;
+  the pc has been dispatched ``traces.hot_threshold`` times.  The
+  closure interpreter and ``step()`` build one closure per pc, which
+  computes its pc-dependent values once.  An unbounded run's cold path
+  builds one per instruction encoding instead (``_by_encoding``), which
+  reads the pc when it runs: a whole binary's cold code holds far fewer
+  encodings than pcs, and its pcs run only a few times each;
 * a trace cache (:class:`repro.sim.trace.TraceCache`) used by unbounded
   ``run()`` once code is warm: a trace is rooted at every warm pc and
   runs the path from there as one Python function with batched timing,
@@ -22,7 +27,9 @@ Both levels are **patch-safe**: every write overlapping a registered
 executable range — self-modifying stores, ``write_mem`` from the
 patcher/ProcControl, breakpoint insertion — flows through the
 :class:`Memory` write watch into :meth:`_code_written`, which drops the
-overlapping closures and traces.  See docs/INTERNALS.md ("Trace cache &
+overlapping ``_icache`` entries and traces.  ``_by_encoding`` needs no
+invalidation: it is keyed by the instruction's own bits, which the cold
+path reads again after a drop.  See docs/INTERNALS.md ("Trace cache &
 invalidation rules").
 
 Both levels also emit execution events, from the instruction that
@@ -47,7 +54,9 @@ from ..telemetry.events import (
 from ..riscv.assembler import Program
 from ..riscv.decoder import DecodeError, decode
 from ..riscv.opcodes import OP_BRANCH
-from .executor import BreakpointHit, ExitTrap, SimFault, build_closure
+from .executor import (
+    BreakpointHit, ExitTrap, SimFault, build_closure, lowered,
+)
 from .memory import Memory, MemoryFault
 from .timing import P550, TimingModel, UCYCLE
 from .trace import TraceCache
@@ -142,6 +151,9 @@ class Machine:
         self.stdout = bytearray()
         self.exit_code: int | None = None
         self._icache: dict[int, object] = {}
+        #: the traced run's cold path: instruction bits -> the closure
+        #: every pc holding them shares (IR-covered instructions only)
+        self._by_encoding: dict[int, object] = {}
         #: [lo, hi) ranges treated as code: writes into them invalidate
         #: compiled closures/traces (self-modifying code / patching).
         self.exec_ranges: list[tuple[int, int]] = []
@@ -218,6 +230,7 @@ class Machine:
         self.stdout = bytearray()
         # full flush: compiled code binds the (re-created) register lists
         self._icache.clear()
+        self._by_encoding.clear()
         self.traces.clear()
         if exec_range is not None:
             self.exec_ranges = [exec_range]
@@ -284,6 +297,7 @@ class Machine:
         self._per_insn = any(s.granularity == "instruction" for s in obs)
         # closures bind emit: rebuild them under the new fan-out
         self._icache.clear()
+        self._by_encoding.clear()
         # so do traces, but only block-observed runs dispatch them: flush
         # whenever block observation starts, ends or changes its fan-out
         want_trace_events = any(s.granularity == "block" for s in obs)
@@ -299,12 +313,14 @@ class Machine:
             stream.push(event)
         self._fresh.clear()
 
-    def _emitting(self, cl, pc: int, instr):
+    def _emitting(self, cl, instr):
         """*cl*, wrapped to emit the events of the transfer it makes
         when *instr* is a control-flow instruction: the block enter at
         the pc it leaves for (taken or not) and, with an
         instruction-granularity observer attached, its call, return,
-        jump or taken branch.  Other instructions emit nothing."""
+        jump or taken branch.  Other instructions emit nothing.  The
+        wrapper reads the pc it runs at, so it serves a shared closure
+        too."""
         mn = instr.mnemonic
         rd = instr.fields.get("rd")
         if mn == "jal":
@@ -321,16 +337,17 @@ class Machine:
         else:
             return cl
         # a branch falling through emits no BRANCH
-        fall = pc + instr.length if kind == BRANCH else None
+        fall = instr.length if kind == BRANCH else None
         if not self._per_insn:
             kind = None
         emit = self._emit
         m = self
 
         def run() -> None:
+            pc = m.pc
             cl()
             npc = m.pc
-            if kind is not None and npc != fall:
+            if kind is not None and npc - pc != fall:
                 emit((kind, pc, npc, m.instret, m.ucycles))
             emit((BLOCK, npc, 0, m.instret, m.ucycles))
         return run
@@ -432,8 +449,34 @@ class Machine:
             instr = decode(raw, 0, pc)
             cl = build_closure(self, pc, instr)
             if self._emit is not None:
-                cl = self._emitting(cl, pc, instr)
+                cl = self._emitting(cl, instr)
             self._icache[pc] = cl
+        return cl
+
+    def _cold_at(self, pc: int):
+        """The traced run's closure for a cold *pc*: the one shared by
+        every pc holding the same instruction bits, decoded and built on
+        the first sight of the encoding.  Hand-written instructions get
+        a per-pc closure."""
+        mem = self.mem
+        try:
+            bits = mem.read_int(pc, 4)
+        except MemoryFault:
+            bits = mem.read_int(pc, 2)  # page-end compressed instr
+            if bits & 3 == 3:  # a 4-byte instr cut off: decode's error
+                decode(bits.to_bytes(2, "little"), 0, pc)
+        if bits & 3 != 3:
+            bits &= 0xFFFF  # compressed: the halfword is the encoding
+        cl = self._by_encoding.get(bits)
+        if cl is None:
+            instr = decode(bits.to_bytes(4, "little"), 0, pc)
+            shared = lowered(instr)
+            cl = build_closure(self, None if shared else pc, instr)
+            if self._emit is not None:
+                cl = self._emitting(cl, instr)
+            if shared:
+                self._by_encoding[bits] = cl
+        self._icache[pc] = cl
         return cl
 
     def _redirect(self, pc: int) -> bool:
@@ -629,7 +672,8 @@ class Machine:
         cache entry runs one closure step and counts one dispatch; a
         trace is rooted there once the count reaches
         ``traces.hot_threshold``.  Pcs the trace compiler rejects also
-        step through their closure."""
+        step through their closure.  Closures built here are shared per
+        encoding (:meth:`_cold_at`)."""
         if self._count_hits:
             traces = self.traces
             raw_get = traces.fns.get
@@ -646,7 +690,7 @@ class Machine:
         seen = dispatches.get
         threshold = self.traces.hot_threshold
         icache = self._icache
-        closure_at = self._closure_at
+        cold_at = self._cold_at
         self.code_dirty = False
         while True:
             try:
@@ -667,7 +711,7 @@ class Machine:
                         # (ecall/ebreak/fences/csr/lr/sc)
                         cl = icache.get(pc)
                         if cl is None:
-                            cl = closure_at(pc)
+                            cl = cold_at(pc)
                         cl()
             except ExitTrap as e:
                 self.exit_code = e.code
@@ -681,8 +725,10 @@ class Machine:
                 return self._fault(e)
 
     def _run_interp(self, max_steps: int | None = None) -> StopEvent:
-        """Seed per-pc closure loop (also the `REPRO_SIM_TRACES=0` and
-        bounded-run path)."""
+        """Closure loop (also the `REPRO_SIM_TRACES=0` and bounded-run
+        path).  It builds per-pc closures, which compute their values
+        over the pc once: shared ones would read ``m.pc`` on every run
+        of the code this loop runs hot."""
         icache = self._icache
         closure_at = self._closure_at
         remaining = max_steps

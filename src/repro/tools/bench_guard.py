@@ -19,7 +19,9 @@ Simulator checks, in order:
 * on that instrumented matmul, the closure interpreter runs at most
   :data:`INTERPRETED_CEILING` of the instructions (``instret``): the
   traces cover the loops and the hops between them.  The share is a
-  deterministic count, not a timing;
+  deterministic count, not a timing, and it is above 0: the run starts
+  cold, so a share of 0 means the step-counting hook missed the
+  closures the run built;
 * a run with a block-granularity observer attached is no slower than
   the closure interpreter (``block_over_interpreter``, the median of
   per-round ratios of runs made back to back).
@@ -102,6 +104,9 @@ def check(bench: dict, floor: float = MEGATRACE_FLOOR) -> list[str]:
         bad.append(f"the interpreter runs {share:.2%} of the "
                    f"instrumented matmul, above the "
                    f"{INTERPRETED_CEILING:.2%} ceiling")
+    elif share <= 0:
+        bad.append("the interpreter runs none of the instrumented "
+                   "matmul: the step-counting hook saw no closure")
     observed = bench.get("block_over_interpreter")
     if not _number(observed):
         bad.append("no usable 'block_over_interpreter' key in "

@@ -204,3 +204,25 @@ class TestCallGraph:
         co = parse_binary(Symtab.from_program(p))
         g = build_callgraph(co)
         assert "f" in g.has_unresolved
+
+
+class TestBenchGuard:
+    """The regression guard reads ``BENCH_sim.json``'s deterministic
+    interpreted share as well as its ratios."""
+
+    @staticmethod
+    def _snapshot(share):
+        return {"speedup": 6.0, "instrumented_over_plain": 1.1,
+                "block_over_interpreter": 4.0,
+                "instrumented": {"megatrace": {"interpreted_share": share}}}
+
+    def test_share_within_the_ceiling_passes(self):
+        from repro.tools.bench_guard import check
+        assert check(self._snapshot(0.00083)) == []
+
+    def test_a_zero_share_means_a_blind_hook(self):
+        """A cold start always steps some code: a share of 0 means the
+        step-counting hook missed the closures the run built."""
+        from repro.tools.bench_guard import check
+        bad = check(self._snapshot(0.0))
+        assert len(bad) == 1 and "hook" in bad[0]

@@ -588,6 +588,26 @@ class TestSupervision:
             assert victim.exitcode == 0  # drained, not killed
             _wait_for_fleet(sock, min_respawns=1)
 
+    def test_sigterm_before_the_drain_handler_drains(self, tmp_path):
+        """A SIGTERM that reaches a worker between the fork and the
+        install of its drain handler waits, blocked, and then drains
+        the worker: it does not kill it by the default action."""
+        class SlowStart(SessionServer):
+            def _worker_main(self, worker_id):
+                time.sleep(1.0)  # the TERM lands in here
+                super()._worker_main(worker_id)
+
+        sock = os.fspath(tmp_path / "early.sock")
+        srv = SlowStart(sock, store=tmp_path / "store", workers=1,
+                        supervise=False, drain_timeout=1.0).start()
+        try:
+            victim = srv._slots[0]["proc"]
+            os.kill(victim.pid, signal.SIGTERM)
+            victim.join(timeout=10.0)
+            assert victim.exitcode == 0  # drained, not killed
+        finally:
+            srv.close()
+
 
 @pytest.mark.slow
 class TestShutdown:

@@ -1,8 +1,10 @@
 """Every execution tier agrees with the closure interpreter.
 
-The MiniC workload suite runs unbounded on four engines: the closure
-interpreter, and the trace JIT rooting traces on a pc's first dispatch,
-on its second, and at the default hotness threshold.  Each run must
+The MiniC workload suite runs unbounded on five engines: the closure
+interpreter, the trace JIT rooting traces on a pc's first dispatch, on
+its second, and at the default hotness threshold, and a traced run
+that never gets hot, so it runs wholly on the cold path's closures
+shared per encoding.  Each run must
 leave the same registers, FP registers, pc, ``instret``, ``ucycles``,
 stdout and memory, and every engine must emit the interpreter's block
 event stream, event for event.  However a run is sliced, into bounded
@@ -10,22 +12,29 @@ runs or single steps, it emits the unsliced run's stream at either
 granularity.  At the default threshold, every innermost hot loop roots
 a looping trace at its header, the rule ``docs/INTERNALS.md`` states.
 Hand-written programs fault inside compiled code, and take paths on
-which a trace once ran the wrong code.
+which a trace once ran the wrong code.  The cold path runs the
+perfbench-shaped wide binary as the interpreter does, building one
+closure per encoding where the interpreter builds one per pc, and
+hand-written programs run one encoding at two pcs.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 
 import pytest
 
+import repro.sim.machine as machine_mod
 from repro.api import open_binary
+from repro.codegen.snippets import IncrementVar
 from repro.minicc import (
     Options, compile_source, crc_source, fib_source, linked_list_source,
     matmul_source, nbody_source, qsort_source, switch_source,
     tailcall_source,
 )
 from repro.parse import natural_loops
+from repro.patch.points import PointType
 from repro.riscv import assemble
 from repro.sim import Machine, P550, StopReason
 from repro.sim.trace import HOT_THRESHOLD
@@ -48,6 +57,10 @@ WORKLOADS = {
 CONFIGS = [f"{w}-{build}-{inst}" for w in WORKLOADS
            for build in ("plain", "rvc") for inst in ("none", "bb")]
 
+#: a hot threshold above any dispatch count: the traced run compiles
+#: nothing and runs every instruction on its cold path
+COLD = 1 << 62
+
 #: engine -> (Machine keywords, hot threshold or None for the default).
 #: Rooting traces on the second dispatch instead of the first moves
 #: them: a function entered twice roots a straight-line entry trace, and
@@ -57,7 +70,11 @@ ENGINES = {
     "hot2": ({"trace_compile": True}, 2),
     "hot1": ({"trace_compile": True}, 1),
     "default": ({"trace_compile": True}, None),
+    "cold": ({"trace_compile": True}, COLD),
 }
+
+#: the engines compared with the interpreter
+TRACED = ("hot2", "hot1", "default", "cold")
 
 #: workloads whose hot function has an innermost loop hot enough to
 #: root a trace at the default threshold
@@ -104,12 +121,14 @@ def load(request):
 def test_tiers_agree(load):
     ref, ev = _run(load, "interp")
     assert ev.reason is StopReason.EXITED
-    for engine in ("hot2", "hot1", "default"):
+    for engine in TRACED:
         m, ev = _run(load, engine)
         assert ev.reason is StopReason.EXITED, engine
         assert _state(m) == _state(ref), engine
-        if engine != "default":
+        if engine in ("hot2", "hot1"):
             assert m.traces.mega_compiles > 0, engine
+        if engine == "cold":
+            assert m.traces.mega_compiles == 0
 
 
 def _unsliced(m):
@@ -148,7 +167,7 @@ def test_block_streams_agree(load):
     so the JIT emits the interpreter's stream: none at a trace's entry,
     one at each taken side exit, dynamic exit and back edge."""
     ref = _stream(load, "interp", "block")
-    for engine in ("hot2", "hot1", "default"):
+    for engine in TRACED:
         assert _stream(load, engine, "block") == ref, engine
 
 
@@ -568,3 +587,283 @@ def test_mixed_memory_accesses(case):
     state on every engine."""
     mega = _agree_on(assemble(_MIXED.format(body=MIXED[case])))
     assert mega.traces.mega_compiles > 0
+
+
+def wide_source(seed: int = 1, n: int = 200) -> str:
+    """The benchmark's wide binary: *n* small functions, each a
+    four-step Collatz walk, all called once from ``main`` with seeded
+    arguments."""
+    rng = random.Random(seed)
+    funcs = "".join(f"""
+long work{i}(long x) {{
+    long s = x;
+    for (long j = 0; j < 4; j = j + 1) {{
+        if (s % 2 == 0) {{ s = s / 2; }} else {{ s = s * 3 + 1; }}
+    }}
+    return s;
+}}
+""" for i in range(n))
+    calls = " + ".join(f"work{i}({rng.randrange(1, 1000)})"
+                       for i in range(n))
+    return funcs + f"long main(void) {{ return ({calls}) % 256; }}\n"
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """Loader of the wide binary with a call counter at the entry of
+    every function (201 points), as the benchmark instruments it."""
+    edit = open_binary(compile_source(wide_source()))
+    calls = edit.allocate_variable("calls")
+    snippet = IncrementVar(calls)
+    for name in [f"work{i}" for i in range(200)] + ["main"]:
+        edit.insert(edit.points(name, PointType.FUNC_ENTRY), snippet)
+    result = edit.commit()
+
+    def into(m):
+        edit.symtab.load_into(m)
+        result.apply_to_machine(m)
+    return into
+
+
+def test_cold_path_agrees_on_the_wide_binary(wide):
+    """Whole-binary instrumentation runs mostly cold code: the traced
+    run's cold path leaves the interpreter's state and block stream."""
+    ref, ev = _run(wide, "interp")
+    assert ev.reason is StopReason.EXITED
+    m, ev = _run(wide, "cold")
+    assert ev.reason is StopReason.EXITED
+    assert m.traces.mega_compiles == 0
+    assert _state(m) == _state(ref)
+    assert _stream(wide, "cold", "block") == _stream(wide, "interp", "block")
+
+
+def _builds(load, engine, monkeypatch) -> list[tuple]:
+    """``(pc, encoding)`` of every closure ``build_closure`` makes in
+    one run of *engine* (pc ``None``: a closure shared per encoding)."""
+    built = []
+    build = machine_mod.build_closure
+
+    def counting(m, pc, instr):
+        built.append((pc, instr.raw))
+        return build(m, pc, instr)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(machine_mod, "build_closure", counting)
+        m, ev = _run(load, engine)
+    assert ev.reason is StopReason.EXITED
+    return built
+
+
+def test_cold_path_builds_one_closure_per_encoding(wide, monkeypatch):
+    """The wide binary retires 23,310 instructions at 10,749 pcs, which
+    hold 830 encodings.  The interpreter builds a closure per pc; the
+    traced run builds one per encoding for the 829 the IR covers, and
+    one per pc for the hand-written rest (its one ``ecall``)."""
+    per_pc = _builds(wide, "interp", monkeypatch)
+    traced = _builds(wide, "default", monkeypatch)
+    encoding = dict((pc, raw) for pc, raw in per_pc)
+    assert len(per_pc) == len(encoding) == 10_749
+    assert len(set(encoding.values())) == 830
+    shared = [raw for pc, raw in traced if pc is None]
+    rest = [pc for pc, raw in traced if pc is not None]
+    assert len(shared) == len(set(shared)) == 829
+    assert rest == [pc for pc, raw in encoding.items()
+                    if raw not in shared]
+    assert len(rest) == 1
+
+
+class TestColdPath:
+    """One encoding at two pcs runs one shared closure on the traced
+    run's cold path, and that closure computes what a per-pc one
+    would at each pc."""
+
+    @staticmethod
+    def _cold(prog):
+        m, ev = _run(lambda m: m.load_program(prog), "cold")
+        assert m.traces.mega_compiles == 0
+        return m, ev
+
+    @staticmethod
+    def _twins(prog, m, *labels):
+        """Each pair of *labels* holds one encoding, and the cold run
+        gave both pcs the same closure."""
+        for a, b in zip(labels[::2], labels[1::2]):
+            pa, pb = prog.symbol(a).address, prog.symbol(b).address
+            assert m.read_mem(pa, 4) == m.read_mem(pb, 4), (a, b)
+            assert m._icache[pa] is m._icache[pb], (a, b)
+
+    def test_pc_reading_encodings_at_two_pcs(self):
+        """``auipc``, a linking ``jal``, a taken and a not-taken branch
+        and ``jalr x0`` each read the pc or write a target; each runs
+        at two pcs."""
+        prog = assemble("""
+_start:
+  li s0, 0
+auipc1:
+  auipc s2, 0
+  mv s3, s2
+auipc2:
+  auipc s2, 0
+jal1:
+  jal ra, link1
+  addi s0, s0, 100
+link1:
+  mv s4, ra
+jal2:
+  jal ra, link2
+  addi s0, s0, 100
+link2:
+  mv s5, ra
+taken1:
+  beq zero, zero, over1
+  addi s0, s0, 100
+over1:
+taken2:
+  beq zero, zero, over2
+  addi s0, s0, 100
+over2:
+fall1:
+  bne zero, zero, skip1
+  addi s0, s0, 1
+skip1:
+fall2:
+  bne zero, zero, skip2
+  addi s0, s0, 1
+skip2:
+  la t0, land1
+jr1:
+  jalr x0, 0(t0)
+  addi s0, s0, 100
+land1:
+  la t0, land2
+jr2:
+  jalr x0, 0(t0)
+  addi s0, s0, 100
+land2:
+  li a0, 0
+  li a7, 93
+  ecall
+""")
+        _agree_on(prog)
+        m, ev = self._cold(prog)
+        assert ev.reason is StopReason.EXITED
+        self._twins(prog, m, "auipc1", "auipc2", "jal1", "jal2",
+                    "taken1", "taken2", "fall1", "fall2", "jr1", "jr2")
+        at = {name: prog.symbol(name).address
+              for name in ("auipc1", "auipc2", "jal1", "jal2")}
+        assert m.x[18:22] == [at["auipc2"], at["auipc1"],
+                              at["jal1"] + 4, at["jal2"] + 4]
+        assert m.x[8] == 2  # s0: both fall-throughs, nothing skipped
+
+    def test_shared_load_faults_at_its_own_pc(self):
+        """One ``ld`` encoding loads at one pc and faults at the other:
+        the fault stops at the second pc with its counters."""
+        prog = assemble("""
+_start:
+  la a0, data
+ld1:
+  ld t0, 0(a0)
+  li a0, 16
+ld2:
+  ld t0, 0(a0)
+  li a7, 93
+  ecall
+.data
+data:
+  .dword 41
+""")
+        _agree_on(prog, StopReason.FAULT)
+        m, ev = self._cold(prog)
+        self._twins(prog, m, "ld1", "ld2")
+        assert (ev.reason, ev.pc) == (StopReason.FAULT,
+                                      prog.symbol("ld2").address)
+        assert (m.x[5], m.instret) == (41, 4)  # la is two
+
+    def test_store_rewrites_one_of_two_twins(self):
+        """``w1`` and ``w2`` hold one ``addi``; a store rewrites ``w2``
+        after the first pass, so the second pass adds 1 at ``w1`` and
+        100 at ``w2``."""
+        word = int.from_bytes(assemble("addi s0, s0, 100").text, "little")
+        prog = assemble(f"""
+_start:
+  li s1, 2
+  la a1, w2
+  li a2, {word}
+loop:
+w1:
+  addi s0, s0, 1
+w2:
+  addi s0, s0, 1
+  sw a2, 0(a1)
+  addi s1, s1, -1
+  bnez s1, loop
+  li a7, 93
+  ecall
+""")
+        _agree_on(prog)
+        m, ev = self._cold(prog)
+        assert ev.reason is StopReason.EXITED
+        assert m.x[8] == 103  # s0
+        old = int.from_bytes(assemble("addi s0, s0, 1").text, "little")
+        assert m._icache[prog.symbol("w1").address] is m._by_encoding[old]
+        assert word in m._by_encoding  # built when w2 ran rewritten
+
+    @staticmethod
+    def _page_end(head: str, tail: str):
+        """*head*, zeros, then *tail*, which ends the text page; no page
+        is mapped after it."""
+        def source(pad):
+            return f"{head}\n  .zero {pad}\n{tail}"
+        prog = assemble(source(0))
+        prog = assemble(source(0x1000 - len(prog.text)))
+        assert prog.text_base + len(prog.text) == 0x11000
+        assert not prog.data and not prog.bss_size
+        return prog
+
+    def test_rvc_at_a_page_end(self):
+        """Only 2 bytes are mapped at the last ``c.j``'s pc: the cold
+        path reads its halfword alone, as the interpreter does."""
+        prog = self._page_end("""
+_start:
+  li s1, 3
+  j loop
+done:
+  li a0, 0
+  li a7, 93
+  ecall
+""", """
+loop:
+  addi s1, s1, -1
+  beqz s1, done
+  c.addi s0, 1
+  c.j loop
+""")
+        _agree_on(prog)
+        m, ev = self._cold(prog)
+        assert ev.reason is StopReason.EXITED
+        assert m.x[8] == 2  # s0
+        hw = int.from_bytes(m.read_mem(0x10FFE, 2), "little")
+        assert m._icache[0x10FFE] is m._by_encoding[hw]
+
+    def test_cut_off_word_at_a_page_end(self):
+        """A 4-byte instruction's first half ends the page.  Its bits
+        are a ``nop``'s low half, and the ``nop`` has run: decoding
+        still fails as on the interpreter, it does not run the ``nop``'s
+        closure."""
+        prog = self._page_end("""
+_start:
+  nop
+  j cut
+""", """
+cut:
+  .half 0x0013
+""")
+        runs = {engine: _run(lambda m: m.load_program(prog), engine)
+                for engine in ("interp", "cold")}
+        (ref, ref_ev), (m, ev) = runs["interp"], runs["cold"]
+        assert ref_ev.reason is StopReason.FAULT
+        assert (ev.reason, ev.pc, ev.fault) == \
+            (ref_ev.reason, 0x10FFE, ref_ev.fault)
+        assert "truncated" in ev.fault
+        assert 0x13 in m._by_encoding
+        assert _state(m) == _state(ref)

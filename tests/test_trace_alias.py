@@ -340,7 +340,9 @@ class TestInstrumentedHotLoop:
         between them.  Rooting traces by backward-transfer counts
         instead sees a back edge in every jump from a trampoline (they
         sit above ``.text``), roots each loop one instruction past its
-        springboard, and leaves the hops to the interpreter."""
+        springboard, and leaves the hops to the interpreter.  The step
+        count wraps every closure ``build_closure`` makes, per pc or
+        shared per encoding; the cold code makes it above 0 (6,178)."""
         steps = [0]
         build = machine_mod.build_closure
 
@@ -357,7 +359,7 @@ class TestInstrumentedHotLoop:
         m = Machine(P550)
         load(m)
         assert m.run().reason is StopReason.EXITED
-        assert steps[0] < 0.01 * m.instret, (steps[0], m.instret)
+        assert 0 < steps[0] < 0.01 * m.instret, (steps[0], m.instret)
         assert m.traces.fns.get(header)
         assert "while True:" in trace_sources[f"<mega@{header:#x}>"]
 
