@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from pathlib import Path
 
 from .. import telemetry
@@ -284,8 +283,7 @@ def analyze(source, options: InstrumentOptions | None = None, *,
     analysis = Analysis(symtab, opts, cfg, liveness,
                         interproc=interproc, key=key, source_path=path)
     if st is not None and key is not None:
-        meta = {"created_at": time.time(),
-                "options": opts.analysis_fields(),
+        meta = {"options": opts.analysis_fields(),
                 "functions": len(cfg.functions)}
         paths = set(st.meta(key).get("source_paths", ()))
         if path:

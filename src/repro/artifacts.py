@@ -161,9 +161,9 @@ class ArtifactStore:
         return data["payload"]
 
     def meta(self, key: str) -> dict:
-        """Stored metadata for *key* (source paths seen, timestamps...);
-        empty on a miss.  Metadata is advisory and does not participate
-        in validation."""
+        """Stored metadata for *key* (analysis options, function count,
+        source paths seen); empty on a miss.  Metadata is advisory and
+        does not participate in validation."""
         try:
             data = json.loads(self.path_for(key).read_bytes())
         except (OSError, ValueError):

@@ -48,6 +48,7 @@ from .ir import (
 
 M64 = (1 << 64) - 1
 _W64 = "0xFFFFFFFFFFFFFFFF"
+_SIGN = 1 << 63
 
 
 def sx(v: int) -> int:
@@ -382,6 +383,14 @@ class Lowering:
         return self._node("sx({})", self._canon(v), prec=ATOM, canon=False,
                           signed=True)
 
+    def _biased(self, v: Val) -> Val:
+        """*v* with its sign bit flipped: compared unsigned, biased
+        values order as their signed views do, without an ``sx`` call
+        (a constant folds)."""
+        if v.const is not None:
+            return const(v.const ^ _SIGN)
+        return self._node("{} ^ " + _hex(_SIGN), self._canon(v))
+
     def _shamt(self, v: Val) -> Val:
         """A shift amount: the operand's low six bits."""
         if v.const is not None:
@@ -419,8 +428,8 @@ class Lowering:
             return self._node("{} >> {}", self._signed(a), self._shamt(b),
                               canon=False, signed=True)
         if op in ("lts", "ges"):
-            return self._node("{} %s {}" % sym, self._signed(a),
-                              self._signed(b), prec=CMP, bits=1)
+            return self._node("{} %s {}" % sym, self._biased(a),
+                              self._biased(b), prec=CMP, bits=1)
         if sym is not None:  # eq, ne, ltu, geu
             return self._node("{} %s {}" % sym, self._canon(a),
                               self._canon(b), prec=CMP, bits=1)

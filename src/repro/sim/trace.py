@@ -39,13 +39,31 @@ load reads its page in place, and a store to an unwatched page writes
 it in place, through :mod:`repro.sim.memory`'s precompiled ``struct``
 accessors (``U8(pg, o)[0]``, ``P8(pg, o, v)``, bound into a trace's
 namespace on first use); an access that leaves its page, or whose page
-is not created yet, calls ``Memory.read_int``/``write_int``.  Doubles
-stay Python floats from page to page: ``fld`` unpacks one straight into
-its ``g<rd>`` local, double arithmetic computes on them, ``fsd`` of a
-live float packs it straight back, and ``fr[]`` bits are packed only at
-exits, faults and where an instruction reads an F register's bits.  A
-NaN result of double arithmetic becomes the canonical NaN as it lands
-in its ``g<rd>`` local, as the ISA requires.
+is not created yet, calls ``Memory.read_int``/``write_int``.
+
+Pages are looked up once per trace entry where they can be.  The
+prologue binds one page local per page and direction for the
+constant-address accesses (instrumentation counters, globals), and the
+address, page offset and page of each access through a base register
+the finished trace never writes (``sp``/``s0`` stack slots); the local
+is ``None`` when the page is not created yet, when the access leaves
+it, or for a store when the write watch covers it, and that access
+calls ``read_int``/``write_int`` and looks the page up again.  An
+access through a register the trace writes (array indexing) looks its
+page up every time.  The lookups run at every entry, never at compile
+time: a page is created on its first touch, and the watch set grows
+between runs.  They rely on one invariant: while a trace runs, only
+``read_int``/``write_int`` touch memory, and they only create pages;
+``Memory.restore_pages``, ``set_write_watch`` and
+``Machine.add_exec_range`` run only between runs (loads, patch commits
+and rollbacks).
+
+Doubles stay Python floats from page to page: ``fld`` unpacks one
+straight into its ``g<rd>`` local, double arithmetic computes on them,
+``fsd`` of a live float packs it straight back, and ``fr[]`` bits are
+packed only at exits, faults and where an instruction reads an F
+register's bits.  A NaN result of double arithmetic becomes the
+canonical NaN as it lands in its ``g<rd>`` local, as the ISA requires.
 
 Stores kill forwarded values by alias class: a constant-address store
 (an instrumentation counter) keeps the values addressed through a base
@@ -130,10 +148,22 @@ PAGE_BITS = 12
 
 #: placeholders in generated trace source, expanded at build time: a
 #: register spill (once the trace's full written-register set is known)
-#: and a back edge's float write-back (once the steady-state seeds are);
-#: each carries the F registers whose float locals are dirty there
+#: and a back edge's float write-back (once the steady-state seeds are),
+#: each carrying the F registers whose float locals are dirty there; and
+#: a memory access, carrying its index in ``_TraceEmitter.accesses``
+#: (its page is looked up at entry unless the trace writes its base)
 _SPILL = "\x00SPILL"
 _FPSYNC = "\x00FPSYNC"
+_ACCESS = "\x00ACCESS"
+
+
+def _suffix(base: int | None, off: int) -> str:
+    """Local-name suffix of (*base* register + *off*): ``2_28`` for
+    ``40(sp)``, ``8_m10`` for ``-16(s0)``, ``c_23000`` for a constant
+    address (*base* ``None``)."""
+    b = "c" if base is None else str(base)
+    sign = "m" if off < 0 else ""
+    return f"{b}_{sign}{abs(off):x}"
 
 
 def _lower(emit, pc: int, instr):
@@ -336,9 +366,10 @@ class TraceCache:
         With *assume*, every base register starts out assumed to
         address memory disjoint from the trace's constant addresses
         (see :meth:`_TraceEmitter._store_invalidate`).  A base the
-        finished trace writes cannot be checked once at entry, so the
-        trace is re-emitted without the registers it writes whenever
-        it relied on one of them.
+        finished trace writes cannot be checked once at entry.  A store
+        emitted after the base's write already ignores it; when one
+        emitted before that write relied on it, the trace is re-emitted
+        without the registers it writes.
 
         Returns ``(fn, spans)`` or ``None``."""
         assumed = frozenset(range(1, 32)) if assume else frozenset()
@@ -464,6 +495,12 @@ class _TraceEmitter:
         self.mem_known: dict[tuple, str] = {}
         #: covered [pc, pc+len) unit intervals, merged into spans later
         self._pcs: list[tuple[int, int]] = []
+        #: memory accesses behind the :data:`_ACCESS` markers
+        self.accesses: list[tuple] = []
+        #: prologue local -> the expression it is bound to at entry
+        #: (hoisted addresses, page offsets and pages), filled at build
+        #: time by :meth:`_resolve_access`
+        self.bindings: dict[str, str] = {}
         # -- two-body emission state (warmup + steady state) --------------
         #: True once any close site (path back to the head) was emitted
         self.closed = False
@@ -700,6 +737,7 @@ class _TraceEmitter:
             "written": set(self.written),
             "sync": len(self.sync_pc),
             "pcs": len(self._pcs),
+            "accesses": len(self.accesses),
         }
 
     def restore(self, snap: dict) -> None:
@@ -713,6 +751,7 @@ class _TraceEmitter:
         del self.sync_count[snap["sync"]:]
         del self.sync_fp[snap["sync"]:]
         del self._pcs[snap["pcs"]:]
+        del self.accesses[snap["accesses"]:]
 
     def exit(self, target: str, indent: str = "") -> None:
         """Leave the trace for the pc expression *target*: sync, then
@@ -880,14 +919,6 @@ class _TraceEmitter:
             self.ns[name] = (UNPACK if kind == "U" else PACK)[key]
         return name
 
-    def _addr_expr(self, rs1: int, imm: int) -> str:
-        c = self.const_of(rs1)
-        if c is not None:
-            return f"{(c + imm) & _MASK64:#x}"
-        if imm == 0:
-            return self.use(rs1)
-        return f"({self.use(rs1)} + {imm}) & {_M64}"
-
     def _mem_key(self, rs1: int, imm: int, size: int) -> tuple:
         """Forwarding key for access (*rs1* + *imm*, *size*): absolute
         for constant bases, else relative to the (current value of the)
@@ -913,9 +944,7 @@ class _TraceEmitter:
         is what lets store-fed slots (accumulators, loop counters)
         survive the back edge as seeds."""
         base, off, size = key
-        b = "c" if base is None else str(base)
-        sign = "m" if off < 0 else ""
-        return f"w{b}_{sign}{abs(off):x}_{size}"
+        return f"w{_suffix(base, off)}_{size}"
 
     def _load_value(self, pc: int, rs1: int, imm: int,
                     size: int) -> str:
@@ -940,39 +969,78 @@ class _TraceEmitter:
         through the page accessor for *key* (*size*, or ``"d"`` for a
         double)."""
         self._mark(pc)
-        slow = f"ri({{}}, {size})"
+        slow = f"ri({{a}}, {size})"
         if key == "d":
             slow = f"F64({slow})"
         self._emit_access(
             rs1, imm, size, f"{dest} = {slow}",
-            f"{dest} = {self._accessor('U', key)}(pg, {{}})[0]")
+            f"{dest} = {self._accessor('U', key)}({{p}}, {{o}})[0]")
 
     def _emit_access(self, rs1: int, imm: int, size: int, slow: str,
                      fast: str, store: bool = False) -> None:
         """Emit an access of *size* bytes at (*rs1* + *imm*): statement
-        *fast*, formatted with the page offset, works on page ``pg`` in
-        place; *slow*, formatted with the address, runs instead when the
-        page is not created yet, the access leaves it, or (a *store*)
-        the write watch covers it."""
+        *fast* works in place on page ``{p}`` at offset ``{o}``; *slow*
+        runs instead, at address ``{a}``, when the page is not created
+        yet, the access leaves it, or (a *store*) the write watch covers
+        it.  An access that crosses a page at a constant address is the
+        slow statement alone; any other leaves an :data:`_ACCESS` marker,
+        resolved at build time (:meth:`_resolve_access`), once the trace
+        knows which registers it writes."""
         c = self.const_of(rs1)
-        if c is None:
-            self.lines += [f"a = {self._addr_expr(rs1, imm)}",
-                           "pg = PG(a >> 12)", "o = a & 4095"]
+        if c is not None:
+            addr = (c + imm) & _MASK64
+            if addr & 4095 > 4096 - size:  # crosses a page: slow path only
+                self.lines.append(slow.format(a=f"{addr:#x}"))
+                return
+            access = (None, addr, size, store, slow, fast, None)
+        else:
+            expr = f"({self.use(rs1)} + {imm}) & {_M64}" if imm \
+                else self.use(rs1)
+            access = (rs1, imm, size, store, slow, fast, expr)
+        self.lines.append(f"{_ACCESS}:{len(self.accesses)}")
+        self.accesses.append(access)
+
+    def _resolve_access(self, access: tuple, written) -> list[str]:
+        """The lines of an :data:`_ACCESS` marker.
+
+        Through a base register in *written*, the access computes its
+        address, looks its page up and tests it every time.  Otherwise
+        (a constant address, or a base the trace never writes) the
+        address, the page offset and the page are prologue locals
+        (:attr:`bindings`), looked up once per entry; a ``None`` page
+        sends the access to *slow*, after which the page is looked up
+        again, so a page the trace's own first touch created is used in
+        place from then on (see the module docstring for the invariant
+        this relies on)."""
+        base, off, size, store, slow, fast, expr = access
+        if base in written:
             test = f"pg is None or o > {4096 - size}"
             if store:
                 test += " or a >> 12 in WP"
-            slow, fast = slow.format("a"), fast.format("o")
+            return [f"a = {expr}", "pg = PG(a >> 12)", "o = a & 4095",
+                    f"if {test}:", f"    {slow.format(a='a')}",
+                    "else:", f"    {fast.format(p='pg', o='o')}"]
+        tag = "w" if store else "r"
+        if base is None:
+            page = f"{off >> 12:#x}"
+            name = f"p{tag}_{off >> 12:x}"
+            look = f"None if {page} in WP else PG({page})" if store \
+                else f"PG({page})"
+            addr, o = f"{off:#x}", str(off & 4095)
         else:
-            addr = (c + imm) & _MASK64
-            slow = slow.format(f"{addr:#x}")
-            if addr & 4095 > 4096 - size:  # crosses a page: slow path only
-                self.lines.append(slow)
-                return
-            page = f"{addr >> 12:#x}"
-            self.lines.append(f"pg = PG({page})")
-            test = f"pg is None or {page} in WP" if store else "pg is None"
-            fast = fast.format(addr & 4095)
-        self.lines += [f"if {test}:", f"    {slow}", "else:", f"    {fast}"]
+            suffix = _suffix(base, off)
+            addr, o = f"a{suffix}", f"o{suffix}"
+            name = f"p{tag}{suffix}_{size}"
+            self.bindings.setdefault(addr, expr)
+            self.bindings.setdefault(o, f"{addr} & 4095")
+            fits = f"{o} <= {4096 - size}"
+            if store:
+                fits += f" and {addr} >> 12 not in WP"
+            look = f"PG({addr} >> 12) if {fits} else None"
+        self.bindings.setdefault(name, look)
+        return [f"if {name} is None:", f"    {slow.format(a=addr)}",
+                f"    {name} = {look}",
+                "else:", f"    {fast.format(p=name, o=o)}"]
 
     def _store_invalidate(self, key: tuple) -> None:
         """A store to *key* kills the forwarded values it may alias.
@@ -980,14 +1048,15 @@ class _TraceEmitter:
         Keys fall into alias classes: one per base register, plus the
         constant addresses.  Within a class the byte ranges decide.  A
         constant-address store keeps the entries of an assumed base
-        (see :attr:`assumed`), and a store through an assumed base
-        keeps the constant entries; either notes the base in
-        :attr:`kept`.  Once such an entry is read, or crosses a back
-        edge, the base joins :attr:`relied`, and the entry guard checks
-        at run time that the base's accesses miss the constant hull.
-        Every other pair of classes may alias, so the entry dies."""
+        (see :attr:`assumed`) the trace has not written so far, and a
+        store through such a base keeps the constant entries; either
+        notes the base in :attr:`kept`.  Once such an entry is read, or
+        crosses a back edge, the base joins :attr:`relied`, and the
+        entry guard checks at run time that the base's accesses miss
+        the constant hull.  Every other pair of classes may alias, so
+        the entry dies."""
         base, off, size = key
-        assumed = self.assumed
+        assumed = self.assumed - self.written
         for table in (self.mem_known, self.fp_mem):
             for k in list(table):
                 kb = k[0]
@@ -1039,8 +1108,8 @@ class _TraceEmitter:
         # fast path: a direct page write unless the page is watched
         # (it holds code: the write watch must see the store) or the
         # store leaves the page, which write_int handles
-        self._emit_access(rs1, imm, size, f"si({{}}, {size}, {bits})",
-                          f"{self._accessor('P', key)}(pg, {{}}, {val})",
+        self._emit_access(rs1, imm, size, f"si({{a}}, {size}, {bits})",
+                          f"{self._accessor('P', key)}({{p}}, {{o}}, {val})",
                           store=True)
         self._store_invalidate(skey)
         # store-to-load forwarding: remember the stored value so a
@@ -1070,17 +1139,22 @@ class _TraceEmitter:
                                              self.entry + 4)]
 
     def _expand(self, lines: list[str], written: list[int]) -> list[str]:
-        """Resolve the spill and float write-back placeholders: a spill
-        stores every register in the final written set from its local,
-        and both pack their dirty F registers' floats into ``fr``."""
+        """Resolve the placeholders: a spill stores every register in
+        the final written set from its local, a spill and a float
+        write-back pack their dirty F registers' floats into ``fr``, and
+        an access becomes :meth:`_resolve_access`'s lines."""
         out: list[str] = []
         for line in lines:
             stripped = line.lstrip(" ")
             tag, _, regs = stripped.partition(":")
-            if tag not in (_SPILL, _FPSYNC):
+            if tag not in (_SPILL, _FPSYNC, _ACCESS):
                 out.append(line)
                 continue
             pad = line[:len(line) - len(stripped)]
+            if tag == _ACCESS:
+                out += [pad + ln for ln in self._resolve_access(
+                    self.accesses[int(regs)], written)]
+                continue
             dirty = [int(r) for r in regs.split(",") if r]
             if tag == _SPILL:
                 out += [f"{pad}x[{r}] = r{r}" for r in written]
@@ -1125,9 +1199,10 @@ class _TraceEmitter:
             # stitch: warmup body once, steady-state loop spliced in at
             # every close site (markers keep the site's own indent, so
             # a conditional back edge nests its loop inside the branch)
+            warm = self._expand(self.warm_lines, written)
             fast = self._expand(self.lines, written)
             body_lines: list[str] = []
-            for line in self._expand(self.warm_lines, written):
+            for line in warm:
                 stripped = line.lstrip(" ")
                 pad = line[:len(line) - len(stripped)]
                 if stripped == "\x00CLOSE":
@@ -1145,6 +1220,7 @@ class _TraceEmitter:
         loads = [f"r{r} = x[{r}]" for r in sorted(
             (self.localized | self.written | self.relied) - {0})]
         loads += self._alias_guard()
+        loads += [f"{k} = {v}" for k, v in self.bindings.items()]
         spill = [f"x[{r}] = r{r}" for r in written]
         body = "\n        ".join(body_lines) or "pass"
         prologue = "\n    ".join(loads)

@@ -206,6 +206,20 @@ class TestAnalyzeIntegration:
         assert not again.revived
         assert analyze(fib_elf, store=store).revived  # healed
 
+    def test_two_fresh_stores_hold_identical_bytes(self, fib_elf,
+                                                   tmp_path):
+        """An entry carries no wall-clock field: one binary analyzed
+        into two fresh stores writes the same bytes, so the stored size
+        repeats from run to run."""
+        blobs = []
+        for name in ("one", "two"):
+            st = ArtifactStore(tmp_path / name)
+            key = analyze(fib_elf, store=st).key
+            blobs.append(st.path_for(key).read_bytes())
+        assert blobs[0] == blobs[1]
+        assert set(json.loads(blobs[0])["meta"]) == {
+            "options", "functions", "source_paths"}
+
     def test_snapshot_for_wrong_binary_is_stale(self, fib_elf, store):
         """A validly-framed entry whose payload disagrees with the
         binary (here: a different mutatee's snapshot planted under our

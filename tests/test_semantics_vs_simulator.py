@@ -319,6 +319,8 @@ def test_sail_semantics_match_simulator(tier, mnemonic, data):
 
 _R = {"rd": 5, "rs1": 6, "rs2": 7}
 _INT64_MIN = 1 << 63
+_INT64_MAX = _INT64_MIN - 1
+_B = {"rs1": 6, "rs2": 7, "imm": 8}  # a branch over the loop's nop
 
 #: (mnemonic, fields, initial registers, expected registers and pc), the
 #: expected values read off the RISC-V unprivileged specification
@@ -364,6 +366,26 @@ SPEC_ROWS = {
                           {6: 0x7FFF_FFFF_FFFF_FFFF}, {5: 1}),
     "lui-bit-19": ("lui", {"rd": 5, "imm": 0x80000}, {},
                    {5: 0xFFFF_FFFF_8000_0000}),
+    # signed compares at the sign boundary, register against register
+    # and against an immediate (the tiers compare sign-flipped values)
+    "slt-max-vs-min": ("slt", _R, {6: _INT64_MAX, 7: _INT64_MIN}, {5: 0}),
+    "slt-min-vs-max": ("slt", _R, {6: _INT64_MIN, 7: _INT64_MAX}, {5: 1}),
+    "slt-minus-1-vs-0": ("slt", _R, {6: _M64, 7: 0}, {5: 1}),
+    "slt-0-vs-minus-1": ("slt", _R, {6: 0, 7: _M64}, {5: 0}),
+    "slti-min-vs-0": ("slti", {"rd": 5, "rs1": 6, "imm": 0},
+                      {6: _INT64_MIN}, {5: 1}),
+    "slti-max-vs-minus-1": ("slti", {"rd": 5, "rs1": 6, "imm": -1},
+                            {6: _INT64_MAX}, {5: 0}),
+    "slti-below-negative": ("slti", {"rd": 5, "rs1": 6, "imm": -4},
+                            {6: _M64 - 4}, {5: 1}),
+    "slti-at-negative": ("slti", {"rd": 5, "rs1": 6, "imm": -4},
+                         {6: _M64 - 3}, {5: 0}),
+    "blt-minus-1-vs-0": ("blt", _B, {6: _M64, 7: 0}, {"pc": _HEAD + 8}),
+    "blt-max-vs-min": ("blt", _B, {6: _INT64_MAX, 7: _INT64_MIN},
+                       {"pc": _HEAD + 4}),
+    "bge-min-vs-max": ("bge", _B, {6: _INT64_MIN, 7: _INT64_MAX},
+                       {"pc": _HEAD + 4}),
+    "bge-0-vs-minus-1": ("bge", _B, {6: 0, 7: _M64}, {"pc": _HEAD + 8}),
     # the target uses the old x5; x5 then holds the link
     "jalr-rd-is-rs1": ("jalr", {"rd": 5, "rs1": 5, "imm": 0},
                        {5: _HEAD + 8}, {5: _HEAD + 4, "pc": _HEAD + 8}),

@@ -282,6 +282,36 @@ loop:
         assert mega.traces.mega_compiles > 0
 
 
+    @pytest.mark.parametrize("access", ["ld t3, 0(t4)", "sd t3, 0(t4)"],
+                             ids=["load", "store"])
+    def test_unmapped_constant_address(self, access):
+        """The loop's exit path touches a constant address no region
+        maps, after 50 iterations bumping a mapped counter: the page
+        the trace looked up at entry is missing, so the access takes
+        ``ri``/``si``, which fault at the interpreter's pc, ``instret``
+        and ``ucycles``."""
+        prog = assemble(f"""
+_start:
+  li t0, 0
+loop:
+  la t2, cbuf
+  ld t3, 0(t2)
+  addi t3, t3, 1
+  sd t3, 0(t2)
+  addi t0, t0, 1
+  li t5, 50
+  blt t0, t5, loop
+  li t4, 0x40000000
+bad:
+  {access}
+.data
+cbuf:
+  .dword 7
+""")
+        mega = _agree_on(prog, StopReason.FAULT)
+        assert mega.pc == prog.symbol("bad").address
+
+
 class TestWrongPath:
     """Paths on which a trace once ran the wrong code."""
 

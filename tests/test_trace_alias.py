@@ -29,6 +29,7 @@ from repro.parse import natural_loops
 from repro.riscv import assemble
 from repro.sim import Machine, P550, StopReason
 from repro.sim.memory import Memory
+from repro.sim.trace import TraceCache
 from repro.tools import count_basic_blocks
 
 
@@ -285,16 +286,7 @@ class TestInstrumentedHotLoop:
     reads or writes its page in place, doubles as floats."""
 
     def test_counter_stays_in_locals(self, monkeypatch, trace_sources):
-        calls = []
-        write_int = Memory.write_int
-
-        def counting_write_int(self, addr, size, value):
-            if sys._getframe(1).f_code.co_name == "__mega__":
-                calls.append(addr)
-            return write_int(self, addr, size, value)
-
-        monkeypatch.setattr(Memory, "write_int", counting_write_int)
-
+        calls = _mega_calls(monkeypatch, "write_int")
         load, handle, header = _instrumented_matmul(8, 2)
         runs = []
         for tc in (True, False):
@@ -308,7 +300,7 @@ class TestInstrumentedHotLoop:
 
         counter = handle.variable.address
         assert traced.traces.mega_compiles > 0
-        assert not [a for a in calls if counter <= a < counter + 8]
+        assert not [a for _, a in calls if counter <= a < counter + 8]
 
         # the inner loop's trace loops, and its steady-state body bumps
         # the counter yet reloads neither the counter nor a stack slot,
@@ -317,8 +309,27 @@ class TestInstrumentedHotLoop:
         src = trace_sources[f"<mega@{header:#x}>"]
         assert "while True:" in src
         body = src.split("while True:", 1)[1]
-        assert f"PG({counter >> 12:#x})" in body
         assert f"ri({counter:#x}" not in body
+        # the counter's page is looked up once per entry, in the
+        # prologue; the steady-state main path writes it in place with
+        # no page lookup, ``ri`` or ``si`` of its own
+        page = counter >> 12
+        prologue = src.split("    try:", 1)[0]
+        assert f"pw_{page:x} = None if {page:#x} in WP else " \
+            f"PG({page:#x})" in prologue
+        main = _main_path(body)
+        for token in (f"PG({page:#x})", f"ri({counter:#x}",
+                      f"si({counter:#x}"):
+            assert not [ln for ln in main if token in ln], token
+        assert any(f"P8(pw_{page:x}, {counter & 4095}, " in ln
+                   for ln in main)
+        # ``sp`` is never written, so a stack-slot reload would read
+        # through the slot's entry locals (``ri(a2_28, 8)`` on the slow
+        # path, ``U8(pr2_28_8, o2_28)[0]`` in place); an access through
+        # a written base builds its address inline (``a = ...``)
+        for token in ("ri(a2_", "(pr2_"):
+            assert not [ln for ln in body.splitlines() if token in ln], \
+                token
         addr = None
         for line in body.splitlines():
             line = line.strip()
@@ -332,6 +343,26 @@ class TestInstrumentedHotLoop:
         for token in ("to_bytes", "FB(", "F64(", "B64("):
             assert not [ln for ln in main if token in ln], token
         assert any("Ud(pg, o)[0]" in line for line in main)
+
+    def test_each_trace_is_emitted_once(self, monkeypatch):
+        """Every base register the inner loops write is written before
+        a store could let a forwarded value past it, so no trace of the
+        instrumented matmul is re-emitted without an assumption: one
+        emission per compiled trace (6 of each)."""
+        heads = []
+        emit_mega = TraceCache._emit_mega
+
+        def counting(self, head, assumed):
+            heads.append(head)
+            return emit_mega(self, head, assumed)
+
+        monkeypatch.setattr(TraceCache, "_emit_mega", counting)
+        load, _, header = _instrumented_matmul(12, 20)
+        m = Machine(P550)
+        load(m)
+        assert m.run().reason is StopReason.EXITED
+        assert header in heads
+        assert len(heads) == m.traces.mega_compiles == 6
 
     def test_traces_run_the_hops_between_loops(self, monkeypatch,
                                                trace_sources):
@@ -362,6 +393,92 @@ class TestInstrumentedHotLoop:
         assert 0 < steps[0] < 0.01 * m.instret, (steps[0], m.instret)
         assert m.traces.fns.get(header)
         assert "while True:" in trace_sources[f"<mega@{header:#x}>"]
+
+
+def _mega_calls(monkeypatch, name: str) -> list[tuple[str, int]]:
+    """``(trace code name, address)`` of every call compiled traces
+    make to ``Memory.<name>`` (``read_int`` or ``write_int``): the
+    slow paths."""
+    calls = []
+    method = getattr(Memory, name)
+
+    def counting(self, addr, *args):
+        code = sys._getframe(1).f_code
+        if code.co_name == "__mega__":
+            calls.append((code.co_filename, addr))
+        return method(self, addr, *args)
+
+    monkeypatch.setattr(Memory, name, counting)
+    return calls
+
+
+class TestEntryLookups:
+    """A trace looks the page of every constant-address access, and of
+    every access through a base register it never writes, up once per
+    entry, in its prologue; a page local that is ``None`` (not created
+    yet, left by the access, or watched) sends the access to
+    ``ri``/``si``, after which the page is looked up again.  Each loop
+    here sits after a ``fence``, which ends the trace at ``_start``, so
+    the loop's own trace makes its first accesses."""
+
+    def test_first_store_creates_the_stack_page(self, monkeypatch,
+                                                trace_sources):
+        """The stack page is reserved, not created, when the loop's
+        trace is entered: its first store creates it through ``si``,
+        and every later store writes it in place."""
+        calls = _mega_calls(monkeypatch, "write_int")
+        prog = assemble(f"""
+_start:
+  li t0, 0
+  li a0, 0
+  fence rw, rw
+loop:
+  addi t0, t0, 1
+  sd t0, 0(sp)
+  ld t1, 0(sp)
+  add a0, a0, t1
+  li t5, 40
+  blt t0, t5, loop
+{_EXIT}""")
+        traced = _run_pair(prog)
+        loop = prog.symbol("loop").address
+        slot = traced.x[2]
+        assert slot >> 12 in traced.mem._pages
+        assert calls == [(f"<mega@{loop:#x}>", slot)]
+        prologue = trace_sources[f"<mega@{loop:#x}>"].split("    try:")[0]
+        assert "pw2_0_8 = PG(a2_0 >> 12)" in prologue
+
+    def test_page_crossing_accesses_take_the_slow_path(self, monkeypatch):
+        """An ``sp`` slot and a constant address that each straddle a
+        page boundary: every store of either goes through ``si``."""
+        writes = _mega_calls(monkeypatch, "write_int")
+        reads = _mega_calls(monkeypatch, "read_int")
+        sp_slot, const_slot = 0x7FFF_DFFC, 0x7FFF_CFFC
+        prog = assemble(f"""
+_start:
+  li sp, {sp_slot:#x}
+  li t0, 0
+  li a0, 0
+  fence rw, rw
+loop:
+  ld t1, 0(sp)
+  addi t1, t1, 3
+  sd t1, 0(sp)
+  li t2, {const_slot:#x}
+  ld t3, 0(t2)
+  addi t3, t3, 5
+  sd t3, 0(t2)
+  add a0, a0, t1
+  add a0, a0, t3
+  addi t0, t0, 1
+  li t5, 40
+  blt t0, t5, loop
+{_EXIT}""")
+        traced = _run_pair(prog)
+        assert traced.traces.alias_guard_misses == 0
+        for slot in (sp_slot, const_slot):
+            assert [a for _, a in writes].count(slot) == 40, hex(slot)
+            assert slot in [a for _, a in reads], hex(slot)
 
 
 def _main_path(body: str) -> list[str]:
