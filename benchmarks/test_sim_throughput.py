@@ -3,17 +3,19 @@
 Measures throughput (simulated instructions per host second) of the
 closure interpreter and of the trace JIT, and checks both are
 architecturally indistinguishable (registers, memory-visible output,
-exit code, instruction/cycle counts).  Runs observed by an event
+exit code, instruction/cycle counts).  An instrumented row repeats
+both tiers on the same matmul with a counter at every block of
+``multiply`` (the paper's §4.3 cell), and runs observed by an event
 stream (block or instruction granularity, or detached again before the
-run) take turns with the two tier rows, and the medians over those
-rounds of block-observed over plain traced, after-detach over plain
-traced and block-observed over interpreter throughput are recorded:
-host drift between rounds cancels out of each ratio.  An instrumented
-row repeats both tiers on the same matmul with a counter at every
-block of ``multiply`` (the paper's §4.3 cell).  Its traced runs take
-turns with plain traced runs, and the median over those rounds of the
-instrumented-over-plain throughput ratio is the number the CI guard
-checks.  One more, untimed, traced run of the
+run) give the observed rows.  The instrumented traced runs and the
+observed runs take turns with the two tier rows in one rotation, and
+the medians over its rounds of instrumented over plain traced,
+block-observed over plain traced, after-detach over plain traced and
+block-observed over interpreter throughput are recorded: host drift
+between rounds cancels out of each ratio.  The instrumented-over-plain
+ratio is the number the CI guard checks.  The instrumented row's
+interpreter figure comes from one more run, outside the rotation.  One
+more, untimed, traced run of the
 instrumented matmul counts the instructions the closure interpreter
 still runs (the hops between loops the traces do not cover): the CI
 guard bounds that share of ``instret``.
@@ -175,10 +177,11 @@ def test_trace_compilation_throughput(record, monkeypatch):
     counter = count_basic_blocks(edit, "multiply")
     patch = edit.commit()
 
-    # the tier rows and the observed rows take turns, so each ratio
-    # below compares runs made back to back
-    interp_runs, plain_runs, *observed_runs = _measure(
+    # the tier rows, the instrumented traced row and the observed rows
+    # take turns, so each ratio below compares runs made back to back
+    interp_runs, plain_runs, inst_runs, *observed_runs = _measure(
         _plain(prog, "interpreter"), _plain(prog, "megatrace"),
+        _patched(edit, patch, "megatrace"),
         _observed(prog, "block"), _observed(prog, "instruction"),
         _observed(prog, "instruction", detach=True))
     tiers = {}
@@ -217,8 +220,6 @@ def test_trace_compilation_throughput(record, monkeypatch):
     # the instrumented row: one interpreter run as the reference
     [[(mi, evi, dti)]] = _measure(_patched(edit, patch, "interpreter"),
                                   repeats=1)
-    pair_runs, inst_runs = _measure(_plain(prog, "megatrace"),
-                                    _patched(edit, patch, "megatrace"))
     mc, evc, dtc, spread = _best(inst_runs)
     assert _arch_state(mc, evc) == _arch_state(mi, evi)
     assert counter.read(mc) == counter.read(mi) > 0
@@ -233,7 +234,7 @@ def test_trace_compilation_throughput(record, monkeypatch):
         "megatraces_compiled": mc.traces.mega_compiles,
         "alias_guard_misses": mc.traces.alias_guard_misses,
     })
-    ratio = _median_ratio(inst_runs, pair_runs)
+    ratio = _median_ratio(inst_runs, plain_runs)
     share = _interpreted_share(_patched(edit, patch, "megatrace"),
                                monkeypatch)
     instrumented["megatrace"]["interpreted_share"] = round(share, 5)

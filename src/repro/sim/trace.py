@@ -12,17 +12,18 @@ times, :meth:`TraceCache.compile_at` roots a trace there.
 along the path from that pc: past forward branches (guarded side
 exits), into direct calls, and back through returns whose target
 constant-folds (``jal`` makes the link register a known constant).
-When the path returns to its root the trace loops: its iterations run
-inside a ``while True:`` loop and never return to the dispatch loop,
-with registers and forwarded memory values kept in locals across the
-back edge.  A path that never returns to its root (straight-line code
-entered once per call, say) ends at its exits.  Either way the trace
-charges timing as **one batched ucycle charge** per exit, bumps
-``instret`` once, and ends every exit with ``return FG(pc)``, where
-``FG`` is :attr:`TraceCache.fns`'s ``get``: it returns the trace
-compiled at the exit's pc, which the run loop calls next without a
-dispatch, or a false value that sends the run loop back to its dispatch
-loop.  A pc whose first instruction cannot be traced
+When the path returns to its root the trace loops: a **pre-header**
+loads the loop's seeds (see :meth:`TraceCache._emit_mega`), then one
+``while True:`` body runs every iteration without returning to the
+dispatch loop, with registers and forwarded memory values kept in
+locals across the back edge.  A path that never returns to its root
+(straight-line code entered once per call, say) ends at its exits.
+Either way the trace charges timing as **one batched ucycle charge**
+per exit, bumps ``instret`` once, and ends every exit with
+``return FG(pc)``, where ``FG`` is :attr:`TraceCache.fns`'s ``get``: it
+returns the trace compiled at the exit's pc, which the run loop calls
+next without a dispatch, or a false value that sends the run loop back
+to its dispatch loop.  A pc whose first instruction cannot be traced
 (ecall/ebreak/fences/CSR reads/``lr``/``sc``) gets a negative entry and
 stays on the interpreter.
 
@@ -31,15 +32,17 @@ The emitter inlines every instruction the SAIL IR covers as the source
 F/D and AMOs included).  Integer registers live in Python **locals**,
 spilled to the architectural ``x`` list only at exits and faults; the
 lowering folds immediates and registers known constant into the
-source it emits (``li``/``lui``/``auipc`` chains become literals), and
-a constant write still assigns its local, so every local holds its
-register's value at every exit and fault.  Loaded and
-stored values are forwarded to later loads of the same address.  A
-load reads its page in place, and a store to an unwatched page writes
-it in place, through :mod:`repro.sim.memory`'s precompiled ``struct``
-accessors (``U8(pg, o)[0]``, ``P8(pg, o, v)``, bound into a trace's
-namespace on first use); an access that leaves its page, or whose page
-is not created yet, calls ``Memory.read_int``/``write_int``.
+source it emits (``li``/``lui``/``auipc`` chains become literals).  A
+constant write still assigns its local, so every local holds its
+register's value at every exit, fault and deopt site, unless the
+register is written again before the next such site: then the constant
+write is dropped.  Loaded and stored values are forwarded to later
+loads of the same address.  A load reads its page in place, and a store
+to an unwatched page writes it in place, through
+:mod:`repro.sim.memory`'s precompiled ``struct`` accessors
+(``U8(pg, o)[0]``, ``P8(pg, o, v)``, bound into a trace's namespace on
+first use); an access that leaves its page, or whose page is not
+created yet, calls ``Memory.read_int``/``write_int``.
 
 Pages are looked up once per trace entry where they can be.  The
 prologue binds one page local per page and direction for the
@@ -60,7 +63,8 @@ and rollbacks).
 
 Doubles stay Python floats from page to page: ``fld`` unpacks one
 straight into its ``g<rd>`` local, double arithmetic computes on them,
-``fsd`` of a live float packs it straight back, and ``fr[]`` bits are
+``fsd`` of a live float packs it straight back, a slot's double is
+forwarded through a ``d`` slot local of its own, and ``fr[]`` bits are
 packed only at exits, faults and where an instruction reads an F
 register's bits.  A NaN result of double arithmetic becomes the
 canonical NaN as it lands in its ``g<rd>`` local, as the ISA requires.
@@ -97,17 +101,22 @@ must never execute stale bytes:
   away.  Traces reach each other only through ``fns``, so that is all
   invalidation has to undo;
 * a store *inside* a running trace that invalidates any trace sets
-  ``machine.code_dirty``; the generated code spills cached registers,
-  syncs architectural state and exits the trace right after that store
+  ``machine.code_dirty``.  Only ``write_int`` on a watched page can
+  invalidate, and a store to a watched page always takes the ``si``
+  slow path, so the generated code tests ``code_dirty`` only there (and
+  after an AMO, which writes its register after its store).  A set flag
+  raises into the trace's one shared tail, which makes the state after
+  the store architectural from per-site tables and leaves the trace
   (counted under ``trace.deopts``), so the remaining (possibly
   rewritten) tail is re-fetched through the cache.
 
 Traces keep architectural state exact at every *observable* boundary:
 trace entry/exit, a store that rewrites code, and any faulting
-load/store (a per-trace side table maps the fault site back to precise
-pc/ucycles/instret and dirty float locals, and the generated exception
-handler spills register locals — which hold exactly the pre-fault
-architectural values — before re-raising).
+load/store.  Per-site tables map a fault site to the precise
+pc/ucycles/instret and dirty float locals before its instruction, and a
+deopt site to those after its store; the generated handler spills the
+register locals, which hold exactly the architectural values there, and
+re-raises a fault or leaves after a deopt.
 Single-stepping, watchpoint runs and bounded ``run(max_steps=...)``
 stay on the per-pc closure interpreter.  A trace compiled while a
 block-granularity event observer is attached emits a block enter at
@@ -147,14 +156,20 @@ _MASK64 = (1 << 64) - 1
 PAGE_BITS = 12
 
 #: placeholders in generated trace source, expanded at build time: a
-#: register spill (once the trace's full written-register set is known)
-#: and a back edge's float write-back (once the steady-state seeds are),
-#: each carrying the F registers whose float locals are dirty there; and
-#: a memory access, carrying its index in ``_TraceEmitter.accesses``
-#: (its page is looked up at entry unless the trace writes its base)
+#: register spill (once the trace's full written-register set is known),
+#: carrying the F registers whose float locals are dirty there; and a
+#: memory access, carrying its index in ``_TraceEmitter.accesses`` (its
+#: page is looked up at entry unless the trace writes its base)
 _SPILL = "\x00SPILL"
-_FPSYNC = "\x00FPSYNC"
 _ACCESS = "\x00ACCESS"
+
+#: seeds of a trace emitted with nothing known at its loop top
+_NO_SEEDS: tuple = ({}, {}, {})
+
+
+class _Deopt(Exception):
+    """Raised by generated code when a store set ``code_dirty``; the
+    trace's handler leaves through the deopt site's sync-table entry."""
 
 
 def _suffix(base: int | None, off: int) -> str:
@@ -164,6 +179,16 @@ def _suffix(base: int | None, off: int) -> str:
     b = "c" if base is None else str(base)
     sign = "m" if off < 0 else ""
     return f"{b}_{sign}{abs(off):x}"
+
+
+def _slot(key: tuple, kind: str = "w") -> str:
+    """Name of the local that holds memory slot *key* ``(base, offset,
+    size)``: its raw little-endian value (*kind* ``"w"``), or its double
+    as a float (``"d"``).  The name depends on the key alone, so a store
+    to the slot re-assigns the very local a later load forwards, which
+    is what lets a slot's value cross the back edge as a seed."""
+    base, off, size = key
+    return f"{kind}{_suffix(base, off)}_{size}"
 
 
 def _lower(emit, pc: int, instr):
@@ -258,7 +283,7 @@ class TraceCache:
                 dropped = True
         if dropped:
             self.invalidations += 1
-            # a running trace exits at its next store / block boundary
+            # a running trace deopts after the store that did this
             self.m.code_dirty = True
 
     @staticmethod
@@ -307,6 +332,16 @@ class TraceCache:
         self.alias_guard_misses += 1
         return self._install(head, self._compile_mega(head, assume=False))
 
+    def _cold_step(self, head: int):
+        """A seed load in the pre-header of the trace rooted at *head*
+        faulted, before the trace changed any state: run the head's
+        instruction on the cold path instead, and return the trace
+        compiled at the pc it left for.  (Handing *head* back to the
+        dispatch loop would call the same trace again.)"""
+        m = self.m
+        (m._icache.get(head) or m._cold_at(head))()
+        return self.fns.get(m.pc)
+
     # -- compilation -----------------------------------------------------
 
     def compile_at(self, pc: int):
@@ -338,7 +373,7 @@ class TraceCache:
         trace."""
         pc = head
         visited: set[int] = set()
-        for _ in range(max(MAX_MEGA - emit.count, 1)):
+        for _ in range(MAX_MEGA):
             if pc == head and emit.count:
                 emit.close_loop()
                 return
@@ -383,62 +418,48 @@ class TraceCache:
 
     def _emit_mega(self, head: int, assumed: frozenset):
         """Emit the trace rooted at *head*.  A path that returns to
-        *head* becomes a loop of two stitched bodies: a
-        straight-line **warmup** pass for the first iteration, then a
-        steady-state ``while True:`` body spliced in at every point the
-        warmup returns to the head.  The steady-state body is emitted
-        with the warmup's surviving constants and forwarded memory
-        values as seeds, so loop-invariant stack slots load once per
-        loop *entry* instead of once per iteration; a fixpoint drops
-        any seed that is invalidated inside the steady-state body
-        (stores, base-register writes) or that fails to re-establish
-        itself by the back edge — either would be stale on the next
-        iteration.
+        *head* becomes one ``while True:`` body behind a pre-header that
+        loads the loop's **seeds**: the memory slots whose value is in
+        their ``w``/``d`` slot local, and the F registers whose double
+        is live in their ``g`` local, at every back edge.  The pre-header
+        loads them without changing state, so the body may assume them
+        at its top on every iteration.
+
+        The seeds come from a fixpoint over fresh emission passes.  The
+        first emits the body with nothing known at its top and collects
+        what holds at every back edge; each later pass emits under the
+        seeds so far and keeps those that hold again at every back edge
+        (a store or a base-register write in the body can kill one),
+        until a pass keeps them all.
 
         Returns the finished emitter, or ``None`` for an empty trace."""
-        emit = _TraceEmitter(self, head, assumed)
-        self._walk(emit, head)
-        if emit.count == 0:
-            return None
-        if emit.closed:
-            seed_consts, seed_mem, seed_fp, seed_fp_mem = \
-                emit.seed_from_close_sites()
-            for _ in range(64):
-                snap = emit.snapshot()
-                emit.begin_fast(seed_consts, seed_mem, seed_fp,
-                                seed_fp_mem)
-                self._walk(emit, head)
-                if not (emit.killed_seeds or emit.killed_consts
-                        or emit.killed_fp or emit.killed_fp_mem):
-                    break
-                emit.restore(snap)
-                seed_mem = {k: v for k, v in seed_mem.items()
-                            if k not in emit.killed_seeds}
-                seed_consts = {r: v for r, v in seed_consts.items()
-                               if r not in emit.killed_consts}
-                seed_fp = {r: d for r, d in seed_fp.items()
-                           if r not in emit.killed_fp}
-                seed_fp_mem = {k: r for k, r in seed_fp_mem.items()
-                               if k not in emit.killed_fp_mem
-                               and r not in emit.killed_fp}
-        return emit
+        seeds = None
+        while True:
+            emit = _TraceEmitter(self, head, assumed, seeds)
+            self._walk(emit, head)
+            if emit.count == 0:
+                return None
+            if emit.held is None or emit.held == (seeds or _NO_SEEDS):
+                return emit
+            seeds = emit.held
 
 
 class _TraceEmitter:
     """Generates the Python source of one compiled trace, with the
     referenced integer registers cached in Python locals and immediates
     constant-folded at emission time.  A path that returns to the
-    trace's root *entry* becomes a ``while True:`` loop.  As a lowering
-    target it keeps doubles as Python floats (``floats``)."""
+    trace's root *entry* becomes a ``while True:`` loop, emitted under
+    *seeds* (see :meth:`TraceCache._emit_mega`).  As a lowering target
+    it keeps doubles as Python floats (``floats``)."""
 
     floats = True
 
     def __init__(self, cache: TraceCache, entry: int,
-                 assumed: frozenset = frozenset()):
+                 assumed: frozenset = frozenset(), seeds=None):
         self.cache = cache
         m = self.m = cache.m
         self.entry = entry
-        self.lines: list[str] = []
+        self.lines: list[str | None] = []
         #: namespace the generated function closes over (via default
         #: arguments)
         self.ns = {
@@ -472,27 +493,27 @@ class _TraceEmitter:
         self.extents: dict[int, list[int]] = {}
         #: [lo, hi) hull of the constant-address accesses
         self.hull: list[int] | None = None
+        #: sync tables, one entry per fault or deopt site (entry 0 is the
+        #: trace entry): the pc, cost and count the handler makes
+        #: architectural there, and the F registers dirty there
         self.sync_pc = [entry]
         self.sync_cost = [0]
         self.sync_count = [0]
+        self.sync_fp: list[tuple] = [()]
         #: emission-time constant values per register (linear
         #: const-prop; x0 is always 0).  An entry here means "the
-        #: emission-order-last write to this register was the literal" —
+        #: emission-order-last write to this register was the literal":
         #: re-executed every iteration, so it holds at runtime on every
-        #: iteration, not just the first.  Reads fold to the literal; the
-        #: write still assigns the register's local, which spills and
-        #: the fault handler read.
+        #: iteration, not just the first.  Reads fold to the literal.
         self.consts: dict[int, int] = {0: 0}
+        #: register -> index in :attr:`lines` of its constant write no
+        #: site has followed yet; the register's next write drops it
+        self.pending: dict[int, int] = {}
         #: integer registers whose Python local is referenced anywhere
         #: (loaded from ``x`` in the prologue)
         self.localized: set[int] = set()
         #: integer registers written (spilled at exits and faults)
         self.written: set[int] = set()
-        #: known memory values: (base reg | None, offset, size) ->
-        #: temp-local holding the loaded/stored bytes (little-endian
-        #: unsigned).  ``None`` base keys absolute (const) addresses.
-        #: A slot ``fsd`` wrote from a float is in :attr:`fp_mem` only.
-        self.mem_known: dict[tuple, str] = {}
         #: covered [pc, pc+len) unit intervals, merged into spans later
         self._pcs: list[tuple[int, int]] = []
         #: memory accesses behind the :data:`_ACCESS` markers
@@ -501,42 +522,36 @@ class _TraceEmitter:
         #: (hoisted addresses, page offsets and pages), filled at build
         #: time by :meth:`_resolve_access`
         self.bindings: dict[str, str] = {}
-        # -- two-body emission state (warmup + steady state) --------------
-        #: True once any close site (path back to the head) was emitted
+        #: a back edge was emitted
         self.closed = False
-        #: emitting the steady-state body (seeded, loops on itself)
-        self.fast = False
-        #: warmup body lines once begin_fast moved emission over; the
-        #: active ``self.lines`` then hold the steady-state body
-        self.warm_lines: list[str] | None = None
-        #: emission-state snapshots at each warmup close site — their
-        #: agreement is what may be assumed at the loop top
-        self.close_sites: list[tuple] = []
-        #: seeds the current steady-state pass was emitted under, and
-        #: the ones it failed to re-establish (feeding the driver's
-        #: fixpoint)
-        self.seed_consts: dict[int, int] = {}
-        self.seed_mem: dict[tuple, str] = {}
-        self.seed_fp: dict[int, tuple] = {}
-        self.seed_fp_mem: dict[tuple, int] = {}
-        self.killed_seeds: set[tuple] = set()
-        self.killed_consts: set[int] = set()
-        self.killed_fp: set[int] = set()
-        self.killed_fp_mem: set[tuple] = set()
+        #: the seeds this pass assumes at its loop top: slot key -> ``w``
+        #: local, double slot key -> ``d`` local, F register -> whether
+        #: its float may be newer than ``fr[]`` (dirty)
+        self.seeds = seeds or _NO_SEEDS
+        #: what held at every back edge so far, in the same form (the
+        #: seeds of the next pass); ``None`` before the first
+        self.held = seeds
+        #: slot locals a load was forwarded from (the pre-header loads
+        #: only the seeds among them)
+        self.used: set[str] = set()
+        mem, fmem, fp = self.seeds
+        #: known memory values: (base reg | None, offset, size) ->
+        #: the slot local holding the loaded/stored bytes (little-endian
+        #: unsigned), or the literal a constant store wrote.  ``None``
+        #: base keys absolute (const) addresses.  A slot ``fsd`` wrote
+        #: from a float is in :attr:`fp_mem` only.
+        self.mem_known: dict[tuple, str] = dict(mem)
+        #: access key -> the ``d`` slot local holding the float of the
+        #: memory value (killed by aliasing stores and base writes);
+        #: ``fld`` and ``fsd`` fill it
+        self.fp_mem: dict[tuple, str] = dict(fmem)
         # -- float-local cache (double precision only) --------------------
         #: fp regs whose float value is live in local ``g{reg}``
         #: (``g{reg} == F64(fr[reg])`` for the conceptual register)
-        self.fp_float: set[int] = set()
-        #: fp regs whose architectural ``fr[]`` slot is stale; the
+        self.fp_float: set[int] = set(fp)
+        #: fp regs whose architectural ``fr[]`` slot may be stale; the
         #: authoritative value is ``g{reg}`` (always ⊆ fp_float)
-        self.fp_dirty: set[int] = set()
-        #: access key -> fp reg whose ``g`` local holds the float of
-        #: the memory value (killed with the reg's ``g`` redefinition
-        #: and by aliasing stores); ``fld`` and ``fsd`` fill it
-        self.fp_mem: dict[tuple, int] = {}
-        #: per-ip dirty fp regs for the fault handler, parallel to
-        #: P/U/N
-        self.sync_fp: list[tuple] = [()]
+        self.fp_dirty: set[int] = {r for r, d in fp.items() if d}
 
     # -- register / const helpers ----------------------------------------
 
@@ -557,10 +572,15 @@ class _TraceEmitter:
         val &= _MASK64
         self.set_expr(r, f"{val:#x}")
         self.consts[r] = val
+        # reads fold to the literal, so only a site can read this write
+        self.pending[r] = len(self.lines) - 1
 
     def set_expr(self, r: int, expr: str) -> None:
         if r == 0:
             return
+        dead = self.pending.pop(r, None)
+        if dead is not None:
+            self.lines[dead] = None
         self.consts.pop(r, None)
         self.localized.add(r)
         self.written.add(r)
@@ -570,52 +590,38 @@ class _TraceEmitter:
     def _forget_base(self, r: int) -> None:
         """Writing register *r* invalidates forwarded memory values
         whose address depends on it."""
-        if self.mem_known:
-            for key in [k for k in self.mem_known if k[0] == r]:
-                del self.mem_known[key]
-        if self.fp_mem:
-            for key in [k for k in self.fp_mem if k[0] == r]:
-                del self.fp_mem[key]
-
-    # -- float-local cache helpers ----------------------------------------
-    #
-    # Double-precision values live as plain Python floats in ``g{reg}``
-    # locals: ``fld`` unpacks a page's double straight into one, and
-    # ``fsd`` packs it straight back.  A ``<d`` unpack/pack round trip
-    # keeps every bit pattern, signalling-NaN payloads included, so
-    # packing ``fr[]`` bits only where they must be exact (exits,
-    # faults, reads of an F register's bits) is bit-identical to packing
-    # after every instruction.
-
-    def _fp_kill_g(self, r: int) -> None:
-        """Local ``g{r}`` is about to be reassigned: forwarded memory
-        floats pointing at it are stale."""
-        if self.fp_mem:
-            for k in [k for k, v in self.fp_mem.items() if v == r]:
-                del self.fp_mem[k]
+        for table in (self.mem_known, self.fp_mem):
+            for key in [k for k in table if k[0] == r]:
+                del table[key]
 
     # -- bookkeeping helpers ---------------------------------------------
 
-    def _charge(self, mn: str, instr) -> None:
-        self.cost += self.m.timing.ucycles(
-            category_of(mn, instr.spec.match & 0x7F))
+    def _price(self, instr) -> int:
+        return self.m.timing.ucycles(
+            category_of(instr.mnemonic, instr.spec.match & 0x7F))
+
+    def _charge(self, instr) -> None:
+        self.cost += self._price(instr)
         self.count += 1
 
     def _cover(self, pc: int, length: int) -> None:
         self._pcs.append((pc, pc + length))
 
-    def _mark(self, pc: int) -> None:
-        ip = len(self.sync_pc)
+    def _site(self, pc: int, cost: int, count: int) -> int:
+        """Index of a new sync-table entry for *pc*, *cost* and *count*,
+        with the F registers dirty now.  The handler reads every
+        register local at a site, so no pending constant write dies past
+        it."""
+        self.pending.clear()
         self.sync_pc.append(pc)
-        self.sync_cost.append(self.cost)
-        self.sync_count.append(self.count)
+        self.sync_cost.append(cost)
+        self.sync_count.append(count)
         self.sync_fp.append(tuple(sorted(self.fp_dirty)))
-        self.lines.append(f"ip = {ip}")
+        return len(self.sync_pc) - 1
 
-    def _fp_marker(self, tag: str, indent: str) -> None:
-        """Placeholder *tag*, carrying the F registers dirty here."""
-        regs = ",".join(map(str, sorted(self.fp_dirty)))
-        self.lines.append(f"{indent}{tag}:{regs}")
+    def _mark(self, pc: int) -> None:
+        """A fault site: state before the instruction at *pc*."""
+        self.lines.append(f"ip = {self._site(pc, self.cost, self.count)}")
 
     def _flush(self, indent: str) -> None:
         self.lines.append(f"{indent}uc += {self.cost}")
@@ -623,7 +629,9 @@ class _TraceEmitter:
 
     def _sync_exit(self, target_expr: str, indent: str) -> None:
         """Spill cached registers and make architectural state exact."""
-        self._fp_marker(_SPILL, indent)
+        self.pending.clear()
+        regs = ",".join(map(str, sorted(self.fp_dirty)))
+        self.lines.append(f"{indent}{_SPILL}:{regs}")
         self.lines.append(f"{indent}m.pc = {target_expr}")
         self.lines.append(f"{indent}m.ucycles += uc + {self.cost}")
         self.lines.append(f"{indent}m.instret += ir + {self.count}")
@@ -641,117 +649,30 @@ class _TraceEmitter:
     # -- trace enders -----------------------------------------------------
 
     def close_loop(self, indent: str = "") -> None:
-        """The path returned to the loop head: next iteration.
+        """The path returned to the loop head: the next iteration.
 
-        In the warmup body this drops a splice marker (the steady-state
-        ``while True:`` loop is inserted there at build time) and
-        snapshots the emission state the seeds are drawn from; in the
-        steady-state body it is a plain ``continue``, after checking
-        that every seed re-established itself — one that did not would
-        be stale on the next iteration, so it is reported back to the
-        driver's fixpoint and the body is re-emitted without it."""
+        Notes what holds here toward the next pass's seeds, writes back
+        the dirty F registers the loop top does not hold dirty, and
+        continues.  Forwarded values a store was let past under an
+        assumption and that carry over as seeds make the entry guard
+        check that assumption."""
         self.closed = True
-        # forwarded values surviving here may seed the next iteration
-        for k in (*self.mem_known, *self.fp_mem):
+        self.pending.clear()
+        mem, fmem, fp = self.held or ({
+            k: v for k, v in self.mem_known.items() if v == _slot(k)},
+            self.fp_mem, dict.fromkeys(self.fp_float, False))
+        self.held = (
+            {k: v for k, v in mem.items() if self.mem_known.get(k) == v},
+            {k: v for k, v in fmem.items() if self.fp_mem.get(k) == v},
+            {r: d or r in self.fp_dirty for r, d in fp.items()
+             if r in self.fp_float})
+        for k in (*self.seeds[0], *self.seeds[1]):
             self._rely(k)
-        self._fp_marker(_FPSYNC, indent)
+        top_dirty = {r for r, d in self.seeds[2].items() if d}
+        for r in sorted(self.fp_dirty - top_dirty):
+            self.lines.append(f"{indent}fr[{r}] = B64(g{r})")
         self._flush(indent)
-        if self.fast:
-            for r, v in self.seed_consts.items():
-                if self.consts.get(r) != v:
-                    self.killed_consts.add(r)
-            for k, nm in self.seed_mem.items():
-                if self.mem_known.get(k) != nm:
-                    self.killed_seeds.add(k)
-            for r, d in self.seed_fp.items():
-                if r not in self.fp_float or (r in self.fp_dirty) != d:
-                    self.killed_fp.add(r)
-            for k, r in self.seed_fp_mem.items():
-                if self.fp_mem.get(k) != r:
-                    self.killed_fp_mem.add(k)
-            self.lines.append(f"{indent}continue")
-        else:
-            self.close_sites.append(
-                (dict(self.consts), dict(self.mem_known),
-                 set(self.fp_float), set(self.fp_dirty),
-                 dict(self.fp_mem)))
-            self.lines.append(f"{indent}\x00CLOSE")
-
-    # -- two-body emission (warmup + steady state) -------------------------
-
-    def seed_from_close_sites(self):
-        """Constants and forwarded memory values that hold at *every*
-        point the warmup body re-enters the loop: the emission seeds
-        for the steady-state body.  (All warmup temps and const locals
-        referenced by a seed are assigned before the earliest close
-        site — warmup emission is linear — so the spliced body never
-        sees an unbound name.)"""
-        consts0, mem0, ff0, fd0, fm0 = self.close_sites[0]
-        rest = self.close_sites[1:]
-        seed_consts = {r: v for r, v in consts0.items()
-                       if r and all(s[0].get(r) == v for s in rest)}
-        seed_mem = {k: t for k, t in mem0.items()
-                    if all(s[1].get(k) == t for s in rest)}
-        # fp seeds: reg -> dirty flag (membership = float live in g);
-        # fp memory forwards only survive on a float-seeded reg
-        seed_fp = {r: r in fd0 for r in ff0
-                   if all(r in s[2] and (r in fd0) == (r in s[3])
-                          for s in rest)}
-        seed_fp_mem = {k: r for k, r in fm0.items()
-                       if r in seed_fp
-                       and all(s[4].get(k) == r for s in rest)}
-        return seed_consts, seed_mem, seed_fp, seed_fp_mem
-
-    def begin_fast(self, seed_consts: dict, seed_mem: dict,
-                   seed_fp: dict, seed_fp_mem: dict) -> None:
-        """Start emitting the steady-state body, seeded with the state
-        the warmup proved to hold at every loop-close site."""
-        if not self.fast:
-            self.warm_lines = self.lines
-            self.fast = True
-        self.lines = []
-        self.cost = 0
-        self.count = 0
-        self.consts = {0: 0}
-        self.consts.update(seed_consts)
-        self.mem_known = dict(seed_mem)
-        self.fp_float = set(seed_fp)
-        self.fp_dirty = {r for r, d in seed_fp.items() if d}
-        self.fp_mem = dict(seed_fp_mem)
-        self.kept = {}
-        self.seed_consts = dict(seed_consts)
-        self.seed_mem = dict(seed_mem)
-        self.seed_fp = dict(seed_fp)
-        self.seed_fp_mem = dict(seed_fp_mem)
-        self.killed_seeds = set()
-        self.killed_consts = set()
-        self.killed_fp = set()
-        self.killed_fp_mem = set()
-
-    def snapshot(self) -> dict:
-        """Emitter state shared across passes, captured before a
-        steady-state emission so a seed-kill can roll it back."""
-        return {
-            "ns": set(self.ns),
-            "localized": set(self.localized),
-            "written": set(self.written),
-            "sync": len(self.sync_pc),
-            "pcs": len(self._pcs),
-            "accesses": len(self.accesses),
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Undo one steady-state emission pass (see :meth:`snapshot`)."""
-        for k in set(self.ns) - snap["ns"]:
-            del self.ns[k]
-        self.localized = snap["localized"]
-        self.written = snap["written"]
-        del self.sync_pc[snap["sync"]:]
-        del self.sync_cost[snap["sync"]:]
-        del self.sync_count[snap["sync"]:]
-        del self.sync_fp[snap["sync"]:]
-        del self._pcs[snap["pcs"]:]
-        del self.accesses[snap["accesses"]:]
+        self.lines.append(f"{indent}continue")
 
     def exit(self, target: str, indent: str = "") -> None:
         """Leave the trace for the pc expression *target*: sync, then
@@ -761,6 +682,14 @@ class _TraceEmitter:
         self.lines.append(f"{indent}return FG({target})")
 
     # -- lowering target --------------------------------------------------
+    #
+    # Double-precision values live as plain Python floats in ``g{reg}``
+    # locals: ``fld`` unpacks a page's double straight into one, and
+    # ``fsd`` packs it straight back.  A ``<d`` unpack/pack round trip
+    # keeps every bit pattern, signalling-NaN payloads included, so
+    # packing ``fr[]`` bits only where they must be exact (exits,
+    # faults, reads of an F register's bits) is bit-identical to packing
+    # after every instruction.
 
     def reg(self, n: int) -> Val:
         c = self.consts.get(n)
@@ -772,7 +701,6 @@ class _TraceEmitter:
         if r not in self.fp_float:
             if not fl:
                 return Val(f"fr[{r}]")
-            self._fp_kill_g(r)
             self.lines.append(f"g{r} = F64(fr[{r}])")
             self.fp_float.add(r)
         return Val(f"g{r}", fl=EXACT, fr=r)
@@ -787,26 +715,26 @@ class _TraceEmitter:
 
     def _load_float(self, pc: int, rs1: int, imm: int, rd: int) -> None:
         """Load the double at (*rs1* + *imm*) straight into ``g{rd}``,
-        forwarding a float or the bits an earlier access left."""
+        forwarding the slot's float or the bits an earlier access
+        left."""
         key = self._mem_key(rs1, imm, 8)
-        fsrc = self.fp_mem.get(key)
-        bits = self.mem_known.get(key)
-        if fsrc is not None and fsrc in self.fp_float:
-            # the slot's float is already live in a local: the reload is
-            # at most a local-to-local copy
+        name = self.fp_mem.get(key)
+        if name is not None:
             self._rely(key)
-            if fsrc != rd:
-                self._fp_kill_g(rd)
-                self.lines.append(f"g{rd} = g{fsrc}")
+            self.used.add(name)
+            self.lines.append(f"g{rd} = {name}")
         else:
-            self._fp_kill_g(rd)
+            name = _slot(key, "d")
+            bits = self.mem_known.get(key)
             if bits is not None:
                 # an integer access forwarded the slot's bits
                 self._rely(key)
-                self.lines.append(f"g{rd} = F64({bits})")
+                self.used.add(bits)
+                self.lines.append(f"g{rd} = {name} = F64({bits})")
             else:
-                self._emit_read(pc, rs1, imm, 8, f"g{rd}", "d")
-            self.fp_mem[key] = rd
+                self._mark(pc)
+                self._emit_read(key, f"g{rd} = {name}", "d")
+            self.fp_mem[key] = name
         # fr[rd] stays stale (dirty) until a sync point needs its bits
         self.fp_float.add(rd)
         self.fp_dirty.add(rd)
@@ -824,7 +752,6 @@ class _TraceEmitter:
         result of arithmetic by the canonical NaN), bits into ``fr[r]``,
         which drops every cached claim about the register."""
         if v.fr != r:  # (not a load straight into it)
-            self._fp_kill_g(r)
             self.lines.append(f"g{r} = {v.src}" if v.fl
                               else f"fr[{r}] = {lw.value(v).src}")
         if not v.fl:
@@ -844,7 +771,7 @@ class _TraceEmitter:
         takes.  Returns the pc to keep building at, or None if the
         emitter closed the trace."""
         self._cover(pc, instr.length)
-        self._charge(instr.mnemonic, instr)
+        self._charge(instr)
         fall = pc + instr.length
         cond = lw.cond
         target = lw.target
@@ -887,25 +814,36 @@ class _TraceEmitter:
 
     def emit_straight(self, pc: int, instr, lw) -> bool:
         """Emit a straight-line instruction from its lowering *lw*; False
-        when the IR does not cover it (the trace ends before it)."""
+        when the IR does not cover it (the trace ends before it).
+
+        A store is followed by a deopt site: the state after the
+        instruction, which the handler makes architectural when the
+        store set ``code_dirty``.  Only ``si`` can set it, so the check
+        sits on the store's ``si`` path; an AMO writes its register after
+        its store, so there the check follows the instruction."""
         if lw is None:
             return False
         self._cover(pc, instr.length)
+        check = None
+        if lw.stores:
+            self.ns["DO"] = _Deopt
+            site = self._site(pc + instr.length,
+                              self.cost + self._price(instr),
+                              self.count + 1)
+            check = f"if m.code_dirty: ip = {site}; raise DO"
         for st in lw.stores:
             # a read-modify-write's result may read the loaded value its
             # store replaces: that store forwards nothing
-            self._emit_store(pc, lw, *st, forward=not lw.writes)
+            self._emit_store(pc, lw, *st, forward=not lw.writes,
+                             check=None if lw.writes else check)
         for r, v in lw.writes:
             self._write(lw, r, v)
         for r, v in lw.fwrites:
             self._fwrite(lw, r, v)
-        self._charge(instr.mnemonic, instr)
-        if lw.stores:
-            self.lines.append("if m.code_dirty:")
-            self.lines.append("    m.code_dirty = False")
-            self.lines.append("    D[0] += 1")
-            self._sync_exit(f"{pc + instr.length:#x}", indent="    ")
-            self.lines.append("    return None")
+        self._charge(instr)
+        if lw.stores and lw.writes:
+            self.pending.clear()
+            self.lines.append(check)
         return True
 
     # -- memory access ----------------------------------------------------
@@ -937,68 +875,53 @@ class _TraceEmitter:
         ext[1] = max(ext[1], lo + size)
         return (base, lo, size)
 
-    def _stable(self, key: tuple) -> str:
-        """Value-local name for access *key*, stable across emission
-        passes and across the two bodies: a steady-state store to the
-        key re-assigns the same name the loop-top forward reads, which
-        is what lets store-fed slots (accumulators, loop counters)
-        survive the back edge as seeds."""
-        base, off, size = key
-        return f"w{_suffix(base, off)}_{size}"
-
     def _load_value(self, pc: int, rs1: int, imm: int,
                     size: int) -> str:
-        """Temp local holding the raw little-endian value at
+        """Slot local holding the raw little-endian value at
         (*rs1* + *imm*).  Same-address re-reads with no possibly-
-        aliasing store in between forward the earlier temp and emit no
+        aliasing store in between forward the earlier value and emit no
         memory access at all (the earlier access already proved the
         page mapped)."""
         key = self._mem_key(rs1, imm, size)
         hit = self.mem_known.get(key)
         if hit is not None:
             self._rely(key)
+            self.used.add(hit)
             return hit
-        v = self._stable(key)
-        self._emit_read(pc, rs1, imm, size, v, size)
+        v = _slot(key)
+        self._mark(pc)
+        self._emit_read(key, v, size)
         self.mem_known[key] = v
         return v
 
-    def _emit_read(self, pc: int, rs1: int, imm: int, size: int,
-                   dest: str, key) -> None:
-        """Read the *size* bytes at (*rs1* + *imm*) into local *dest*
-        through the page accessor for *key* (*size*, or ``"d"`` for a
-        double)."""
-        self._mark(pc)
-        slow = f"ri({{a}}, {size})"
-        if key == "d":
+    def _emit_read(self, key: tuple, dest: str, kind) -> None:
+        """Read slot *key* into the assignment target *dest* through the
+        page accessor for *kind* (the size, or ``"d"`` for a double)."""
+        slow = f"ri({{a}}, {key[2]})"
+        if kind == "d":
             slow = f"F64({slow})"
         self._emit_access(
-            rs1, imm, size, f"{dest} = {slow}",
-            f"{dest} = {self._accessor('U', key)}({{p}}, {{o}})[0]")
+            key, [f"{dest} = {slow}"],
+            f"{dest} = {self._accessor('U', kind)}({{p}}, {{o}})[0]")
 
-    def _emit_access(self, rs1: int, imm: int, size: int, slow: str,
-                     fast: str, store: bool = False) -> None:
-        """Emit an access of *size* bytes at (*rs1* + *imm*): statement
-        *fast* works in place on page ``{p}`` at offset ``{o}``; *slow*
-        runs instead, at address ``{a}``, when the page is not created
-        yet, the access leaves it, or (a *store*) the write watch covers
-        it.  An access that crosses a page at a constant address is the
-        slow statement alone; any other leaves an :data:`_ACCESS` marker,
+    def _emit_access(self, key: tuple, slow: list[str], fast: str,
+                     store: bool = False) -> None:
+        """Emit an access to slot *key*: statement *fast* works in place
+        on page ``{p}`` at offset ``{o}``; the *slow* statements run
+        instead, at address ``{a}``, when the page is not created yet,
+        the access leaves it, or (a *store*) the write watch covers it.
+        An access that crosses a page at a constant address is the slow
+        statements alone; any other leaves an :data:`_ACCESS` marker,
         resolved at build time (:meth:`_resolve_access`), once the trace
         knows which registers it writes."""
-        c = self.const_of(rs1)
-        if c is not None:
-            addr = (c + imm) & _MASK64
-            if addr & 4095 > 4096 - size:  # crosses a page: slow path only
-                self.lines.append(slow.format(a=f"{addr:#x}"))
-                return
-            access = (None, addr, size, store, slow, fast, None)
-        else:
-            expr = f"({self.use(rs1)} + {imm}) & {_M64}" if imm \
-                else self.use(rs1)
-            access = (rs1, imm, size, store, slow, fast, expr)
+        base, off, size = key
+        if base is None and off & 4095 > 4096 - size:
+            self.lines += [s.format(a=f"{off:#x}") for s in slow]
+            return
+        if base is not None:
+            self.localized.add(base)
         self.lines.append(f"{_ACCESS}:{len(self.accesses)}")
-        self.accesses.append(access)
+        self.accesses.append((key, store, slow, fast))
 
     def _resolve_access(self, access: tuple, written) -> list[str]:
         """The lines of an :data:`_ACCESS` marker.
@@ -1012,13 +935,15 @@ class _TraceEmitter:
         again, so a page the trace's own first touch created is used in
         place from then on (see the module docstring for the invariant
         this relies on)."""
-        base, off, size, store, slow, fast, expr = access
+        (base, off, size), store, slow, fast = access
+        if base is not None:
+            expr = f"(r{base} + {off}) & {_M64}" if off else f"r{base}"
         if base in written:
             test = f"pg is None or o > {4096 - size}"
             if store:
                 test += " or a >> 12 in WP"
             return [f"a = {expr}", "pg = PG(a >> 12)", "o = a & 4095",
-                    f"if {test}:", f"    {slow.format(a='a')}",
+                    f"if {test}:", *(f"    {s.format(a='a')}" for s in slow),
                     "else:", f"    {fast.format(p='pg', o='o')}"]
         tag = "w" if store else "r"
         if base is None:
@@ -1038,7 +963,8 @@ class _TraceEmitter:
                 fits += f" and {addr} >> 12 not in WP"
             look = f"PG({addr} >> 12) if {fits} else None"
         self.bindings.setdefault(name, look)
-        return [f"if {name} is None:", f"    {slow.format(a=addr)}",
+        return [f"if {name} is None:", *(f"    {s.format(a=addr)}"
+                                         for s in slow),
                 f"    {name} = {look}",
                 "else:", f"    {fast.format(p=name, o=o)}"]
 
@@ -1080,12 +1006,14 @@ class _TraceEmitter:
             self.relied |= bases
 
     def _emit_store(self, pc: int, lw: Lowering, rs1: int, off: Val,
-                    size: int, v: Val, forward: bool) -> None:
-        """Emit a store of *v* at (*rs1* + *off*).  A live float (``fsd``
-        of a register whose float is in ``g``) is packed straight into
-        the page, and the slot is then forwarded through :attr:`fp_mem`
-        alone, so an integer access to it reads memory; every other
-        store forwards its value through :attr:`mem_known`."""
+                    size: int, v: Val, forward: bool,
+                    check: str | None) -> None:
+        """Emit a store of *v* at (*rs1* + *off*), with the deopt
+        *check* on its ``si`` path.  A live float (``fsd`` of a register
+        whose float is in ``g``) is packed straight into the page, and
+        the slot is then forwarded through :attr:`fp_mem` alone, so an
+        integer access to it reads memory; every other store forwards
+        its value through :attr:`mem_known`."""
         imm = sx(off.const)
         skey = self._mem_key(rs1, imm, size)
         # the page accessor's key and value, and the value's bits for
@@ -1108,23 +1036,24 @@ class _TraceEmitter:
         # fast path: a direct page write unless the page is watched
         # (it holds code: the write watch must see the store) or the
         # store leaves the page, which write_int handles
-        self._emit_access(rs1, imm, size, f"si({{a}}, {size}, {bits})",
+        slow = [f"si({{a}}, {size}, {bits})"]
+        if check:
+            slow.append(check)
+        self._emit_access(skey, slow,
                           f"{self._accessor('P', key)}({{p}}, {{o}}, {val})",
                           store=True)
         self._store_invalidate(skey)
         # store-to-load forwarding: remember the stored value so a
-        # same-address reload (this iteration or, via seeding, the next
+        # same-address reload (this iteration or, as a seed, the next
         # one) costs one local read instead of a page access
         if not forward:
             return
-        if key == "d":
-            self.fp_mem[skey] = v.fr
-        elif literal:
+        if literal:
             self.mem_known[skey] = val
-        else:
-            nm = self._stable(skey)
-            self.lines.append(f"{nm} = {val}")
-            self.mem_known[skey] = nm
+            return
+        table = self.fp_mem if key == "d" else self.mem_known
+        table[skey] = nm = _slot(skey, "d" if key == "d" else "w")
+        self.lines.append(f"{nm} = {val}")
 
     # -- assembly ---------------------------------------------------------
 
@@ -1138,16 +1067,18 @@ class _TraceEmitter:
         return [tuple(s) for s in spans] or [(self.entry,
                                              self.entry + 4)]
 
-    def _expand(self, lines: list[str], written: list[int]) -> list[str]:
-        """Resolve the placeholders: a spill stores every register in
-        the final written set from its local, a spill and a float
-        write-back pack their dirty F registers' floats into ``fr``, and
+    def _expand(self, lines: list, written: list[int]) -> list[str]:
+        """Resolve the placeholders and drop dead constant writes: a
+        spill stores every register in the final written set from its
+        local and packs its dirty F registers' floats into ``fr``, and
         an access becomes :meth:`_resolve_access`'s lines."""
         out: list[str] = []
         for line in lines:
+            if line is None:
+                continue
             stripped = line.lstrip(" ")
             tag, _, regs = stripped.partition(":")
-            if tag not in (_SPILL, _FPSYNC, _ACCESS):
+            if tag not in (_SPILL, _ACCESS):
                 out.append(line)
                 continue
             pad = line[:len(line) - len(stripped)]
@@ -1155,14 +1086,9 @@ class _TraceEmitter:
                 out += [pad + ln for ln in self._resolve_access(
                     self.accesses[int(regs)], written)]
                 continue
-            dirty = [int(r) for r in regs.split(",") if r]
-            if tag == _SPILL:
-                out += [f"{pad}x[{r}] = r{r}" for r in written]
-            else:
-                # a back edge: dirty regs whose dirtiness the seeds carry
-                # across the loop stay in their floats
-                dirty = [r for r in dirty if not self.seed_fp.get(r)]
-            out += [f"{pad}fr[{r}] = B64(g{r})" for r in dirty]
+            out += [f"{pad}x[{r}] = r{r}" for r in written]
+            out += [f"{pad}fr[{r}] = B64(g{r})"
+                    for r in regs.split(",") if r]
         return out
 
     def _alias_guard(self) -> list[str]:
@@ -1189,64 +1115,67 @@ class _TraceEmitter:
                       f"    return AG({self.entry:#x})"]
         return lines
 
+    def _preheader(self) -> list:
+        """The seed loads, which run before the trace changes any
+        state: the slot seeds the body forwards from (one it only stores
+        needs no load), read like any other access."""
+        mem, fmem, _ = self.seeds
+        body, self.lines = self.lines, []
+        for key, name in mem.items():
+            if name in self.used:
+                self._emit_read(key, name, key[2])
+        for key, name in fmem.items():
+            if name in self.used:
+                self._emit_read(key, name, "d")
+        pre, self.lines = self.lines, body
+        return pre
+
     def build_result(self):
+        """Compile the trace: the prologue (register loads, the entry
+        guard, the page bindings), the pre-header (seed loads; one that
+        faults hands the head to the cold path through ``CS``), the body
+        (a ``while True:`` loop when the path closed), and the handler
+        every fault and deopt leaves through.  Returns ``(fn, spans)``."""
         ns = self.ns
+        pre = self._preheader()
         ns["P"] = tuple(self.sync_pc)
         ns["U"] = tuple(self.sync_cost)
         ns["N"] = tuple(self.sync_count)
         written = sorted(self.written)
-        if self.warm_lines is not None:
-            # stitch: warmup body once, steady-state loop spliced in at
-            # every close site (markers keep the site's own indent, so
-            # a conditional back edge nests its loop inside the branch)
-            warm = self._expand(self.warm_lines, written)
-            fast = self._expand(self.lines, written)
-            body_lines: list[str] = []
-            for line in warm:
-                stripped = line.lstrip(" ")
-                pad = line[:len(line) - len(stripped)]
-                if stripped == "\x00CLOSE":
-                    body_lines.append(f"{pad}while True:")
-                    body_lines += [f"{pad}    {fl}" for fl in fast]
-                    continue
-                body_lines.append(line)
-        else:
-            # a path that never returned to the head: a straight-line
-            # body whose every path returns
-            body_lines = self._expand(self.lines, written)
-        has_fpp = any(self.sync_fp)
-        if has_fpp:
-            ns["FPP"] = tuple(self.sync_fp)
-        loads = [f"r{r} = x[{r}]" for r in sorted(
+        body = self._expand(self.lines, written) or ["pass"]
+        if self.closed:
+            body = ["while True:", *(f"    {ln}" for ln in body)]
+        pre = self._expand(pre, written)
+        head = [f"r{r} = x[{r}]" for r in sorted(
             (self.localized | self.written | self.relied) - {0})]
-        loads += self._alias_guard()
-        loads += [f"{k} = {v}" for k, v in self.bindings.items()]
-        spill = [f"x[{r}] = r{r}" for r in written]
-        body = "\n        ".join(body_lines) or "pass"
-        prologue = "\n    ".join(loads)
-        handler_spill = "\n        ".join(spill)
-        fp_handler = (
-            "        _lv = locals()\n"
-            "        for _fd in FPP[ip]:\n"
-            "            fr[_fd] = B64(_lv['g%d' % _fd])\n"
-        ) if has_fpp else ""
+        head += self._alias_guard()
+        head += [f"{k} = {v}" for k, v in self.bindings.items()]
+        if pre:
+            ns["CS"] = self.cache._cold_step
+            head += ["try:", *(f"    {ln}" for ln in pre),
+                     "except MF:", f"    return CS({self.entry:#x})"]
+        head += [f"g{r} = F64(fr[{r}])" for r in self.seeds[2]]
+        handler = [f"x[{r}] = r{r}" for r in written]
+        if any(self.sync_fp):
+            ns["FPP"] = tuple(self.sync_fp)
+            handler += ["_lv = locals()", "for _fd in FPP[ip]:",
+                        "    fr[_fd] = B64(_lv['g%d' % _fd])"]
+        handler += ["m.pc = P[ip]", "m.ucycles += uc + U[ip]",
+                    "m.instret += ir + N[ip]"]
+        if "DO" in ns:  # a deopt check was emitted
+            catch = "except (MF, SF, DO) as e:"
+            handler += ["if e.__class__ is not DO:", "    raise",
+                        "m.code_dirty = False", "D[0] += 1"]
+        else:
+            catch = "except (MF, SF):"
+            handler.append("raise")
         name = "__mega__"
-        src = (
-            f"def {name}({', '.join(f'{k}={k}' for k in ns)}):\n"
-            f"    ip = 0\n"
-            f"    uc = 0\n"
-            f"    ir = 0\n"
-            + (f"    {prologue}\n" if loads else "")
-            + f"    try:\n"
-            f"        {body}\n"
-            f"    except (MF, SF):\n"
-            + (f"        {handler_spill}\n" if spill else "")
-            + fp_handler
-            + f"        m.pc = P[ip]\n"
-            f"        m.ucycles += uc + U[ip]\n"
-            f"        m.instret += ir + N[ip]\n"
-            f"        raise\n"
-        )
+        src = "\n".join([
+            f"def {name}({', '.join(f'{k}={k}' for k in ns)}):",
+            "    ip = 0", "    uc = 0", "    ir = 0",
+            *(f"    {ln}" for ln in head),
+            "    try:", *(f"        {ln}" for ln in body),
+            f"    {catch}", *(f"        {ln}" for ln in handler)]) + "\n"
         code = compile(src, f"<mega@{self.entry:#x}>", "exec")
         env = dict(ns)
         exec(code, env)

@@ -12,8 +12,8 @@ and conversions round once.
 The interpreter runs the instruction once.  The JIT runs it in a
 three-iteration counted loop whose head roots a looping trace: at
 threshold 1 on its first dispatch, so the instruction executes in the
-trace's warm-up body and then its steady-state body, where the
-double-precision arithmetic the emitter inlines runs on Python floats;
+trace's loop body on every iteration, where the double-precision
+arithmetic the emitter inlines runs on Python floats;
 at threshold 2 after one iteration on the interpreter.
 """
 

@@ -16,7 +16,7 @@ that are (or are not) properly NaN-boxed.
 The interpreter runs the instruction once.  The JIT runs it in a
 three-iteration counted loop whose head roots a looping trace: with
 ``hot_threshold = 1`` on its first dispatch, so the instruction executes
-in the trace's warm-up body and then its steady-state body; with
+in the trace's loop body on every iteration; with
 ``hot_threshold = 2`` after one iteration on the interpreter.  In half
 the draws its source registers are re-materialised inside the loop: the
 integer ones as constants the trace folds, the F ones by ``fld`` from a

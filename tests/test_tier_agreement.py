@@ -11,8 +11,11 @@ event stream, event for event.  However a run is sliced, into bounded
 runs or single steps, it emits the unsliced run's stream at either
 granularity.  At the default threshold, every innermost hot loop roots
 a looping trace at its header, the rule ``docs/INTERNALS.md`` states.
-Hand-written programs fault inside compiled code, and take paths on
-which a trace once ran the wrong code.  The cold path runs the
+Random MiniC programs with loops past the hot threshold agree on every
+engine, plain and instrumented.  Every run is bounded in wall time, so
+an engine that loops forever fails instead of hanging.  Hand-written
+programs fault inside compiled code, and take paths on which a trace
+once ran the wrong code.  The cold path runs the
 perfbench-shaped wide binary as the interpreter does, building one
 closure per encoding where the interpreter builds one per pc, and
 hand-written programs run one encoding at two pcs.
@@ -20,10 +23,13 @@ hand-written programs run one encoding at two pcs.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.sim.machine as machine_mod
 from repro.api import open_binary
@@ -41,6 +47,8 @@ from repro.sim.trace import HOT_THRESHOLD
 from repro.telemetry.events import EventStream
 from repro.tools import count_basic_blocks
 from repro.tracing import block_heat
+
+from strategies import minic_program
 
 #: workload -> (source, hot function, compile options)
 WORKLOADS = {
@@ -87,13 +95,34 @@ def _state(m):
             {i: bytes(p) for i, p in m.mem._pages.items() if any(p)})
 
 
+#: wall-time bound of one run: a traced run cannot carry a step budget,
+#: so an engine bug that loops forever fails here instead of hanging
+RUN_SECONDS = 60
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block once *seconds* have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"run still going after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def _run(load, engine):
     kwargs, hot = ENGINES[engine]
     m = Machine(P550, **kwargs)
     if hot is not None:
         m.traces.hot_threshold = hot
     load(m)
-    return m, m.run()
+    with _deadline(RUN_SECONDS):
+        return m, m.run()
 
 
 @pytest.fixture(scope="module", params=CONFIGS)
@@ -129,6 +158,35 @@ def test_tiers_agree(load):
             assert m.traces.mega_compiles > 0, engine
         if engine == "cold":
             assert m.traces.mega_compiles == 0
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(source=minic_program(hot=True), data=st.data())
+def test_random_hot_loops_agree(source, data):
+    """Random MiniC programs whose top-level loops may run 40-100 times,
+    past the default hot threshold, run on every engine in the
+    interpreter's state: plain, and with a counter at every block of
+    one of their functions."""
+    prog = compile_source(source)
+    edit = open_binary(prog)
+    names = [f.name for f in edit.functions()
+             if f.name == "main" or f.name.startswith("f")]
+    count_basic_blocks(edit, data.draw(st.sampled_from(sorted(names))))
+    result = edit.commit()
+
+    def instrumented(m):
+        edit.symtab.load_into(m)
+        result.apply_to_machine(m)
+
+    for load in (lambda m: m.load_program(prog), instrumented):
+        ref, ev = _run(load, "interp")
+        assert ev.reason is StopReason.EXITED
+        for engine in TRACED:
+            m, ev = _run(load, engine)
+            assert ev.reason is StopReason.EXITED, engine
+            assert _state(m) == _state(ref), engine
 
 
 def _unsliced(m):
@@ -261,8 +319,8 @@ data:
 
     def test_pointer_walks_off_the_stack_in_steady_state(self):
         """``a0`` climbs from ``sp`` one double word per iteration and
-        leaves the stack in the ninth, well inside the trace's
-        steady-state body."""
+        leaves the stack in the ninth, well inside the trace's loop
+        body (the name is kept for stable test ids)."""
         prog = assemble("""
 _start:
   mv a0, sp
@@ -311,19 +369,96 @@ cbuf:
         mega = _agree_on(prog, StopReason.FAULT)
         assert mega.pc == prog.symbol("bad").address
 
+    @pytest.mark.parametrize("site, reason", [
+        ("bge t0, s5, done", StopReason.EXITED),
+        ("ld t2, 0(s3)", StopReason.FAULT),
+    ], ids=["exit", "fault"])
+    def test_constant_write_before_a_site_is_kept(self, site, reason):
+        """``t1`` is written 5, then 7 after a loop exit or a load that
+        faults on the second pass (``s3`` leaves the data page).  A
+        constant write dies only when its register is written again
+        before any exit or fault site, so at that site ``t1`` is 5,
+        which the exit or the fault handler spills (the exit path adds
+        it to ``a0``)."""
+        prog = assemble(f"""
+_start:
+  la s3, data
+  li s5, 40
+  li t0, 0
+  li a0, 0
+loop:
+  li t1, 5
+  {site}
+  li t1, 7
+  add a0, a0, t1
+  addi t0, t0, 1
+  bge t0, s5, walk
+  j loop
+walk:
+  li t4, 0x100000
+  add s3, s3, t4
+  j loop
+done:
+  add a0, a0, t1
+  li a7, 93
+  ecall
+.data
+data:
+  .dword 41
+""")
+        _agree_on(prog, reason)
+
+    def test_seed_load_faults_before_the_body_runs(self):
+        """The loop's trace seeds ``ld t2, 0(s3)`` (it never writes
+        ``s3``), so its pre-header loads the slot at entry.  The second
+        call enters the loop with ``s3`` unmapped and leaves at the
+        first branch, before the load: the interpreter never faults, so
+        the failed seed load must hand the head to the cold path
+        instead of faulting there.  (The ``fence`` keeps the loop's
+        head a trace entry on every engine.)"""
+        prog = assemble("""
+_start:
+  la s3, data
+  li s5, 40
+  li a0, 0
+  call run
+  li s3, 0x40000000
+  li s5, 0
+  call run
+  li a7, 93
+  ecall
+run:
+  li t0, 0
+  fence rw, rw
+loop:
+  bge t0, s5, done
+  ld t2, 0(s3)
+  add a0, a0, t2
+  addi t0, t0, 1
+  j loop
+done:
+  ret
+.data
+data:
+  .dword 5
+""")
+        mega = _agree_on(prog)
+        assert mega.exit_code == 200
+        assert mega.traces.fns.get(prog.symbol("loop").address)
+
 
 class TestWrongPath:
     """Paths on which a trace once ran the wrong code."""
 
     def test_jalr_exits_keep_their_own_guards(self):
         """The loop ``head`` ends in an indirect jump through ``a5``
-        and roots a looping trace whose warm-up and steady-state bodies
-        each exit through that jump.  ``a5`` is ``A`` for ten outer
-        iterations, then ``B``; each exit must leave for the target it
-        computed.  (When exits kept per-exit inline caches, one guard
-        cell shared by both exits sent the warm-up exit to ``A``'s
-        trace after the steady-state exit rebound it to ``B``; the
-        name is kept for stable test ids.)"""
+        and roots a looping trace that exits through that jump.  ``a5``
+        is ``A`` for ten outer iterations, then ``B``; the exit must
+        leave for the target it computed.  (When a trace emitted its
+        first iteration apart from its loop and exits kept per-exit
+        inline caches, one guard cell shared by both exits sent the
+        first iteration's exit to ``A``'s trace after the loop's exit
+        rebound it to ``B``; the name is kept for stable test ids.)"""
         prog = assemble("""
 _start:
   li s0, 0
@@ -369,9 +504,9 @@ next:
         assert mega.x[19] == 9010  # s3
 
     def test_fallback_bodies_keep_their_pcs(self):
-        """``beq t2, zero, A`` folds in the steady state (``t2`` is 0
-        there) but not in the warm-up, so the two bodies run a
-        different ``fcvt.d.l`` (the test keeps the name it had when
+        """``beq t2, zero, A`` falls through on each outer pass's first
+        iteration and branches on every later one, so the two paths run
+        a different ``fcvt.d.l`` (the test keeps the name it had when
         traces called the executor's F/D bodies); each must convert its
         own source register."""
         prog = assemble("""

@@ -15,6 +15,7 @@ bytes of every mapped page, pc, ``instret``, ``ucycles`` and stdout.
 from __future__ import annotations
 
 import io
+import re
 import sys
 
 import pytest
@@ -302,17 +303,18 @@ class TestInstrumentedHotLoop:
         assert traced.traces.mega_compiles > 0
         assert not [a for _, a in calls if counter <= a < counter + 8]
 
-        # the inner loop's trace loops, and its steady-state body bumps
-        # the counter yet reloads neither the counter nor a stack slot,
-        # integer or double (``g<n> = F64(ri(a, 8))``)
+        # the inner loop's trace loops, and its loop body bumps the
+        # counter yet reloads neither the counter nor a stack slot,
+        # integer or double (``g<n> = F64(ri(a, 8))``): the pre-header
+        # loads them once per entry
         assert traced.traces.fns.get(header)
         src = trace_sources[f"<mega@{header:#x}>"]
         assert "while True:" in src
         body = src.split("while True:", 1)[1]
         assert f"ri({counter:#x}" not in body
         # the counter's page is looked up once per entry, in the
-        # prologue; the steady-state main path writes it in place with
-        # no page lookup, ``ri`` or ``si`` of its own
+        # prologue; the loop's main path writes it in place with no page
+        # lookup, ``ri`` or ``si`` of its own
         page = counter >> 12
         prologue = src.split("    try:", 1)[0]
         assert f"pw_{page:x} = None if {page:#x} in WP else " \
@@ -343,6 +345,24 @@ class TestInstrumentedHotLoop:
         for token in ("to_bytes", "FB(", "F64(", "B64("):
             assert not [ln for ln in main if token in ln], token
         assert any("Ud(pg, o)[0]" in line for line in main)
+
+    def test_main_path_has_no_dead_work(self, trace_sources):
+        """The inner loop's main path tests ``code_dirty`` nowhere (only
+        ``si`` can set it, and ``si`` runs off the main path), and never
+        assigns a register local that nothing reads before its next
+        assignment: no read, ``ip =`` (a fault or deopt site), exit
+        branch or ``continue`` in between: an ``la`` that kept all its
+        writes, ``r31 = 0x121ac; r31 = 0x12000; r31 = ...``, fails it."""
+        load, _, header = _instrumented_matmul(8, 2)
+        m = Machine(P550)
+        load(m)
+        assert m.run().reason is StopReason.EXITED
+        assert m.traces.fns.get(header)
+        src = trace_sources[f"<mega@{header:#x}>"]
+        main = _main_path(src.split("while True:", 1)[1])
+        assert not [ln for ln in main if "code_dirty" in ln]
+        assert _dead_register_writes(main) == []
+        assert [ln for ln in main if re.match(r"\s*r\d+ = ", ln)]
 
     def test_each_trace_is_emitted_once(self, monkeypatch):
         """Every base register the inner loops write is written before
@@ -482,8 +502,8 @@ loop:
 
 
 def _main_path(body: str) -> list[str]:
-    """The lines of a trace's steady-state loop (the source after
-    its ``while True:``) that run on every iteration: nested blocks
+    """The lines of a trace's loop body (the source after its
+    ``while True:``) that run on every iteration: nested blocks
     under an ``if`` (the ``ri``/``si`` slow paths and the exits) are
     left out, the ``else:`` fast paths kept."""
     lines = [ln for ln in body.splitlines() if ln.strip()]
@@ -500,3 +520,27 @@ def _main_path(body: str) -> list[str]:
         elif not skip:
             main.append(line)
     return main
+
+
+def _dead_register_writes(main: list[str]) -> list[tuple[str, str]]:
+    """Pairs of assignments to one register local in the main path
+    *main* with nothing in between that could read the first: no read
+    of the local, no ``ip =`` (a fault or deopt site, whose handler
+    spills every local), no ``if`` block (an exit or a slow path) and no
+    ``continue``."""
+    unread: dict[str, str] = {}
+    dead = []
+    for line in main:
+        text = line.strip()
+        write = re.match(r"(r\d+) = (.*)", text)
+        reads = write.group(2) if write else text
+        for r in [r for r in unread if re.search(rf"\b{r}\b", reads)]:
+            del unread[r]
+        if text.startswith(("ip = ", "continue")) or (
+                text.startswith("if ") and text.endswith(":")):
+            unread.clear()
+        if write:
+            if write.group(1) in unread:
+                dead.append((unread[write.group(1)], text))
+            unread[write.group(1)] = text
+    return dead

@@ -97,6 +97,54 @@ skip:
         if trace_compile:
             assert m.traces.mega_compiles > 0
 
+    @pytest.mark.parametrize("store", [
+        pytest.param("la t5, target\n  sw t1, 0(t5)", id="constant"),
+        pytest.param("sw t1, 0(t0)", id="fixed_base"),
+        pytest.param("addi t5, t0, 4\n  sw t1, -4(t5)", id="written_base"),
+        pytest.param("amoswap.w t6, t1, (t0)", id="amoswap"),
+    ])
+    def test_store_forms_patch_hot_loop_body(self, store):
+        """As above, but the loop's store reaches the code through a
+        constant address, a base the trace never writes, a base it
+        writes, or an AMO, whose ``rd`` must hold the old word after the
+        trace leaves at the store: the trace and the interpreter agree,
+        and the trace deopts."""
+        src = f"""
+_start:
+  li a0, 0
+  li t2, 0
+  la t0, target
+  li t1, {_addi_a0(10):#x}
+loop:
+target:
+  addi a0, a0, 1
+  addi t2, t2, 1
+  li t4, 3
+  bne t2, t4, skip
+  {store}
+skip:
+  li t3, 6
+  blt t2, t3, loop
+  li a7, 93
+  ecall
+"""
+        prog = assemble(src)
+        runs = []
+        for tc in (True, False):
+            m = _machine(prog, tc)
+            ev = m.run()
+            assert ev.reason is StopReason.EXITED
+            # iterations 1-3 add 1 each, the store fires at i==3,
+            # iterations 4-6 add 10 each
+            assert ev.exit_code == 3 + 30
+            runs.append(m)
+        traced, interp = runs
+        assert traced.traces.mega_compiles > 0
+        assert traced.traces.deopt_count[0] > 0
+        assert TestTierPolicy._state(traced) == TestTierPolicy._state(interp)
+        if store.startswith("amoswap"):
+            assert traced.x[31] == _addi_a0(1)
+
     def test_modes_agree_on_counts(self):
         """Self-modifying run: identical instret/ucycles traced vs not."""
         src = f"""
