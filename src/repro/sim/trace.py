@@ -18,7 +18,19 @@ loads the loop's seeds (see :meth:`TraceCache._emit_mega`), then one
 dispatch loop, with registers and forwarded memory values kept in
 locals across the back edge.  A path that never returns to its root
 (straight-line code entered once per call, say) ends at its exits.
-Either way the trace charges timing as **one batched ucycle charge**
+
+Trace trees.  Once that root path is walked, :meth:`TraceCache._grow`
+walks the taken side of each of its guarded branches as a **branch
+path**, inside the branch's ``if`` block, from a fork of the path-local
+emitter state.  A branch path that returns to the root (the rest of a
+middle loop's pass that leads back into the inner loop, say) stays and
+grows branch paths of its own; one that leaves first is undone and the
+side exit stays.  So a whole loop nest runs in the trace of its
+innermost loop.  The seeds are what holds at the root path's back
+edges; a branch path's back edge re-establishes the ones it does not
+hold, by a local copy or a reload.
+
+Every path charges timing as **one batched ucycle charge**
 per exit, bumps ``instret`` once, and ends every exit with
 ``return FG(pc)``, where ``FG`` is :attr:`TraceCache.fns`'s ``get``: it
 returns the trace compiled at the exit's pc, which the run loop calls
@@ -37,7 +49,8 @@ constant write still assigns its local, so every local holds its
 register's value at every exit, fault and deopt site, unless the
 register is written again before the next such site: then the constant
 write is dropped.  Loaded and stored values are forwarded to later
-loads of the same address.  A load reads its page in place, and a store
+loads of the same address, and a constant store's literal folds into
+them.  A load reads its page in place, and a store
 to an unwatched page writes it in place, through
 :mod:`repro.sim.memory`'s precompiled ``struct`` accessors
 (``U8(pg, o)[0]``, ``P8(pg, o, v)``, bound into a trace's namespace on
@@ -48,7 +61,8 @@ Pages are looked up once per trace entry where they can be.  The
 prologue binds one page local per page and direction for the
 constant-address accesses (instrumentation counters, globals), and the
 address, page offset and page of each access through a base register
-the finished trace never writes (``sp``/``s0`` stack slots); the local
+the finished trace never writes on any path (``sp``/``s0`` stack
+slots); the local
 is ``None`` when the page is not created yet, when the access leaves
 it, or for a store when the write watch covers it, and that access
 calls ``read_int``/``write_int`` and looks the page up again.  An
@@ -79,7 +93,8 @@ no such assumption.
 
 An indirect jump (``jalr``) whose target does not fold ends the trace
 the same way, with ``return FG(t)`` for the target ``t`` it computed,
-unless it lands on the trace's own root, where the loop iterates.
+unless, on the root path, it lands on the trace's own root, where the
+loop iterates.
 
 Patch safety
 ------------
@@ -129,6 +144,8 @@ interpreter, another trace's exit, a trap redirect).
 
 from __future__ import annotations
 
+import contextlib
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .. import faults
@@ -145,6 +162,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: maximum instructions inlined into one trace
 MAX_MEGA = 256
+
+#: deepest branch path of a trace tree: each nests one ``if`` deeper,
+#: and Python's tokenizer allows 100 levels of indentation
+MAX_NEST = 32
 
 #: dispatches of an uncompiled pc before a trace is rooted there
 HOT_THRESHOLD = 32
@@ -179,6 +200,12 @@ def _suffix(base: int | None, off: int) -> str:
     b = "c" if base is None else str(base)
     sign = "m" if off < 0 else ""
     return f"{b}_{sign}{abs(off):x}"
+
+
+def _src(v) -> str:
+    """Source of a forwarded memory value: a slot local's name, or the
+    literal a constant store wrote (an int in ``mem_known``)."""
+    return f"{v:#x}" if isinstance(v, int) else v
 
 
 def _slot(key: tuple, kind: str = "w") -> str:
@@ -333,11 +360,14 @@ class TraceCache:
         return self._install(head, self._compile_mega(head, assume=False))
 
     def _cold_step(self, head: int):
-        """A seed load in the pre-header of the trace rooted at *head*
-        faulted, before the trace changed any state: run the head's
-        instruction on the cold path instead, and return the trace
-        compiled at the pc it left for.  (Handing *head* back to the
-        dispatch loop would call the same trace again.)"""
+        """A seed load of the trace rooted at *head* faulted with the
+        state exact at *head*: in the pre-header, before the trace
+        changed any state, or on a branch path's back edge, after it
+        synced.  The trace returns this (bound to *head*) to the run
+        loop, which calls it outside the trace's handler: it runs the
+        head's instruction on the cold path instead, and returns the
+        trace compiled at the pc it left for.  (Handing *head* back to
+        the dispatch loop would call the same trace again.)"""
         m = self.m
         (m._icache.get(head) or m._cold_at(head))()
         return self.fns.get(m.pc)
@@ -364,16 +394,16 @@ class TraceCache:
             raw = mem.read_bytes(pc, 2)  # page-end compressed instr
         return decode(raw, 0, pc)
 
-    def _walk(self, emit: "_TraceEmitter", head: int) -> None:
-        """Drive one emission pass from *head*: follow the path
-        (guarding forward branches, following direct calls and
-        constant-folded returns) until it returns to *head*, leaves
-        through an exit, reaches a pc it already passed, or hits
-        :data:`MAX_MEGA`, stopping before an instruction it cannot
+    def _walk(self, emit: "_TraceEmitter", pc: int, budget: int) -> None:
+        """Drive *emit* along one path from *pc* (guarding forward
+        branches, following direct calls and constant-folded returns)
+        until it returns to the trace's root, leaves through an exit,
+        reaches a pc it already passed, or has emitted *budget*
+        instructions, stopping before an instruction it cannot
         trace."""
-        pc = head
+        head = emit.entry
         visited: set[int] = set()
-        for _ in range(MAX_MEGA):
+        for _ in range(budget):
             if pc == head and emit.count:
                 emit.close_loop()
                 return
@@ -391,9 +421,37 @@ class TraceCache:
                 pc += instr.length
             else:
                 break
-            if pc is None:  # the emitter closed or exited the trace
+            if pc is None:  # a dynamic jalr left the trace
                 return
         emit.exit(f"{pc:#x}")
+
+    def _grow(self, emit: "_TraceEmitter") -> None:
+        """Grow the walked root path into a **trace tree**: walk the
+        taken side of each guarded branch queued on a kept path, first
+        come first served, as a **branch path** inside its ``if``
+        block, on a fork of the path-local state at the branch.  A
+        branch path that returns to the root (a back edge of its own:
+        its walk reaches the root, or a guarded branch on it is taken to
+        the root) replaces the block's exit and queues its own branches.
+        One that leaves first (through a dynamic ``jalr``, an instruction
+        the walk cannot trace, or the end of the budget, which
+        :data:`MAX_MEGA` sets for the whole tree) is rolled back, so
+        nothing it emitted survives, and the exit stays."""
+        emit.root = False
+        while emit.branches:
+            block, at, taken, fork = emit.branches.pop(0)
+            budget = MAX_MEGA - len(emit._pcs)
+            if budget <= 0:
+                return
+            tree = emit.checkpoint()
+            back_edges = emit.back_edges
+            emit.resume(fork)
+            with emit._into([]) as path:
+                self._walk(emit, taken, budget)
+            if emit.back_edges > back_edges:
+                block[at:] = path
+            else:
+                emit.rollback(tree)
 
     def _compile_mega(self, head: int, assume: bool = True):
         """Build the trace rooted at *head*.
@@ -421,25 +479,29 @@ class TraceCache:
         *head* becomes one ``while True:`` body behind a pre-header that
         loads the loop's **seeds**: the memory slots whose value is in
         their ``w``/``d`` slot local, and the F registers whose double
-        is live in their ``g`` local, at every back edge.  The pre-header
-        loads them without changing state, so the body may assume them
-        at its top on every iteration.
+        is live in their ``g`` local, at every back edge of the root
+        path.  The pre-header loads them without changing state, so the
+        body may assume them at its top on every iteration; a branch
+        path's back edge re-establishes the ones it does not hold
+        (:meth:`_TraceEmitter.close_loop`).
 
-        The seeds come from a fixpoint over fresh emission passes.  The
-        first emits the body with nothing known at its top and collects
-        what holds at every back edge; each later pass emits under the
-        seeds so far and keeps those that hold again at every back edge
-        (a store or a base-register write in the body can kill one),
-        until a pass keeps them all.
+        The seeds come from a fixpoint over fresh walks of the root
+        path.  The first emits it with nothing known at its top and
+        collects what holds at every back edge; each later pass emits
+        under the seeds so far and keeps those that hold again at every
+        back edge (a store or a base-register write in the body can kill
+        one), until a pass keeps them all.  Branch paths cannot change
+        the seeds, so only that last pass grows them (:meth:`_grow`).
 
         Returns the finished emitter, or ``None`` for an empty trace."""
         seeds = None
         while True:
             emit = _TraceEmitter(self, head, assumed, seeds)
-            self._walk(emit, head)
+            self._walk(emit, head, MAX_MEGA)
             if emit.count == 0:
                 return None
             if emit.held is None or emit.held == (seeds or _NO_SEEDS):
+                self._grow(emit)
                 return emit
             seeds = emit.held
 
@@ -450,7 +512,16 @@ class _TraceEmitter:
     constant-folded at emission time.  A path that returns to the
     trace's root *entry* becomes a ``while True:`` loop, emitted under
     *seeds* (see :meth:`TraceCache._emit_mega`).  As a lowering target
-    it keeps doubles as Python floats (``floats``)."""
+    it keeps doubles as Python floats (``floats``).
+
+    The state splits in two.  **Path-local** state (:meth:`fork`):
+    ``consts``, ``pending``, ``mem_known``, ``fp_mem``, ``fp_float``,
+    ``fp_dirty``, ``kept``, ``cost`` and ``count`` describe the path
+    being walked, and a branch path starts from a copy of its parent's
+    at the branch.  **Trace-wide** state (:meth:`checkpoint`): the sync
+    tables, accesses, spans, ``written``, ``localized``, ``relied`` and
+    ``used`` describe the whole tree, since every path runs in one
+    frame and one handler."""
 
     floats = True
 
@@ -522,8 +593,15 @@ class _TraceEmitter:
         #: (hoisted addresses, page offsets and pages), filled at build
         #: time by :meth:`_resolve_access`
         self.bindings: dict[str, str] = {}
-        #: a back edge was emitted
-        self.closed = False
+        #: back edges emitted (the body loops when there is one)
+        self.back_edges = 0
+        #: walking the root path (its back edges decide the seeds)
+        self.root = True
+        #: branch paths the path being walked is nested in
+        self.depth = 0
+        #: guarded branches whose taken side may become a branch path:
+        #: (block, index of its exit's first line, taken pc, fork)
+        self.branches: list[tuple] = []
         #: the seeds this pass assumes at its loop top: slot key -> ``w``
         #: local, double slot key -> ``d`` local, F register -> whether
         #: its float may be newer than ``fr[]`` (dirty)
@@ -537,7 +615,7 @@ class _TraceEmitter:
         mem, fmem, fp = self.seeds
         #: known memory values: (base reg | None, offset, size) ->
         #: the slot local holding the loaded/stored bytes (little-endian
-        #: unsigned), or the literal a constant store wrote.  ``None``
+        #: unsigned), or the int a constant store wrote.  ``None``
         #: base keys absolute (const) addresses.  A slot ``fsd`` wrote
         #: from a float is in :attr:`fp_mem` only.
         self.mem_known: dict[tuple, str] = dict(mem)
@@ -594,6 +672,62 @@ class _TraceEmitter:
             for key in [k for k in table if k[0] == r]:
                 del table[key]
 
+    # -- trace trees ------------------------------------------------------
+
+    def fork(self) -> tuple:
+        """A copy of the path-local state, for a branch path to start
+        from (``pending`` is empty: the branch's exit cleared it), one
+        level deeper."""
+        return (dict(self.consts), dict(self.mem_known), dict(self.fp_mem),
+                set(self.fp_float), set(self.fp_dirty),
+                {k: set(v) for k, v in self.kept.items()},
+                self.cost, self.count, self.depth + 1)
+
+    def resume(self, fork: tuple) -> None:
+        """Walk on from the path-local state *fork*."""
+        (self.consts, self.mem_known, self.fp_mem, self.fp_float,
+         self.fp_dirty, self.kept, self.cost, self.count,
+         self.depth) = fork
+        self.pending = {}
+
+    def checkpoint(self) -> tuple:
+        """The trace-wide state, for :meth:`rollback`."""
+        return (len(self.sync_pc), len(self.accesses), len(self._pcs),
+                len(self.branches), set(self.written), set(self.localized),
+                set(self.relied), set(self.used),
+                {r: list(e) for r, e in self.extents.items()},
+                self.hull and list(self.hull), set(self.ns))
+
+    def rollback(self, tree: tuple) -> None:
+        """Undo everything a discarded branch path added to the
+        trace-wide state since :meth:`checkpoint` returned *tree*."""
+        (sites, accesses, pcs, branches, self.written, self.localized,
+         self.relied, self.used, self.extents, self.hull, names) = tree
+        for table in (self.sync_pc, self.sync_cost, self.sync_count,
+                      self.sync_fp):
+            del table[sites:]
+        del self.accesses[accesses:]
+        del self._pcs[pcs:]
+        del self.branches[branches:]
+        for name in set(self.ns) - names:
+            del self.ns[name]
+
+    @contextlib.contextmanager
+    def _into(self, lines: list):
+        """Emit into *lines* instead of the current lines."""
+        outer, self.lines = self.lines, lines
+        try:
+            yield lines
+        finally:
+            self.lines = outer
+
+    def _block(self):
+        """Emit into a new block nested one level below the current
+        line (an ``if`` body)."""
+        block = []
+        self.lines.append(block)
+        return self._into(block)
+
     # -- bookkeeping helpers ---------------------------------------------
 
     def _price(self, instr) -> int:
@@ -623,63 +757,124 @@ class _TraceEmitter:
         """A fault site: state before the instruction at *pc*."""
         self.lines.append(f"ip = {self._site(pc, self.cost, self.count)}")
 
-    def _flush(self, indent: str) -> None:
-        self.lines.append(f"{indent}uc += {self.cost}")
-        self.lines.append(f"{indent}ir += {self.count}")
+    def _flush(self) -> None:
+        self.lines.append(f"uc += {self.cost}")
+        self.lines.append(f"ir += {self.count}")
 
-    def _sync_exit(self, target_expr: str, indent: str) -> None:
+    def _sync_exit(self, target_expr: str) -> None:
         """Spill cached registers and make architectural state exact."""
         self.pending.clear()
         regs = ",".join(map(str, sorted(self.fp_dirty)))
-        self.lines.append(f"{indent}{_SPILL}:{regs}")
-        self.lines.append(f"{indent}m.pc = {target_expr}")
-        self.lines.append(f"{indent}m.ucycles += uc + {self.cost}")
-        self.lines.append(f"{indent}m.instret += ir + {self.count}")
+        self.lines.append(f"{_SPILL}:{regs}")
+        self.lines.append(f"m.pc = {target_expr}")
+        self.lines.append(f"m.ucycles += uc + {self.cost}")
+        self.lines.append(f"m.instret += ir + {self.count}")
 
-    def block_event(self, target: str, indent: str = "") -> None:
+    def block_event(self, target: str) -> None:
         """Under a block observer, emit a block-enter event for the pc
         expression *target*, where a transfer leaves for it, with
         ``instret`` and ``ucycles`` as they stand at this point of the
         trace (the transfer charged)."""
         if self.events:
             self.lines.append(
-                f"{indent}EV((5, {target}, 0, m.instret + ir + "
+                f"EV((5, {target}, 0, m.instret + ir + "
                 f"{self.count}, m.ucycles + uc + {self.cost}))")
 
     # -- trace enders -----------------------------------------------------
 
-    def close_loop(self, indent: str = "") -> None:
+    def close_loop(self) -> None:
         """The path returned to the loop head: the next iteration.
 
-        Notes what holds here toward the next pass's seeds, writes back
-        the dirty F registers the loop top does not hold dirty, and
-        continues.  Forwarded values a store was let past under an
-        assumption and that carry over as seeds make the entry guard
-        check that assumption."""
-        self.closed = True
+        On the root path, notes what holds here toward the next pass's
+        seeds; on a branch path, makes the seeds hold (:meth:`_reseed`).
+        Then writes back the dirty F registers the loop top does not
+        hold dirty, and continues.  Forwarded values a store was let
+        past under an assumption and that carry over as seeds make the
+        entry guard check that assumption."""
+        self.back_edges += 1
         self.pending.clear()
-        mem, fmem, fp = self.held or ({
-            k: v for k, v in self.mem_known.items() if v == _slot(k)},
-            self.fp_mem, dict.fromkeys(self.fp_float, False))
-        self.held = (
-            {k: v for k, v in mem.items() if self.mem_known.get(k) == v},
-            {k: v for k, v in fmem.items() if self.fp_mem.get(k) == v},
-            {r: d or r in self.fp_dirty for r, d in fp.items()
-             if r in self.fp_float})
-        for k in (*self.seeds[0], *self.seeds[1]):
-            self._rely(k)
+        if self.root:
+            mem, fmem, fp = self.held or ({
+                k: v for k, v in self.mem_known.items() if v == _slot(k)},
+                self.fp_mem, dict.fromkeys(self.fp_float, False))
+            self.held = (
+                {k: v for k, v in mem.items() if self.mem_known.get(k) == v},
+                {k: v for k, v in fmem.items() if self.fp_mem.get(k) == v},
+                {r: d or r in self.fp_dirty for r, d in fp.items()
+                 if r in self.fp_float})
+            for k in (*self.seeds[0], *self.seeds[1]):
+                self._rely(k)
+        else:
+            self._reseed()
         top_dirty = {r for r, d in self.seeds[2].items() if d}
         for r in sorted(self.fp_dirty - top_dirty):
-            self.lines.append(f"{indent}fr[{r}] = B64(g{r})")
-        self._flush(indent)
-        self.lines.append(f"{indent}continue")
+            self.lines.append(f"fr[{r}] = B64(g{r})")
+        self._flush()
+        self.lines.append("continue")
 
-    def exit(self, target: str, indent: str = "") -> None:
+    def _reseed(self) -> None:
+        """At a branch path's back edge, re-establish every seed that
+        does not hold here, so the loop top's assumptions hold whichever
+        path ran: a slot whose value is a literal, or in the local of
+        the other table, gets a copy of it; an F register whose float is
+        not live is converted from ``fr``; any other slot is reloaded.
+        A reload that faults (the program may never touch that slot
+        again) syncs and leaves for the head through ``CS``
+        (:meth:`TraceCache._cold_step`), as the pre-header does.  Which
+        slot seeds a path reads is known only once the tree is grown, so
+        the slot lines are left to :meth:`_reseeds`."""
+        mem, fmem, fp = self.seeds
+        copies, reloads = [], []
+        for key, name in mem.items():
+            have = self.mem_known.get(key)
+            if have is None and key in self.fp_mem:
+                have = f"B64({self.fp_mem[key]})"
+                self.used.add(self.fp_mem[key])
+            if have is None:
+                reloads.append((key, name, key[2]))
+                continue
+            self._rely(key)
+            if have != name:
+                copies.append((name, f"{name} = {_src(have)}"))
+        for key, name in fmem.items():
+            bits = self.mem_known.get(key)
+            if self.fp_mem.get(key) != name:
+                if bits is None:
+                    reloads.append((key, name, "d"))
+                    continue
+                if isinstance(bits, str):
+                    self.used.add(bits)
+                copies.append((name, f"{name} = F64({_src(bits)})"))
+            self._rely(key)
+        for r in sorted(set(fp) - self.fp_float):
+            self.lines.append(f"g{r} = F64(fr[{r}])")
+        leave = []
+        if reloads:
+            with self._into(leave):
+                self._sync_exit(f"{self.entry:#x}")
+                self.lines.append("return CS")
+        self.lines.append((copies, reloads, leave))
+
+    def _reseeds(self, copies: list, reloads: list, leave: list) -> list:
+        """The lines :meth:`_reseed` left for one back edge, for the
+        slot seeds some path reads (:attr:`used`): the copies, then the
+        reloads in a ``try`` whose ``except MF`` runs *leave*."""
+        lines = [stmt for name, stmt in copies if name in self.used]
+        reloads = [r for r in reloads if r[1] in self.used]
+        if reloads:
+            self.ns["CS"] = partial(self.cache._cold_step, self.entry)
+            with self._into([]) as reads:
+                for key, name, kind in reloads:
+                    self._emit_read(key, name, kind)
+            lines += ["try:", reads, "except MF:", leave]
+        return lines
+
+    def exit(self, target: str) -> None:
         """Leave the trace for the pc expression *target*: sync, then
         return the trace compiled there (``FG`` is ``fns.get``), or the
         false value that hands the pc to the dispatch loop."""
-        self._sync_exit(target, indent)
-        self.lines.append(f"{indent}return FG({target})")
+        self._sync_exit(target)
+        self.lines.append(f"return FG({target})")
 
     # -- lowering target --------------------------------------------------
     #
@@ -707,11 +902,14 @@ class _TraceEmitter:
 
     def load(self, lw: Lowering, base: int, off: Val, size: int,
              dest=None) -> Val:
+        """The loaded value: a float straight into ``g{dest}``, the
+        literal a constant store left (the lowering folds the load's
+        extension into it), or the slot local."""
         if dest is not None and size == 8:
             self._load_float(lw.pc, base, sx(off.const), dest)
             return Val(f"g{dest}", fl=EXACT, fr=dest)
-        return Val(self._load_value(lw.pc, base, sx(off.const), size),
-                   bits=8 * size)
+        v = self._load_value(lw.pc, base, sx(off.const), size)
+        return const(v) if isinstance(v, int) else Val(v, bits=8 * size)
 
     def _load_float(self, pc: int, rs1: int, imm: int, rd: int) -> None:
         """Load the double at (*rs1* + *imm*) straight into ``g{rd}``,
@@ -729,8 +927,9 @@ class _TraceEmitter:
             if bits is not None:
                 # an integer access forwarded the slot's bits
                 self._rely(key)
-                self.used.add(bits)
-                self.lines.append(f"g{rd} = {name} = F64({bits})")
+                if isinstance(bits, str):
+                    self.used.add(bits)
+                self.lines.append(f"g{rd} = {name} = F64({_src(bits)})")
             else:
                 self._mark(pc)
                 self._emit_read(key, f"g{rd} = {name}", "d")
@@ -768,8 +967,8 @@ class _TraceEmitter:
 
     def emit_transfer(self, pc: int, instr, lw: Lowering):
         """Emit a branch or jump, and its block enter on every path it
-        takes.  Returns the pc to keep building at, or None if the
-        emitter closed the trace."""
+        takes.  Returns the pc to keep building at, or None when a
+        dynamic ``jalr`` left the trace."""
         self._cover(pc, instr.length)
         self._charge(instr)
         fall = pc + instr.length
@@ -783,13 +982,21 @@ class _TraceEmitter:
                 self.block_event(f"{dest:#x}")
                 return dest
             self.lines.append(f"if {cond.src}:")
-            self.block_event(f"{taken:#x}", "    ")
-            if taken == self.entry:
-                # the loop's own back-edge: guard and start the next
-                # iteration without leaving compiled code
-                self.close_loop(indent="    ")
-            else:
-                self.exit(f"{taken:#x}", indent="    ")
+            with self._block() as block:
+                self.block_event(f"{taken:#x}")
+                if taken == self.entry:
+                    # the loop's own back-edge: guard and start the next
+                    # iteration without leaving compiled code
+                    self.close_loop()
+                else:
+                    # a side exit, which :meth:`TraceCache._grow` may
+                    # replace by a branch path unless it would nest
+                    # deeper than MAX_NEST
+                    at = len(block)
+                    self.exit(f"{taken:#x}")
+                    if self.depth < MAX_NEST:
+                        self.branches.append(
+                            (block, at, taken, self.fork()))
             self.block_event(f"{fall:#x}")
             return fall
         if target.const is None:
@@ -801,12 +1008,15 @@ class _TraceEmitter:
         if target.const is not None:
             self.block_event(f"{target.const:#x}")
             return target.const
-        # dynamic target: leave the trace for it.  An indirect loop
-        # closure (a jalr landing back on the head) continues iterating
-        # without leaving the trace
+        # dynamic target: leave the trace for it.  On the root path, an
+        # indirect loop closure (a jalr landing back on the head)
+        # continues iterating without leaving the trace; a branch path
+        # that ends here leaves first
         self.block_event("t")
-        self.lines.append(f"if t == {self.entry:#x}:")
-        self.close_loop(indent="    ")
+        if self.root:
+            self.lines.append(f"if t == {self.entry:#x}:")
+            with self._block():
+                self.close_loop()
         self.exit("t")
         return None
 
@@ -876,17 +1086,18 @@ class _TraceEmitter:
         return (base, lo, size)
 
     def _load_value(self, pc: int, rs1: int, imm: int,
-                    size: int) -> str:
+                    size: int) -> str | int:
         """Slot local holding the raw little-endian value at
-        (*rs1* + *imm*).  Same-address re-reads with no possibly-
-        aliasing store in between forward the earlier value and emit no
-        memory access at all (the earlier access already proved the
-        page mapped)."""
+        (*rs1* + *imm*), or the int a constant store left there.
+        Same-address re-reads with no possibly-aliasing store in between
+        forward the earlier value and emit no memory access at all (the
+        earlier access already proved the page mapped)."""
         key = self._mem_key(rs1, imm, size)
         hit = self.mem_known.get(key)
         if hit is not None:
             self._rely(key)
-            self.used.add(hit)
+            if isinstance(hit, str):
+                self.used.add(hit)
             return hit
         v = _slot(key)
         self._mark(pc)
@@ -1019,14 +1230,15 @@ class _TraceEmitter:
         # the page accessor's key and value, and the value's bits for
         # write_int
         key = size
-        literal = False
+        literal = None
         if v.fr is not None and size == 8:
             key, val, bits = "d", v.src, f"B64({v.src})"
         else:
             mask = (1 << (8 * size)) - 1
             v = lw.value(v)
             if v.const is not None:
-                val, literal = f"{v.const & mask:#x}", True
+                literal = v.const & mask
+                val = f"{literal:#x}"
             elif size == 8:
                 val = v.src
             else:
@@ -1048,8 +1260,8 @@ class _TraceEmitter:
         # one) costs one local read instead of a page access
         if not forward:
             return
-        if literal:
-            self.mem_known[skey] = val
+        if literal is not None:
+            self.mem_known[skey] = literal
             return
         table = self.fp_mem if key == "d" else self.mem_known
         table[skey] = nm = _slot(skey, "d" if key == "d" else "w")
@@ -1067,28 +1279,34 @@ class _TraceEmitter:
         return [tuple(s) for s in spans] or [(self.entry,
                                              self.entry + 4)]
 
-    def _expand(self, lines: list, written: list[int]) -> list[str]:
-        """Resolve the placeholders and drop dead constant writes: a
+    def _expand(self, lines: list, written: list[int],
+                pad: str = "") -> list[str]:
+        """Indent *lines* by *pad* and a nested block (a list) one level
+        more, resolve the placeholders and drop dead constant writes: a
         spill stores every register in the final written set from its
-        local and packs its dirty F registers' floats into ``fr``, and
-        an access becomes :meth:`_resolve_access`'s lines."""
+        local and packs its dirty F registers' floats into ``fr``, an
+        access becomes :meth:`_resolve_access`'s lines, and a branch back
+        edge's seeds (a tuple) :meth:`_reseeds`'s."""
         out: list[str] = []
         for line in lines:
             if line is None:
                 continue
-            stripped = line.lstrip(" ")
-            tag, _, regs = stripped.partition(":")
-            if tag not in (_SPILL, _ACCESS):
-                out.append(line)
+            if isinstance(line, list):
+                out += self._expand(line, written, pad + "    ")
                 continue
-            pad = line[:len(line) - len(stripped)]
+            if isinstance(line, tuple):
+                out += self._expand(self._reseeds(*line), written, pad)
+                continue
+            tag, _, regs = line.partition(":")
             if tag == _ACCESS:
                 out += [pad + ln for ln in self._resolve_access(
                     self.accesses[int(regs)], written)]
-                continue
-            out += [f"{pad}x[{r}] = r{r}" for r in written]
-            out += [f"{pad}fr[{r}] = B64(g{r})"
-                    for r in regs.split(",") if r]
+            elif tag == _SPILL:
+                out += [f"{pad}x[{r}] = r{r}" for r in written]
+                out += [f"{pad}fr[{r}] = B64(g{r})"
+                        for r in regs.split(",") if r]
+            else:
+                out.append(pad + line)
         return out
 
     def _alias_guard(self) -> list[str]:
@@ -1120,21 +1338,20 @@ class _TraceEmitter:
         state: the slot seeds the body forwards from (one it only stores
         needs no load), read like any other access."""
         mem, fmem, _ = self.seeds
-        body, self.lines = self.lines, []
-        for key, name in mem.items():
-            if name in self.used:
-                self._emit_read(key, name, key[2])
-        for key, name in fmem.items():
-            if name in self.used:
-                self._emit_read(key, name, "d")
-        pre, self.lines = self.lines, body
+        with self._into([]) as pre:
+            for key, name in mem.items():
+                if name in self.used:
+                    self._emit_read(key, name, key[2])
+            for key, name in fmem.items():
+                if name in self.used:
+                    self._emit_read(key, name, "d")
         return pre
 
     def build_result(self):
         """Compile the trace: the prologue (register loads, the entry
         guard, the page bindings), the pre-header (seed loads; one that
         faults hands the head to the cold path through ``CS``), the body
-        (a ``while True:`` loop when the path closed), and the handler
+        (a ``while True:`` loop when a path closed), and the handler
         every fault and deopt leaves through.  Returns ``(fn, spans)``."""
         ns = self.ns
         pre = self._preheader()
@@ -1142,18 +1359,18 @@ class _TraceEmitter:
         ns["U"] = tuple(self.sync_cost)
         ns["N"] = tuple(self.sync_count)
         written = sorted(self.written)
-        body = self._expand(self.lines, written) or ["pass"]
-        if self.closed:
-            body = ["while True:", *(f"    {ln}" for ln in body)]
-        pre = self._expand(pre, written)
+        if self.back_edges:
+            body = ["while True:", *self._expand(self.lines, written, "    ")]
+        else:
+            body = self._expand(self.lines, written) or ["pass"]
+        pre = self._expand(pre, written, "    ")
         head = [f"r{r} = x[{r}]" for r in sorted(
             (self.localized | self.written | self.relied) - {0})]
         head += self._alias_guard()
         head += [f"{k} = {v}" for k, v in self.bindings.items()]
         if pre:
-            ns["CS"] = self.cache._cold_step
-            head += ["try:", *(f"    {ln}" for ln in pre),
-                     "except MF:", f"    return CS({self.entry:#x})"]
+            ns["CS"] = partial(self.cache._cold_step, self.entry)
+            head += ["try:", *pre, "except MF:", "    return CS"]
         head += [f"g{r} = F64(fr[{r}])" for r in self.seeds[2]]
         handler = [f"x[{r}] = r{r}" for r in written]
         if any(self.sync_fp):

@@ -7,15 +7,19 @@ that never gets hot, so it runs wholly on the cold path's closures
 shared per encoding.  Each run must
 leave the same registers, FP registers, pc, ``instret``, ``ucycles``,
 stdout and memory, and every engine must emit the interpreter's block
-event stream, event for event.  However a run is sliced, into bounded
+event stream, event for event; the traced engines must also hold the
+interpreter's state each time a trace returns (``_lockstep``), so a
+stale value spilled at an exit shows even when the program overwrites
+it later.  However a run is sliced, into bounded
 runs or single steps, it emits the unsliced run's stream at either
 granularity.  At the default threshold, every innermost hot loop roots
 a looping trace at its header, the rule ``docs/INTERNALS.md`` states.
 Random MiniC programs with loops past the hot threshold agree on every
 engine, plain and instrumented.  Every run is bounded in wall time, so
 an engine that loops forever fails instead of hanging.  Hand-written
-programs fault inside compiled code, and take paths on which a trace
-once ran the wrong code.  The cold path runs the
+programs fault inside compiled code, take paths on which a trace once
+ran the wrong code, run loops whose branches lead back to the trace's
+root inside one trace tree, and reload slots constant stores wrote.  The cold path runs the
 perfbench-shaped wide binary as the interpreter does, building one
 closure per encoding where the interpreter builds one per pc, and
 hand-written programs run one encoding at two pcs.
@@ -23,10 +27,12 @@ hand-written programs run one encoding at two pcs.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import random
 import signal
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -43,12 +49,13 @@ from repro.parse import natural_loops
 from repro.patch.points import PointType
 from repro.riscv import assemble
 from repro.sim import Machine, P550, StopReason
-from repro.sim.trace import HOT_THRESHOLD
+from repro.sim.trace import HOT_THRESHOLD, MAX_NEST, TraceCache
 from repro.telemetry.events import EventStream
 from repro.tools import count_basic_blocks
 from repro.tracing import block_heat
 
 from strategies import minic_program
+from test_trace_alias import _main_path
 
 #: workload -> (source, hot function, compile options)
 WORKLOADS = {
@@ -115,13 +122,54 @@ def _deadline(seconds: float):
         signal.signal(signal.SIGALRM, old)
 
 
-def _run(load, engine):
+def _arch(m):
+    """The state the lockstep check compares: x and F registers, pc,
+    counters and the bytes of every mapped page."""
+    return (list(m.x), list(m.f), m.pc, m.instret, m.ucycles,
+            {i: bytes(p) for i, p in m.mem._pages.items() if any(p)})
+
+
+@contextlib.contextmanager
+def _lockstep(m, load):
+    """Check the traced machine *m* against the interpreter at every
+    trace exit, not only where the run stops: every trace installed on
+    *m* (``TraceCache._install``) is wrapped so that, each time a call
+    of it returns, an interpreter machine loaded by *load* runs up to
+    *m*'s ``instret`` and must hold *m*'s registers, pc, counters and
+    pages.  Yields the number of calls of each root's trace."""
+    ref = Machine(P550, trace_compile=False)
+    load(ref)
+    entries = collections.Counter()
+    install = TraceCache._install
+
+    def checked(cache, pc, built):
+        if built is None or cache.m is not m:
+            return install(cache, pc, built)
+        fn, spans = built
+
+        def call():
+            entries[pc] += 1
+            after = fn()
+            ev = ref.run(max_steps=m.instret - ref.instret)
+            assert ev.reason is StopReason.STEPS_EXHAUSTED, (hex(pc), ev)
+            assert _arch(m) == _arch(ref), f"after a call of <mega@{pc:#x}>"
+            return after
+        return install(cache, pc, (call, spans))
+
+    with mock.patch.object(TraceCache, "_install", checked):
+        yield entries
+
+
+def _run(load, engine, lockstep=False):
+    """One run to its stop on *engine*, bounded in wall time; with
+    *lockstep*, checked against the interpreter at every trace exit."""
     kwargs, hot = ENGINES[engine]
     m = Machine(P550, **kwargs)
     if hot is not None:
         m.traces.hot_threshold = hot
     load(m)
-    with _deadline(RUN_SECONDS):
+    check = _lockstep(m, load) if lockstep else contextlib.nullcontext()
+    with _deadline(RUN_SECONDS), check:
         return m, m.run()
 
 
@@ -148,10 +196,12 @@ def load(request):
 
 
 def test_tiers_agree(load):
+    """Every engine stops in the interpreter's state, and the traced
+    ones hold it at every trace exit too."""
     ref, ev = _run(load, "interp")
     assert ev.reason is StopReason.EXITED
     for engine in TRACED:
-        m, ev = _run(load, engine)
+        m, ev = _run(load, engine, lockstep=True)
         assert ev.reason is StopReason.EXITED, engine
         assert _state(m) == _state(ref), engine
         if engine in ("hot2", "hot1"):
@@ -167,8 +217,9 @@ def test_tiers_agree(load):
 def test_random_hot_loops_agree(source, data):
     """Random MiniC programs whose top-level loops may run 40-100 times,
     past the default hot threshold, run on every engine in the
-    interpreter's state: plain, and with a counter at every block of
-    one of their functions."""
+    interpreter's state, at every trace exit and where they stop:
+    plain, and with a counter at every block of one of their
+    functions."""
     prog = compile_source(source)
     edit = open_binary(prog)
     names = [f.name for f in edit.functions()
@@ -184,7 +235,7 @@ def test_random_hot_loops_agree(source, data):
         ref, ev = _run(load, "interp")
         assert ev.reason is StopReason.EXITED
         for engine in TRACED:
-            m, ev = _run(load, engine)
+            m, ev = _run(load, engine, lockstep=True)
             assert ev.reason is StopReason.EXITED, engine
             assert _state(m) == _state(ref), engine
 
@@ -271,9 +322,10 @@ def test_superblock_boundaries(load, trace_sources):
 
 def _agree_on(prog, reason=StopReason.EXITED):
     """Run *prog* on every engine; all must stop for *reason* in the
-    interpreter's state.  Returns the machine of the engine that roots
-    traces on first dispatch."""
-    runs = {engine: _run(lambda m: m.load_program(prog), engine)
+    interpreter's state, and hold it at every trace exit.  Returns the
+    machine of the engine that roots traces on first dispatch."""
+    runs = {engine: _run(lambda m: m.load_program(prog), engine,
+                         lockstep=True)
             for engine in ENGINES}
     ref = runs["interp"][0]
     for engine, (m, ev) in runs.items():
@@ -563,6 +615,345 @@ f:
         # traces at ``_start`` (leaving for ``loop``) and ``loop``
         assert mega.traces.mega_compiles == 2
         assert prog.symbol("back").address not in mega.traces.fns
+
+
+#: ``s0`` counts 200 passes; odd passes branch to ``odd``, and both
+#: sides meet at ``next``, which loops back to ``loop``.  After the
+#: branch, the ``if`` side makes ``t2`` another constant and stores
+#: another literal over the slot at ``8(sp)``; the ``else`` side reads
+#: both, and must see what held at the branch.
+_DIAMOND = """
+_start:
+  li s0, 0
+  li s1, 0
+  li s2, 0
+loop:
+  li t2, 5
+  sd s0, 8(sp)
+  andi t0, s0, 1
+  bnez t0, odd
+  li t2, 7
+  li t3, 99
+  sd t3, 8(sp)
+  addi s1, s1, 3
+  j next
+odd:
+  add s2, s2, t2
+  ld t4, 8(sp)
+  add s2, s2, t4
+next:
+  addi s0, s0, 1
+  li t1, 200
+  blt s0, t1, loop
+  add a0, s1, s2
+  li a7, 93
+  ecall
+"""
+
+
+class TestTraceTrees:
+    """A guarded branch whose taken side leads back to the trace's root
+    runs inside the trace as a branch path.  Every case runs on every
+    engine under the lockstep check (``_agree_on``)."""
+
+    def test_if_and_else_both_return_to_the_head(self, trace_sources):
+        """The trace rooted at ``loop`` falls through to the ``if``
+        side and runs the ``else`` side as a branch path: once it is
+        compiled it is entered once, not once per odd pass."""
+        prog = assemble(_DIAMOND)
+        _agree_on(prog)
+        loop = prog.symbol("loop").address
+        assert trace_sources[f"<mega@{loop:#x}>"].count("continue") == 2
+        for engine in ("hot1", "default"):
+            kwargs, hot = ENGINES[engine]
+            m = Machine(P550, **kwargs)
+            if hot is not None:
+                m.traces.hot_threshold = hot
+            m.load_program(prog)
+            with _lockstep(m, lambda r: r.load_program(prog)) as entries:
+                assert m.run().reason is StopReason.EXITED
+            assert entries[loop] == 1, engine
+
+    def test_block_stream_over_a_branch_path(self):
+        """A block observer sees the interpreter's stream from a trace
+        whose odd passes run on its branch path."""
+        def load(m):
+            m.load_program(assemble(_DIAMOND))
+        ref = _stream(load, "interp", "block")
+        for engine in TRACED:
+            assert _stream(load, engine, "block") == ref, engine
+
+    def test_fault_on_a_branch_path(self, trace_sources):
+        """Odd passes load through ``t3``, which leaves the data page
+        at pass 65, on the branch path of a trace every traced engine
+        has compiled by then: the fault syncs to the interpreter's pc,
+        ``instret`` and ``ucycles``."""
+        prog = assemble("""
+_start:
+  la s3, data
+  li s0, 0
+  li a0, 0
+loop:
+  andi t0, s0, 1
+  bnez t0, odd
+  addi a0, a0, 1
+  j next
+odd:
+  srli t2, s0, 6
+  slli t2, t2, 30
+  add t3, s3, t2
+bad:
+  ld t1, 0(t3)
+  add a0, a0, t1
+next:
+  addi s0, s0, 1
+  j loop
+.data
+data:
+  .dword 5
+""")
+        mega = _agree_on(prog, StopReason.FAULT)
+        assert mega.pc == prog.symbol("bad").address
+        loop = prog.symbol("loop").address
+        assert trace_sources[f"<mega@{loop:#x}>"].count("continue") == 2
+
+    def test_store_rewrites_code_on_a_branch_path(self):
+        """Odd passes store over ``patch`` from the branch path: the
+        store deopts with the state after it, and every engine ends in
+        the interpreter's state."""
+        word = int.from_bytes(assemble("addi s2, s2, 100").text, "little")
+        prog = assemble(f"""
+_start:
+  li s0, 0
+  la a1, patch
+  li a2, {word}
+loop:
+  andi t0, s0, 1
+  bnez t0, odd
+  addi s1, s1, 1
+  j next
+odd:
+  sw a2, 0(a1)
+next:
+patch:
+  addi s2, s2, 1
+  addi s0, s0, 1
+  li t1, 100
+  blt s0, t1, loop
+  li a7, 93
+  ecall
+""")
+        mega = _agree_on(prog)
+        assert mega.traces.deopt_count[0] > 0
+
+    def test_faulting_reseed_leaves_through_the_cold_step(self):
+        """The root path seeds ``ld t2, 0(s3)``; the branch path moves
+        ``s3`` off the map and loops back, so its back edge reloads the
+        seed, which faults.  The trace syncs at ``loop`` and leaves
+        through ``TraceCache._cold_step``, whose cold step of ``loop``
+        faults where the interpreter does."""
+        prog = assemble("""
+_start:
+  la s3, data
+  li s0, 0
+  li a0, 0
+loop:
+  ld t2, 0(s3)
+  add a0, a0, t2
+  addi s0, s0, 1
+  li t0, 50
+  bge s0, t0, move
+  j loop
+move:
+  li s3, 0x40000000
+  j loop
+.data
+data:
+  .dword 5
+""")
+        loop = prog.symbol("loop").address
+        steps = []
+        cold_step = TraceCache._cold_step
+
+        def counting(cache, head):
+            steps.append(head)
+            return cold_step(cache, head)
+
+        with mock.patch.object(TraceCache, "_cold_step", counting):
+            mega = _agree_on(prog, StopReason.FAULT)
+        assert mega.pc == loop
+        # one per engine that compiled the loop: hot2, hot1, default
+        assert steps == [loop] * 3
+
+    def test_branch_path_base_write_moves_root_accesses_inline(
+            self, trace_sources):
+        """Every eighth pass the branch path moves ``s3``, and the root
+        path stores through it: that store builds its address from
+        ``r19`` inline, since an address bound at entry would go stale
+        once the branch path ran."""
+        prog = assemble("""
+_start:
+  la s3, data
+  li s0, 0
+  li a0, 0
+loop:
+  ld t2, 0(s3)
+  add a0, a0, t2
+  sd a0, 64(s3)
+  addi s0, s0, 1
+  andi t0, s0, 7
+  beqz t0, step
+  j loop
+step:
+  addi s3, s3, 8
+  li t1, 64
+  blt s0, t1, loop
+  li a7, 93
+  ecall
+.data
+data:
+  .dword 1, 2, 3, 4, 5, 6, 7, 8, 9
+  .zero 128
+""")
+        _agree_on(prog)
+        src = trace_sources[f"<mega@{prog.symbol('loop').address:#x}>"]
+        assert src.count("continue") >= 2
+        assert "a19_" not in src
+        assert any(ln.strip().startswith("a = (r19 + 64) & ")
+                   for ln in _main_path(src.split("while True:", 1)[1]))
+
+
+    def test_reseed_copies_across_the_integer_and_float_tables(
+            self, trace_sources):
+        """The root path keeps an integer slot at ``8(sp)`` and a double
+        slot at ``16(sp)`` in locals; every fourth pass the branch path
+        stores a double over the first and an integer over the second.
+        Its back edge re-establishes both seeds by converting the value
+        the other table forwards, not by reloading them."""
+        prog = assemble("""
+_start:
+  li s0, 0
+  li t0, 3
+  fcvt.d.l f2, t0
+  sd zero, 8(sp)
+  fsd f2, 16(sp)
+loop:
+  ld a1, 8(sp)
+  add a0, a0, a1
+  addi a1, a1, 1
+  sd a1, 8(sp)
+  fld f3, 16(sp)
+  fadd.d f3, f3, f2
+  fsd f3, 16(sp)
+  andi t1, s0, 3
+  beqz t1, swap
+  j next
+swap:
+  fsd f3, 8(sp)
+  sd a1, 16(sp)
+next:
+  addi s0, s0, 1
+  li t3, 120
+  blt s0, t3, loop
+  fcvt.l.d a2, f3
+  li a7, 93
+  ecall
+""")
+        _agree_on(prog)
+        src = trace_sources[f"<mega@{prog.symbol('loop').address:#x}>"]
+        assert "w2_8_8 = B64(d2_8_8)" in src
+        assert "d2_10_8 = F64(w2_10_8)" in src
+        assert "except MF:" not in src.split("while True:", 1)[1]
+
+    def test_a_chain_of_branch_paths_nests_at_most_max_nest_deep(
+            self, trace_sources):
+        """Each ``bnez`` of the chain leads to the next one and back to
+        ``loop``, so each would nest a branch path in the one before,
+        one indentation level deeper, past the 100 levels Python's
+        tokenizer allows.  The branch paths nested deeper than
+        ``MAX_NEST`` stay side exits: one back edge on the root path and
+        one on each of ``MAX_NEST`` branch paths."""
+        chain = "".join(f"a{i}:\n  bnez t0, a{i + 1}\n  j loop\n"
+                        for i in range(1, 130))
+        prog = assemble(f"""
+_start:
+  li s0, 0
+  li t0, 1
+loop:
+  addi s0, s0, 1
+  li t1, 200
+  bge s0, t1, done
+  bnez t0, a1
+  j loop
+{chain}a130:
+  j loop
+done:
+  li a7, 93
+  ecall
+""")
+        _agree_on(prog)
+        src = trace_sources[f"<mega@{prog.symbol('loop').address:#x}>"]
+        assert src.count("continue") == MAX_NEST + 1
+
+
+class TestConstantStores:
+    """A load of a slot a constant store wrote folds to the literal,
+    with the load's sign or zero extension."""
+
+    def test_literal_reload_folds_the_loop_entry_test(self, trace_sources):
+        """``j = 0; j < 12`` stores 0, reloads it and compares: the
+        compare and its branch fold, so the trace neither compares
+        against 12 nor exits to ``done``."""
+        prog = assemble("""
+_start:
+  li s1, 0
+  fence rw, rw
+loop:
+  sd zero, 8(sp)
+  ld t0, 8(sp)
+  slti t1, t0, 12
+  beqz t1, done
+  addi s1, s1, 1
+  li t2, 40
+  blt s1, t2, loop
+done:
+  mv a0, s1
+  li a7, 93
+  ecall
+""")
+        _agree_on(prog)
+        src = trace_sources[f"<mega@{prog.symbol('loop').address:#x}>"]
+        assert "0x800000000000000c" not in src
+        assert f"FG({prog.symbol('done').address:#x})" not in src
+
+    @pytest.mark.parametrize("store, loads", [
+        ("sb", ("lb", "lbu")), ("sh", ("lh", "lhu")),
+        ("sw", ("lw", "lwu")), ("sd", ("ld",))])
+    def test_literal_reloads_extend(self, store, loads):
+        """Each pass stores three literals into one slot (its sign bit
+        set with the low bit, the largest positive value, and a value
+        wider than the slot) and reloads each with every load of the
+        slot's width."""
+        size = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}[store]
+        sign = 1 << (8 * size - 1)
+        body = ""
+        for v in (sign | 1, sign - 1,
+                  ((0x5A5A << (8 * size)) | sign | 3) & (1 << 64) - 1):
+            body += f"  li t0, {v:#x}\n  {store} t0, 8(sp)\n"
+            for load in loads:
+                body += f"  {load} t1, 8(sp)\n  add a0, a0, t1\n"
+        _agree_on(assemble(f"""
+_start:
+  li s0, 0
+  li a0, 0
+loop:
+{body}
+  addi s0, s0, 1
+  li t5, 40
+  blt s0, t5, loop
+  li a7, 93
+  ecall
+"""))
 
 
 class TestFloatLocals:

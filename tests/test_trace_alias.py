@@ -303,15 +303,17 @@ class TestInstrumentedHotLoop:
         assert traced.traces.mega_compiles > 0
         assert not [a for _, a in calls if counter <= a < counter + 8]
 
-        # the inner loop's trace loops, and its loop body bumps the
-        # counter yet reloads neither the counter nor a stack slot,
-        # integer or double (``g<n> = F64(ri(a, 8))``): the pre-header
-        # loads them once per entry
+        # the inner loop's trace loops, and the main path of its loop
+        # body (the inner loop itself) bumps the counter yet reloads
+        # neither the counter nor a stack slot, integer or double
+        # (``g<n> = F64(ri(a, 8))``): the pre-header loads them once per
+        # entry
         assert traced.traces.fns.get(header)
         src = trace_sources[f"<mega@{header:#x}>"]
         assert "while True:" in src
         body = src.split("while True:", 1)[1]
-        assert f"ri({counter:#x}" not in body
+        main = _main_path(body)
+        assert not [ln for ln in main if f"ri({counter:#x}" in ln]
         # the counter's page is looked up once per entry, in the
         # prologue; the loop's main path writes it in place with no page
         # lookup, ``ri`` or ``si`` of its own
@@ -319,7 +321,6 @@ class TestInstrumentedHotLoop:
         prologue = src.split("    try:", 1)[0]
         assert f"pw_{page:x} = None if {page:#x} in WP else " \
             f"PG({page:#x})" in prologue
-        main = _main_path(body)
         for token in (f"PG({page:#x})", f"ri({counter:#x}",
                       f"si({counter:#x}"):
             assert not [ln for ln in main if token in ln], token
@@ -327,11 +328,19 @@ class TestInstrumentedHotLoop:
                    for ln in main)
         # ``sp`` is never written, so a stack-slot reload would read
         # through the slot's entry locals (``ri(a2_28, 8)`` on the slow
-        # path, ``U8(pr2_28_8, o2_28)[0]`` in place); an access through
-        # a written base builds its address inline (``a = ...``)
+        # path, ``U8(pr2_28_8, o2_28)[0]`` in place), and the main path
+        # stores its slots in place through them; an access through a
+        # written base builds its address inline (``a = ...``)
         for token in ("ri(a2_", "(pr2_"):
-            assert not [ln for ln in body.splitlines() if token in ln], \
-                token
+            assert not [ln for ln in main if token in ln], token
+        assert any(re.search(r"P8\(pw2_\w+, o2_\w+, ", ln) for ln in main)
+        # the branch paths (the middle and outer loops' code, which
+        # return to the header) reload the counter or a slot only after
+        # a store through a written base, which may alias them
+        reloads = ("ri(a2_", "(pr2_", f"ri({counter:#x}", f"(pr_{page:x},")
+        assert _reloads_before_aliasing_stores(body, reloads) == []
+        assert [ln for ln in body.splitlines()
+                if any(t in ln for t in reloads)]
         addr = None
         for line in body.splitlines():
             line = line.strip()
@@ -368,7 +377,8 @@ class TestInstrumentedHotLoop:
         """Every base register the inner loops write is written before
         a store could let a forwarded value past it, so no trace of the
         instrumented matmul is re-emitted without an assumption: one
-        emission per compiled trace (6 of each)."""
+        emission per compiled trace, 2 of each (the trees of ``init``'s
+        and ``multiply``'s loop nests)."""
         heads = []
         emit_mega = TraceCache._emit_mega
 
@@ -382,7 +392,7 @@ class TestInstrumentedHotLoop:
         load(m)
         assert m.run().reason is StopReason.EXITED
         assert header in heads
-        assert len(heads) == m.traces.mega_compiles == 6
+        assert len(heads) == m.traces.mega_compiles == 2
 
     def test_traces_run_the_hops_between_loops(self, monkeypatch,
                                                trace_sources):
@@ -393,7 +403,7 @@ class TestInstrumentedHotLoop:
         sit above ``.text``), roots each loop one instruction past its
         springboard, and leaves the hops to the interpreter.  The step
         count wraps every closure ``build_closure`` makes, per pc or
-        shared per encoding; the cold code makes it above 0 (6,178)."""
+        shared per encoding; the cold code makes it above 0 (4,728)."""
         steps = [0]
         build = machine_mod.build_closure
 
@@ -503,8 +513,8 @@ loop:
 
 def _main_path(body: str) -> list[str]:
     """The lines of a trace's loop body (the source after its
-    ``while True:``) that run on every iteration: nested blocks
-    under an ``if`` (the ``ri``/``si`` slow paths and the exits) are
+    ``while True:``) on its root path: nested blocks under an ``if``
+    (the ``ri``/``si`` slow paths, the exits and the branch paths) are
     left out, the ``else:`` fast paths kept."""
     lines = [ln for ln in body.splitlines() if ln.strip()]
     base = len(lines[0]) - len(lines[0].lstrip())
@@ -544,3 +554,18 @@ def _dead_register_writes(main: list[str]) -> list[tuple[str, str]]:
                 dead.append((unread[write.group(1)], text))
             unread[write.group(1)] = text
     return dead
+
+
+def _reloads_before_aliasing_stores(body: str, tokens) -> list[str]:
+    """Lines of a loop body *body* that hold one of *tokens* (a slot
+    reload) with no store through a written base (``... a >> 12 in
+    WP:``, which may alias any slot) before them on their path: a line
+    is on the path to a later one when no line in between sits at a
+    lower indentation."""
+    lines = [ln for ln in body.splitlines() if ln.strip()]
+    depth = [len(ln) - len(ln.lstrip()) for ln in lines]
+    stores = [i for i, ln in enumerate(lines) if "a >> 12 in WP:" in ln]
+    return [ln for i, ln in enumerate(lines)
+            if any(t in ln for t in tokens)
+            and not any(j < i and min(depth[j:i + 1]) >= depth[j]
+                        for j in stores)]
