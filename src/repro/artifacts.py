@@ -51,9 +51,10 @@ from .errors import ReproError
 MAGIC = "repro.artifacts/1"
 
 #: bump on any incompatible change to the payload schemas the store
-#: carries (CFG snapshot shape, liveness masks, ...).  Participates in
-#: key derivation, so a bump silently invalidates every old entry.
-SCHEMA_VERSION = 1
+#: carries (CFG snapshot shape, liveness masks, ...) or to the CFGs the
+#: parser builds.  Participates in key derivation, so a bump silently
+#: invalidates every old entry.  Version 2: jalr slices follow the CFG.
+SCHEMA_VERSION = 2
 
 #: environment variable naming a default store directory
 ENV_STORE = "REPRO_ARTIFACTS"

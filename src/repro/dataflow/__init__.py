@@ -2,14 +2,14 @@
 dominators."""
 
 from ..parse.loops import dominators
-from .constprop import resolve_register
+from .constprop import At, reaching_defs, resolve_register
 from .liveness import (
     ALL_REGS, CALL_KILLS, CALL_USES, EXIT_LIVE, LivenessResult,
     analyze_liveness, insn_uses_defs,
 )
 from .slicing import (
     MEM, SliceGraph, backward_slice, build_slice_graph, forward_slice,
-    insn_defs, insn_uses,
+    insn_uses,
 )
 from .interproc import (
     CONSERVATIVE, FunctionSummary, InterproceduralLiveness,
@@ -18,11 +18,11 @@ from .interproc import (
 from .stackheight import BOTTOM, StackHeightResult, analyze_stack_height
 
 __all__ = [
-    "dominators", "resolve_register",
+    "dominators", "At", "reaching_defs", "resolve_register",
     "ALL_REGS", "CALL_KILLS", "CALL_USES", "EXIT_LIVE", "LivenessResult",
     "analyze_liveness", "insn_uses_defs",
     "MEM", "SliceGraph", "backward_slice", "build_slice_graph",
-    "forward_slice", "insn_defs", "insn_uses",
+    "forward_slice", "insn_uses",
     "BOTTOM", "StackHeightResult", "analyze_stack_height",
     "CONSERVATIVE", "FunctionSummary", "InterproceduralLiveness",
     "analyze_interprocedural",

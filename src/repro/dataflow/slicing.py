@@ -1,13 +1,16 @@
 """Program slicing over the CFG (DataflowAPI, paper §2.1/§3.2.4).
 
 Backward slicing ("instructions that affected data") and forward slicing
-("instructions affected by data") built on reaching definitions over the
-def/use sets the semantics registry provides.
+("instructions affected by data") built on the def/use sets the
+semantics registry provides.  Each use is linked to the definitions
+that reach it by the same backward walk along the CFG that constant
+resolution uses (:func:`repro.dataflow.constprop.reaching_defs`), so a
+call defines every caller-saved register here too.
 
 Abstract locations are registers plus a single coarse ``MEM`` location
 (optional): precise enough for the paper's uses — resolving jalr targets
 (via :mod:`repro.dataflow.constprop`), understanding address formation —
-while staying sound.
+while staying sound.  A store does not hide earlier stores.
 """
 
 from __future__ import annotations
@@ -19,19 +22,13 @@ from ..instruction.insn import Insn
 from ..parse.cfg import Function
 from ..riscv.registers import Register
 from ..semantics import (
-    reads_memory, register_defs, register_uses, writes_memory,
+    reads_memory, register_masks, register_uses, writes_memory,
 )
+from .constprop import At, reaching_defs
 
 #: Abstract location: ("x"|"f", regnum) or the coarse memory location.
 AbsLoc = Hashable
 MEM: AbsLoc = ("mem", 0)
-
-
-def insn_defs(insn: Insn, include_memory: bool = False) -> set[AbsLoc]:
-    out: set[AbsLoc] = set(register_defs(insn.raw))
-    if include_memory and writes_memory(insn.raw):
-        out.add(MEM)
-    return out
 
 
 def insn_uses(insn: Insn, include_memory: bool = False) -> set[AbsLoc]:
@@ -94,81 +91,40 @@ class SliceGraph:
         return result
 
 
+def _bit(loc: AbsLoc) -> int:
+    """*loc*'s bit in :func:`_defs`' masks."""
+    if loc == MEM:
+        return 1 << 64
+    return 1 << (loc[1] + (32 if loc[0] == "f" else 0))
+
+
+def _defs(insn: Insn) -> int:
+    """Register definitions as :func:`register_masks` has them, and
+    bit 64 for a store."""
+    raw = insn.raw
+    return register_masks(raw)[1] | writes_memory(raw) << 64
+
+
 def build_slice_graph(fn: Function,
                       include_memory: bool = False) -> SliceGraph:
-    """Compute reaching definitions and build the def-use graph."""
-    blocks = fn.blocks
-    # Definition sites: (addr, loc)
-    block_insns = {a: b.insns for a, b in blocks.items()}
-
-    # block-level GEN/KILL over (loc -> set of def addrs)
-    gen: dict[int, dict[AbsLoc, set[int]]] = {}
-    kill_locs: dict[int, set[AbsLoc]] = {}
-    for a, insns in block_insns.items():
-        g: dict[AbsLoc, set[int]] = {}
-        for insn in insns:
-            for loc in insn_defs(insn, include_memory):
-                if loc == MEM and MEM in g:
-                    g[MEM] = g[MEM] | {insn.address}  # stores accumulate
-                else:
-                    g[loc] = {insn.address}
-        gen[a] = g
-        kill_locs[a] = {loc for loc in g if loc != MEM}
-
-    preds: dict[int, list[int]] = {a: [] for a in blocks}
-    for a, b in blocks.items():
-        for s in fn.intraproc_successors(b):
-            if s in preds:
-                preds[s].append(a)
-
-    # iterate to fixpoint: in/out are loc -> frozenset(def addrs)
-    empty: dict[AbsLoc, frozenset[int]] = {}
-    rd_in: dict[int, dict[AbsLoc, frozenset[int]]] = {
-        a: dict(empty) for a in blocks}
-    rd_out: dict[int, dict[AbsLoc, frozenset[int]]] = {
-        a: dict(empty) for a in blocks}
-
-    order = sorted(blocks)
-    changed = True
-    while changed:
-        changed = False
-        for a in order:
-            inn: dict[AbsLoc, set[int]] = {}
-            for p in preds[a]:
-                for loc, defs in rd_out[p].items():
-                    inn.setdefault(loc, set()).update(defs)
-            new_in = {loc: frozenset(v) for loc, v in inn.items()}
-            out: dict[AbsLoc, set[int]] = {
-                loc: set(v) for loc, v in new_in.items()
-                if loc not in kill_locs[a]}
-            for loc, defs in gen[a].items():
-                if loc == MEM:
-                    out.setdefault(MEM, set()).update(defs)
-                else:
-                    out[loc] = set(defs)
-            new_out = {loc: frozenset(v) for loc, v in out.items()}
-            if new_in != rd_in[a] or new_out != rd_out[a]:
-                rd_in[a] = new_in
-                rd_out[a] = new_out
-                changed = True
-
+    """Link each use of each instruction to the definitions that reach
+    it along *fn*'s CFG."""
+    preds = fn.intraproc_preds()
     graph = SliceGraph(fn, include_memory)
-    for a, insns in block_insns.items():
-        current: dict[AbsLoc, set[int]] = {
-            loc: set(v) for loc, v in rd_in[a].items()}
-        for insn in insns:
+    for block in fn.blocks.values():
+        for i, insn in enumerate(block.insns):
+            at = At(preds, block, i)
             links: set[tuple[AbsLoc, int]] = set()
             for loc in insn_uses(insn, include_memory):
-                for d in current.get(loc, ()):
-                    links.add((loc, d))
-                    graph.uses_of.setdefault(d, set()).add(insn.address)
+                for d in reaching_defs(at, _bit(loc), _defs,
+                                       may=loc == MEM):
+                    if d is not None:
+                        def_addr = d.insn.address
+                        links.add((loc, def_addr))
+                        graph.uses_of.setdefault(def_addr, set()).add(
+                            insn.address)
             if links:
                 graph.reaching[insn.address] = links
-            for loc in insn_defs(insn, include_memory):
-                if loc == MEM:
-                    current.setdefault(MEM, set()).add(insn.address)
-                else:
-                    current[loc] = {insn.address}
     return graph
 
 

@@ -35,6 +35,11 @@ class EdgeType(enum.Enum):
 INTERPROC_EDGES = frozenset(
     {EdgeType.CALL, EdgeType.RET, EdgeType.TAILCALL})
 
+#: Edge types that stay inside the function.
+_INTRAPROC_EDGES = frozenset(
+    {EdgeType.COND_TAKEN, EdgeType.COND_NOT_TAKEN, EdgeType.DIRECT,
+     EdgeType.FALLTHROUGH, EdgeType.CALL_FT, EdgeType.INDIRECT})
+
 
 @dataclass
 class Edge:
@@ -152,14 +157,22 @@ class Function:
 
     def intraproc_successors(self, block: Block) -> list[int]:
         """Successor block addresses within this function."""
-        out = []
-        for e in block.out_edges:
-            if e.kind in (EdgeType.COND_TAKEN, EdgeType.COND_NOT_TAKEN,
-                          EdgeType.DIRECT, EdgeType.FALLTHROUGH,
-                          EdgeType.CALL_FT, EdgeType.INDIRECT):
-                if e.target is not None and e.target in self.blocks:
-                    out.append(e.target)
-        return out
+        return [e.target for e in block.out_edges
+                if e.kind in _INTRAPROC_EDGES and e.target in self.blocks]
+
+    def intraproc_preds(self) -> dict[int, list[Edge | None]]:
+        """Block start -> the edges into that block from this
+        function's blocks, the inverse of :meth:`intraproc_successors`.
+        The entry block's list also holds None, which stands for the
+        function's callers."""
+        preds: dict[int, list[Edge | None]] = {a: [] for a in self.blocks}
+        if self.entry in preds:
+            preds[self.entry].append(None)
+        for b in self.blocks.values():
+            for e in b.out_edges:
+                if e.kind in _INTRAPROC_EDGES and e.target in preds:
+                    preds[e.target].append(e)
+        return preds
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Function {self.name!r} @ {self.entry:#x}, "

@@ -11,10 +11,11 @@ speculatively.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import defaultdict
 
 from .. import telemetry
+from ..dataflow.constprop import At
 from ..instruction.insn import Insn, decode_insn
 from ..riscv.decoder import DecodeError
 from ..symtab.symtab import Symtab
@@ -151,10 +152,6 @@ class CodeObject:
     def _name_for(self, addr: int) -> str:
         return self._names.get(addr, f"func_{addr:x}")
 
-    #: how far back (in instructions) slicing-based classification may
-    #: look; Dyninst's analyses are similarly bounded
-    WINDOW_LIMIT = 256
-
     def _parse_function(self, entry: int) -> Function:
         with telemetry.current().span("parse.function"):
             return self._parse_function_inner(entry)
@@ -164,8 +161,6 @@ class CodeObject:
         work = [entry]
         known_entries = frozenset(
             set(self.functions) | set(self._names) - {entry})
-        # incrementally maintained, address-sorted instruction window
-        window: list[Insn] = []
         while work:
             addr = work.pop()
             if addr in fn.blocks:
@@ -182,11 +177,9 @@ class CodeObject:
                     block = self._decode_block(addr, fn)
                     if block is None:
                         continue
-            if block.start not in fn.blocks:
-                fn.blocks[block.start] = block
-                _window_insert(window, block.insns)
+            fn.blocks.setdefault(block.start, block)
             if not block.out_edges and block.insns:
-                self._classify_terminal(block, fn, known_entries, window)
+                self._classify_terminal(block, fn, known_entries)
             self._absorb_edges(block, fn, work)
         return fn
 
@@ -206,20 +199,18 @@ class CodeObject:
                     work.append(e.target)
         term = block.last
         if term is not None and term.is_jalr:
-            unres = any(not e.resolved for e in block.out_edges)
             table = [e.target for e in block.out_edges
                      if e.kind is EdgeType.INDIRECT and e.target is not None]
             if table:
                 fn.jump_tables[term.address] = sorted(table)
-            elif unres and term.address not in fn.unresolved:
+            if any(not e.resolved for e in block.out_edges) and \
+                    term.address not in fn.unresolved:
                 fn.unresolved.append(term.address)
 
     # -- block construction ---------------------------------------------------
 
     def _register_block(self, block: Block) -> None:
         self.blocks[block.start] = block
-        from bisect import insort
-
         insort(self._block_starts, block.start)
 
     def _decode_block(self, addr: int, fn: Function) -> Block | None:
@@ -285,8 +276,7 @@ class CodeObject:
         return int.from_bytes(blob, "little")
 
     def _classify_terminal(self, block: Block, fn: Function,
-                           known_entries: frozenset[int],
-                           window: list[Insn]) -> None:
+                           known_entries: frozenset[int]) -> None:
         term = block.last
         assert term is not None
         nxt = block.end
@@ -307,16 +297,15 @@ class CodeObject:
                     Edge(block, EdgeType.FALLTHROUGH, nxt))
             return
 
-        win, idx = _window_slice(window, block.insns[-1].address,
-                                 self.WINDOW_LIMIT)
         ctx = ClassifyContext(
-            window=win,
-            index=idx,
             current_entry=fn.entry,
             known_entries=known_entries,
             is_code=self.symtab.is_code,
             mem_reader=self._mem_read,
             in_current=lambda a: fn.block_at(a) is not None,
+            # a jalr's backward slice runs on the function's CFG so far
+            at=At(fn.intraproc_preds(), block, len(block.insns) - 1)
+            if term.is_jalr else None,
         )
         c = classify(term, ctx)
         rec = telemetry.current()
@@ -332,12 +321,9 @@ class CodeObject:
                 Edge(block, EdgeType.CALL, c.target, c.resolved))
             if self.symtab.is_code(nxt):
                 block.out_edges.append(Edge(block, EdgeType.CALL_FT, nxt))
-        elif c.kind is EdgeType.INDIRECT and c.table_targets:
-            for t in c.table_targets:
-                block.out_edges.append(Edge(block, EdgeType.INDIRECT, t))
         else:
-            block.out_edges.append(
-                Edge(block, c.kind, c.target, c.resolved))
+            for t in c.table_targets or [c.target]:
+                block.out_edges.append(Edge(block, c.kind, t, c.resolved))
 
 
 def _merge_ranges(spans) -> list[tuple[int, int]]:
@@ -362,31 +348,6 @@ def _classification_outcome(c: Classification) -> str:
         EdgeType.RET: "return",
         EdgeType.TAILCALL: "tail_call",
     }.get(c.kind, "jump")
-
-
-def _window_insert(window: list[Insn], insns: list[Insn]) -> None:
-    """Insert a block's (contiguous, sorted) instructions into the
-    address-sorted window."""
-    if not insns:
-        return
-    from bisect import bisect_left
-
-    pos = bisect_left(window, insns[0].address,
-                      key=lambda i: i.address)
-    if pos < len(window) and window[pos].address == insns[0].address:
-        return  # already present (split of a block this parse owns)
-    window[pos:pos] = insns
-
-
-def _window_slice(window: list[Insn], terminal_addr: int,
-                  limit: int) -> tuple[list[Insn], int]:
-    """The bounded backward window ending at *terminal_addr*, plus the
-    terminal's index within it."""
-    from bisect import bisect_right
-
-    end = bisect_right(window, terminal_addr, key=lambda i: i.address)
-    start = max(0, end - limit)
-    return window[start:end], end - start - 1
 
 
 def parse_binary(symtab: Symtab, *, gap_parsing: bool = True) -> CodeObject:

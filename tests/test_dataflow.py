@@ -4,7 +4,7 @@ constant resolution, stack height."""
 import pytest
 
 from repro.dataflow import (
-    analyze_liveness, analyze_stack_height, backward_slice,
+    At, analyze_liveness, analyze_stack_height, backward_slice,
     build_slice_graph, forward_slice, resolve_register,
 )
 from repro.minicc import compile_source, fib_source, matmul_source
@@ -21,6 +21,12 @@ def fn_of(co, name):
     fn = co.function_by_name(name)
     assert fn is not None, name
     return fn
+
+
+def at_last(fn):
+    """The CFG point just before *fn*'s last instruction."""
+    block = max(fn.blocks.values(), key=lambda b: b.start)
+    return At(fn.intraproc_preds(), block, len(block.insns) - 1)
 
 
 class TestLiveness:
@@ -207,59 +213,151 @@ f:
 
 
 class TestConstProp:
-    def _window(self, src, fname="f"):
-        co = parse_asm(src)
-        f = fn_of(co, fname)
-        return sorted(f.instructions(), key=lambda i: i.address)
+    def _at_last(self, src, fname="f"):
+        """The point just before *fname*'s last instruction."""
+        return at_last(fn_of(parse_asm(src), fname))
 
     def test_lui_addi_chain(self):
-        w = self._window("""
+        at = self._at_last("""
 .type f, @function
 f:
   lui t0, 0x12345
   addi t0, t0, -273
   jr t0
 """)
-        v = resolve_register(w, 2, lookup("t0"))
+        v = resolve_register(at, lookup("t0"))
         assert v == ((0x12345 << 12) - 273) & 0xFFFFFFFFFFFFFFFF
 
     def test_auipc_based(self):
-        w = self._window("""
+        at = self._at_last("""
 .type f, @function
 f:
   auipc t1, 1
   addi t1, t1, 8
   jr t1
 """)
-        v = resolve_register(w, 2, lookup("t1"))
+        v = resolve_register(at, lookup("t1"))
         assert v == 0x10000 + 0x1000 + 8
 
     def test_unknown_register_unresolved(self):
-        w = self._window(".type f, @function\nf:\njr a0\n")
-        assert resolve_register(w, 0, lookup("a0")) is None
+        at = self._at_last(".type f, @function\nf:\njr a0\n")
+        assert resolve_register(at, lookup("a0")) is None
 
     def test_load_without_oracle_unresolved(self):
-        w = self._window("""
+        at = self._at_last("""
 .type f, @function
 f:
   ld t0, 0(sp)
   jr t0
 """)
-        assert resolve_register(w, 1, lookup("t0")) is None
+        assert resolve_register(at, lookup("t0")) is None
 
     def test_x0_is_zero(self):
-        w = self._window(".type f, @function\nf:\nret\n")
-        assert resolve_register(w, 0, lookup("zero")) == 0
+        at = self._at_last(".type f, @function\nf:\nret\n")
+        assert resolve_register(at, lookup("zero")) == 0
 
     def test_shifted_materialization(self):
-        w = self._window("""
+        at = self._at_last("""
 .type f, @function
 f:
   li t0, 0x123456789
   jr t0
 """)
-        v = resolve_register(w, len(w) - 1, lookup("t0"))
+        v = resolve_register(at, lookup("t0"))
         assert v == 0x123456789
+
+
+class TestBackwardWalk:
+    """The rules of the backward walk along the CFG that constant
+    resolution, the jalr classifier, jump tables and slicing share."""
+
+    def test_merging_paths_resolve_only_when_they_agree(self):
+        co = parse_asm("""
+.type agree, @function
+agree:
+  beqz a0, a_else
+  li t0, 64
+  j a_join
+a_else:
+  li t0, 64
+a_join:
+  jr t0
+.type disagree, @function
+disagree:
+  beqz a0, d_else
+  li t0, 64
+  j d_join
+d_else:
+  li t0, 128
+d_join:
+  jr t0
+.type sibling, @function
+sibling:
+  li t1, 3
+  bltu a0, t1, s_ok
+  li a0, 0
+  ret
+s_ok:
+  jr a0
+""")
+        t0, a0 = lookup("t0"), lookup("a0")
+        assert resolve_register(at_last(fn_of(co, "agree")), t0) == 64
+        assert resolve_register(at_last(fn_of(co, "disagree")), t0) is None
+        # the li on the fall-through path does not reach s_ok
+        assert resolve_register(at_last(fn_of(co, "sibling")), a0) is None
+
+    def test_call_defines_the_caller_saved_registers(self):
+        co = parse_asm("""
+.type f, @function
+f:
+  li sp, 0x4000
+  li s0, 0x100
+  li ra, 0x10
+  li t0, 0x20
+  li a0, 0x30
+  call g
+  jr a0
+.type g, @function
+g:
+  ret
+""")
+        at = at_last(fn_of(co, "f"))
+        for name in ("ra", "t0", "a0"):
+            assert resolve_register(at, lookup(name)) is None, name
+        assert resolve_register(at, lookup("sp")) == 0x4000
+        assert resolve_register(at, lookup("s0")) == 0x100
+
+    def test_loop_back_edge_terminates(self):
+        """Each block is entered once per walk: a definition before the
+        loop still resolves, and one the loop carries does not."""
+        import signal
+
+        def hang(signum, frame):
+            raise TimeoutError("the walk did not terminate")
+
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            # the parser's own walk from the jr crosses the loop too
+            f = fn_of(parse_asm("""
+.type f, @function
+f:
+  li t0, 8
+  li t1, 0
+loop:
+  addi t1, t1, 1
+  addi t2, t2, -1
+  bnez t2, loop
+  jr t0
+"""), "f")
+            at = at_last(f)
+            assert resolve_register(at, lookup("t0")) == 8
+            assert resolve_register(at, lookup("t1")) is None
+            sl = backward_slice(f, at.insn.address)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert sl == {f.entry}  # li t0, 8
 
 
 class TestStackHeight:

@@ -13,6 +13,12 @@ The counters must match the trace exactly, and stdout/exit code must be
 identical.  This exercises compiler, ELF, parser, liveness, codegen,
 patcher, springboards, trampolines, relocation, and simulator in one
 property.
+
+The single-stepped run also checks the CFG against execution
+(:class:`EdgeOracle`): every executed ``jal``, ``jalr`` and branch
+that ends a block must leave along one of its edges, and every return
+must land after a call site still on a shadow stack.  The same check
+runs over every binary ``test_parse_pin.py`` pins.
 """
 
 from __future__ import annotations
@@ -23,17 +29,68 @@ from hypothesis import HealthCheck, given, settings
 from repro.api import open_binary
 from repro.codegen import IncrementVar
 from repro.minicc import compile_source
+from repro.parse import EdgeType, parse_binary
 from repro.patch import PointType
 from repro.sim import Machine, StopReason
 from repro.symtab import Symtab
 
 from strategies import minic_program
+from test_parse_pin import PINNED, binaries
 
 
 # -- ground truth ----------------------------------------------------------
 
 
+class EdgeOracle:
+    """Checks a CFG against the pcs a run executes.
+
+    At every executed ``jal``, ``jalr`` and conditional branch that ends
+    a block, the block must have an out-edge to the pc that ran next, or
+    an unresolved out-edge.  A CALL pushes the block's end onto a shadow
+    stack.  A RET must land on an address the stack holds, and the
+    entries above it are dropped: a function may call its own epilogue,
+    which unwinds its frame and returns to its caller's call site.  On
+    RISC-V a ``ret`` that lands anywhere else is what a gadget chain
+    looks like, and compiled code never does it.
+    """
+
+    def __init__(self, cfg):
+        self.terminals = {}
+        for b in cfg.blocks.values():
+            last = b.last
+            if last is not None and last.writes_pc:
+                self.terminals.setdefault(last.address, b)
+        self.stack: list[int] = []
+        #: (pc, next pc, what the CFG said) per disagreement
+        self.mismatches: list[tuple[int, int, str]] = []
+
+    def transfer(self, pc: int, npc: int) -> None:
+        """Check the instruction at *pc*, which ran on to *npc*."""
+        block = self.terminals.get(pc)
+        if block is None:
+            return
+        edges = block.out_edges
+        kinds = {e.kind for e in edges}
+        if EdgeType.CALL in kinds:
+            self.stack.append(block.end)
+        if any(not e.resolved for e in edges):
+            return
+        if EdgeType.RET in kinds:
+            for i in range(len(self.stack) - 1, -1, -1):
+                if self.stack[i] == npc:
+                    del self.stack[i:]
+                    return
+            self.mismatches.append((pc, npc, "return off the stack"))
+        elif not any(e.target == npc for e in edges
+                     if e.kind is not EdgeType.CALL_FT):
+            self.mismatches.append(
+                (pc, npc, " ".join(repr(e) for e in edges) or "no edge"))
+
+
 def _trace_ground_truth(symtab: Symtab, cfg, fn_names, max_steps=300_000):
+    """Single-step the uninstrumented program.  Returns each of
+    *fn_names*' entry and block-entry counts, stdout, the exit code and
+    the :class:`EdgeOracle`'s mismatches."""
     entries = {cfg.function_by_name(n).entry: n for n in fn_names}
     block_starts = {}
     for n in fn_names:
@@ -44,6 +101,7 @@ def _trace_ground_truth(symtab: Symtab, cfg, fn_names, max_steps=300_000):
 
     m = Machine()
     symtab.load_into(m)
+    oracle = EdgeOracle(cfg)
     entry_counts = {n: 0 for n in fn_names}
     block_counts = {n: 0 for n in fn_names}
     steps = 0
@@ -58,9 +116,26 @@ def _trace_ground_truth(symtab: Symtab, cfg, fn_names, max_steps=300_000):
         if ev is not None:
             assert ev.reason is StopReason.EXITED, ev
             break
+        oracle.transfer(pc, m.pc)
     else:
         pytest.fail("trace did not terminate")
-    return entry_counts, block_counts, bytes(m.stdout), m.exit_code
+    return (entry_counts, block_counts, bytes(m.stdout), m.exit_code,
+            oracle.mismatches)
+
+
+@pytest.fixture(scope="module")
+def pinned_elves():
+    return binaries()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_cfg_agrees_with_execution(pinned_elves, name):
+    """Every pinned binary runs to its exit along its CFG's edges."""
+    symtab = Symtab.from_bytes(pinned_elves[name])
+    *_, mismatches = _trace_ground_truth(
+        symtab, parse_binary(symtab), [], max_steps=2_000_000)
+    assert [(f"{pc:#x}", f"{npc:#x}", why)
+            for pc, npc, why in mismatches] == []
 
 
 @settings(max_examples=25, deadline=None,
@@ -93,8 +168,9 @@ def _check_program(program):
     fn_names = [n for n in fn_names
                 if binary.cfg.function_by_name(n) is not None]
 
-    truth_entries, truth_blocks, truth_out, truth_code = \
+    truth_entries, truth_blocks, truth_out, truth_code, mismatches = \
         _trace_ground_truth(symtab, binary.cfg, fn_names)
+    assert mismatches == []
 
     entry_vars = {}
     block_vars = {}

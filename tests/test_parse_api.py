@@ -1,8 +1,6 @@
 """ParseAPI tests: traversal parsing, jal/jalr classification (§3.2.3),
 jump tables, tail calls, block splitting, loops, gap parsing."""
 
-import pytest
-
 from repro.minicc import (
     Options, compile_source, fib_source, matmul_source, switch_source,
     tailcall_source,
@@ -307,6 +305,56 @@ table:
         f = co.function_by_name("f")
         assert not f.jump_tables
         assert f.unresolved
+
+    def test_bound_comes_from_the_guarding_edge(self):
+        """The table's extent is the bound of the check on the path
+        into it: the taken edge of bltu, the not-taken edge of bgeu.
+        A check on the other edge is no bound, so the table is read
+        without one: a guess, kept but marked unresolved."""
+        def table_fn(name, check):
+            return f"""
+.type {name}, @function
+{name}:
+  li t1, 2
+  {check}
+  slli t0, a0, 3
+  la t2, table
+  add t2, t2, t0
+  ld t2, 0(t2)
+  jr t2
+{name}_out:
+  ret
+"""
+        co = parse_asm(
+            table_fn("lt", "bltu a0, t1, lt_in\n  j lt_out\nlt_in:")
+            + table_fn("ge", "bgeu a0, t1, ge_out")
+            + table_fn("other", "bltu a0, t1, other_out")
+            + """
+c0:
+  li a0, 10
+  ret
+c1:
+  li a0, 20
+  ret
+c2:
+  li a0, 30
+  ret
+.data
+.align 3
+table:
+  .dword c0
+  .dword c1
+  .dword c2
+""")
+        for name in ("lt", "ge"):
+            f = co.function_by_name(name)
+            assert [len(t) for t in f.jump_tables.values()] == [2], name
+            assert f.unresolved == [], name
+        other = co.function_by_name("other")
+        assert [len(t) for t in other.jump_tables.values()] == [3]
+        assert other.unresolved == list(other.jump_tables)
+        assert not any(e.resolved for b in other.blocks.values()
+                       for e in b.out_edges if e.kind is EdgeType.INDIRECT)
 
 
 class TestTailCallsAndRecursion:

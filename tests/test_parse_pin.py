@@ -274,7 +274,10 @@ def cfg_digest(elf: bytes) -> str:
     return h.hexdigest()
 
 
-#: computed before constant resolution moved onto the SAIL evaluator
+#: computed before constant resolution moved onto the SAIL evaluator;
+#: ``shapes`` since the backward slice follows the CFG, which gives
+#: ``words`` its 3-entry table and marks ``unbounded``'s guessed table
+#: unresolved
 PINNED = {
     "crc": "5b5630a1eca55c82f0a807c75afcecef72069551e6e5c1e1f7044eb5f2a49ca2",
     "crc-c": "4f80746a59836ab3377eec66ef222e6a908e2fce12431948e4202c647d0b5b54",
@@ -288,7 +291,7 @@ PINNED = {
     "nbody-c": "0f3d61d062642909eccab91acbdff54f87750a9e9e9069f71f0520def1ef27a4",
     "qsort": "5b76105bce13550deae2a5c3057e29d8153b23c0716347270d44e945eacb9094",
     "qsort-c": "b12b7818aa7c9530f617804c06ab31cdd588b58ef083d7b94d45686fd55de6bf",
-    "shapes": "4fe0f20038c6bb26d12b7cd05167fdc5c4eb365b7ce6f43ebb101af9af2133b9",
+    "shapes": "5079899a52f4e1717f24c6a4b799aac92f4d878baf931700d5856a9cbc3a4a26",
     "switch": "fea46fc7776eb951a71ecd4f8c008a6873eefab8591b4ac277d64926b41d2692",
     "switch-c": "873ee99f9c20c5a9f756c2703539759fe769770811a5c2b923bf82c32693d8a9",
     "switches": "6cabaf936a9f642d98d970a5e02d6a345a81a91b48adf8e1163ebaea13d6e892",
@@ -320,3 +323,24 @@ def test_pinned_binaries_exercise_the_analyses(elves):
     assert total("wide200", "tail_callees") >= 40
     assert total("shapes", "jump_tables") >= 2
     assert total("shapes", "unresolved") >= 1
+
+
+def test_guessed_table_is_unresolved(elves):
+    """``unbounded`` reads its table with no bounds check.  The scan
+    keeps the entries up to the first that is not code, but that is a
+    guess (index 3 runs past them into ``fptr``), so the jump is listed
+    as unresolved too, its edges say so, and liveness keeps every
+    register live there."""
+    from repro.dataflow import analyze_liveness
+    from repro.parse import EdgeType
+
+    co = parse_binary(Symtab.from_bytes(elves["shapes"]))
+    fn = co.function_by_name("unbounded")
+    (site, targets), = fn.jump_tables.items()
+    assert len(targets) == 2
+    assert fn.unresolved == [site]
+    block = fn.block_at(site)
+    indirect = [e for e in block.out_edges if e.kind is EdgeType.INDIRECT]
+    assert sorted(e.target for e in indirect) == targets
+    assert not any(e.resolved for e in indirect)
+    assert analyze_liveness(fn).dead_before(site) == []

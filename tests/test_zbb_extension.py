@@ -14,7 +14,7 @@ itself part of the extensibility claim.)
 
 import pytest
 
-from repro.dataflow import resolve_register
+from repro.dataflow import At, resolve_register
 from repro.parse import parse_binary
 from repro.riscv import RV64GC, assemble, decode_word, encode, lookup
 from repro.riscv.extensions import RVA23_SUBSET, parse_arch_string
@@ -187,8 +187,9 @@ f:
 """, arch=RVA23_SUBSET)
         co = parse_binary(Symtab.from_program(p))
         f = co.function_containing(p.entry)
-        insns = sorted(f.instructions(), key=lambda i: i.address)
-        v = resolve_register(insns, len(insns) - 1, lookup("t0"))
+        block = max(f.blocks.values(), key=lambda b: b.start)
+        at = At(f.intraproc_preds(), block, len(block.insns) - 1)
+        v = resolve_register(at, lookup("t0"))
         assert v == 0x20000
 
     def test_codegen_gates_zbb(self):
